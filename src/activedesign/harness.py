@@ -484,11 +484,14 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
             if any(warm) and len(fit_rows) > 3:
                 logger.warning("excluding warm budget T=%d from %s slope fit", smallest, name)
                 fit_rows = [r for r in fit_rows if r[0] != smallest]
-        try:
-            slopes[name] = fit_slope([r[0] for r in fit_rows], [r[1] for r in fit_rows])
-        except ValueError as exc:
-            logger.warning("no slope for %s: %s", name, exc)
-            slopes[name] = None
+        slopes[name] = None
+        if len(config.budgets) >= 3:
+            # fewer configured budgets never fit a slope; only warn when
+            # failures or nonpositive regrets cost the fit its points
+            try:
+                slopes[name] = fit_slope([r[0] for r in fit_rows], [r[1] for r in fit_rows])
+            except ValueError as exc:
+                logger.warning("no slope for %s: %s", name, exc)
 
         if not quiet:
             spent = sum(

@@ -1,10 +1,15 @@
-"""Frank-Wolfe minimization of smooth convex objectives on the simplex.
+"""Simplex solvers and the offline reference optimum.
 
-Used for the offline reference optimum when the number of arms exceeds
-the dimension (the square case has a closed form) and by the randomized
-policy's per-round argmin in that same regime.  Plain conditional
-gradient with backtracking line search; vertices are the only extreme
-points, so each step mixes the iterate toward a coordinate vector.  An
+``reference_optimum`` computes the exact optimal design that regrets are
+measured against.  Square problems (K = d) use the closed form.  When
+K > d it runs the multiplicative fixed point from the uniform design,
+which decreases the A-optimality loss monotonically and converges for
+any optimal support size, then tries once to replace the iterate by the
+exact closed-form optimum of a d-arm support that certifies globally.
+
+``minimize`` is plain conditional gradient (Frank-Wolfe) with
+backtracking line search for smooth convex objectives on the simplex;
+the randomized policy uses it for its per-round argmin when K > d.  An
 interior floor keeps the evaluation point strictly positive because the
 loss blows up on non-identifying faces; the floor is small enough that
 boundary optima are still represented to ~1e-9.
@@ -13,6 +18,7 @@ boundary optima are still represented to ~1e-9.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +28,13 @@ from .core import (
     DesignProblem,
     NoiseSpec,
     SimplexWeights,
-    gradient,
+    gradient,  # noqa: F401  (not called here; kept importable as ``solver.gradient``)
     info_matrix,
     loss,
     optimal_weights_closed_form,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -135,17 +143,10 @@ def _certify_subset(
     try:
         omega = info_matrix(problem, full)
         value = float(np.trace(np.linalg.inv(omega)))
-        marks = np.array(
-            [
-                float(
-                    np.sum(np.linalg.solve(omega, problem.covariates.columns[:, i]) ** 2)
-                )
-                / problem.noise.sigma2[i]
-                for i in range(problem.n_arms)
-            ]
-        )
+        a = np.linalg.solve(omega, problem.covariates.columns)
     except np.linalg.LinAlgError:
         return None
+    marks = np.einsum("ij,ij->j", a, a) / problem.noise.sigma2
     if np.max(marks) > value * (1.0 + tol):
         return None
     return SimplexWeights(full), value
@@ -170,7 +171,8 @@ def active_set_polish(
     if k <= d:
         return None
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    by_weight = np.argsort(w)[::-1]
+    # ties go to the lowest arm index, so exact clones keep a stable order
+    by_weight = np.argsort(-w, kind="stable")
     pool = by_weight[: min(k, d + 3)]
     seen = set()
     for subset in itertools.combinations(range(len(pool)), d):
@@ -195,7 +197,8 @@ def _multiplicative_refine(
     monotonically and converges for any optimal support size, unlike a
     d-arm restriction.  The identity L(p) = sum_k p_k m_k makes the
     stopping rule max_k m_k - L(p), which is exactly the Frank-Wolfe
-    gap, available for free each sweep.
+    gap, available for free each sweep.  Stopping at ``max_iters``
+    before that gap falls to ``rel_tol`` L(p) logs a warning.
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
@@ -210,6 +213,12 @@ def _multiplicative_refine(
             break
         p = p * np.sqrt(marks / value)
         p /= p.sum()
+    else:
+        logger.warning(
+            "multiplicative fixed point unconverged after %d sweeps: relative gap %.3g",
+            max_iters,
+            (np.max(marks) - value) / value,
+        )
     return SimplexWeights(p), value
 
 
@@ -218,14 +227,15 @@ def reference_optimum(
 ) -> tuple[SimplexWeights, float]:
     """Optimal design and its loss under the problem's true variances.
 
-    Square problems use the exact closed form.  Otherwise Frank-Wolfe
-    runs first; since K > d optima generically sit on the boundary of
-    the simplex, where conditional gradient converges slowly, the
-    iterate is polished by solving the apparent active set in closed
-    form when that restriction certifies as globally optimal, and by
-    the multiplicative fixed point otherwise (optimal supports can hold
-    more than d arms, which no d-arm restriction can represent).
-    Results for the default config are cached on the problem.
+    Square problems use the exact closed form.  Otherwise the
+    multiplicative fixed point runs from the uniform design for at most
+    ``config.max_iters`` sweeps (20,000 without a config); optimal
+    supports can hold more than d arms, which it represents and no d-arm
+    restriction can.  When the optimum sits on exactly d arms the
+    iterate only approaches that boundary, so one active-set polish
+    then replaces it by the closed-form restriction whenever that
+    certifies as globally optimal.  Results for the default config are
+    cached on the problem.
     """
     if config is None and hasattr(problem, "_reference_cache"):
         return problem._reference_cache
@@ -233,37 +243,13 @@ def reference_optimum(
     if problem.is_square:
         p_star = optimal_weights_closed_form(problem)
         answer = p_star, loss(problem, p_star)
-        if cache:
-            object.__setattr__(problem, "_reference_cache", answer)
-        return answer
-    if config is None:
-        config = SolverConfig(max_iters=20_000)
-    loss_fn = lambda p: loss(problem, p)  # noqa: E731
-    grad_fn = lambda p: gradient(problem, p)  # noqa: E731
-
-    budget = min(1500, config.max_iters)
-    stage = SolverConfig(
-        max_iters=budget,
-        gap_tol=config.gap_tol,
-        floor=config.floor,
-        armijo=config.armijo,
-        backtrack=config.backtrack,
-        min_step=config.min_step,
-    )
-    result = minimize(loss_fn, grad_fn, problem.n_arms, stage)
-    answer = result.weights, result.objective
-    polished = active_set_polish(problem, result.weights)
-    if polished is not None and polished[1] <= result.objective + 1e-9:
-        answer = polished
     else:
-        refined = _multiplicative_refine(
-            problem, result.weights, max_iters=config.max_iters
-        )
-        if refined[1] <= result.objective + 1e-9:
-            answer = refined
-            polished = active_set_polish(problem, refined[0])
-            if polished is not None and polished[1] <= refined[1] + 1e-9:
-                answer = polished
+        k = problem.n_arms
+        max_iters = 20_000 if config is None else config.max_iters
+        answer = _multiplicative_refine(problem, np.full(k, 1.0 / k), max_iters=max_iters)
+        polished = active_set_polish(problem, answer[0])
+        if polished is not None and polished[1] <= answer[1] + 1e-9:
+            answer = polished
     if cache:
         object.__setattr__(problem, "_reference_cache", answer)
     return answer

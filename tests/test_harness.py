@@ -413,3 +413,25 @@ def test_verify_concentration_rows(tmp_path):
 def test_verify_concentration_rejects_unknown_noise():
     with pytest.raises(ConfigError, match="unknown noise model"):
         verify_concentration(trials=10, noise="cauchy")
+
+
+def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
+    tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    # two configured budgets cannot fit a slope; that is not worth a warning
+    cfg = sweep_config(tmp_path, policies=["uniform"], budgets=[40, 80], seeds=2)
+    with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
+        result = run_sweep(cfg, quiet=True)
+    assert result.slopes["uniform"] is None
+    assert not any("no slope" in r.message for r in caplog.records)
+    # three budgets, one lost to failed episodes: the warning stays
+    caplog.clear()
+    cfg = sweep_config(
+        tmp_path, policies=["randomized"], budgets=[5, 200, 400], seeds=2, estimation_count=10
+    )
+    with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
+        result = run_sweep(cfg, quiet=True)
+    assert len(result.failures) == 2
+    assert result.slopes["randomized"] is None
+    assert any("no slope for randomized" in r.message for r in caplog.records)

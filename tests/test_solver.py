@@ -1,5 +1,8 @@
 """Simplex solver: convergence, certificates, and the active-set polish."""
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from activedesign.core import (
     optimal_weights_closed_form,
 )
 from activedesign.environment import make_hard_instance, make_random_instance
-from activedesign.geometry import kkt_certificate
+from activedesign.geometry import dual_feasibility, kkt_certificate
+from activedesign.harness import load_instance
 from activedesign.solver import (
     SolverConfig,
     _multiplicative_refine,
@@ -20,6 +24,8 @@ from activedesign.solver import (
     minimize,
     reference_optimum,
 )
+
+REDUNDANT_ARM = Path(__file__).resolve().parents[1] / "instances" / "redundant_arm.txt"
 
 
 def design_oracles(problem):
@@ -233,3 +239,46 @@ def test_reference_optimum_is_cached_per_problem():
     # an explicit config bypasses the cache
     override = reference_optimum(problem, SolverConfig(max_iters=50))
     assert override is not first
+
+
+def test_polish_breaks_weight_ties_toward_the_lower_arm():
+    # arm 3 of the shipped instance is an exact clone of arm 0, so from
+    # the uniform start both keep bit-equal weight; the mass must stay on
+    # arm 0
+    problem = load_instance(REDUNDANT_ARM)
+    p_star, _ = reference_optimum(problem)
+    p_star = np.asarray(p_star)
+    assert p_star[3] == 0.0
+    np.testing.assert_allclose(
+        p_star, [0.33417877151532815, 0.4000855304168048, 0.2657356980678671, 0.0],
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_multiplicative_refine_warns_when_unconverged(caplog):
+    problem = make_random_instance(3, 5, seed=0)
+    with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
+        reference_optimum(problem, SolverConfig(max_iters=5))
+    assert any("unconverged after 5 sweeps" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
+        reference_optimum(problem)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize(
+    "d, k, seed",
+    [(3, 5, s) for s in range(6)] + [(8, 16, s) for s in range(3)] + [(20, 40, 0)],
+)
+def test_reference_optimum_matches_frank_wolfe_then_refine(d, k, seed):
+    problem = make_random_instance(d, k, seed=seed)
+    p_star, value = reference_optimum(problem)
+    cert = kkt_certificate(problem, p_star)
+    assert cert.certified
+    assert dual_feasibility(problem, cert).feasible
+    f, g = design_oracles(problem)
+    stage = minimize(f, g, k, SolverConfig(max_iters=1500))
+    _, slow = _multiplicative_refine(problem, stage.weights)
+    assert value <= slow + 1e-12 * slow
+    if (d, k) == (20, 40):
+        assert abs(value - 934.3662738906602) <= 1e-12 * 934.3662738906602
