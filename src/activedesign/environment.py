@@ -51,6 +51,7 @@ class Environment:
         self.seed = int(seed)
         self.rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
         self.draws = 0
+        self._n_arms = problem.n_arms
         self._means = problem.covariates.columns.T @ problem.beta
         self._sigma = problem.noise.sigma
         # uniform half-range with matching variance: a = sqrt(3) sigma
@@ -58,11 +59,11 @@ class Environment:
 
     @property
     def n_arms(self) -> int:
-        return self.problem.n_arms
+        return self._n_arms
 
     def _check_arm(self, arm: int) -> None:
-        if not 0 <= arm < self.n_arms:
-            raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
+        if not 0 <= arm < self._n_arms:
+            raise ValueError(f"arm {arm} out of range [0, {self._n_arms})")
 
     def query(self, arm: int) -> float:
         """One observation of arm ``arm``; advances the RNG by one draw."""

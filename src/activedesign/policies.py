@@ -23,6 +23,7 @@ those phases, drives the policy loop, and records regret checkpoints.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -146,14 +147,36 @@ def _gradient_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndar
     return -np.einsum("ij,ij->j", a, a) / sigma2
 
 
+def _square_gradient(inv_gram_diag: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Closed-form loss gradient for K = d: -(Gamma^-1)_kk sigma_k^2 / p_k^2.
+
+    With the covariates X square and invertible,
+    Omega(p) = X diag(p / sigma^2) X^T, so
+    Omega^-1 X_k = X^-T diag(sigma^2 / p) X^-1 X_k = X^-T e_k sigma_k^2 / p_k
+    and ||Omega^-1 X_k||^2 = (X^-1 X^-T)_kk sigma_k^4 / p_k^2.  Since
+    X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the mark
+    divided by sigma_k^2 needs only the fixed diagonal ``inv_gram_diag``.
+    """
+    return -inv_gram_diag * sigma2 / (p * p)
+
+
+def _gradient_kernel(problem: DesignProblem):
+    """dL/dp as a function of (sigma2, p) on this problem's covariates.
+
+    Square problems get the closed form, with (Gamma^-1)_kk computed
+    once here; K > d problems solve Omega(p) every call.
+    """
+    if problem.is_square:
+        inv_gram_diag = np.diag(np.linalg.inv(problem.covariates.gram())).copy()
+        return functools.partial(_square_gradient, inv_gram_diag)
+    return functools.partial(_gradient_given, problem.covariates.columns)
+
+
 class Policy:
     """Shared bookkeeping: counts, streaming moments, plug-in variances.
 
     ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.  ``track_incremental`` additionally
-    maintains the rank-one running update
-    p_{t+1} = p_t + (e_arm - p_t) / (t+1), which must agree with the
-    exact ratios to rounding.
+    exact empirical frequencies.
     """
 
     name = "?"
@@ -163,7 +186,6 @@ class Policy:
         problem: DesignProblem,
         rng: np.random.Generator | None,
         horizon: int,
-        track_incremental: bool = False,
     ):
         self.problem = problem
         self.rng = rng
@@ -173,7 +195,6 @@ class Policy:
         self.round = 0
         self.stats = [ArmStats() for _ in range(k)]
         self.sig2hat = np.full(k, np.nan)
-        self.p_inc = np.zeros(k) if track_incremental else None
 
     @property
     def n_arms(self) -> int:
@@ -195,10 +216,6 @@ class Policy:
         s.update(y)
         if s.count >= 2:
             self.sig2hat[arm] = s.m2 / s.count
-        if self.p_inc is not None:
-            delta = -self.p_inc / self.round
-            delta[arm] += 1.0 / self.round
-            self.p_inc += delta
 
     def presample_done(self, t: int) -> None:
         """Hook called once after the presampling plan has executed."""
@@ -216,8 +233,8 @@ class OracleTrackingPolicy(Policy):
 
     name = "oracle"
 
-    def __init__(self, problem, rng, horizon, p_star=None, track_incremental=False):
-        super().__init__(problem, rng, horizon, track_incremental)
+    def __init__(self, problem, rng, horizon, p_star=None):
+        super().__init__(problem, rng, horizon)
         if p_star is None:
             p_star, _ = reference_optimum(problem)
         self.p_star = np.asarray(p_star, dtype=np.float64)
@@ -253,9 +270,8 @@ class RandomizedDesignPolicy(Policy):
         fixed_variances=None,
         solver_config: SolverConfig | None = None,
         design_delta: float | None = None,
-        track_incremental: bool = False,
     ):
-        super().__init__(problem, rng, horizon, track_incremental)
+        super().__init__(problem, rng, horizon)
         if stride < 1:
             raise ValueError("stride must be positive")
         self.stride = int(stride)
@@ -333,9 +349,11 @@ class GradientUcbPolicy(Policy):
 
     g_hat_k = dL/dp_k at the empirical proportions under plug-in
     variances, minus scale * sqrt(coeff * log(t) / T_k).  Ties break to
-    the lowest index.  ``use_lcb`` swaps plug-in variances for their
-    lower confidence bounds; ``fixed_variances`` bypasses estimation
-    entirely (testing hook).
+    the lowest index.  On square problems (K = d) the gradient is the
+    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2 with no linear solve
+    per step; K > d solves Omega(p) each step.  ``use_lcb`` swaps
+    plug-in variances for their lower confidence bounds;
+    ``fixed_variances`` bypasses estimation entirely (testing hook).
     """
 
     name = "gradient_ucb"
@@ -349,9 +367,8 @@ class GradientUcbPolicy(Policy):
         bonus_log_coeff: float = 3.0,
         use_lcb: bool = False,
         fixed_variances=None,
-        track_incremental: bool = False,
     ):
-        super().__init__(problem, rng, horizon, track_incremental)
+        super().__init__(problem, rng, horizon)
         if bonus_scale < 0.0 or bonus_log_coeff < 0.0:
             raise ValueError("bonus parameters must be nonnegative")
         self.bonus_scale = float(bonus_scale)
@@ -364,7 +381,7 @@ class GradientUcbPolicy(Policy):
         self.delta_arm = 1.0 / (float(horizon) ** 2 * k)
         self._params = [ConfidenceParams(self.delta_arm, k2) for k2 in problem.noise.kappa2]
         self._lcb = np.full(k, np.nan)
-        self._x = problem.covariates.columns
+        self._gradient = _gradient_kernel(problem)
         self._var_floor = 1e-12 * problem.noise.kappa2
 
     def observe(self, arm: int, y: float) -> None:
@@ -382,7 +399,7 @@ class GradientUcbPolicy(Policy):
         else:
             # numerical guard: a degenerate sample set must not zero a weight
             sig2 = np.maximum(self.sig2hat, self._var_floor)
-        g = _gradient_given(self._x, sig2, self.counts / self.round)
+        g = self._gradient(sig2, self.counts / self.round)
         if self.bonus_scale > 0.0:
             g = g - self.bonus_scale * np.sqrt(
                 self.bonus_log_coeff * math.log(t) / self.counts
@@ -396,8 +413,10 @@ class ThompsonPolicy(Policy):
     Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters (default
     prior (0, 1, 1, 1)); a round samples sigma~_k^2 from each marginal
     inverse-gamma and descends the loss gradient computed with the
-    sampled variances.  Sampled values are clipped to a wide band around
-    the noise proxies as a numerical guard.
+    sampled variances (on square problems the closed form
+    -(Gamma^-1)_kk sigma~_k^2 / p_k^2, with no linear solve per step).
+    Sampled values are clipped to a wide band around the noise proxies
+    as a numerical guard.
     """
 
     name = "thompson"
@@ -408,9 +427,8 @@ class ThompsonPolicy(Policy):
         rng,
         horizon,
         prior: tuple[float, float, float, float] = (0.0, 1.0, 1.0, 1.0),
-        track_incremental: bool = False,
     ):
-        super().__init__(problem, rng, horizon, track_incremental)
+        super().__init__(problem, rng, horizon)
         mu0, nu0, alpha0, beta0 = prior
         if nu0 <= 0.0 or alpha0 <= 0.0 or beta0 <= 0.0:
             raise ValueError("nu, alpha, beta must be positive")
@@ -419,7 +437,7 @@ class ThompsonPolicy(Policy):
         self.post_nu = np.full(k, float(nu0))
         self.post_alpha = np.full(k, float(alpha0))
         self.post_beta = np.full(k, float(beta0))
-        self._x = problem.covariates.columns
+        self._gradient = _gradient_kernel(problem)
         kap2 = problem.noise.kappa2
         self._clip_lo = 1e-8 * kap2
         self._clip_hi = 1e8 * float(kap2.max())
@@ -433,12 +451,13 @@ class ThompsonPolicy(Policy):
         self.post_beta[arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
     def sample_variances(self) -> np.ndarray:
-        draws = self.post_beta / self.rng.gamma(self.post_alpha)
-        return np.clip(draws, self._clip_lo, self._clip_hi)
+        # same stream and values as gamma(alpha) and np.clip, which add
+        # per-call wrapper cost on this per-step path
+        draws = self.post_beta / self.rng.standard_gamma(self.post_alpha)
+        return np.minimum(np.maximum(draws, self._clip_lo), self._clip_hi)
 
     def select(self, t: int) -> int:
-        sig2 = self.sample_variances()
-        g = _gradient_given(self._x, sig2, self.counts / self.round)
+        g = self._gradient(self.sample_variances(), self.counts / self.round)
         return int(np.argmin(g))
 
 
@@ -525,7 +544,6 @@ def run_episode(
     estimation_count: int | None = None,
     options: dict | None = None,
     reference: tuple | None = None,
-    track_incremental: bool = False,
 ) -> RegretTrace:
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
@@ -552,8 +570,6 @@ def run_episode(
     opts = dict(options or {})
     if policy_name == "oracle":
         opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
-    if track_incremental:
-        opts.setdefault("track_incremental", True)
     policy = make_policy(policy_name, problem, rng, horizon, opts)
 
     # --- presampling ------------------------------------------------

@@ -203,22 +203,23 @@ def _multiplicative_refine(
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
     x = problem.covariates.columns / problem.noise.sigma
-    value = np.inf
-    for _ in range(max_iters):
+    for sweep in range(max_iters + 1):
         omega = info_matrix(problem, p)
         a = np.linalg.solve(omega, x)
         marks = np.einsum("ij,ij->j", a, a)
         value = float(p @ marks)
         if np.max(marks) - value <= rel_tol * value:
             break
+        if sweep == max_iters:
+            # value and gap are those of the returned weights
+            logger.warning(
+                "multiplicative fixed point unconverged after %d sweeps: relative gap %.3g",
+                max_iters,
+                (np.max(marks) - value) / value,
+            )
+            break
         p = p * np.sqrt(marks / value)
         p /= p.sum()
-    else:
-        logger.warning(
-            "multiplicative fixed point unconverged after %d sweeps: relative gap %.3g",
-            max_iters,
-            (np.max(marks) - value) / value,
-        )
     return SimplexWeights(p), value
 
 

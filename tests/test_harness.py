@@ -1,8 +1,10 @@
 """Instance files, sweep configs, slope fits, and output files."""
 
+import dataclasses
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,22 @@ def test_run_sweep_is_byte_identical_across_reruns(tmp_path, monkeypatch):
     second = run_sweep(cfg, quiet=True)
     for path in sorted(second.output_dir.iterdir()):
         assert snapshot[path.name] == path.read_bytes()
+
+
+def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch):
+    # 3x3 gradient_ucb and uniform: a golden guard on the square hot path
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "results" / "quickstart"
+    cfg = dataclasses.replace(
+        load_config(root / "configs" / "quickstart.json"), output=str(tmp_path / "out")
+    )
+    result = run_sweep(cfg, quiet=True)
+    assert not result.failures
+    written = sorted(p.name for p in result.output_dir.iterdir())
+    assert written == sorted(p.name for p in golden.iterdir())
+    for name in written:
+        assert (result.output_dir / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_run_sweep_json_output(tmp_path, monkeypatch):

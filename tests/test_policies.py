@@ -10,6 +10,7 @@ from activedesign.core import (
     CovariateSet,
     DesignProblem,
     NoiseSpec,
+    gradient,
     loss,
     optimal_weights_closed_form,
     problem_constants,
@@ -22,6 +23,9 @@ from activedesign.policies import (
     RandomizedDesignPolicy,
     ThompsonPolicy,
     UniformPolicy,
+    _gradient_given,
+    _gradient_kernel,
+    _square_gradient,
     checkpoint_schedule,
     default_estimation_count,
     kd_presample,
@@ -115,11 +119,15 @@ def test_kd_presample_budget_errors():
 
 def test_counts_and_incremental_proportions_agree():
     problem = make_random_instance(2, 3, seed=0)
-    policy = UniformPolicy(problem, None, horizon=100, track_incremental=True)
+    policy = UniformPolicy(problem, None, horizon=100)
     rng = np.random.default_rng(5)
-    for arm in rng.integers(0, 3, size=200):
+    expect = np.zeros(3)
+    for t, arm in enumerate(rng.integers(0, 3, size=200), start=1):
         policy.observe(int(arm), float(rng.standard_normal()))
-        np.testing.assert_allclose(policy.p_inc, policy.proportions, atol=1e-12)
+        expect[arm] += 1.0
+        assert policy.round == t
+        np.testing.assert_array_equal(policy.counts, expect)
+        np.testing.assert_array_equal(policy.proportions, policy.counts / t)
     assert policy.round == 200
     assert policy.counts.sum() == 200
 
@@ -352,6 +360,43 @@ def test_gradient_ucb_greedy_with_oracle_variances_converges():
     assert dev < 1e-3
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_square_closed_form_gradient_matches_the_solve(d):
+    for seed in range(4):
+        problem = make_random_instance(d, d, seed=seed)
+        x = problem.covariates.columns
+        closed = _gradient_kernel(problem)
+        assert closed.func is _square_gradient
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(5):
+            p = rng.dirichlet(np.ones(d))
+            sig2 = rng.uniform(0.1, 10.0, d)
+            np.testing.assert_allclose(
+                closed(sig2, p), _gradient_given(x, sig2, p), rtol=1e-12, atol=0
+            )
+        p = rng.dirichlet(np.ones(d))
+        np.testing.assert_allclose(
+            closed(problem.noise.sigma2, p), gradient(problem, p), rtol=1e-12, atol=0
+        )
+
+
+def test_gradient_ucb_square_select_matches_the_solve_route():
+    problem = make_random_instance(3, 3, seed=4)
+    sig2 = problem.noise.sigma2
+    x = problem.covariates.columns
+    rng = np.random.default_rng(7)
+    policy = GradientUcbPolicy(problem, None, 1000, fixed_variances=sig2)
+    for _ in range(200):
+        policy.counts = rng.integers(1, 300, 3).astype(np.float64)
+        policy.round = int(policy.counts.sum())
+        t = policy.round + 1
+        bonus = policy.bonus_scale * np.sqrt(
+            policy.bonus_log_coeff * math.log(t) / policy.counts
+        )
+        g = _gradient_given(x, sig2, policy.counts / policy.round) - bonus
+        assert policy.select(t) == int(np.argmin(g))
+
+
 def test_gradient_ucb_lcb_variant_runs():
     problem = make_random_instance(2, 2, seed=1)
     trace = run_episode(
@@ -400,6 +445,23 @@ def test_thompson_symmetry_between_identical_arms():
     f = picks.mean()
     se = math.sqrt(0.25 / 10_000)
     assert abs(f - 0.5) <= 3.0 * se
+
+
+def test_thompson_draws_match_the_clipped_gamma_stream():
+    problem = make_random_instance(3, 3, seed=4)
+    policy = ThompsonPolicy(problem, np.random.default_rng(11), 100)
+    reference = np.random.default_rng(11)
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        policy.post_alpha = rng.uniform(0.5, 50.0, 3)
+        policy.post_beta = rng.uniform(1e-3, 1e3, 3)
+        expect = np.clip(
+            policy.post_beta / reference.gamma(policy.post_alpha),
+            policy._clip_lo,
+            policy._clip_hi,
+        )
+        np.testing.assert_array_equal(policy.sample_variances(), expect)
+    assert policy.rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_thompson_variance_draws_are_clipped():

@@ -266,6 +266,16 @@ def test_multiplicative_refine_warns_when_unconverged(caplog):
     assert not caplog.records
 
 
+@pytest.mark.parametrize("max_iters", [0, 1, 5, 40])
+def test_multiplicative_refine_value_is_the_loss_of_its_weights(max_iters):
+    problem = make_random_instance(3, 5, seed=0)
+    weights, value = _multiplicative_refine(
+        problem, np.full(5, 0.2), max_iters=max_iters
+    )
+    expect = loss(problem, weights)
+    assert abs(value - expect) <= 1e-12 * expect
+
+
 @pytest.mark.parametrize(
     "d, k, seed",
     [(3, 5, s) for s in range(6)] + [(8, 16, s) for s in range(3)] + [(20, 40, 0)],
