@@ -4,8 +4,12 @@
 measured against.  Square problems (K = d) use the closed form.  When
 K > d it runs the multiplicative fixed point from the uniform design,
 which decreases the A-optimality loss monotonically and converges for
-any optimal support size, then tries once to replace the iterate by the
-exact closed-form optimum of a d-arm support that certifies globally.
+any optimal support size.  ``active_set_polish`` then tries to replace
+the iterate by the exact closed-form optimum of a d-arm support that
+certifies globally; it does so on the final iterate, and every 5,000
+sweeps while the fixed point is unconverged.  A batched closed-form
+bound rejects most candidate supports before their exact check: a
+support whose closed-form loss exceeds the iterate's cannot certify.
 
 ``minimize`` is plain conditional gradient (Frank-Wolfe) with
 backtracking line search for smooth convex objectives on the simplex;
@@ -35,6 +39,14 @@ from .core import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Relative slack of the polish screen over L(w), and subsets per stacked
+# inverse; see ``active_set_polish``.
+_SCREEN_SLACK = 1e-6
+_SCREEN_CHUNK = 64
+
+# Sweeps between polish attempts while the fixed point is unconverged.
+_POLISH_EVERY = 5_000
 
 
 @dataclass(frozen=True)
@@ -166,29 +178,54 @@ def active_set_polish(
     inactive arms must satisfy ||Omega^{-1} X_k||^2 / sigma_k^2 <= L,
     which by convexity certifies a global optimum.  Returns None when
     no restriction certifies.
+
+    A batched bound screens the candidates before that exact check.  A
+    certified support S has max_k m_k <= (1 + tol) L_S, and that gap
+    bounds L_S - L*, so its closed-form loss
+    L_S = (sum_{k in S} sigma_k sqrt((Gamma_S^-1)_kk))^2 satisfies
+    L_S <= L* / (1 - tol) <= L(w) / (1 - tol), about L(w)(1 + tol), for
+    the design w handed in.  Since Gamma_S^-1 = X_S^-1 X_S^-T,
+    (Gamma_S^-1)_kk is the squared norm of row k of X_S^-1, so one
+    stacked inverse bounds a chunk of 64 subsets at once.  A subset
+    whose L_S exceeds that bound by a relative 1e-6 is dropped; the
+    slack absorbs rounding in both losses.  The survivors go to the
+    exact check in the unscreened order, so the first certificate is
+    the one the plain enumeration finds.  A chunk holding an exactly
+    singular X_S (clone arms) makes the stacked inverse raise and keeps
+    all its subsets, and a NaN bound keeps its subset.
     """
     k, d = problem.n_arms, problem.dimension
     if k <= d:
         return None
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     # ties go to the lowest arm index, so exact clones keep a stable order
-    by_weight = np.argsort(-w, kind="stable")
-    pool = by_weight[: min(k, d + 3)]
-    seen = set()
-    for subset in itertools.combinations(range(len(pool)), d):
-        active = np.sort(pool[list(subset)])
-        key = tuple(active.tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        hit = _certify_subset(problem, active, tol)
-        if hit is not None:
-            return hit
+    pool = np.argsort(-w, kind="stable")[: min(k, d + 3)]
+    bound = (1.0 + _SCREEN_SLACK) * loss(problem, w / w.sum()) / (1.0 - tol)
+    x, sigma = problem.covariates.columns, problem.noise.sigma
+    # drawn lazily, so no list of all C(d + 3, 3) supports is ever held
+    subsets = itertools.combinations(pool.tolist(), d)
+    while chunk := list(itertools.islice(subsets, _SCREEN_CHUNK)):
+        active = np.sort(chunk, axis=1)
+        try:
+            inv = np.linalg.inv(x[:, active].transpose(1, 0, 2))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            closed = np.sum(sigma[active] * np.sqrt(np.einsum("nij,nij->ni", inv, inv)), axis=1)
+            active = active[~(closed**2 > bound)]
+        for subset in active:
+            hit = _certify_subset(problem, subset, tol)
+            if hit is not None:
+                return hit
     return None
 
 
 def _multiplicative_refine(
-    problem: DesignProblem, weights, max_iters: int = 20_000, rel_tol: float = 1e-12
+    problem: DesignProblem,
+    weights,
+    max_iters: int = 20_000,
+    rel_tol: float = 1e-12,
+    certify=None,
 ) -> tuple[SimplexWeights, float]:
     """Sharpen a design with the classical multiplicative fixed point.
 
@@ -199,6 +236,11 @@ def _multiplicative_refine(
     stopping rule max_k m_k - L(p), which is exactly the Frank-Wolfe
     gap, available for free each sweep.  Stopping at ``max_iters``
     before that gap falls to ``rel_tol`` L(p) logs a warning.
+
+    ``certify``, when given, is called as ``certify(p, L(p))`` on the
+    final iterate and every 5,000 sweeps while the gap is open; the
+    first answer it returns that is not None is returned instead, so
+    an iterate that crawls toward an exact vertex stops early.
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
@@ -208,7 +250,13 @@ def _multiplicative_refine(
         a = np.linalg.solve(omega, x)
         marks = np.einsum("ij,ij->j", a, a)
         value = float(p @ marks)
-        if np.max(marks) - value <= rel_tol * value:
+        converged = np.max(marks) - value <= rel_tol * value
+        due = converged or sweep == max_iters or (sweep > 0 and sweep % _POLISH_EVERY == 0)
+        if certify is not None and due:
+            hit = certify(p, value)
+            if hit is not None:
+                return hit
+        if converged:
             break
         if sweep == max_iters:
             # value and gap are those of the returned weights
@@ -233,10 +281,12 @@ def reference_optimum(
     ``config.max_iters`` sweeps (20,000 without a config); optimal
     supports can hold more than d arms, which it represents and no d-arm
     restriction can.  When the optimum sits on exactly d arms the
-    iterate only approaches that boundary, so one active-set polish
-    then replaces it by the closed-form restriction whenever that
-    certifies as globally optimal.  Results for the default config are
-    cached on the problem.
+    iterate only approaches that boundary, so an active-set polish
+    replaces it by the closed-form restriction whenever that certifies
+    as globally optimal.  The polish runs on the final iterate and,
+    while the fixed point is unconverged, every 5,000 sweeps, so an
+    iterate that crawls toward a vertex stops at the first certificate.
+    Results for the default config are cached on the problem.
     """
     if config is None and hasattr(problem, "_reference_cache"):
         return problem._reference_cache
@@ -245,12 +295,18 @@ def reference_optimum(
         p_star = optimal_weights_closed_form(problem)
         answer = p_star, loss(problem, p_star)
     else:
+
+        def polish(p, value):
+            polished = active_set_polish(problem, p)
+            if polished is not None and polished[1] <= value + 1e-9:
+                return polished
+            return None
+
         k = problem.n_arms
         max_iters = 20_000 if config is None else config.max_iters
-        answer = _multiplicative_refine(problem, np.full(k, 1.0 / k), max_iters=max_iters)
-        polished = active_set_polish(problem, answer[0])
-        if polished is not None and polished[1] <= answer[1] + 1e-9:
-            answer = polished
+        answer = _multiplicative_refine(
+            problem, np.full(k, 1.0 / k), max_iters=max_iters, certify=polish
+        )
     if cache:
         object.__setattr__(problem, "_reference_cache", answer)
     return answer

@@ -1,11 +1,14 @@
 """Simplex solver: convergence, certificates, and the active-set polish."""
 
+import itertools
 import logging
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from activedesign import solver
 from activedesign.core import (
     CovariateSet,
     DesignProblem,
@@ -19,6 +22,7 @@ from activedesign.geometry import dual_feasibility, kkt_certificate
 from activedesign.harness import load_instance
 from activedesign.solver import (
     SolverConfig,
+    _certify_subset,
     _multiplicative_refine,
     active_set_polish,
     minimize,
@@ -292,3 +296,128 @@ def test_reference_optimum_matches_frank_wolfe_then_refine(d, k, seed):
     assert value <= slow + 1e-12 * slow
     if (d, k) == (20, 40):
         assert abs(value - 934.3662738906602) <= 1e-12 * 934.3662738906602
+
+
+# --------------------------------------------------------------------
+# the screened active-set polish
+
+
+def unscreened_polish(problem, weights, tol=1e-9):
+    """The polish without its bound: every candidate gets the exact check."""
+    d = problem.dimension
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    pool = np.argsort(-w, kind="stable")[: min(problem.n_arms, d + 3)]
+    for subset in itertools.combinations(range(len(pool)), d):
+        hit = _certify_subset(problem, np.sort(pool[list(subset)]), tol)
+        if hit is not None:
+            return hit
+    return None
+
+
+def axis_clone_problem():
+    """Arms e1, e2 and an exact copy of e1: the pair {0, 2} is exactly singular."""
+    cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    return DesignProblem(CovariateSet(cols), NoiseSpec(np.array([1.0, 2.0, 1.0])))
+
+
+def refined(problem):
+    k = problem.n_arms
+    return _multiplicative_refine(problem, np.full(k, 1.0 / k))[0]
+
+
+def rough(problem):
+    f, g = design_oracles(problem)
+    return minimize(f, g, problem.n_arms, SolverConfig(max_iters=400)).weights
+
+
+def assert_same_polish(got, expect):
+    if expect is None:
+        assert got is None
+        return
+    assert got is not None
+    np.testing.assert_array_equal(np.asarray(got[0]), np.asarray(expect[0]))
+    assert got[1] == expect[1]
+
+
+_POLISH_CASES = (
+    [(f"random-3x4-{s}", lambda s=s: make_random_instance(3, 4, seed=s)) for s in range(6)]
+    + [
+        ("random-3x5-0", lambda: make_random_instance(3, 5, seed=0)),
+        ("random-8x16-0", lambda: make_random_instance(8, 16, seed=0)),
+        ("random-20x40-0", lambda: make_random_instance(20, 40, seed=0)),
+        ("hard-1", lambda: make_hard_instance(1.0)),
+        ("hard-1e-2", lambda: make_hard_instance(1e-2)),
+    ]
+)
+
+
+@pytest.mark.parametrize("start", [refined, rough])
+@pytest.mark.parametrize("name, make", _POLISH_CASES, ids=[c[0] for c in _POLISH_CASES])
+def test_screened_polish_matches_the_unscreened_loop(name, make, start):
+    problem = make()
+    weights = start(problem)
+    assert_same_polish(active_set_polish(problem, weights), unscreened_polish(problem, weights))
+
+
+@pytest.mark.parametrize(
+    "make, weights",
+    [
+        (lambda: load_instance(REDUNDANT_ARM), None),
+        (lambda: duplicate_arm_problem()[1], [0.35, 0.1, 0.1, 0.45]),
+        (axis_clone_problem, [0.4, 0.2, 0.4]),
+    ],
+    ids=["redundant-arm", "duplicate-arm", "axis-clone"],
+)
+def test_screened_polish_matches_the_unscreened_loop_on_clones(make, weights):
+    problem = make()
+    w = refined(problem) if weights is None else np.array(weights)
+    got = active_set_polish(problem, w)
+    assert got is not None
+    assert_same_polish(got, unscreened_polish(problem, w))
+
+
+def test_axis_clone_pair_drives_the_singular_chunk_fallback():
+    # the heaviest pair is the exact clone: its stacked inverse raises,
+    # so the whole chunk goes to the exact check, which skips the clone
+    problem = axis_clone_problem()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(problem.covariates.columns[:, [[0, 2], [0, 1]]].transpose(1, 0, 2))
+    p_star, value = active_set_polish(problem, np.array([0.4, 0.2, 0.4]))
+    assert np.asarray(p_star)[2] == 0.0
+    assert abs(value - (1.0 + np.sqrt(2.0)) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [(lambda: make_random_instance(20, 40, seed=0), 0), (lambda: load_instance(REDUNDANT_ARM), 1)],
+    ids=["random-20x40-0", "redundant-arm"],
+)
+def test_reference_optimum_screens_out_hopeless_supports(monkeypatch, make, calls):
+    # 20x40 seed 0 has an optimum on 37 arms, so no d-subset can certify
+    # and the screen must leave the exact check idle; redundant_arm
+    # certifies its first candidate
+    seen = []
+    exact = solver._certify_subset
+
+    def counted(problem, active, tol):
+        seen.append(tuple(active.tolist()))
+        return exact(problem, active, tol)
+
+    monkeypatch.setattr(solver, "_certify_subset", counted)
+    reference_optimum(make())
+    assert len(seen) == calls
+
+
+def test_reference_optimum_polishes_a_slow_vertex_early(caplog):
+    # the fixed point shrinks the off-support mass only by
+    # sqrt(1 / (1 + delta)) per sweep; the periodic polish stops it at
+    # the exact vertex long before 20,000 sweeps
+    problem = make_hard_instance(1e-3)
+    start = time.process_time()
+    with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
+        p_star, value = reference_optimum(problem)
+    elapsed = time.process_time() - start
+    np.testing.assert_array_equal(np.asarray(p_star), [1.0, 0.0])
+    assert value == 1.0
+    assert not caplog.records
+    assert elapsed < 0.25
