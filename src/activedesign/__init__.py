@@ -56,6 +56,7 @@ from .harness import (
 )
 from .policies import (
     POLICY_NAMES,
+    Episode,
     PresamplePlan,
     RegretTrace,
     kd_presample,
@@ -75,6 +76,7 @@ __all__ = [
     "DualReport",
     "EllipsoidCertificate",
     "Environment",
+    "Episode",
     "ExperimentConfig",
     "NoiseSpec",
     "POLICY_NAMES",

@@ -19,8 +19,8 @@ A sweep config is a JSON object with keys ``instance``, ``policies``,
 and ``output`` (directory, default "results").  Outputs are one trace
 file per episode (columns t, regret, loss_gap, p_min), one summary per
 policy (T, mean_regret, stderr, n_seeds), and a slope table; identical
-configs produce byte-identical files.  ``ACTIVE_DESIGN_THREADS`` caps
-how many episodes run concurrently.
+configs produce byte-identical files.  Budgets must be distinct.
+``ACTIVE_DESIGN_THREADS`` caps how many episodes run concurrently.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .environment import (
     noise_proxy,
 )
 from .estimation import halving_sample_count, variance_radius
-from .policies import POLICY_NAMES, RegretTrace, make_policy, run_episode
+from .policies import POLICY_NAMES, Episode, RegretTrace, extends_past, make_policy
 from .solver import reference_optimum
 
 logger = logging.getLogger(__name__)
@@ -227,6 +227,8 @@ class ExperimentConfig:
         budgets = tuple(int(t) for t in raw["budgets"])
         if not budgets or any(t < 1 for t in budgets):
             raise ConfigError("'budgets' must be positive integers")
+        if len(set(budgets)) != len(budgets):
+            raise ConfigError("'budgets' must be distinct")
 
         seeds_raw = raw.get("seeds", 25)
         if isinstance(seeds_raw, int):
@@ -375,19 +377,53 @@ class SweepResult:
     output_dir: Path | None
 
 
+class _Chain:
+    """The budgets, ascending, that one (policy, seed) runs as one episode,
+    and that episode between two of its jobs."""
+
+    def __init__(self, budgets: tuple):
+        self.budgets = budgets
+        self.episode = None
+
+
 def _episode_task(args) -> tuple:
-    problem, model, name, options, horizon, seed, ratio, n0, reference = args
-    env = make_env(problem, seed, model)
-    trace = run_episode(
-        name,
-        env,
-        horizon,
-        checkpoint_ratio=ratio,
-        estimation_count=n0,
-        options=options,
-        reference=reference,
-    )
+    """Run one (policy, budget, seed) job: (name, horizon, seed, trace).
+
+    A job of a chain advances the chain's live episode from the previous
+    budget, or, when there is none (first budget, or the previous job
+    raised), starts one that can reach the chain's later budgets.
+    """
+    problem, model, name, options, horizon, seed, ratio, n0, reference, chain = args
+    episode = None if chain is None else chain.episode
+    if episode is None:
+        later = () if chain is None else tuple(t for t in chain.budgets if t > horizon)
+        episode = Episode(
+            name,
+            make_env(problem, seed, model),
+            horizon,
+            checkpoint_ratio=ratio,
+            estimation_count=n0,
+            options=options,
+            reference=reference,
+            budgets=later,
+        )
+    if chain is not None:
+        chain.episode = None  # kept only if this advance succeeds
+    trace = episode.advance(horizon)
+    if chain is not None and horizon < chain.budgets[-1]:
+        chain.episode = episode
     return name, horizon, seed, trace
+
+
+def _chain_task(jobs: list) -> list:
+    """Run jobs in order; each gives (trace, None) or (None, error message)."""
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append((_episode_task(job)[3], None))
+        except Exception as exc:
+            outcomes.append((None, f"{type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 def _thread_cap() -> int:
@@ -406,10 +442,17 @@ def _thread_cap() -> int:
 def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -> SweepResult:
     """Run every (policy, budget, seed) episode and write the result files.
 
-    Episodes are independent; up to ``ACTIVE_DESIGN_THREADS`` of them run
-    in parallel worker processes.  Failures are collected rather than
-    fatal so a bad seed cannot sink a long sweep; callers decide how to
-    surface them.
+    A horizon-free policy (``uniform``, ``oracle``, ``thompson``) runs
+    each seed once, to its largest budget, and cuts the smaller budgets'
+    traces from that run, since with the same seed they are exact
+    prefixes; budgets below 2K run on their own.  Each trace's
+    ``elapsed`` counts its own budget's increment.  Other episodes are
+    independent.  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run
+    the chains and episodes in parallel; in process, ``_episode_task``
+    runs once per (policy, budget, seed).  Failures are collected rather
+    than fatal so a bad seed cannot sink a long sweep; callers decide
+    how to surface them.  A failed budget of a chain drops its episode,
+    and the next budget starts again from the first step.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -424,33 +467,57 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
 
-    jobs = [
-        (problem, model, name, options, horizon, seed, config.checkpoint_ratio,
-         config.estimation_count, reference)
-        for name, options in config.policies
-        for horizon in config.budgets
-        for seed in config.seeds
-    ]
+    def make_job(name, options, horizon, seed, chain=None):
+        return (problem, model, name, options, horizon, seed, config.checkpoint_ratio,
+                config.estimation_count, reference, chain)
+
+    # A horizon-free policy's shorter episodes are prefixes of its longest
+    # one, so each of its seeds is one task that runs the chained budgets
+    # in ascending order as one episode; every other job is its own task.
+    tasks = []
+    for name, options in config.policies:
+        chained = sorted(t for t in config.budgets if extends_past(name, problem.n_arms, t))
+        if len(chained) < 2:
+            chained = []
+        for seed in config.seeds:
+            if chained:
+                chain = _Chain(tuple(chained))
+                tasks.append([make_job(name, options, t, seed, chain) for t in chained])
+        tasks.extend(
+            [make_job(name, options, horizon, seed)]
+            for horizon in config.budgets
+            if horizon not in chained
+            for seed in config.seeds
+        )
+
+    workers = min(_thread_cap(), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_chain_task, task) for task in tasks]
+            done = []
+            for task, fut in zip(tasks, futures):
+                try:
+                    done.append(fut.result())
+                except Exception as exc:
+                    done.append([(None, f"{type(exc).__name__}: {exc}")] * len(task))
+    else:
+        done = [_chain_task(task) for task in tasks]
+    outcomes = {
+        (job[2], job[4], job[5]): outcome
+        for task, results in zip(tasks, done)
+        for job, outcome in zip(task, results)
+    }
 
     traces: dict = {}
     failures: list = []
-    workers = min(_thread_cap(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_episode_task, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    name, horizon, seed, trace = fut.result()
+    for name, _ in config.policies:
+        for horizon in config.budgets:
+            for seed in config.seeds:
+                trace, error = outcomes[name, horizon, seed]
+                if error is None:
                     traces[(name, horizon, seed)] = trace
-                except Exception as exc:
-                    failures.append((job[2], job[4], job[5], f"{type(exc).__name__}: {exc}"))
-    else:
-        for job in jobs:
-            try:
-                name, horizon, seed, trace = _episode_task(job)
-                traces[(name, horizon, seed)] = trace
-            except Exception as exc:
-                failures.append((job[2], job[4], job[5], f"{type(exc).__name__}: {exc}"))
+                else:
+                    failures.append((name, horizon, seed, error))
 
     summaries: dict = {}
     slopes: dict = {}

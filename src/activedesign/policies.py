@@ -19,6 +19,14 @@ half the budget laid out at the plug-in optimal proportions, which both
 keeps every later information matrix invertible and floors the empirical
 proportions; otherwise a T^(3/4)-per-arm schedule.  The runner executes
 those phases, drives the policy loop, and records regret checkpoints.
+
+``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
+never read T, so at budgets of 2K or more (past thompson's warm-up and
+the first checkpoint) a shorter episode with the same seed is an exact
+prefix of a longer one, and an ``Episode`` can be advanced from one
+budget to the next.  ``gradient_ucb`` is not: its confidence level
+1/(T^2 K) and its presampling depend on T.  Nor is ``randomized``: its
+presampling does, and its draws are anchored at counts / T.
 """
 
 from __future__ import annotations
@@ -176,10 +184,12 @@ class Policy:
     """Shared bookkeeping: counts, streaming moments, plug-in variances.
 
     ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.
+    exact empirical frequencies.  ``horizon_free`` marks a policy whose
+    choices never read the horizon T.
     """
 
     name = "?"
+    horizon_free = False
 
     def __init__(
         self,
@@ -223,6 +233,7 @@ class Policy:
 
 class UniformPolicy(Policy):
     name = "uniform"
+    horizon_free = True
 
     def select(self, t: int) -> int:
         return self.round % self.n_arms
@@ -232,6 +243,7 @@ class OracleTrackingPolicy(Policy):
     """Largest-deficit tracking of a known target design."""
 
     name = "oracle"
+    horizon_free = True
 
     def __init__(self, problem, rng, horizon, p_star=None):
         super().__init__(problem, rng, horizon)
@@ -420,6 +432,7 @@ class ThompsonPolicy(Policy):
     """
 
     name = "thompson"
+    horizon_free = True
 
     def __init__(
         self,
@@ -461,6 +474,25 @@ class ThompsonPolicy(Policy):
         return int(np.argmin(g))
 
 
+_POLICY_CLASSES = {
+    cls.name: cls
+    for cls in (
+        UniformPolicy,
+        RandomizedDesignPolicy,
+        GradientUcbPolicy,
+        ThompsonPolicy,
+        OracleTrackingPolicy,
+    )
+}
+
+
+def policy_class(name: str) -> type[Policy]:
+    try:
+        return _POLICY_CLASSES[name]
+    except KeyError:
+        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}") from None
+
+
 def make_policy(
     name: str,
     problem: DesignProblem,
@@ -468,20 +500,7 @@ def make_policy(
     horizon: int,
     options: dict | None = None,
 ) -> Policy:
-    options = dict(options or {})
-    if name == "uniform":
-        cls = UniformPolicy
-    elif name == "randomized":
-        cls = RandomizedDesignPolicy
-    elif name == "gradient_ucb":
-        cls = GradientUcbPolicy
-    elif name == "thompson":
-        cls = ThompsonPolicy
-    elif name == "oracle":
-        cls = OracleTrackingPolicy
-    else:
-        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    return cls(problem, rng, horizon, **options)
+    return policy_class(name)(problem, rng, horizon, **dict(options or {}))
 
 
 @dataclass(frozen=True)
@@ -495,7 +514,11 @@ class CheckpointRow:
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """Per-episode record: checkpoint rows plus the plan that preceded them."""
+    """Per-episode record: checkpoint rows plus the plan that preceded them.
+
+    ``elapsed`` is the wall time spent on this budget: an ``Episode``
+    advanced through several budgets charges each one its increment.
+    """
 
     policy: str
     seed: int
@@ -535,6 +558,173 @@ def _feed(env: Environment, policy: Policy, arm: int, m: int) -> None:
         policy.observe(arm, float(y))
 
 
+def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
+    """Whether a ``horizon``-step episode is the prefix of every longer one.
+
+    True for horizon-free policies once ``horizon`` reaches 2K: below
+    that, thompson's 2-per-arm warm-up and the start of the checkpoint
+    schedule, min(max(t, 2K, 1), T), still depend on T.
+    """
+    return policy_class(policy_name).horizon_free and horizon >= 2 * n_arms
+
+
+class Episode:
+    """One policy on one environment, run budget by budget.
+
+    Construction builds the policy for ``horizon`` and runs its
+    presampling; ``advance(T)`` continues the step loop to T and returns
+    the trace a T-step episode records.  ``budgets`` names the later
+    horizons the episode may be advanced to; that needs a horizon-free
+    policy (see ``extends_past``), whose T-step episode is a prefix of
+    every longer one.  Checkpoints are recorded on the union of the
+    horizons' schedules, and each trace keeps the rows of its own
+    schedule.  An episode whose ``advance`` raised is left mid-step and
+    must be discarded.  Arguments are those of ``run_episode``.
+    """
+
+    def __init__(
+        self,
+        policy_name: str,
+        env: Environment,
+        horizon: int,
+        plan: PresamplePlan | None = None,
+        checkpoint_ratio: float = 1.2,
+        estimation_count: int | None = None,
+        options: dict | None = None,
+        reference: tuple | None = None,
+        budgets=(),
+    ):
+        self._setup_start = time.perf_counter()
+        problem = env.problem
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
+        k = problem.n_arms
+        horizons = sorted({horizon, *budgets})
+        if horizons[0] != horizon:
+            raise ValueError("later budgets must exceed the horizon")
+        if len(horizons) > 1 and not extends_past(policy_name, k, horizon):
+            raise ValueError(
+                f"a {policy_name} episode of {horizon} steps cannot be extended to later budgets"
+            )
+
+        if reference is None:
+            p_star, loss_star = reference_optimum(problem)
+        else:
+            p_star, loss_star = reference
+        self._loss_star = float(loss_star)
+
+        rng = np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
+        opts = dict(options or {})
+        if policy_name == "oracle":
+            opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
+        policy = make_policy(policy_name, problem, rng, horizon, opts)
+
+        # --- presampling --------------------------------------------
+        n0 = 0
+        if plan is not None:
+            n0 = plan.estimation_count
+            if plan.total() > horizon:
+                raise ValueError("presampling plan exceeds the budget")
+            for arm in range(k):
+                _feed(env, policy, arm, n0)
+            for arm in range(k):
+                _feed(env, policy, arm, int(plan.counts[arm]) - policy.stats[arm].count)
+            origin = None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
+        elif policy_name in _ADAPTIVE and problem.is_square:
+            n0 = (
+                estimation_count
+                if estimation_count is not None
+                else default_estimation_count(horizon)
+            )
+            n0 = max(2, n0)
+            if k * n0 > horizon:
+                raise ValueError("estimation phase alone exceeds the budget")
+            for arm in range(k):
+                _feed(env, policy, arm, n0)
+            concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
+            if concrete.total() > horizon:
+                raise ValueError("presampling plan exceeds the budget")
+            for arm in range(k):
+                _feed(env, policy, arm, int(concrete.counts[arm]) - policy.stats[arm].count)
+            origin = np.asarray(concrete.origin, dtype=np.float64)
+        elif policy_name in _ADAPTIVE:
+            concrete = kd_presample(k, horizon)
+            for arm in range(k):
+                _feed(env, policy, arm, int(concrete.counts[arm]))
+            origin = np.asarray(concrete.origin, dtype=np.float64)
+        elif policy_name == "thompson":
+            # two observations per arm so posteriors and proportions are sane
+            for arm in range(k):
+                _feed(env, policy, arm, min(2, horizon - policy.round))
+            origin = None
+        else:
+            origin = None
+
+        t = policy.round
+        policy.presample_done(t)
+        self.policy_name = policy_name
+        self.env = env
+        self.policy = policy
+        self.t = t
+        self.presample_end = t
+        self.estimation_count = n0
+        self.origin = origin
+        self._schedules = {
+            h: checkpoint_schedule(min(max(t, 2 * k, 1), h), h, checkpoint_ratio)
+            for h in horizons
+        }
+        self._pending = set().union(*self._schedules.values())
+        self._rows: dict[int, CheckpointRow] = {}
+        if t in self._pending:
+            self._record(t)
+
+    def _record(self, now: int) -> None:
+        problem, counts = self.env.problem, self.policy.counts
+        p = counts / now
+        gap = loss(problem, p) - self._loss_star
+        r = regret(problem, p, now, self._loss_star)
+        self._rows[now] = CheckpointRow(
+            t=now,
+            regret=r,
+            loss_gap=gap,
+            p_min=float(p.min()),
+            counts=tuple(int(c) for c in counts),
+        )
+
+    def advance(self, horizon: int) -> RegretTrace:
+        """Run on to ``horizon`` queries and return that budget's trace.
+
+        The trace's ``elapsed`` covers this call only, plus the set-up
+        on the first call.
+        """
+        if horizon not in self._schedules or horizon < self.t:
+            raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
+        start = self._setup_start if self._setup_start is not None else time.perf_counter()
+        self._setup_start = None
+        policy, env, pending = self.policy, self.env, self._pending
+        t = self.t
+        while t < horizon:
+            t += 1
+            arm = policy.select(t)
+            y = env.query(arm)
+            policy.observe(arm, y)
+            if t in pending:
+                self._record(t)
+        self.t = t
+        return RegretTrace(
+            policy=self.policy_name,
+            seed=env.seed,
+            horizon=horizon,
+            noise=env.model,
+            rows=tuple(self._rows[s] for s in self._schedules[horizon]),
+            origin=self.origin,
+            presample_end=self.presample_end,
+            estimation_count=self.estimation_count,
+            final_counts=tuple(int(c) for c in policy.counts),
+            elapsed=time.perf_counter() - start,
+        )
+
+
 def run_episode(
     policy_name: str,
     env: Environment,
@@ -552,108 +742,12 @@ def run_episode(
     ``reference`` is an optional (optimal weights, optimal loss) pair;
     computed from the problem when omitted.  Episode randomness comes
     from two streams of the environment seed: the environment itself
-    (spawn key 0) and the policy (spawn key 1).
+    (spawn key 0) and the policy (spawn key 1).  This is the one-horizon
+    use of ``Episode``; a sweep runs a horizon-free policy's seed once,
+    to its largest budget, and cuts the smaller budgets' traces from
+    that run.
     """
-    t0 = time.perf_counter()
-    problem = env.problem
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    k = problem.n_arms
-
-    if reference is None:
-        p_star, loss_star = reference_optimum(problem)
-    else:
-        p_star, loss_star = reference
-    loss_star = float(loss_star)
-
-    rng = np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
-    opts = dict(options or {})
-    if policy_name == "oracle":
-        opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
-    policy = make_policy(policy_name, problem, rng, horizon, opts)
-
-    # --- presampling ------------------------------------------------
-    n0 = 0
-    if plan is not None:
-        n0 = plan.estimation_count
-        if plan.total() > horizon:
-            raise ValueError("presampling plan exceeds the budget")
-        for arm in range(k):
-            _feed(env, policy, arm, n0)
-        for arm in range(k):
-            _feed(env, policy, arm, int(plan.counts[arm]) - policy.stats[arm].count)
-        origin = None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
-    elif policy_name in _ADAPTIVE and problem.is_square:
-        n0 = estimation_count if estimation_count is not None else default_estimation_count(horizon)
-        n0 = max(2, n0)
-        if k * n0 > horizon:
-            raise ValueError("estimation phase alone exceeds the budget")
-        for arm in range(k):
-            _feed(env, policy, arm, n0)
-        concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
-        if concrete.total() > horizon:
-            raise ValueError("presampling plan exceeds the budget")
-        for arm in range(k):
-            _feed(env, policy, arm, int(concrete.counts[arm]) - policy.stats[arm].count)
-        origin = np.asarray(concrete.origin, dtype=np.float64)
-    elif policy_name in _ADAPTIVE:
-        concrete = kd_presample(k, horizon)
-        for arm in range(k):
-            _feed(env, policy, arm, int(concrete.counts[arm]))
-        origin = np.asarray(concrete.origin, dtype=np.float64)
-    elif policy_name == "thompson":
-        # two observations per arm so posteriors and proportions are sane
-        for arm in range(k):
-            _feed(env, policy, arm, min(2, horizon - policy.round))
-        origin = None
-    else:
-        origin = None
-
-    t = policy.round
-    presample_end = t
-    policy.presample_done(t)
-
-    # --- checkpoints and policy loop --------------------------------
-    schedule = checkpoint_schedule(min(max(t, 2 * k, 1), horizon), horizon, checkpoint_ratio)
-    pending = set(schedule)
-    rows: list[CheckpointRow] = []
-
-    def record(now: int) -> None:
-        p = policy.counts / now
-        gap = loss(problem, p) - loss_star
-        r = regret(problem, p, now, loss_star)
-        rows.append(
-            CheckpointRow(
-                t=now,
-                regret=r,
-                loss_gap=gap,
-                p_min=float(p.min()),
-                counts=tuple(int(c) for c in policy.counts),
-            )
-        )
-
-    if t in pending:
-        record(t)
-        pending.discard(t)
-
-    while t < horizon:
-        t += 1
-        arm = policy.select(t)
-        y = env.query(arm)
-        policy.observe(arm, y)
-        if t in pending:
-            record(t)
-            pending.discard(t)
-
-    return RegretTrace(
-        policy=policy_name,
-        seed=env.seed,
-        horizon=horizon,
-        noise=env.model,
-        rows=tuple(rows),
-        origin=origin,
-        presample_end=presample_end,
-        estimation_count=n0,
-        final_counts=tuple(int(c) for c in policy.counts),
-        elapsed=time.perf_counter() - t0,
+    episode = Episode(
+        policy_name, env, horizon, plan, checkpoint_ratio, estimation_count, options, reference
     )
+    return episode.advance(horizon)

@@ -4,13 +4,15 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from activedesign.core import CovariateSet, DesignProblem, NoiseSpec
-from activedesign.environment import make_hard_instance, make_random_instance
+from activedesign.environment import make_env, make_hard_instance, make_random_instance
+from activedesign import harness
 from activedesign.harness import (
     ConfigError,
     ExperimentConfig,
@@ -24,6 +26,16 @@ from activedesign.harness import (
     write_concentration_report,
     write_instance,
 )
+from activedesign.policies import (
+    OracleTrackingPolicy,
+    ThompsonPolicy,
+    UniformPolicy,
+    checkpoint_schedule,
+    run_episode,
+)
+from activedesign.solver import reference_optimum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --------------------------------------------------------------------
@@ -190,6 +202,13 @@ def test_config_errors_name_the_offending_key():
             ExperimentConfig.from_dict(raw)
 
 
+def test_config_rejects_duplicate_budgets():
+    # a repeated budget would run its episodes twice and fit a slope to
+    # repeated points
+    with pytest.raises(ConfigError, match="'budgets' must be distinct"):
+        ExperimentConfig.from_dict({**base_config_dict(), "budgets": [1000, 1000, 2000]})
+
+
 def test_config_policy_entries_carry_options():
     raw = base_config_dict()
     raw["policies"] = [{"name": "randomized", "design_delta": 0.5}, "uniform"]
@@ -317,9 +336,11 @@ def test_run_sweep_is_byte_identical_across_reruns(tmp_path, monkeypatch):
         assert snapshot[path.name] == path.read_bytes()
 
 
-def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch):
-    # 3x3 gradient_ucb and uniform: a golden guard on the square hot path
-    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
+    # 3x3 gradient_ucb and uniform: a golden guard on the square hot path,
+    # in process and in the pool (uniform runs each seed as one chain)
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
     root = Path(__file__).resolve().parents[1]
     golden = root / "results" / "quickstart"
     cfg = dataclasses.replace(
@@ -453,3 +474,141 @@ def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
     assert len(result.failures) == 2
     assert result.slopes["randomized"] is None
     assert any("no slope for randomized" in r.message for r in caplog.records)
+
+
+# --------------------------------------------------------------------
+# horizon-free policies: one episode per seed across the budgets
+
+
+CHAIN_INSTANCES = {
+    "square": {"generator": "random", "d": 3, "K": 3, "seed": 4},
+    "redundant": {"file": str(ROOT / "instances" / "redundant_arm.txt")},
+    "hard": {"generator": "hard", "delta": 1.0},
+}
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.parametrize("instance", sorted(CHAIN_INSTANCES))
+def test_chained_traces_equal_separate_episodes(monkeypatch, instance, noise):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    spec = {**CHAIN_INSTANCES[instance], "noise": noise}
+    problem, model = build_problem(spec)
+    k = problem.n_arms
+    # out of order, one budget off the checkpoint grid, and one below 2K
+    # (thompson's warm-up and the first checkpoint depend on it there)
+    budgets = [1200, 2 * k - 1, 777, 300]
+    assert 777 not in checkpoint_schedule(2 * k, 1200)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "instance": spec,
+            "policies": ["uniform", "oracle", "thompson"],
+            "budgets": budgets,
+            "seeds": [0, 3],
+            "output": None,
+        }
+    )
+    result = run_sweep(cfg, quiet=True)
+    assert not result.failures
+    reference = reference_optimum(problem)
+    for name in ("uniform", "oracle", "thompson"):
+        for horizon in budgets:
+            for seed in (0, 3):
+                got = result.traces[(name, horizon, seed)]
+                want = run_episode(
+                    name, make_env(problem, seed, model), horizon, reference=reference
+                )
+                for field in (
+                    "policy", "seed", "horizon", "noise", "rows", "final_counts",
+                    "origin", "presample_end", "estimation_count",
+                ):
+                    assert getattr(got, field) == getattr(want, field), (name, horizon, field)
+
+
+def test_chained_sweep_runs_each_step_once(monkeypatch):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    calls = {"thompson": 0, "uniform": 0}
+    for cls in (ThompsonPolicy, UniformPolicy):
+        def counted(self, t, _select=cls.select):
+            calls[self.name] += 1
+            return _select(self, t)
+
+        monkeypatch.setattr(cls, "select", counted)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "instance": CHAIN_INSTANCES["square"],
+            "policies": ["thompson", "uniform"],
+            "budgets": [10_000, 20_000, 50_000],
+            "seeds": 2,
+            "output": None,
+        }
+    )
+    result = run_sweep(cfg, quiet=True)
+    assert not result.failures
+    # thompson's warm-up takes 2 of each arm's samples without select
+    assert calls == {"thompson": 2 * (50_000 - 6), "uniform": 2 * 50_000}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_chain_failure_matches_separate_episodes(tmp_path, monkeypatch, threads):
+    if threads != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched policy only when forked")
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+
+    # keyed to the policy's own round, so an episode reused after the
+    # failure would stop at a different step
+    def failing(self, t, _select=UniformPolicy.select):
+        if self.round >= 1500:
+            raise RuntimeError(f"stopped at step {t}")
+        return _select(self, t)
+
+    monkeypatch.setattr(UniformPolicy, "select", failing)
+    raw = {
+        "instance": CHAIN_INSTANCES["square"],
+        "policies": ["uniform", "oracle"],
+        "budgets": [5000, 1000, 2000],
+        "seeds": 2,
+    }
+    chained = run_sweep(
+        ExperimentConfig.from_dict({**raw, "output": str(tmp_path / "chained")}), quiet=True
+    )
+    # the same sweep with every (budget, seed) run as its own episode
+    monkeypatch.setattr(UniformPolicy, "horizon_free", False)
+    monkeypatch.setattr(OracleTrackingPolicy, "horizon_free", False)
+    separate = run_sweep(
+        ExperimentConfig.from_dict({**raw, "output": str(tmp_path / "separate")}), quiet=True
+    )
+    assert chained.failures == separate.failures
+    assert chained.failures == [
+        ("uniform", horizon, seed, "RuntimeError: stopped at step 1501")
+        for horizon in (5000, 2000)
+        for seed in (0, 1)
+    ]
+    assert [row[0] for row in chained.summaries["uniform"]] == [1000]
+    written = sorted(p.name for p in chained.output_dir.iterdir())
+    assert written == sorted(p.name for p in separate.output_dir.iterdir())
+    assert "failures.csv" in written
+    for name in written:
+        assert (chained.output_dir / name).read_bytes() == (
+            separate.output_dir / name
+        ).read_bytes(), name
+
+
+def test_episode_task_reports_one_budget_per_call(monkeypatch):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    seen = []
+    task = harness._episode_task
+
+    def recorded(job):
+        result = task(job)
+        seen.append(result[:3])
+        assert result[3].horizon == result[1]
+        return result
+
+    monkeypatch.setattr(harness, "_episode_task", recorded)
+    cfg = sweep_config(
+        Path("."), policies=["uniform", "gradient_ucb"], budgets=[800, 300, 500], seeds=2,
+        output=None,
+    )
+    result = run_sweep(cfg, quiet=True)
+    assert sorted(seen) == sorted(result.traces)
+    assert len(seen) == len(set(seen)) == 12

@@ -17,6 +17,7 @@ from activedesign.core import (
 )
 from activedesign.environment import make_env, make_random_instance
 from activedesign.policies import (
+    Episode,
     GradientUcbPolicy,
     OracleTrackingPolicy,
     PresamplePlan,
@@ -28,6 +29,7 @@ from activedesign.policies import (
     _square_gradient,
     checkpoint_schedule,
     default_estimation_count,
+    extends_past,
     kd_presample,
     make_policy,
     presample_plan,
@@ -553,3 +555,29 @@ def test_trace_metadata_round_trip():
     assert trace.rows[-1].counts == trace.final_counts
     ts = [row.t for row in trace.rows]
     assert ts == sorted(set(ts))
+
+
+def test_only_horizon_free_policies_extend_past_2k():
+    assert [name for name in ("uniform", "randomized", "gradient_ucb", "thompson", "oracle")
+            if extends_past(name, 3, 6)] == ["uniform", "thompson", "oracle"]
+    assert not extends_past("thompson", 3, 5)
+    problem = make_random_instance(3, 3, 4)
+    with pytest.raises(ValueError, match="cannot be extended"):
+        Episode("gradient_ucb", make_env(problem, 0), 500, budgets=(1000,))
+    with pytest.raises(ValueError, match="cannot be extended"):
+        Episode("thompson", make_env(problem, 0), 5, budgets=(1000,))
+    with pytest.raises(ValueError, match="must exceed the horizon"):
+        Episode("uniform", make_env(problem, 0), 500, budgets=(100,))
+
+
+def test_episode_advances_through_its_budgets_as_separate_runs():
+    problem = make_random_instance(3, 3, 4)
+    episode = Episode("thompson", make_env(problem, 2), 100, budgets=(1000, 350))
+    for horizon in (100, 350, 1000):
+        got = episode.advance(horizon)
+        want = run_episode("thompson", make_env(problem, 2), horizon)
+        assert got.rows == want.rows
+        assert got.final_counts == want.final_counts
+        assert got.presample_end == want.presample_end == 6
+    with pytest.raises(ValueError, match="cannot be advanced to 350"):
+        episode.advance(350)
