@@ -17,7 +17,6 @@ from .core import (
     SimplexWeights,
     gradient,
     info_matrix,
-    lambda_min_lower_bound,
     loss,
     loss_closed_form,
     ols_fit,
@@ -35,8 +34,6 @@ from .environment import (
 from .estimation import (
     ArmStats,
     ConfidenceParams,
-    gradient_bonus,
-    gradient_deviation_bound,
     halving_sample_count,
     lcb_variance,
     variance_radius,
@@ -92,13 +89,10 @@ __all__ = [
     "dual_feasibility",
     "fit_slope",
     "gradient",
-    "gradient_bonus",
-    "gradient_deviation_bound",
     "halving_sample_count",
     "info_matrix",
     "kd_presample",
     "kkt_certificate",
-    "lambda_min_lower_bound",
     "lcb_variance",
     "load_config",
     "load_instance",

@@ -392,18 +392,6 @@ def problem_constants(problem: DesignProblem, floor=None) -> ProblemConstants:
     )
 
 
-def lambda_min_lower_bound(problem: DesignProblem, weights) -> float:
-    """Spectral floor: lambda_min(Omega(p)) >= min_k(p_k / sigma_k^2) * lambda_min(M).
-
-    M is the unweighted second-moment matrix sum_k X_k X_k^T.  The bound
-    is tight when all weighted directions shrink together, e.g. for the
-    canonical basis with equal variances and uniform weights.
-    """
-    p = _weights_array(weights)
-    lam = float(np.linalg.eigvalsh(problem.covariates.second_moment())[0])
-    return float(np.min(p / problem.noise.sigma2)) * lam
-
-
 def regret(problem: DesignProblem, weights, horizon: int, reference) -> float:
     """Per-round excess loss (L(p_T) - L(p*)) / T against a reference optimum.
 

@@ -9,9 +9,12 @@ eps drawn from one of three centered noise families:
   kappa_k^2 = a_k^2 (bounded-range sub-Gaussian parameter);
 * ``rademacher``: +/- sigma_k with equal probability, proxy sigma_k^2.
 
-Each query advances the generator by exactly one logical draw, and block
-queries consume the stream identically to repeated single queries, so a
-(seed, query sequence) pair fully determines every observation.
+Raw noise (standard normals, unit uniforms or fair bits) is drawn ahead
+from the generator in fixed chunks and served in order, to single and
+block queries alike.  The n-th observation is therefore the same value it
+would be if each query drew its own noise, the arm queried only picks the
+mean and scale applied to it, and a (seed, query sequence) pair fully
+determines every observation.  ``draws`` counts the observations served.
 """
 
 from __future__ import annotations
@@ -33,12 +36,20 @@ def noise_proxy(model: str, sigma2) -> np.ndarray:
     raise ValueError(f"unknown noise model {model!r}")
 
 
+# Raw draws taken from the generator per refill of the query buffer.
+NOISE_CHUNK = 1024
+
+
 class Environment:
     """Stateful sampling oracle for a design problem.
 
     The generator is seeded from ``seed`` on a dedicated stream
     (spawn key 0), leaving sibling streams of the same seed free for
-    policy randomness.
+    policy randomness.  Observation n is mean + sigma * z_n (gaussian,
+    z standard normal), mean + sigma * (2 b_n - 1) (rademacher, b a fair
+    bit) or mean + (-a + (a - (-a)) u_n) (uniform, u on [0, 1); the
+    arithmetic of ``Generator.uniform(-a, a)``), with the raw draws taken
+    from the stream in order.
     """
 
     def __init__(self, problem: DesignProblem, seed: int, model: str = "gaussian"):
@@ -51,48 +62,65 @@ class Environment:
         self.seed = int(seed)
         self.rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
         self.draws = 0
-        self._n_arms = problem.n_arms
-        self._means = problem.covariates.columns.T @ problem.beta
-        self._sigma = problem.noise.sigma
-        # uniform half-range with matching variance: a = sqrt(3) sigma
-        self._half_range = np.sqrt(3.0) * self._sigma
+        self.n_arms = problem.n_arms
+        self._means = (problem.covariates.columns.T @ problem.beta).tolist()
+        sigma = problem.noise.sigma
+        if model == "uniform":
+            # half-range with matching variance: a = sqrt(3) sigma
+            a = np.sqrt(3.0) * sigma
+            self._low = (-a).tolist()
+            self._scale = (a - -a).tolist()
+        else:
+            self._low = None
+            self._scale = sigma.tolist()
+        self._buffer: list = []
+        self._next = 0
 
-    @property
-    def n_arms(self) -> int:
-        return self._n_arms
-
-    def _check_arm(self, arm: int) -> None:
-        if not 0 <= arm < self._n_arms:
-            raise ValueError(f"arm {arm} out of range [0, {self._n_arms})")
+    def _raw(self, n: int) -> np.ndarray:
+        """The next n raw draws straight from the generator."""
+        if self.model == "gaussian":
+            return self.rng.standard_normal(n)
+        if self.model == "uniform":
+            return self.rng.random(n)
+        return 2.0 * self.rng.integers(0, 2, n) - 1.0
 
     def query(self, arm: int) -> float:
-        """One observation of arm ``arm``; advances the RNG by one draw."""
-        self._check_arm(arm)
+        """One observation of arm ``arm``."""
+        if not 0 <= arm < self.n_arms:
+            raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
+        i = self._next
+        if i == len(self._buffer):
+            self._buffer = self._raw(NOISE_CHUNK).tolist()
+            i = 0
+        self._next = i + 1
         self.draws += 1
-        if self.model == "gaussian":
-            eps = self._sigma[arm] * self.rng.standard_normal()
-        elif self.model == "uniform":
-            a = self._half_range[arm]
-            eps = self.rng.uniform(-a, a)
-        else:
-            eps = self._sigma[arm] * (2.0 * self.rng.integers(0, 2) - 1.0)
-        return float(self._means[arm] + eps)
+        if self._low is None:
+            return self._means[arm] + self._scale[arm] * self._buffer[i]
+        return self._means[arm] + (self._low[arm] + self._scale[arm] * self._buffer[i])
 
     def query_block(self, arm: int, n: int) -> np.ndarray:
-        """n observations of one arm, stream-identical to n single queries."""
-        self._check_arm(arm)
+        """n observations of one arm, equal to n single queries.
+
+        The rest of the buffer is served first; the remainder is drawn
+        directly, leaving the buffer empty.
+        """
+        if not 0 <= arm < self.n_arms:
+            raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         if n < 0:
             raise ValueError("block size must be nonnegative")
         if n == 0:
             return np.empty(0)
         self.draws += n
-        if self.model == "gaussian":
-            eps = self._sigma[arm] * self.rng.standard_normal(n)
-        elif self.model == "uniform":
-            a = self._half_range[arm]
-            eps = self.rng.uniform(-a, a, n)
+        i = self._next
+        j = min(i + n, len(self._buffer))
+        raw = np.array(self._buffer[i:j], dtype=np.float64)
+        self._next = j
+        if j - i < n:
+            raw = np.concatenate((raw, self._raw(n - (j - i))))
+        if self._low is None:
+            eps = self._scale[arm] * raw
         else:
-            eps = self._sigma[arm] * (2.0 * self.rng.integers(0, 2, n) - 1.0)
+            eps = self._low[arm] + self._scale[arm] * raw
         return self._means[arm] + eps
 
 

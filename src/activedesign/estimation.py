@@ -5,8 +5,8 @@ module keeps one-pass sufficient statistics per arm (Welford update,
 population convention: divide by n, not n-1) and turns sample counts into
 deviation radii for the empirical variance of sub-Gaussian noise, plus
 the derived quantities the policies consume: lower confidence bounds on
-variances, sample counts that guarantee a factor-two variance estimate,
-and the exploration bonus added to gradient estimates.
+variances and sample counts that guarantee a factor-two variance
+estimate.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ArmStats:
         self.m2 += delta * (y - self.mean)
 
     def update_many(self, ys) -> None:
-        for y in np.asarray(ys, dtype=np.float64).reshape(-1):
-            self.update(float(y))
+        for y in np.asarray(ys, dtype=np.float64).reshape(-1).tolist():
+            self.update(y)
 
     @property
     def variance(self) -> float | None:
@@ -111,62 +111,3 @@ def lcb_variance(stats: ArmStats, params: ConfidenceParams) -> float:
         raise ValueError("variance undefined with fewer than two observations")
     radius = variance_radius(stats.count, params.kappa2, params.delta)
     return max(var - radius, LCB_FLOOR * params.kappa2)
-
-
-def gradient_bonus(t: int, t_k: int, scale: float = 2.0, log_coeff: float = 3.0) -> float:
-    """Exploration bonus subtracted from gradient estimates.
-
-    Default form 2 sqrt(3 log(t) / T_k) for round t and arm count T_k.
-    """
-    if t < 1 or t_k < 1:
-        raise ValueError("round index and arm count must be positive")
-    return scale * math.sqrt(log_coeff * math.log(t) / t_k)
-
-
-def gradient_deviation_bound(
-    arm: int,
-    weights,
-    sigma2,
-    kappa2,
-    lambda_min_moment: float,
-    samples_of_arm: int,
-    horizon: int,
-    delta: float,
-) -> float:
-    """Diagnostic high-probability bound on one gradient coordinate's error.
-
-    Evaluates, for arm i with T_i samples out of a horizon-T run,
-
-        678 K (sigma_max / sigma_min^4)
-            * ((1 / (sigma_i lambda_min)) max_k sigma_k^2 / p_k)^3
-            * kappa_max^2 * max(u, sqrt(u)),
-        u = log(4 T K / delta) / T_i.
-
-    The constant is conservative; the value is reported for diagnostics
-    and is not used to drive any policy decision.
-    """
-    p = np.asarray(weights, dtype=np.float64).reshape(-1)
-    s2 = np.asarray(sigma2, dtype=np.float64).reshape(-1)
-    k2 = np.asarray(kappa2, dtype=np.float64).reshape(-1)
-    k = p.shape[0]
-    if not 0 <= arm < k:
-        raise ValueError("arm index out of range")
-    if np.any(p <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    if samples_of_arm < 1 or horizon < 1:
-        raise ValueError("sample counts must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if lambda_min_moment <= 0.0:
-        raise ValueError("lambda_min must be positive")
-    sigma = np.sqrt(s2)
-    u = math.log(4.0 * horizon * k / delta) / samples_of_arm
-    inner = float(np.max(s2 / p)) / (sigma[arm] * lambda_min_moment)
-    return (
-        678.0
-        * k
-        * float(sigma.max() / sigma.min() ** 4)
-        * inner**3
-        * float(k2.max())
-        * max(u, math.sqrt(u))
-    )

@@ -19,7 +19,8 @@ A sweep config is a JSON object with keys ``instance``, ``policies``,
 and ``output`` (directory, default "results").  Outputs are one trace
 file per episode (columns t, regret, loss_gap, p_min), one summary per
 policy (T, mean_regret, stderr, n_seeds), and a slope table; identical
-configs produce byte-identical files.  Budgets must be distinct.
+configs produce byte-identical files.  Budgets must be distinct
+integers; fractional budgets and seeds are rejected, not truncated.
 ``ACTIVE_DESIGN_THREADS`` caps how many episodes run concurrently.
 """
 
@@ -29,6 +30,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +60,21 @@ class InstanceFormatError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed sweep configuration; message names the offending key."""
+
+
+def _integers(key: str, values) -> tuple[int, ...]:
+    """``values`` as ints; integral floats pass, anything else raises."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a list of integers, got {values!r}")
+    return tuple(_integer(key, v) for v in values)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key!r} must be integers, got {value!r}")
+    return int(value)
 
 
 # --------------------------------------------------------------------
@@ -224,19 +241,22 @@ class ExperimentConfig:
         if not policies:
             raise ConfigError("'policies' must not be empty")
 
-        budgets = tuple(int(t) for t in raw["budgets"])
+        budgets = _integers("budgets", raw["budgets"])
         if not budgets or any(t < 1 for t in budgets):
             raise ConfigError("'budgets' must be positive integers")
         if len(set(budgets)) != len(budgets):
             raise ConfigError("'budgets' must be distinct")
 
         seeds_raw = raw.get("seeds", 25)
-        if isinstance(seeds_raw, int):
-            if seeds_raw < 1:
+        if isinstance(seeds_raw, (numbers.Number, str)):
+            count = _integer("seeds", seeds_raw)
+            if count < 1:
                 raise ConfigError("'seeds' count must be positive")
-            seeds = tuple(range(seeds_raw))
+            seeds = tuple(range(count))
         else:
-            seeds = tuple(int(s) for s in seeds_raw)
+            seeds = _integers("seeds", seeds_raw)
+            if any(s < 0 for s in seeds):
+                raise ConfigError("'seeds' must be nonnegative")
             if len(set(seeds)) != len(seeds):
                 raise ConfigError("'seeds' must be distinct")
 

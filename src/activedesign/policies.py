@@ -181,11 +181,14 @@ def _gradient_kernel(problem: DesignProblem):
 
 
 class Policy:
-    """Shared bookkeeping: counts, streaming moments, plug-in variances.
+    """Shared bookkeeping: the round and the per-arm counts.
 
     ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.  ``horizon_free`` marks a policy whose
-    choices never read the horizon T.
+    exact empirical frequencies.  Only ``gradient_ucb`` and
+    ``randomized`` read variance estimates, so only they keep per-arm
+    moments (``stats``) and plug-in variances (``sig2hat``); thompson
+    keeps its posteriors.  ``horizon_free`` marks a policy whose choices
+    never read the horizon T.
     """
 
     name = "?"
@@ -200,15 +203,9 @@ class Policy:
         self.problem = problem
         self.rng = rng
         self.horizon = int(horizon)
-        k = problem.n_arms
-        self.counts = np.zeros(k, dtype=np.float64)
+        self.n_arms = problem.n_arms
+        self.counts = np.zeros(self.n_arms, dtype=np.float64)
         self.round = 0
-        self.stats = [ArmStats() for _ in range(k)]
-        self.sig2hat = np.full(k, np.nan)
-
-    @property
-    def n_arms(self) -> int:
-        return self.problem.n_arms
 
     @property
     def proportions(self) -> np.ndarray:
@@ -222,13 +219,54 @@ class Policy:
     def observe(self, arm: int, y: float) -> None:
         self.round += 1
         self.counts[arm] += 1.0
-        s = self.stats[arm]
-        s.update(y)
-        if s.count >= 2:
-            self.sig2hat[arm] = s.m2 / s.count
+
+    def observe_block(self, arm: int, ys: np.ndarray) -> None:
+        """Observations ``ys`` of one arm, in order; same as observing each."""
+        for y in ys.tolist():
+            self.observe(arm, y)
 
     def presample_done(self, t: int) -> None:
         """Hook called once after the presampling plan has executed."""
+
+
+class _Moments:
+    """Per-arm Welford moments, plug-in variances and, if asked, their LCBs.
+
+    Mixed into a ``Policy`` subclass, whose ``__init__`` calls
+    ``_init_moments``.  ``sig2hat`` is the population variance m2 / n,
+    NaN until the arm has two observations; with ``track_lcb`` the lower
+    confidence bounds ``_lcb`` (at per-arm failure share ``delta_arm``)
+    are kept beside it.
+    """
+
+    def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
+        k = self.n_arms
+        self.stats = [ArmStats() for _ in range(k)]
+        self.sig2hat = np.full(k, np.nan)
+        self._track_lcb = track_lcb
+        self._params = [ConfidenceParams(delta_arm, k2) for k2 in self.problem.noise.kappa2]
+        self._lcb = np.full(k, np.nan)
+
+    def _variances_changed(self, arm: int, s: ArmStats) -> None:
+        if s.count >= 2:
+            self.sig2hat[arm] = s.m2 / s.count
+            if self._track_lcb:
+                self._lcb[arm] = lcb_variance(s, self._params[arm])
+
+    def observe(self, arm: int, y: float) -> None:
+        super().observe(arm, y)
+        s = self.stats[arm]
+        s.update(y)
+        self._variances_changed(arm, s)
+
+    def observe_block(self, arm: int, ys: np.ndarray) -> None:
+        """Welford over the block in order; variances and LCB set once."""
+        n = len(ys)
+        self.round += n
+        self.counts[arm] += n
+        s = self.stats[arm]
+        s.update_many(ys)
+        self._variances_changed(arm, s)
 
 
 class UniformPolicy(Policy):
@@ -253,22 +291,23 @@ class OracleTrackingPolicy(Policy):
 
     def select(self, t: int) -> int:
         if self.round == 0:
-            return int(np.argmax(self.p_star))
-        return int(np.argmax(self.p_star - self.counts / self.round))
+            return int(self.p_star.argmax())
+        return int((self.p_star - self.counts / self.round).argmax())
 
 
-class RandomizedDesignPolicy(Policy):
+class RandomizedDesignPolicy(_Moments, Policy):
     """Draw each arm from the re-solved optimistic design.
 
     Variances enter through their lower confidence bounds at per-arm
-    failure share delta' = 1 / (T^2 K).  The design argmin is the closed
-    form for square problems and a Frank-Wolfe solve otherwise (the
-    latter is extension behavior beyond the square-case guarantees and
-    is logged as such).  After presampling, draws target the residual
-    between the optimistic design and the mass already laid out, so the
-    final proportions converge to the design rather than to a mixture
-    with the presampling origin; without presampling this reduces to
-    drawing from the design itself.
+    failure share delta' = 1 / (T^2 K).  The design is re-solved every
+    round: the closed form for square problems and a Frank-Wolfe solve
+    otherwise (the latter is extension behavior beyond the square-case
+    guarantees and is logged as such).  After presampling, draws target
+    the residual between the optimistic design and the mass already laid
+    out, so the final proportions converge to the design rather than to
+    a mixture with the presampling origin; without presampling this
+    reduces to drawing from the design itself.  The bounds are read only
+    once ``presample_done`` has found every arm's bound defined.
     """
 
     name = "randomized"
@@ -278,16 +317,12 @@ class RandomizedDesignPolicy(Policy):
         problem,
         rng,
         horizon,
-        stride: int = 1,
         fixed_variances=None,
         solver_config: SolverConfig | None = None,
         design_delta: float | None = None,
     ):
         super().__init__(problem, rng, horizon)
-        if stride < 1:
-            raise ValueError("stride must be positive")
-        self.stride = int(stride)
-        k = problem.n_arms
+        k = self.n_arms
         # The union-bound schedule 1/(T^2 K) is what the regret analysis
         # uses, but its radius only drops below sigma^2 after ~2600 pulls
         # per arm, far beyond what presampling provides at small budgets;
@@ -298,15 +333,13 @@ class RandomizedDesignPolicy(Policy):
         )
         if not 0.0 < self.delta_arm < 1.0:
             raise ValueError("design_delta must lie in (0, 1)")
-        self._params = [ConfidenceParams(self.delta_arm, k2) for k2 in problem.noise.kappa2]
+        self._init_moments(self.delta_arm, track_lcb=True)
         self.fixed_variances = (
             None if fixed_variances is None else np.asarray(fixed_variances, dtype=np.float64)
         )
-        self._lcb = np.full(k, np.nan)
+        # variances the design is solved under: None until defined
+        self._design_variances = self.fixed_variances
         self._anchor = np.zeros(k)
-        self._anchor_mass = 0.0
-        self._design = np.full(k, 1.0 / k)
-        self._selects = 0
         if problem.is_square:
             self._root_cof = np.sqrt(problem_constants(problem).cofactors)
             self._solver_config = None
@@ -318,19 +351,16 @@ class RandomizedDesignPolicy(Policy):
                 "re-solving the design by Frank-Wolfe each recompute"
             )
 
-    def observe(self, arm: int, y: float) -> None:
-        super().observe(arm, y)
-        s = self.stats[arm]
-        if s.count >= 2:
-            self._lcb[arm] = lcb_variance(s, self._params[arm])
-
     def presample_done(self, t: int) -> None:
         self._anchor = self.counts / self.horizon
-        self._anchor_mass = t / self.horizon
+        # the bounds only ever go from NaN to defined, so one scan here
+        # covers every later round
+        if self._design_variances is None and not np.any(np.isnan(self._lcb)):
+            self._design_variances = self._lcb
 
     def _optimistic_design(self) -> np.ndarray:
-        sig2 = self.fixed_variances if self.fixed_variances is not None else self._lcb
-        if np.any(np.isnan(sig2)):
+        sig2 = self._design_variances
+        if sig2 is None:
             raise ValueError("variance bounds undefined; presample every arm first")
         if self._root_cof is not None:
             raw = np.sqrt(sig2) * self._root_cof
@@ -345,18 +375,16 @@ class RandomizedDesignPolicy(Policy):
         return res.weights.values
 
     def select(self, t: int) -> int:
-        if self._selects % self.stride == 0:
-            self._design = self._optimistic_design()
-        self._selects += 1
-        residual = np.maximum(self._design - self._anchor, 0.0)
+        design = self._optimistic_design()
+        residual = np.maximum(design - self._anchor, 0.0)
         total = residual.sum()
-        q = residual / total if total > 0.0 else self._design
+        q = residual / total if total > 0.0 else design
         u = self.rng.random()
-        arm = int(np.searchsorted(np.cumsum(q), u, side="right"))
+        arm = int(np.cumsum(q).searchsorted(u, side="right"))
         return min(arm, self.n_arms - 1)
 
 
-class GradientUcbPolicy(Policy):
+class GradientUcbPolicy(_Moments, Policy):
     """Pick the arm with the lowest bonus-adjusted gradient estimate.
 
     g_hat_k = dL/dp_k at the empirical proportions under plug-in
@@ -386,22 +414,13 @@ class GradientUcbPolicy(Policy):
         self.bonus_scale = float(bonus_scale)
         self.bonus_log_coeff = float(bonus_log_coeff)
         self.use_lcb = bool(use_lcb)
-        k = problem.n_arms
         self.fixed_variances = (
             None if fixed_variances is None else np.asarray(fixed_variances, dtype=np.float64)
         )
-        self.delta_arm = 1.0 / (float(horizon) ** 2 * k)
-        self._params = [ConfidenceParams(self.delta_arm, k2) for k2 in problem.noise.kappa2]
-        self._lcb = np.full(k, np.nan)
+        self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
+        self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
         self._gradient = _gradient_kernel(problem)
         self._var_floor = 1e-12 * problem.noise.kappa2
-
-    def observe(self, arm: int, y: float) -> None:
-        super().observe(arm, y)
-        if self.use_lcb:
-            s = self.stats[arm]
-            if s.count >= 2:
-                self._lcb[arm] = lcb_variance(s, self._params[arm])
 
     def select(self, t: int) -> int:
         if self.fixed_variances is not None:
@@ -416,7 +435,7 @@ class GradientUcbPolicy(Policy):
             g = g - self.bonus_scale * np.sqrt(
                 self.bonus_log_coeff * math.log(t) / self.counts
             )
-        return int(np.argmin(g))
+        return int(g.argmin())
 
 
 class ThompsonPolicy(Policy):
@@ -471,7 +490,7 @@ class ThompsonPolicy(Policy):
 
     def select(self, t: int) -> int:
         g = self._gradient(self.sample_variances(), self.counts / self.round)
-        return int(np.argmin(g))
+        return int(g.argmin())
 
 
 _POLICY_CLASSES = {
@@ -554,8 +573,7 @@ def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[in
 def _feed(env: Environment, policy: Policy, arm: int, m: int) -> None:
     if m <= 0:
         return
-    for y in env.query_block(arm, m):
-        policy.observe(arm, float(y))
+    policy.observe_block(arm, env.query_block(arm, m))
 
 
 def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
@@ -628,7 +646,7 @@ class Episode:
             for arm in range(k):
                 _feed(env, policy, arm, n0)
             for arm in range(k):
-                _feed(env, policy, arm, int(plan.counts[arm]) - policy.stats[arm].count)
+                _feed(env, policy, arm, int(plan.counts[arm]) - int(policy.counts[arm]))
             origin = None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
         elif policy_name in _ADAPTIVE and problem.is_square:
             n0 = (
@@ -645,7 +663,7 @@ class Episode:
             if concrete.total() > horizon:
                 raise ValueError("presampling plan exceeds the budget")
             for arm in range(k):
-                _feed(env, policy, arm, int(concrete.counts[arm]) - policy.stats[arm].count)
+                _feed(env, policy, arm, int(concrete.counts[arm]) - int(policy.counts[arm]))
             origin = np.asarray(concrete.origin, dtype=np.float64)
         elif policy_name in _ADAPTIVE:
             concrete = kd_presample(k, horizon)

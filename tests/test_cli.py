@@ -127,6 +127,16 @@ def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
     assert "FAILED randomized T=5" in capsys.readouterr().err
 
 
+def test_sweep_with_a_fractional_seed_count_exits_one(sweep_config_path, capsys):
+    with open(sweep_config_path) as fh:
+        cfg = json.load(fh)
+    cfg["seeds"] = 2.7
+    with open(sweep_config_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli_main(["sweep", sweep_config_path, "--quiet"]) == 1
+    assert "'seeds'" in capsys.readouterr().err
+
+
 def test_verify_coverage(capsys, tmp_path):
     assert cli_main(["verify", "--trials", "300", "--horizon", "50"]) == 0
     captured = capsys.readouterr()

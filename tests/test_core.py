@@ -14,7 +14,6 @@ from activedesign.core import (
     gradient,
     gram_cofactors,
     info_matrix,
-    lambda_min_lower_bound,
     loss,
     loss_closed_form,
     negative_regret_clamps,
@@ -310,28 +309,7 @@ def test_strong_convexity_holds_along_segments():
 
 
 # --------------------------------------------------------------------
-# spectral bound, regret, OLS
-
-
-def test_lambda_min_bound_tight_on_canonical():
-    prob = canonical_problem([1.0, 1.0])
-    assert lambda_min_lower_bound(prob, [0.5, 0.5]) == pytest.approx(0.5, rel=1e-14)
-    prob = canonical_problem([1.0, 4.0])
-    bound = lambda_min_lower_bound(prob, [0.5, 0.5])
-    assert bound == pytest.approx(0.125, rel=1e-14)
-    actual = np.linalg.eigvalsh(info_matrix(prob, [0.5, 0.5]))[0]
-    assert actual == pytest.approx(0.125, rel=1e-14)
-
-
-def test_lambda_min_bound_never_exceeds_truth():
-    rng = np.random.default_rng(13)
-    for trial in range(20):
-        d = int(rng.integers(2, 5))
-        k = int(rng.integers(d, d + 3))
-        prob = make_random_instance(d, k, seed=400 + trial)
-        p = rng.dirichlet(np.ones(k))
-        actual = float(np.linalg.eigvalsh(info_matrix(prob, p))[0])
-        assert lambda_min_lower_bound(prob, p) <= actual + 1e-12
+# regret, OLS
 
 
 def test_info_matrix_definition():

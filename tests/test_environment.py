@@ -5,6 +5,7 @@ import pytest
 
 from activedesign.core import loss
 from activedesign.environment import (
+    NOISE_CHUNK,
     NOISE_MODELS,
     Environment,
     make_env,
@@ -118,6 +119,53 @@ def test_block_matches_sequential_queries():
         block = blk.query_block(1, 64)
         np.testing.assert_array_equal(block, singles)
         assert one.draws == blk.draws == 64
+
+
+def _scalar_replay(problem, seed, model):
+    """One observation per call through the scalar generator formulas."""
+    mirror = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    means = problem.covariates.columns.T @ problem.beta
+    sigma = problem.noise.sigma
+    half_range = np.sqrt(3.0) * sigma
+
+    def draw(arm):
+        if model == "gaussian":
+            eps = sigma[arm] * mirror.standard_normal()
+        elif model == "uniform":
+            eps = mirror.uniform(-half_range[arm], half_range[arm])
+        else:
+            eps = sigma[arm] * (2.0 * mirror.integers(0, 2) - 1.0)
+        return float(means[arm] + eps)
+
+    return draw
+
+
+def test_chunked_noise_matches_scalar_draws_across_refills():
+    # Single queries are served from noise drawn ahead in chunks and
+    # blocks use up the chunk before drawing; every observation must
+    # still be the one a per-query draw from the stream would give.
+    problem = make_random_instance(2, 3, seed=8)
+    plan = [("q", 1)] * 5 + [("b", 40)] + [("q", 7)] * (NOISE_CHUNK - 50)
+    plan += [("b", 3)] + [("q", 2)] * 20 + [("b", 3 * NOISE_CHUNK)] + [("q", 0)] * 10
+    plan += [("b", NOISE_CHUNK - 10)] + [("b", 25)] + [("q", 1)] * (2 * NOISE_CHUNK + 3)
+    plan = [(kind, n if kind == "b" else n % 3) for kind, n in plan]
+    for model in NOISE_MODELS:
+        env = make_env(problem, seed=21, model=model)
+        draw = _scalar_replay(problem, 21, model)
+        served = 0
+        for step, (kind, n) in enumerate(plan):
+            if kind == "q":
+                arm = n
+                assert env.query(arm) == draw(arm), (model, step)
+                served += 1
+            else:
+                arm = step % 3
+                got = env.query_block(arm, n)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                assert got.tolist() == [draw(arm) for _ in range(n)], (model, step)
+                served += n
+            assert env.draws == served
+        assert served > 5 * NOISE_CHUNK
 
 
 def test_block_then_single_continues_the_stream():

@@ -15,8 +15,6 @@ from activedesign.estimation import (
     LCB_FLOOR,
     ArmStats,
     ConfidenceParams,
-    gradient_bonus,
-    gradient_deviation_bound,
     halving_sample_count,
     lcb_variance,
     variance_radius,
@@ -26,7 +24,6 @@ from activedesign.estimation import (
 PIN_C = 0.07123988380543912
 PIN_RADIUS_10_1_004 = 19.392943699480695
 PIN_LCB = 0.6070563005193049
-PIN_GRAD_BOUND = 432.4932047106680
 
 
 def test_bernstein_constant_pin():
@@ -193,62 +190,3 @@ def test_confidence_params_validation():
         ConfidenceParams(0.0, 1.0)
     with pytest.raises(ValueError):
         ConfidenceParams(0.5, -1.0)
-
-
-# --------------------------------------------------------------------
-# gradient bonus and deviation diagnostic
-
-
-def test_bonus_pin():
-    assert gradient_bonus(3, 12) == pytest.approx(2.0 * math.sqrt(3.0 * math.log(3.0) / 12.0))
-    # at t = e the log term is exactly 1: bonus = 2 sqrt(3/12) = 1... use
-    # integer rounds and the scale hooks instead
-    assert gradient_bonus(10, 3, scale=1.0, log_coeff=1.0) == pytest.approx(
-        math.sqrt(math.log(10.0) / 3.0), rel=1e-14
-    )
-
-
-def test_bonus_monotone():
-    assert gradient_bonus(100, 5) > gradient_bonus(100, 50)
-    assert gradient_bonus(1000, 5) > gradient_bonus(100, 5)
-    with pytest.raises(ValueError):
-        gradient_bonus(0, 5)
-
-
-def test_gradient_deviation_pin():
-    # d=2 canonical, sigma = kappa = 1, p = (1/2, 1/2), T = T_i = 1e4,
-    # delta = 1e-2, K = 2, lambda_min = 1
-    log_term = math.log(4.0 * 10**4 * 2 / 1e-2)
-    assert log_term == pytest.approx(15.89495209964411, rel=1e-14)
-    value = gradient_deviation_bound(
-        arm=0,
-        weights=[0.5, 0.5],
-        sigma2=[1.0, 1.0],
-        kappa2=[1.0, 1.0],
-        lambda_min_moment=1.0,
-        samples_of_arm=10**4,
-        horizon=10**4,
-        delta=1e-2,
-    )
-    assert value == pytest.approx(PIN_GRAD_BOUND, rel=1e-12)
-
-
-def test_gradient_deviation_scaling():
-    kwargs = dict(
-        arm=0,
-        weights=[0.5, 0.5],
-        sigma2=[1.0, 1.0],
-        kappa2=[1.0, 1.0],
-        lambda_min_moment=1.0,
-        horizon=10**4,
-        delta=1e-2,
-    )
-    few = gradient_deviation_bound(samples_of_arm=100, **kwargs)
-    many = gradient_deviation_bound(samples_of_arm=10_000, **kwargs)
-    assert few == pytest.approx(10.0 * many, rel=1e-12)  # sqrt branch: 1/sqrt(T_i)
-    with pytest.raises(ValueError):
-        gradient_deviation_bound(samples_of_arm=0, **kwargs)
-    with pytest.raises(ValueError, match="arm"):
-        bad = dict(kwargs)
-        bad["arm"] = 5
-        gradient_deviation_bound(samples_of_arm=10, **bad)

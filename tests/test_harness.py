@@ -209,6 +209,24 @@ def test_config_rejects_duplicate_budgets():
         ExperimentConfig.from_dict({**base_config_dict(), "budgets": [1000, 1000, 2000]})
 
 
+def test_config_rejects_non_integer_budgets():
+    # a fractional budget used to be truncated, so [1000, 1000.5] read as
+    # a repeated budget
+    for budgets in ([1000.9, 2000], [1000, 1000.5]):
+        with pytest.raises(ConfigError, match="'budgets' must be integers"):
+            ExperimentConfig.from_dict({**base_config_dict(), "budgets": budgets})
+    cfg = ExperimentConfig.from_dict({**base_config_dict(), "budgets": [1000.0, 2000]})
+    assert cfg.budgets == (1000, 2000)
+
+
+def test_config_rejects_non_integer_seeds():
+    for seeds in (2.7, "3", [0, 1.5], None):
+        with pytest.raises(ConfigError, match="'seeds'"):
+            ExperimentConfig.from_dict({**base_config_dict(), "seeds": seeds})
+    with pytest.raises(ConfigError, match="'seeds' must be nonnegative"):
+        ExperimentConfig.from_dict({**base_config_dict(), "seeds": [0, -1]})
+
+
 def test_config_policy_entries_carry_options():
     raw = base_config_dict()
     raw["policies"] = [{"name": "randomized", "design_delta": 0.5}, "uniform"]

@@ -141,10 +141,43 @@ def test_proportions_require_observations():
 
 
 def test_plugin_variance_is_population_form():
-    policy = UniformPolicy(make_random_instance(2, 2, seed=0), None, horizon=10)
+    policy = GradientUcbPolicy(make_random_instance(2, 2, seed=0), None, horizon=10)
     feed(policy, [(0, 1.0), (0, 3.0)])
     assert policy.sig2hat[0] == 1.0
     assert np.isnan(policy.sig2hat[1])
+
+
+def _moment_state(policy):
+    return (
+        policy.round,
+        policy.counts.tolist(),
+        [(st.count, st.mean, st.m2) for st in policy.stats],
+        policy.sig2hat.tobytes(),
+        policy._lcb.tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [("gradient_ucb", {}), ("gradient_ucb", {"use_lcb": True}), ("randomized", {})],
+)
+def test_observe_block_equals_per_sample_observe(name, options):
+    # presampling feeds blocks; moments, plug-in variances and bounds
+    # must come out bit-equal to feeding the samples one by one
+    problem = make_random_instance(3, 3, seed=2)
+    rng = np.random.default_rng(5)
+    blocks = [(0, 1), (1, 2), (0, 40), (2, 0), (2, 7), (1, 300), (0, 1)]
+    one = make_policy(name, problem, None, 1000, options)
+    blk = make_policy(name, problem, None, 1000, options)
+    for arm, n in blocks:
+        ys = rng.normal(3.0, 2.0, n)
+        for y in ys.tolist():
+            one.observe(arm, y)
+        blk.observe_block(arm, ys)
+        assert _moment_state(blk) == _moment_state(one)
+    assert not np.any(np.isnan(blk.sig2hat))
+    if name == "randomized" or options.get("use_lcb"):
+        assert not np.any(np.isnan(blk._lcb))
 
 
 # --------------------------------------------------------------------
@@ -213,8 +246,6 @@ def test_oracle_episode_regret_is_tiny():
 def test_randomized_option_validation():
     problem = canonical([1.0, 4.0])
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="stride"):
-        RandomizedDesignPolicy(problem, rng, 100, stride=0)
     with pytest.raises(ValueError, match="design_delta"):
         RandomizedDesignPolicy(problem, rng, 100, design_delta=1.0)
     with pytest.raises(ValueError, match="design_delta"):
@@ -236,6 +267,23 @@ def test_randomized_requires_defined_variance_bounds():
     policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100)
     with pytest.raises(ValueError, match="presample"):
         policy.select(1)
+
+
+def test_randomized_reads_live_bounds_once_presampling_defines_them():
+    problem = canonical([1.0, 4.0])
+    policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100, design_delta=0.5)
+    feed(policy, [(0, 1.0), (0, 3.0), (1, 0.0)])
+    policy.presample_done(3)  # arm 1 has no bound yet
+    with pytest.raises(ValueError, match="presample"):
+        policy.select(4)
+    feed(policy, [(1, 4.0)])
+    policy.presample_done(4)
+    before = policy._optimistic_design()
+    feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
+    after = policy._optimistic_design()
+    assert after[1] > before[1]
+    root = np.sqrt(policy._lcb) * np.sqrt(problem_constants(problem).cofactors)
+    np.testing.assert_array_equal(after, root / root.sum())
 
 
 def test_randomized_without_anchor_draws_the_design():
