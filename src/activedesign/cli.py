@@ -30,6 +30,7 @@ from .harness import (
     load_config,
     load_instance,
     run_sweep,
+    trace_json_rows,
     trace_rows,
     verify_concentration,
     write_concentration_report,
@@ -173,10 +174,7 @@ def _cmd_simulate(args) -> int:
             "seed": trace.seed,
             "horizon": trace.horizon,
             "final_regret": trace.final_regret,
-            "rows": [
-                {"t": r.t, "regret": r.regret, "loss_gap": r.loss_gap, "p_min": r.p_min}
-                for r in trace.rows
-            ],
+            "rows": trace_json_rows(trace),
         }
         _emit(json.dumps(payload, indent=1, sort_keys=True), args.out)
     else:

@@ -100,14 +100,14 @@ def halving_sample_count(kappa2: float, sigma2: float, horizon: int) -> int:
     return math.ceil(72.0 * ratio * ratio / BERNSTEIN_C * math.log(2.0 * horizon))
 
 
-def lcb_variance(stats: ArmStats, params: ConfidenceParams) -> float:
+def lcb_variance(count: float, variance: float, params: ConfidenceParams) -> float:
     """Optimistic (lower) variance estimate, floored away from zero.
 
-    max(var_hat - variance_radius(n, kappa2, delta), LCB_FLOOR * kappa2).
+    max(var_hat - variance_radius(n, kappa2, delta), LCB_FLOOR * kappa2)
+    for the empirical variance ``variance`` of ``count`` observations.
     Undefined (raises) before the arm has two observations.
     """
-    var = stats.variance
-    if var is None:
+    if count < 2:
         raise ValueError("variance undefined with fewer than two observations")
-    radius = variance_radius(stats.count, params.kappa2, params.delta)
-    return max(var - radius, LCB_FLOOR * params.kappa2)
+    radius = variance_radius(count, params.kappa2, params.delta)
+    return max(variance - radius, LCB_FLOOR * params.kappa2)

@@ -621,6 +621,13 @@ def trace_rows(trace: RegretTrace) -> list:
     return [[row.t, _fmt(row.regret), _fmt(row.loss_gap), _fmt(row.p_min)] for row in trace.rows]
 
 
+def trace_json_rows(trace: RegretTrace) -> list:
+    return [
+        {"t": r.t, "regret": r.regret, "loss_gap": r.loss_gap, "p_min": r.p_min}
+        for r in trace.rows
+    ]
+
+
 def _write_outputs(out_dir, config, traces, summaries, slopes, failures, fmt) -> None:
     ext = fmt
     for (name, horizon, seed), trace in sorted(traces.items()):
@@ -632,10 +639,7 @@ def _write_outputs(out_dir, config, traces, summaries, slopes, failures, fmt) ->
                 "policy": name,
                 "horizon": horizon,
                 "seed": seed,
-                "rows": [
-                    {"t": r.t, "regret": r.regret, "loss_gap": r.loss_gap, "p_min": r.p_min}
-                    for r in trace.rows
-                ],
+                "rows": trace_json_rows(trace),
             }
             path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 

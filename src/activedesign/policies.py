@@ -20,6 +20,13 @@ keeps every later information matrix invertible and floors the empirical
 proportions; otherwise a T^(3/4)-per-arm schedule.  The runner executes
 those phases, drives the policy loop, and records regret checkpoints.
 
+On square problems (K = d) per-arm state (counts, moments, posteriors)
+is kept in lists of Python floats, and a step -- ``select`` and
+``observe`` -- runs on those floats with no numpy call except the
+random generator's.  It does the IEEE operations of the array formulas
+in the same order, so its choices are bit-for-bit theirs.  K > d
+policies keep (K,) float arrays and solve Omega(p) with numpy.
+
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
 never read T, so at budgets of 2K or more (past thompson's warm-up and
 the first checkpoint) a shorter episode with the same seed is an exact
@@ -31,7 +38,6 @@ presampling does, and its draws are anchored at counts / T.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -48,7 +54,7 @@ from .core import (
     regret,
 )
 from .environment import Environment
-from .estimation import ArmStats, ConfidenceParams, lcb_variance
+from .estimation import ConfidenceParams, lcb_variance
 from .solver import SolverConfig, minimize, reference_optimum
 
 logger = logging.getLogger(__name__)
@@ -155,7 +161,7 @@ def _gradient_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndar
     return -np.einsum("ij,ij->j", a, a) / sigma2
 
 
-def _square_gradient(inv_gram_diag: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _closed_form_gradient(neg_inv_gram_diag: list, sigma2, counts, n: int) -> list:
     """Closed-form loss gradient for K = d: -(Gamma^-1)_kk sigma_k^2 / p_k^2.
 
     With the covariates X square and invertible,
@@ -163,32 +169,88 @@ def _square_gradient(inv_gram_diag: np.ndarray, sigma2: np.ndarray, p: np.ndarra
     Omega^-1 X_k = X^-T diag(sigma^2 / p) X^-1 X_k = X^-T e_k sigma_k^2 / p_k
     and ||Omega^-1 X_k||^2 = (X^-1 X^-T)_kk sigma_k^4 / p_k^2.  Since
     X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the mark
-    divided by sigma_k^2 needs only the fixed diagonal ``inv_gram_diag``.
+    divided by sigma_k^2 needs only the fixed diagonal, passed negated
+    (``_neg_inv_gram_diag``).  p_k = counts_k / n, on Python floats in the
+    array formula's operation order; ``counts`` holding a zero must come
+    as an array (see ``_ieee_counts``).
     """
-    return -inv_gram_diag * sigma2 / (p * p)
+    grad = []
+    for a, s, c in zip(neg_inv_gram_diag, sigma2, counts):
+        p = c / n
+        grad.append(a * s / (p * p))
+    return grad
 
 
-def _gradient_kernel(problem: DesignProblem):
-    """dL/dp as a function of (sigma2, p) on this problem's covariates.
+def _neg_inv_gram_diag(problem: DesignProblem) -> list:
+    """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient."""
+    return (-np.diag(np.linalg.inv(problem.covariates.gram()))).tolist()
 
-    Square problems get the closed form, with (Gamma^-1)_kk computed
-    once here; K > d problems solve Omega(p) every call.
+
+def _ieee_counts(counts):
+    """``counts``, as an array when an arm has none, so that p = 0 divides.
+
+    Python float division by zero raises; numpy's float64 scalars give
+    the inf or NaN the array formulas gave, and compare the same way.
     """
-    if problem.is_square:
-        inv_gram_diag = np.diag(np.linalg.inv(problem.covariates.gram())).copy()
-        return functools.partial(_square_gradient, inv_gram_diag)
-    return functools.partial(_gradient_given, problem.covariates.columns)
+    return np.array(counts) if 0.0 in counts else counts
+
+
+def _argmin(values: list) -> int:
+    """``np.argmin`` of a list: the first NaN, else the first smallest value."""
+    best, low = 0, values[0]
+    if low != low:
+        return 0
+    for k in range(1, len(values)):
+        v = values[k]
+        if v < low:
+            best, low = k, v
+        elif v != v:
+            return k
+    return best
+
+
+def _float_sum(values: list) -> float:
+    """Sum in the order of numpy's float64 ``add.reduce``: bit-equal to ``np.sum``.
+
+    numpy adds a pairwise sum of the values to its identity 0.0; the
+    pairwise sum is sequential below 8 values, runs 8 accumulators up to
+    128 and splits larger blocks in two at a multiple of 8.
+    """
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(a: list, lo: int, n: int) -> float:
+    if n < 8:
+        res = -0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = a[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += a[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
 
 
 class Policy:
     """Shared bookkeeping: the round and the per-arm counts.
 
     ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.  Only ``gradient_ucb`` and
-    ``randomized`` read variance estimates, so only they keep per-arm
-    moments (``stats``) and plug-in variances (``sig2hat``); thompson
-    keeps its posteriors.  ``horizon_free`` marks a policy whose choices
-    never read the horizon T.
+    exact empirical frequencies.  Per-arm state (``_per_arm``) is a list
+    of Python floats on square problems, whose steps run on floats, and
+    a float array otherwise, for the numpy solve.  Only ``gradient_ucb``
+    and ``randomized`` read variance estimates, so only they keep per-arm
+    moments and plug-in variances (``sig2hat``); thompson keeps its
+    posteriors.  ``horizon_free`` marks a policy whose choices never
+    read the horizon T.
     """
 
     name = "?"
@@ -204,14 +266,20 @@ class Policy:
         self.rng = rng
         self.horizon = int(horizon)
         self.n_arms = problem.n_arms
-        self.counts = np.zeros(self.n_arms, dtype=np.float64)
+        self._square = problem.is_square
+        self.counts = self._per_arm(0.0)
         self.round = 0
+
+    def _per_arm(self, values):
+        """Per-arm values (a scalar or K of them) in this policy's container."""
+        values = np.full(self.n_arms, values, dtype=np.float64)
+        return values.tolist() if self._square else values
 
     @property
     def proportions(self) -> np.ndarray:
         if self.round == 0:
             raise ValueError("no observations yet")
-        return self.counts / self.round
+        return np.asarray(self.counts) / self.round
 
     def select(self, t: int) -> int:
         raise NotImplementedError
@@ -233,40 +301,43 @@ class _Moments:
     """Per-arm Welford moments, plug-in variances and, if asked, their LCBs.
 
     Mixed into a ``Policy`` subclass, whose ``__init__`` calls
-    ``_init_moments``.  ``sig2hat`` is the population variance m2 / n,
-    NaN until the arm has two observations; with ``track_lcb`` the lower
-    confidence bounds ``_lcb`` (at per-arm failure share ``delta_arm``)
-    are kept beside it.
+    ``_init_moments``.  The arm's count is the policy's ``counts``; the
+    running mean and m2 are Python floats beside it.  ``sig2hat`` is the
+    population variance m2 / n, NaN until the arm has two observations;
+    with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
+    failure share ``delta_arm``) are kept beside it.
     """
 
     def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
         k = self.n_arms
-        self.stats = [ArmStats() for _ in range(k)]
-        self.sig2hat = np.full(k, np.nan)
+        self._mean = [0.0] * k
+        self._m2 = [0.0] * k
+        self.sig2hat = self._per_arm(np.nan)
         self._track_lcb = track_lcb
         self._params = [ConfidenceParams(delta_arm, k2) for k2 in self.problem.noise.kappa2]
-        self._lcb = np.full(k, np.nan)
+        self._lcb = self._per_arm(np.nan)
 
-    def _variances_changed(self, arm: int, s: ArmStats) -> None:
-        if s.count >= 2:
-            self.sig2hat[arm] = s.m2 / s.count
+    def _update(self, arm: int, ys) -> None:
+        n, mean, m2 = self.counts[arm], self._mean[arm], self._m2[arm]
+        for y in ys:
+            n += 1.0
+            delta = y - mean
+            mean += delta / n
+            m2 += delta * (y - mean)
+        self.round += len(ys)
+        self.counts[arm], self._mean[arm], self._m2[arm] = n, mean, m2
+        if n >= 2.0:
+            var = m2 / n
+            self.sig2hat[arm] = var
             if self._track_lcb:
-                self._lcb[arm] = lcb_variance(s, self._params[arm])
+                self._lcb[arm] = lcb_variance(n, var, self._params[arm])
 
     def observe(self, arm: int, y: float) -> None:
-        super().observe(arm, y)
-        s = self.stats[arm]
-        s.update(y)
-        self._variances_changed(arm, s)
+        self._update(arm, (y,))
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
         """Welford over the block in order; variances and LCB set once."""
-        n = len(ys)
-        self.round += n
-        self.counts[arm] += n
-        s = self.stats[arm]
-        s.update_many(ys)
-        self._variances_changed(arm, s)
+        self._update(arm, ys.tolist())
 
 
 class UniformPolicy(Policy):
@@ -287,12 +358,19 @@ class OracleTrackingPolicy(Policy):
         super().__init__(problem, rng, horizon)
         if p_star is None:
             p_star, _ = reference_optimum(problem)
-        self.p_star = np.asarray(p_star, dtype=np.float64)
+        self.p_star = self._per_arm(p_star)
 
     def select(self, t: int) -> int:
-        if self.round == 0:
-            return int(self.p_star.argmax())
-        return int((self.p_star - self.counts / self.round).argmax())
+        n = self.round
+        if not self._square:
+            if n == 0:
+                return int(self.p_star.argmax())
+            return int((self.p_star - self.counts / n).argmax())
+        # the largest deficit p*_k - counts_k / n is the first smallest
+        # counts_k / n - p*_k: IEEE subtraction is exactly antisymmetric
+        if n == 0:
+            return _argmin([-p for p in self.p_star])
+        return _argmin([c / n - p for c, p in zip(self.counts, self.p_star)])
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -300,14 +378,17 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
     Variances enter through their lower confidence bounds at per-arm
     failure share delta' = 1 / (T^2 K).  The design is re-solved every
-    round: the closed form for square problems and a Frank-Wolfe solve
-    otherwise (the latter is extension behavior beyond the square-case
-    guarantees and is logged as such).  After presampling, draws target
+    round: for square problems the closed form, p_k proportional to
+    sigma_k sqrt(cofactor_k), and otherwise a Frank-Wolfe solve (the
+    latter is extension behavior beyond the square-case guarantees and
+    is logged as such).  After presampling, draws target
     the residual between the optimistic design and the mass already laid
     out, so the final proportions converge to the design rather than to
     a mixture with the presampling origin; without presampling this
-    reduces to drawing from the design itself.  The bounds are read only
-    once ``presample_done`` has found every arm's bound defined.
+    reduces to drawing from the design itself.  On square problems the
+    design, the residual and the draw run on Python floats, with sums in
+    numpy's order.  The bounds are read only once ``presample_done`` has
+    found every arm's bound defined; ``fixed_variances`` replace them.
     """
 
     name = "randomized"
@@ -334,14 +415,16 @@ class RandomizedDesignPolicy(_Moments, Policy):
         if not 0.0 < self.delta_arm < 1.0:
             raise ValueError("design_delta must lie in (0, 1)")
         self._init_moments(self.delta_arm, track_lcb=True)
-        self.fixed_variances = (
-            None if fixed_variances is None else np.asarray(fixed_variances, dtype=np.float64)
-        )
+        self.fixed_variances = None
+        if fixed_variances is not None:
+            self.fixed_variances = self._per_arm(fixed_variances)
+            if not all(0.0 < v < math.inf for v in self.fixed_variances):
+                raise ValueError("fixed_variances must be positive and finite")
         # variances the design is solved under: None until defined
         self._design_variances = self.fixed_variances
-        self._anchor = np.zeros(k)
+        self._anchor = self._per_arm(0.0)
         if problem.is_square:
-            self._root_cof = np.sqrt(problem_constants(problem).cofactors)
+            self._root_cof = np.sqrt(problem_constants(problem).cofactors).tolist()
             self._solver_config = None
         else:
             self._root_cof = None
@@ -352,19 +435,20 @@ class RandomizedDesignPolicy(_Moments, Policy):
             )
 
     def presample_done(self, t: int) -> None:
-        self._anchor = self.counts / self.horizon
+        self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon)
         # the bounds only ever go from NaN to defined, so one scan here
         # covers every later round
         if self._design_variances is None and not np.any(np.isnan(self._lcb)):
             self._design_variances = self._lcb
 
-    def _optimistic_design(self) -> np.ndarray:
+    def _optimistic_design(self):
         sig2 = self._design_variances
         if sig2 is None:
             raise ValueError("variance bounds undefined; presample every arm first")
         if self._root_cof is not None:
-            raw = np.sqrt(sig2) * self._root_cof
-            return raw / raw.sum()
+            raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
+            total = _float_sum(raw)
+            return [v / total for v in raw]
         x = self.problem.covariates.columns
         res = minimize(
             lambda p: _loss_given(x, sig2, p),
@@ -376,12 +460,25 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
     def select(self, t: int) -> int:
         design = self._optimistic_design()
-        residual = np.maximum(design - self._anchor, 0.0)
-        total = residual.sum()
-        q = residual / total if total > 0.0 else design
+        if not self._square:
+            residual = np.maximum(design - self._anchor, 0.0)
+            total = residual.sum()
+            q = residual / total if total > 0.0 else design
+            u = self.rng.random()
+            arm = int(np.cumsum(q).searchsorted(u, side="right"))
+            return min(arm, self.n_arms - 1)
+        residual = [d - a for d, a in zip(design, self._anchor)]
+        residual = [0.0 if r < 0.0 else r for r in residual]
+        total = _float_sum(residual)
+        q = [r / total for r in residual] if total > 0.0 else design
         u = self.rng.random()
-        arm = int(np.cumsum(q).searchsorted(u, side="right"))
-        return min(arm, self.n_arms - 1)
+        # the first arm whose cumulative mass exceeds u
+        cum = 0.0
+        for arm, w in enumerate(q):
+            cum += w
+            if u < cum:
+                return arm
+        return self.n_arms - 1
 
 
 class GradientUcbPolicy(_Moments, Policy):
@@ -390,10 +487,11 @@ class GradientUcbPolicy(_Moments, Policy):
     g_hat_k = dL/dp_k at the empirical proportions under plug-in
     variances, minus scale * sqrt(coeff * log(t) / T_k).  Ties break to
     the lowest index.  On square problems (K = d) the gradient is the
-    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2 with no linear solve
-    per step; K > d solves Omega(p) each step.  ``use_lcb`` swaps
-    plug-in variances for their lower confidence bounds;
-    ``fixed_variances`` bypasses estimation entirely (testing hook).
+    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and the whole step runs
+    on Python floats with no numpy call; K > d solves Omega(p) each step.
+    ``use_lcb`` swaps plug-in variances for their lower confidence
+    bounds; ``fixed_variances`` bypasses estimation entirely (testing
+    hook).
     """
 
     name = "gradient_ucb"
@@ -415,27 +513,42 @@ class GradientUcbPolicy(_Moments, Policy):
         self.bonus_log_coeff = float(bonus_log_coeff)
         self.use_lcb = bool(use_lcb)
         self.fixed_variances = (
-            None if fixed_variances is None else np.asarray(fixed_variances, dtype=np.float64)
+            None if fixed_variances is None else self._per_arm(fixed_variances)
         )
         self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
         self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
-        self._gradient = _gradient_kernel(problem)
-        self._var_floor = 1e-12 * problem.noise.kappa2
+        self._var_floor = self._per_arm(1e-12 * problem.noise.kappa2)
+        if self._square:
+            self._neg_inv_gram = _neg_inv_gram_diag(problem)
+        else:
+            self._x = problem.covariates.columns
+
+    def _variances(self):
+        if self.fixed_variances is not None:
+            return self.fixed_variances
+        if self.use_lcb:
+            return self._lcb
+        # numerical guard: a degenerate sample set must not zero a weight
+        if not self._square:
+            return np.maximum(self.sig2hat, self._var_floor)
+        # NaN, an arm below two observations, passes as in np.maximum
+        return [f if s < f else s for s, f in zip(self.sig2hat, self._var_floor)]
 
     def select(self, t: int) -> int:
-        if self.fixed_variances is not None:
-            sig2 = self.fixed_variances
-        elif self.use_lcb:
-            sig2 = self._lcb
-        else:
-            # numerical guard: a degenerate sample set must not zero a weight
-            sig2 = np.maximum(self.sig2hat, self._var_floor)
-        g = self._gradient(sig2, self.counts / self.round)
+        if not self._square:
+            g = _gradient_given(self._x, self._variances(), self.counts / self.round)
+            if self.bonus_scale > 0.0:
+                g = g - self.bonus_scale * np.sqrt(
+                    self.bonus_log_coeff * math.log(t) / self.counts
+                )
+            return int(g.argmin())
+        counts = _ieee_counts(self.counts)
+        g = _closed_form_gradient(self._neg_inv_gram, self._variances(), counts, self.round)
         if self.bonus_scale > 0.0:
-            g = g - self.bonus_scale * np.sqrt(
-                self.bonus_log_coeff * math.log(t) / self.counts
-            )
-        return int(g.argmin())
+            scale, c = self.bonus_scale, self.bonus_log_coeff * math.log(t)
+            for k, m in enumerate(counts):
+                g[k] -= scale * math.sqrt(c / m)
+        return _argmin(g)
 
 
 class ThompsonPolicy(Policy):
@@ -444,10 +557,12 @@ class ThompsonPolicy(Policy):
     Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters (default
     prior (0, 1, 1, 1)); a round samples sigma~_k^2 from each marginal
     inverse-gamma and descends the loss gradient computed with the
-    sampled variances (on square problems the closed form
-    -(Gamma^-1)_kk sigma~_k^2 / p_k^2, with no linear solve per step).
-    Sampled values are clipped to a wide band around the noise proxies
-    as a numerical guard.
+    sampled variances.  On square problems that gradient is the closed
+    form -(Gamma^-1)_kk sigma~_k^2 / p_k^2 and the variances are drawn
+    arm by arm, so the step runs on Python floats with no numpy call but
+    the generator's; K > d draws them in one array call and solves
+    Omega(p).  Sampled values are clipped to a wide band around the
+    noise proxies as a numerical guard.
     """
 
     name = "thompson"
@@ -464,15 +579,17 @@ class ThompsonPolicy(Policy):
         mu0, nu0, alpha0, beta0 = prior
         if nu0 <= 0.0 or alpha0 <= 0.0 or beta0 <= 0.0:
             raise ValueError("nu, alpha, beta must be positive")
-        k = problem.n_arms
-        self.post_mu = np.full(k, float(mu0))
-        self.post_nu = np.full(k, float(nu0))
-        self.post_alpha = np.full(k, float(alpha0))
-        self.post_beta = np.full(k, float(beta0))
-        self._gradient = _gradient_kernel(problem)
+        self.post_mu = self._per_arm(mu0)
+        self.post_nu = self._per_arm(nu0)
+        self.post_alpha = self._per_arm(alpha0)
+        self.post_beta = self._per_arm(beta0)
         kap2 = problem.noise.kappa2
-        self._clip_lo = 1e-8 * kap2
+        self._clip_lo = self._per_arm(1e-8 * kap2)
         self._clip_hi = 1e8 * float(kap2.max())
+        if self._square:
+            self._neg_inv_gram = _neg_inv_gram_diag(problem)
+        else:
+            self._x = problem.covariates.columns
 
     def observe(self, arm: int, y: float) -> None:
         super().observe(arm, y)
@@ -482,15 +599,34 @@ class ThompsonPolicy(Policy):
         self.post_alpha[arm] += 0.5
         self.post_beta[arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
-    def sample_variances(self) -> np.ndarray:
-        # same stream and values as gamma(alpha) and np.clip, which add
-        # per-call wrapper cost on this per-step path
-        draws = self.post_beta / self.rng.standard_gamma(self.post_alpha)
-        return np.minimum(np.maximum(draws, self._clip_lo), self._clip_hi)
+    def sample_variances(self):
+        """beta_k / Gamma(alpha_k), clipped to [clip_lo_k, clip_hi].
+
+        Square problems draw arm by arm, in index order: that consumes
+        the same stream, and gives the same values, as the one
+        ``standard_gamma`` call on the alpha array that K > d makes.
+        """
+        if not self._square:
+            # same stream and values as gamma(alpha) and np.clip, which add
+            # per-call wrapper cost on this per-step path
+            draws = self.post_beta / self.rng.standard_gamma(self.post_alpha)
+            return np.minimum(np.maximum(draws, self._clip_lo), self._clip_hi)
+        gamma, hi = self.rng.standard_gamma, self._clip_hi
+        draws = []
+        for a, b, lo in zip(self.post_alpha, self.post_beta, self._clip_lo):
+            g = gamma(a)
+            # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
+            s = b / g if g else np.float64(b) / g
+            s = lo if s < lo else s
+            draws.append(hi if s > hi else s)
+        return draws
 
     def select(self, t: int) -> int:
-        g = self._gradient(self.sample_variances(), self.counts / self.round)
-        return int(g.argmin())
+        if not self._square:
+            g = _gradient_given(self._x, self.sample_variances(), self.counts / self.round)
+            return int(g.argmin())
+        sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
+        return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))
 
 
 _POLICY_CLASSES = {
@@ -698,7 +834,7 @@ class Episode:
 
     def _record(self, now: int) -> None:
         problem, counts = self.env.problem, self.policy.counts
-        p = counts / now
+        p = np.asarray(counts) / now
         gap = loss(problem, p) - self._loss_star
         r = regret(problem, p, now, self._loss_star)
         self._rows[now] = CheckpointRow(

@@ -151,7 +151,7 @@ def test_halving_validation():
 def test_lcb_pin():
     stats = ArmStats(count=10, mean=0.0, m2=200.0)  # var_hat = 20
     params = ConfidenceParams(0.04, 1.0)
-    assert lcb_variance(stats, params) == pytest.approx(PIN_LCB, rel=1e-13)
+    assert lcb_variance(stats.count, stats.variance, params) == pytest.approx(PIN_LCB, rel=1e-13)
 
 
 def test_lcb_trivial_cases():
@@ -160,13 +160,14 @@ def test_lcb_trivial_cases():
     n = 10
     radius = variance_radius(n, 1.0, 0.04)
     stats = ArmStats(count=n, mean=0.0, m2=n * (radius + 3.0))
-    assert lcb_variance(stats, params) == pytest.approx(3.0, rel=1e-12)
+    assert lcb_variance(stats.count, stats.variance, params) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_lcb_floor_activation():
     stats = ArmStats(count=2, mean=0.0, m2=1.0)  # var_hat = 0.5, radius huge
     params = ConfidenceParams(0.01, 2.0)
-    assert lcb_variance(stats, params) == pytest.approx(LCB_FLOOR * 2.0, rel=1e-14)
+    lcb = lcb_variance(stats.count, stats.variance, params)
+    assert lcb == pytest.approx(LCB_FLOOR * 2.0, rel=1e-14)
 
 
 def test_lcb_never_exceeds_var_hat():
@@ -176,13 +177,14 @@ def test_lcb_never_exceeds_var_hat():
         n = int(rng.integers(2, 10_000))
         var_hat = float(rng.uniform(0.01, 10.0))
         stats = ArmStats(count=n, mean=0.0, m2=n * var_hat)
-        assert lcb_variance(stats, params) <= var_hat
+        assert lcb_variance(stats.count, stats.variance, params) <= var_hat
 
 
 def test_lcb_requires_two_observations():
     params = ConfidenceParams(0.05, 1.0)
+    stats = ArmStats(count=1, mean=1.0, m2=0.0)
     with pytest.raises(ValueError, match="two observations"):
-        lcb_variance(ArmStats(count=1, mean=1.0, m2=0.0), params)
+        lcb_variance(stats.count, stats.variance, params)
 
 
 def test_confidence_params_validation():

@@ -24,9 +24,9 @@ from activedesign.policies import (
     RandomizedDesignPolicy,
     ThompsonPolicy,
     UniformPolicy,
+    _closed_form_gradient,
     _gradient_given,
-    _gradient_kernel,
-    _square_gradient,
+    _neg_inv_gram_diag,
     checkpoint_schedule,
     default_estimation_count,
     extends_past,
@@ -148,12 +148,9 @@ def test_plugin_variance_is_population_form():
 
 
 def _moment_state(policy):
-    return (
-        policy.round,
-        policy.counts.tolist(),
-        [(st.count, st.mean, st.m2) for st in policy.stats],
-        policy.sig2hat.tobytes(),
-        policy._lcb.tobytes(),
+    return (policy.round,) + tuple(
+        np.array(v).tobytes()
+        for v in (policy.counts, policy._mean, policy._m2, policy.sig2hat, policy._lcb)
     )
 
 
@@ -250,6 +247,9 @@ def test_randomized_option_validation():
         RandomizedDesignPolicy(problem, rng, 100, design_delta=1.0)
     with pytest.raises(ValueError, match="design_delta"):
         RandomizedDesignPolicy(problem, rng, 100, design_delta=0.0)
+    for bad in ([1.0, 0.0], [1.0, -4.0], [1.0, np.nan], [np.inf, 4.0]):
+        with pytest.raises(ValueError, match="fixed_variances"):
+            RandomizedDesignPolicy(problem, rng, 100, fixed_variances=bad)
 
 
 def test_randomized_design_matches_closed_form_under_true_variances():
@@ -415,18 +415,23 @@ def test_square_closed_form_gradient_matches_the_solve(d):
     for seed in range(4):
         problem = make_random_instance(d, d, seed=seed)
         x = problem.covariates.columns
-        closed = _gradient_kernel(problem)
-        assert closed.func is _square_gradient
+        neg_diag = _neg_inv_gram_diag(problem)
         rng = np.random.default_rng(100 + seed)
         for _ in range(5):
             p = rng.dirichlet(np.ones(d))
             sig2 = rng.uniform(0.1, 10.0, d)
             np.testing.assert_allclose(
-                closed(sig2, p), _gradient_given(x, sig2, p), rtol=1e-12, atol=0
+                _closed_form_gradient(neg_diag, sig2.tolist(), p.tolist(), 1),
+                _gradient_given(x, sig2, p),
+                rtol=1e-12,
+                atol=0,
             )
         p = rng.dirichlet(np.ones(d))
         np.testing.assert_allclose(
-            closed(problem.noise.sigma2, p), gradient(problem, p), rtol=1e-12, atol=0
+            _closed_form_gradient(neg_diag, problem.noise.sigma2.tolist(), p.tolist(), 1),
+            gradient(problem, p),
+            rtol=1e-12,
+            atol=0,
         )
 
 
@@ -517,9 +522,9 @@ def test_thompson_draws_match_the_clipped_gamma_stream():
 def test_thompson_variance_draws_are_clipped():
     problem = canonical([1.0, 1.0])
     policy = ThompsonPolicy(problem, np.random.default_rng(0), 100)
-    policy.post_beta[:] = 1e30
+    policy.post_beta = [1e30, 1e30]
     draws = policy.sample_variances()
-    assert np.all(draws <= policy._clip_hi)
+    assert np.all(np.asarray(draws) <= policy._clip_hi)
 
 
 # --------------------------------------------------------------------
