@@ -32,7 +32,6 @@ from .environment import (
     noise_proxy,
 )
 from .estimation import (
-    ArmStats,
     ConfidenceParams,
     halving_sample_count,
     lcb_variance,
@@ -66,7 +65,6 @@ from .solver import SolverConfig, SolverResult, minimize, reference_optimum
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmStats",
     "ConfidenceParams",
     "CovariateSet",
     "DesignProblem",

@@ -400,11 +400,19 @@ def regret(problem: DesignProblem, weights, horizon: int, reference) -> float:
     well-solved instance) are clamped to zero and counted; anything more
     negative means the reference is not an optimum and raises.
     """
+    ref_loss = float(reference) if np.isscalar(reference) else loss(problem, reference)
+    return regret_from_loss(loss(problem, weights), horizon, ref_loss)
+
+
+def regret_from_loss(value: float, horizon: int, ref_loss: float) -> float:
+    """``regret`` of a design whose loss L(p_T) is already known: ``value``.
+
+    (value - ref_loss) / T, with ``regret``'s clamp and its count.
+    """
     global _negative_regret_clamps
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    ref_loss = float(reference) if np.isscalar(reference) else loss(problem, reference)
-    gap = loss(problem, weights) - ref_loss
+    gap = value - ref_loss
     if gap < -1e-9:
         raise ValueError(f"loss gap {gap} is negative beyond tolerance; bad reference")
     if gap < 0.0:

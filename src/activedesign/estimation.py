@@ -1,20 +1,18 @@
 """Streaming variance estimation and the confidence radii built on it.
 
-The adaptive policies only ever see per-arm observation streams.  This
-module keeps one-pass sufficient statistics per arm (Welford update,
-population convention: divide by n, not n-1) and turns sample counts into
-deviation radii for the empirical variance of sub-Gaussian noise, plus
-the derived quantities the policies consume: lower confidence bounds on
-variances and sample counts that guarantee a factor-two variance
-estimate.
+The adaptive policies only ever see per-arm observation streams, and
+keep one-pass moments of each (Welford update, population convention:
+divide by n, not n-1; ``policies._Moments``).  This module turns sample
+counts into deviation radii for the empirical variance of sub-Gaussian
+noise, plus the derived quantities the policies consume: lower
+confidence bounds on variances and sample counts that guarantee a
+factor-two variance estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Absolute constant in the variance concentration bound,
 # (e - 1) / (2e(2e - 1)); approximately 0.0712.
@@ -23,35 +21,6 @@ BERNSTEIN_C = (math.e - 1.0) / (2.0 * math.e * (2.0 * math.e - 1.0))
 # Relative floor applied to variance lower bounds so downstream ratios
 # stay finite: lcb >= LCB_FLOOR * kappa2.
 LCB_FLOOR = 1e-12
-
-
-@dataclass
-class ArmStats:
-    """One-pass moments of a single arm's observation stream.
-
-    ``variance`` is the population variance m2 / n, defined from the
-    second observation on; before that it is None.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, y: float) -> None:
-        self.count += 1
-        delta = y - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (y - self.mean)
-
-    def update_many(self, ys) -> None:
-        for y in np.asarray(ys, dtype=np.float64).reshape(-1).tolist():
-            self.update(y)
-
-    @property
-    def variance(self) -> float | None:
-        if self.count < 2:
-            return None
-        return self.m2 / self.count
 
 
 @dataclass(frozen=True)

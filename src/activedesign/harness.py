@@ -21,7 +21,8 @@ file per episode (columns t, regret, loss_gap, p_min), one summary per
 policy (T, mean_regret, stderr, n_seeds), and a slope table; identical
 configs produce byte-identical files.  Budgets must be distinct
 integers; fractional budgets and seeds are rejected, not truncated.
-``ACTIVE_DESIGN_THREADS`` caps how many episodes run concurrently.
+``ACTIVE_DESIGN_THREADS`` caps how many worker processes run episodes
+concurrently; on K > d a sweep steps a cell's seeds in lock-step groups.
 """
 
 from __future__ import annotations
@@ -265,13 +266,21 @@ class ExperimentConfig:
             cp = raw["checkpoints"]
             if not isinstance(cp, dict) or set(cp) - {"ratio"}:
                 raise ConfigError("'checkpoints' must be an object with key 'ratio'")
-            ratio = float(cp.get("ratio", 1.2))
-            if ratio <= 1.0:
-                raise ConfigError("'checkpoints.ratio' must exceed 1")
+            ratio = cp.get("ratio", 1.2)
+            if (
+                isinstance(ratio, bool)
+                or not isinstance(ratio, numbers.Real)
+                or not math.isfinite(ratio)
+                or ratio <= 1.0
+            ):
+                raise ConfigError(
+                    f"'checkpoints.ratio' must be finite and must exceed 1, got {ratio!r}"
+                )
+            ratio = float(ratio)
 
         n0 = raw.get("estimation_count")
         if n0 is not None:
-            n0 = int(n0)
+            n0 = _integer("estimation_count", n0)
             if n0 < 2:
                 raise ConfigError("'estimation_count' must be at least 2")
 
@@ -397,42 +406,71 @@ class SweepResult:
     output_dir: Path | None
 
 
-class _Chain:
-    """The budgets, ascending, that one (policy, seed) runs as one episode,
-    and that episode between two of its jobs."""
+class _Group:
+    """The seeds of one policy that run in lock-step through ``budgets``
+    (ascending; one budget unless they chain), and between two of the
+    group's jobs its live episodes and the outcomes not yet taken."""
 
-    def __init__(self, budgets: tuple):
+    def __init__(self, budgets: tuple, seeds: tuple):
         self.budgets = budgets
-        self.episode = None
+        self.seeds = seeds
+        self.episodes: list = []  # (Episode, its seeds) with live members
+        self.outcomes: dict = {}  # (horizon, seed) -> trace or exception
+
+
+def _advance_group(job) -> None:
+    """Advance every seed of the job's group to the job's budget.
+
+    Seeds without a live episode (at the first budget, or after their
+    member raised) start again from step one in a new episode that can
+    reach the group's later budgets, as a separate episode would.  Each
+    seed's trace or error is kept in ``group.outcomes`` for its job.
+    """
+    problem, model, name, options, horizon, _, ratio, n0, reference, group = job
+    later = tuple(t for t in group.budgets if t > horizon)
+    running = {seed for _, seeds in group.episodes for seed in seeds}
+    restart = [seed for seed in group.seeds if seed not in running]
+    if restart:
+        try:
+            episode = Episode(
+                name,
+                [make_env(problem, seed, model) for seed in restart],
+                horizon,
+                checkpoint_ratio=ratio,
+                estimation_count=n0,
+                options=options,
+                reference=reference,
+                budgets=later,
+            )
+            group.episodes.append((episode, restart))
+        except Exception as exc:
+            group.outcomes.update(((horizon, seed), exc) for seed in restart)
+    live = []
+    for episode, seeds in group.episodes:
+        outcomes = episode.advance_all(horizon)
+        group.outcomes.update(
+            ((horizon, seed), out) for seed, out in zip(seeds, outcomes) if out is not None
+        )
+        alive = [seed for seed, out in zip(seeds, outcomes) if isinstance(out, RegretTrace)]
+        if alive and later:
+            live.append((episode, alive))
+    group.episodes = live
 
 
 def _episode_task(args) -> tuple:
     """Run one (policy, budget, seed) job: (name, horizon, seed, trace).
 
-    A job of a chain advances the chain's live episode from the previous
-    budget, or, when there is none (first budget, or the previous job
-    raised), starts one that can reach the chain's later budgets.
+    The first job of a budget in its group advances the whole group to
+    that budget (``_advance_group``); every job then returns its own
+    seed's trace, or raises its own seed's error.
     """
-    problem, model, name, options, horizon, seed, ratio, n0, reference, chain = args
-    episode = None if chain is None else chain.episode
-    if episode is None:
-        later = () if chain is None else tuple(t for t in chain.budgets if t > horizon)
-        episode = Episode(
-            name,
-            make_env(problem, seed, model),
-            horizon,
-            checkpoint_ratio=ratio,
-            estimation_count=n0,
-            options=options,
-            reference=reference,
-            budgets=later,
-        )
-    if chain is not None:
-        chain.episode = None  # kept only if this advance succeeds
-    trace = episode.advance(horizon)
-    if chain is not None and horizon < chain.budgets[-1]:
-        chain.episode = episode
-    return name, horizon, seed, trace
+    name, horizon, seed, group = args[2], args[4], args[5], args[-1]
+    if (horizon, seed) not in group.outcomes:
+        _advance_group(args)
+    outcome = group.outcomes.pop((horizon, seed))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return name, horizon, seed, outcome
 
 
 def _chain_task(jobs: list) -> list:
@@ -459,20 +497,42 @@ def _thread_cap() -> int:
     return os.cpu_count() or 1
 
 
+def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
+    """The seeds that run as one lock-step episode, in contiguous groups.
+
+    K = d: one seed per group, since a float step has nothing to stack.
+    K > d: every seed in one group when episodes run in process, else
+    at most ``cap`` groups, so the pool still has work for every worker.
+    """
+    if square:
+        return [(seed,) for seed in seeds]
+    n = 1 if cap == 1 else min(cap, len(seeds))
+    size, extra = divmod(len(seeds), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -> SweepResult:
     """Run every (policy, budget, seed) episode and write the result files.
 
     A horizon-free policy (``uniform``, ``oracle``, ``thompson``) runs
     each seed once, to its largest budget, and cuts the smaller budgets'
     traces from that run, since with the same seed they are exact
-    prefixes; budgets below 2K run on their own.  Each trace's
-    ``elapsed`` counts its own budget's increment.  Other episodes are
-    independent.  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run
-    the chains and episodes in parallel; in process, ``_episode_task``
-    runs once per (policy, budget, seed).  Failures are collected rather
-    than fatal so a bad seed cannot sink a long sweep; callers decide
-    how to surface them.  A failed budget of a chain drops its episode,
-    and the next budget starts again from the first step.
+    prefixes; budgets below 2K run on their own.  On K > d the seeds of
+    a (policy, chain or budget) run as one lock-step ``Episode``, whose
+    K > d ``thompson``, ``gradient_ucb`` and ``oracle`` steps pick every
+    seed's arm in one stacked solve: all seeds in one group in process,
+    else split into at most ``ACTIVE_DESIGN_THREADS`` contiguous groups.
+    K = d runs one seed per task, as its float step has nothing to
+    stack.  Grouping leaves every file byte-identical.  Each trace's
+    ``elapsed`` counts its own budget's increment (its share of it, in a
+    group).  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run the
+    tasks in parallel; in process, ``_episode_task`` runs once per
+    (policy, budget, seed), and the first job of a group's budget steps
+    the whole group.  Failures are collected rather than fatal so a bad
+    seed cannot sink a long sweep; callers decide how to surface them.
+    A seed that fails a budget drops out of its group, and at the next
+    budget starts again from the first step.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -487,30 +547,36 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
 
-    def make_job(name, options, horizon, seed, chain=None):
-        return (problem, model, name, options, horizon, seed, config.checkpoint_ratio,
-                config.estimation_count, reference, chain)
+    def make_task(name, options, budgets, seeds):
+        group = _Group(budgets, seeds)
+        return [
+            (problem, model, name, options, horizon, seed, config.checkpoint_ratio,
+             config.estimation_count, reference, group)
+            for horizon in budgets
+            for seed in seeds
+        ]
 
     # A horizon-free policy's shorter episodes are prefixes of its longest
-    # one, so each of its seeds is one task that runs the chained budgets
-    # in ascending order as one episode; every other job is its own task.
+    # one, so its chained budgets run in ascending order as one episode;
+    # every other budget is its own.  Each task is one seed group.
+    cap = _thread_cap()
+    groups = _seed_groups(config.seeds, problem.is_square, cap)
     tasks = []
     for name, options in config.policies:
         chained = sorted(t for t in config.budgets if extends_past(name, problem.n_arms, t))
         if len(chained) < 2:
             chained = []
-        for seed in config.seeds:
+        for seeds in groups:
             if chained:
-                chain = _Chain(tuple(chained))
-                tasks.append([make_job(name, options, t, seed, chain) for t in chained])
+                tasks.append(make_task(name, options, tuple(chained), seeds))
         tasks.extend(
-            [make_job(name, options, horizon, seed)]
+            make_task(name, options, (horizon,), seeds)
             for horizon in config.budgets
             if horizon not in chained
-            for seed in config.seeds
+            for seeds in groups
         )
 
-    workers = min(_thread_cap(), len(tasks))
+    workers = min(cap, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chain_task, task) for task in tasks]

@@ -27,6 +27,15 @@ random generator's.  It does the IEEE operations of the array formulas
 in the same order, so its choices are bit-for-bit theirs.  K > d
 policies keep (K,) float arrays and solve Omega(p) with numpy.
 
+An ``Episode`` runs several seeds of one policy in lock-step.  On K > d,
+``thompson``, ``gradient_ucb`` and ``oracle`` then pick every member's
+arm in one stacked computation over (S, K) arrays (``select_stacked``):
+one matmul for the S information matrices, one solve, one einsum, a
+row-wise argmin.  Each is bit-equal to its per-member call, so outputs
+do not depend on the grouping, and the ~10 numpy calls of a step are
+paid once per group instead of once per seed.  K = d groups are not
+stacked: their float step makes no numpy call to share.
+
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
 never read T, so at budgets of 2K or more (past thompson's warm-up and
 the first checkpoint) a shorter episode with the same seed is an exact
@@ -38,6 +47,7 @@ presampling does, and its draws are anchored at counts / T.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -51,8 +61,9 @@ from .core import (
     SimplexWeights,
     loss,
     problem_constants,
-    regret,
 )
+# a checkpoint's two core calls, under the names perfbench's layer probes patch
+from .core import regret_from_loss as regret
 from .environment import Environment
 from .estimation import ConfidenceParams, lcb_variance
 from .solver import SolverConfig, minimize, reference_optimum
@@ -240,6 +251,43 @@ def _pairwise_sum(a: list, lo: int, n: int) -> float:
     return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
 
 
+def _common_round(members: list) -> int:
+    n = members[0].round
+    assert all(m.round == n for m in members), "lock-step members must share their round"
+    return n
+
+
+def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
+    """``_gradient_given`` for the S rows of ``sigma2`` and ``p`` at once.
+
+    One matmul builds the (S, d, d) stack of Omega, one solve and one
+    einsum give the marks; each is bit-equal to its per-row call.  If the
+    stacked solve raises ``LinAlgError``, the rows are solved one by one
+    on the same inputs, and a row whose own solve raises gets that error
+    in ``arms``; rows whose entry in ``arms`` is already set are skipped.
+    """
+    omega = (x * (p / sigma2)[:, None, :]) @ x.T
+    try:
+        a = np.linalg.solve(omega, x)
+    except np.linalg.LinAlgError:
+        a = np.zeros(omega.shape[:1] + x.shape)
+        for i, arm in enumerate(arms):
+            if arm is None:
+                try:
+                    a[i] = np.linalg.solve(omega[i], x)
+                except np.linalg.LinAlgError as exc:
+                    arms[i] = exc
+    return -np.einsum("sij,sij->sj", a, a) / sigma2
+
+
+def _fill_argmin(g: np.ndarray, arms: list) -> list:
+    """``arms`` with each unset (None) entry set to its row's argmin."""
+    for i, arm in enumerate(g.argmin(axis=1).tolist()):
+        if arms[i] is None:
+            arms[i] = arm
+    return arms
+
+
 class Policy:
     """Shared bookkeeping: the round and the per-arm counts.
 
@@ -251,10 +299,16 @@ class Policy:
     moments and plug-in variances (``sig2hat``); thompson keeps its
     posteriors.  ``horizon_free`` marks a policy whose choices never
     read the horizon T.
+
+    A class that can pick the arms of a K > d lock-step group at once
+    names the (K,) per-arm arrays its ``select`` reads in ``_stacked``
+    and defines ``select_stacked``; the others are stepped one ``select``
+    at a time.
     """
 
     name = "?"
     horizon_free = False
+    _stacked: tuple = ()
 
     def __init__(
         self,
@@ -282,6 +336,34 @@ class Policy:
         return np.asarray(self.counts) / self.round
 
     def select(self, t: int) -> int:
+        raise NotImplementedError
+
+    @classmethod
+    def stack(cls, members: list) -> dict:
+        """Rebind the members' ``_stacked`` arrays to rows of (S, K) arrays.
+
+        Each member's values are copied into its row and the attribute
+        rebound to that row, so ``observe`` keeps writing its own state
+        in place.  Returns the (S, K) arrays by name; a field that is None
+        (``fixed_variances`` unset) is left out.
+        """
+        arrays = {}
+        for name in cls._stacked:
+            if getattr(members[0], name) is None:
+                continue
+            block = np.array([getattr(m, name) for m in members], dtype=np.float64)
+            for member, row in zip(members, block):
+                setattr(member, name, row)
+            arrays[name] = block
+        return arrays
+
+    @classmethod
+    def select_stacked(cls, members: list, t: int, arrays: dict) -> list:
+        """Every member's ``select(t)`` from the stacked ``arrays`` at once.
+
+        The members share one round; an entry is an arm, or the exception
+        that member's own ``select`` would have raised.
+        """
         raise NotImplementedError
 
     def observe(self, arm: int, y: float) -> None:
@@ -353,6 +435,7 @@ class OracleTrackingPolicy(Policy):
 
     name = "oracle"
     horizon_free = True
+    _stacked = ("counts", "p_star")
 
     def __init__(self, problem, rng, horizon, p_star=None):
         super().__init__(problem, rng, horizon)
@@ -371,6 +454,13 @@ class OracleTrackingPolicy(Policy):
         if n == 0:
             return _argmin([-p for p in self.p_star])
         return _argmin([c / n - p for c, p in zip(self.counts, self.p_star)])
+
+    @classmethod
+    def select_stacked(cls, members, t, arrays):
+        n = _common_round(members)
+        if n == 0:
+            return arrays["p_star"].argmax(axis=1).tolist()
+        return (arrays["p_star"] - arrays["counts"] / n).argmax(axis=1).tolist()
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -495,6 +585,7 @@ class GradientUcbPolicy(_Moments, Policy):
     """
 
     name = "gradient_ucb"
+    _stacked = ("counts", "sig2hat", "_lcb", "_var_floor", "fixed_variances")
 
     def __init__(
         self,
@@ -550,6 +641,23 @@ class GradientUcbPolicy(_Moments, Policy):
                 g[k] -= scale * math.sqrt(c / m)
         return _argmin(g)
 
+    @classmethod
+    def select_stacked(cls, members, t, arrays):
+        first, counts = members[0], arrays["counts"]
+        n = _common_round(members)
+        sig2 = arrays.get("fixed_variances")
+        if sig2 is None:
+            sig2 = (
+                arrays["_lcb"]
+                if first.use_lcb
+                else np.maximum(arrays["sig2hat"], arrays["_var_floor"])
+            )
+        arms = [None] * len(members)
+        g = _stacked_gradients(first._x, sig2, counts / n, arms)
+        if first.bonus_scale > 0.0:
+            g = g - first.bonus_scale * np.sqrt(first.bonus_log_coeff * math.log(t) / counts)
+        return _fill_argmin(g, arms)
+
 
 class ThompsonPolicy(Policy):
     """Normal-inverse-gamma posterior sampling on the noise variances.
@@ -567,6 +675,7 @@ class ThompsonPolicy(Policy):
 
     name = "thompson"
     horizon_free = True
+    _stacked = ("counts", "post_alpha", "post_beta", "_clip_lo")
 
     def __init__(
         self,
@@ -628,6 +737,22 @@ class ThompsonPolicy(Policy):
         sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
         return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))
 
+    @classmethod
+    def select_stacked(cls, members, t, arrays):
+        n = _common_round(members)
+        arms = [None] * len(members)
+        gamma = np.ones_like(arrays["post_alpha"])
+        for i, member in enumerate(members):
+            # each member draws from its own generator, in member order
+            try:
+                gamma[i] = member.rng.standard_gamma(member.post_alpha)
+            except Exception as exc:
+                arms[i] = exc
+        draws = arrays["post_beta"] / gamma
+        sig2 = np.minimum(np.maximum(draws, arrays["_clip_lo"]), members[0]._clip_hi)
+        g = _stacked_gradients(members[0]._x, sig2, arrays["counts"] / n, arms)
+        return _fill_argmin(g, arms)
+
 
 _POLICY_CLASSES = {
     cls.name: cls
@@ -672,7 +797,9 @@ class RegretTrace:
     """Per-episode record: checkpoint rows plus the plan that preceded them.
 
     ``elapsed`` is the wall time spent on this budget: an ``Episode``
-    advanced through several budgets charges each one its increment.
+    advanced through several budgets charges each one its increment, and
+    a lock-step group's time for a budget (set-up included on the first)
+    is split evenly across the members whose traces it returns.
     """
 
     policy: str
@@ -712,6 +839,36 @@ def _feed(env: Environment, policy: Policy, arm: int, m: int) -> None:
     policy.observe_block(arm, env.query_block(arm, m))
 
 
+def _presample(policy: Policy, env: Environment, policy_name: str, plan, n0: int, horizon: int):
+    """Run ``policy``'s presampling on ``env``; returns the design it laid out, if any."""
+    problem, k = env.problem, policy.n_arms
+    if plan is not None:
+        for arm in range(k):
+            _feed(env, policy, arm, n0)
+        for arm in range(k):
+            _feed(env, policy, arm, int(plan.counts[arm]) - int(policy.counts[arm]))
+        return None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
+    if policy_name in _ADAPTIVE and problem.is_square:
+        for arm in range(k):
+            _feed(env, policy, arm, n0)
+        concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
+        if concrete.total() > horizon:
+            raise ValueError("presampling plan exceeds the budget")
+        for arm in range(k):
+            _feed(env, policy, arm, int(concrete.counts[arm]) - int(policy.counts[arm]))
+        return np.asarray(concrete.origin, dtype=np.float64)
+    if policy_name in _ADAPTIVE:
+        concrete = kd_presample(k, horizon)
+        for arm in range(k):
+            _feed(env, policy, arm, int(concrete.counts[arm]))
+        return np.asarray(concrete.origin, dtype=np.float64)
+    if policy_name == "thompson":
+        # two observations per arm so posteriors and proportions are sane
+        for arm in range(k):
+            _feed(env, policy, arm, min(2, horizon - policy.round))
+    return None
+
+
 def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
     """Whether a ``horizon``-step episode is the prefix of every longer one.
 
@@ -722,24 +879,77 @@ def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
     return policy_class(policy_name).horizon_free and horizon >= 2 * n_arms
 
 
-class Episode:
-    """One policy on one environment, run budget by budget.
+class _Member:
+    """One seed of an ``Episode``: its environment, policy and checkpoint rows.
 
-    Construction builds the policy for ``horizon`` and runs its
-    presampling; ``advance(T)`` continues the step loop to T and returns
-    the trace a T-step episode records.  ``budgets`` names the later
-    horizons the episode may be advanced to; that needs a horizon-free
-    policy (see ``extends_past``), whose T-step episode is a prefix of
-    every longer one.  Checkpoints are recorded on the union of the
-    horizons' schedules, and each trace keeps the rows of its own
-    schedule.  An episode whose ``advance`` raised is left mid-step and
-    must be discarded.  Arguments are those of ``run_episode``.
+    ``error`` holds the exception that dropped the member until an
+    ``advance_all`` reports it; ``rows`` is None once it has.
+    """
+
+    __slots__ = ("env", "policy", "origin", "rows", "error")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.policy = self.origin = None
+        self.rows: dict | None = {}
+        self.error: Exception | None = None
+
+
+class _StackedChoice:
+    """The arms of a K > d lock-step group, all picked by one stacked call per step."""
+
+    def __init__(self, policies: list):
+        self._cls = type(policies[0])
+        self._policies = policies
+        self._arrays = self._cls.stack(policies)
+        self._t = None
+        self._arms: list = []
+
+    def pick(self, i: int, t: int) -> int:
+        """Member ``i``'s arm at step ``t``; the step's first pick computes them all."""
+        if t != self._t:
+            self._arms = self._cls.select_stacked(self._policies, t, self._arrays)
+            self._t = t
+        arm = self._arms[i]
+        if isinstance(arm, Exception):
+            raise arm
+        return arm
+
+
+class Episode:
+    """Seeded episodes of one policy, run budget by budget in lock-step.
+
+    ``envs`` is one ``Environment`` or a list of them, one per member
+    (seed), on one problem.  Each member keeps its own policy, generator
+    streams and environment.  Construction builds every member's policy
+    for ``horizon`` and runs its presampling; ``advance_all(T)``
+    continues the step loop to T and returns each member's T-step trace,
+    and ``advance(T)`` does so for a one-member episode.  The members
+    step together: at each step the policy class picks every live
+    member's arm, by one stacked computation (``select_stacked``) for a
+    K > d ``thompson``, ``gradient_ucb`` or ``oracle`` group of two or
+    more, otherwise by one ``select`` per member; each member then
+    queries its environment and observes.  Since stacked and per-member
+    arithmetic are bit-equal, a member's trace is the one it would record
+    alone.  K = d groups are not stacked: their step runs on Python
+    floats and has no numpy call to share.  Members must end presampling
+    at the same round, and then share it at every step; K > d members
+    always do, while K = d adaptive presampling depends on each seed's
+    variance estimates.
+
+    ``budgets`` names the later horizons the episode may be advanced to;
+    that needs a horizon-free policy (see ``extends_past``), whose T-step
+    episode is a prefix of every longer one.  Checkpoints are recorded on
+    the union of the horizons' schedules, and each trace keeps the rows
+    of its own schedule.  A member that raises, in set-up or in a step,
+    is dropped from the group; the others run on, their streams
+    untouched.  Other arguments are those of ``run_episode``.
     """
 
     def __init__(
         self,
         policy_name: str,
-        env: Environment,
+        envs,
         horizon: int,
         plan: PresamplePlan | None = None,
         checkpoint_ratio: float = 1.2,
@@ -749,7 +959,12 @@ class Episode:
         budgets=(),
     ):
         self._setup_start = time.perf_counter()
-        problem = env.problem
+        envs = [envs] if isinstance(envs, Environment) else list(envs)
+        if not envs:
+            raise ValueError("an episode needs at least one environment")
+        problem = envs[0].problem
+        if any(env.problem is not problem for env in envs):
+            raise ValueError("an episode's environments must share one problem")
         if horizon < 1:
             raise ValueError("horizon must be positive")
         k = problem.n_arms
@@ -765,25 +980,17 @@ class Episode:
             p_star, loss_star = reference_optimum(problem)
         else:
             p_star, loss_star = reference
+        self._problem = problem
         self._loss_star = float(loss_star)
 
-        rng = np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
         opts = dict(options or {})
         if policy_name == "oracle":
             opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
-        policy = make_policy(policy_name, problem, rng, horizon, opts)
-
-        # --- presampling --------------------------------------------
         n0 = 0
         if plan is not None:
             n0 = plan.estimation_count
             if plan.total() > horizon:
                 raise ValueError("presampling plan exceeds the budget")
-            for arm in range(k):
-                _feed(env, policy, arm, n0)
-            for arm in range(k):
-                _feed(env, policy, arm, int(plan.counts[arm]) - int(policy.counts[arm]))
-            origin = None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
         elif policy_name in _ADAPTIVE and problem.is_square:
             n0 = (
                 estimation_count
@@ -793,90 +1000,146 @@ class Episode:
             n0 = max(2, n0)
             if k * n0 > horizon:
                 raise ValueError("estimation phase alone exceeds the budget")
-            for arm in range(k):
-                _feed(env, policy, arm, n0)
-            concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
-            if concrete.total() > horizon:
-                raise ValueError("presampling plan exceeds the budget")
-            for arm in range(k):
-                _feed(env, policy, arm, int(concrete.counts[arm]) - int(policy.counts[arm]))
-            origin = np.asarray(concrete.origin, dtype=np.float64)
-        elif policy_name in _ADAPTIVE:
-            concrete = kd_presample(k, horizon)
-            for arm in range(k):
-                _feed(env, policy, arm, int(concrete.counts[arm]))
-            origin = np.asarray(concrete.origin, dtype=np.float64)
-        elif policy_name == "thompson":
-            # two observations per arm so posteriors and proportions are sane
-            for arm in range(k):
-                _feed(env, policy, arm, min(2, horizon - policy.round))
-            origin = None
-        else:
-            origin = None
 
-        t = policy.round
-        policy.presample_done(t)
+        self._members = [_Member(env) for env in envs]
+        for member in self._members:
+            env = member.env
+            try:
+                rng = np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
+                member.policy = make_policy(policy_name, problem, rng, horizon, opts)
+                member.origin = _presample(member.policy, env, policy_name, plan, n0, horizon)
+                member.policy.presample_done(member.policy.round)
+            except Exception as exc:
+                member.error = exc
+        live = [m for m in self._members if m.error is None]
+        ends = {m.policy.round for m in live}
+        if len(ends) > 1:
+            raise ValueError(
+                "members end presampling at different rounds; run them as separate episodes"
+            )
+        t = ends.pop() if ends else 0
+
         self.policy_name = policy_name
-        self.env = env
-        self.policy = policy
+        self.policies = [m.policy for m in self._members]
         self.t = t
         self.presample_end = t
         self.estimation_count = n0
-        self.origin = origin
         self._schedules = {
             h: checkpoint_schedule(min(max(t, 2 * k, 1), h), h, checkpoint_ratio)
             for h in horizons
         }
         self._pending = set().union(*self._schedules.values())
-        self._rows: dict[int, CheckpointRow] = {}
         if t in self._pending:
-            self._record(t)
+            for member in live:
+                try:
+                    self._record(member, t)
+                except Exception as exc:
+                    member.error = exc
+        self._live = live
+        self._regroup()
 
-    def _record(self, now: int) -> None:
-        problem, counts = self.env.problem, self.policy.counts
+    @property
+    def policy(self) -> Policy:
+        """The policy of a one-member episode."""
+        (policy,) = self.policies
+        return policy
+
+    def _regroup(self) -> None:
+        """Drop failed members; bind each one left to the calls of its step.
+
+        ``_steps`` holds (select, query, observe, member) per live member.
+        """
+        live = [m for m in self._live if m.error is None]
+        policies = [m.policy for m in live]
+        if len(live) > 1 and type(policies[0])._stacked and not self._problem.is_square:
+            choice = _StackedChoice(policies)
+            selects = [functools.partial(choice.pick, i) for i in range(len(live))]
+        else:
+            selects = [policy.select for policy in policies]
+        self._live = live
+        self._steps = [
+            (select, m.env.query, m.policy.observe, m) for select, m in zip(selects, live)
+        ]
+
+    def _record(self, member: _Member, now: int) -> None:
+        counts = member.policy.counts
         p = np.asarray(counts) / now
-        gap = loss(problem, p) - self._loss_star
-        r = regret(problem, p, now, self._loss_star)
-        self._rows[now] = CheckpointRow(
+        value = loss(self._problem, p)
+        member.rows[now] = CheckpointRow(
             t=now,
-            regret=r,
-            loss_gap=gap,
+            regret=regret(value, now, self._loss_star),
+            loss_gap=value - self._loss_star,
             p_min=float(p.min()),
             counts=tuple(int(c) for c in counts),
         )
 
-    def advance(self, horizon: int) -> RegretTrace:
-        """Run on to ``horizon`` queries and return that budget's trace.
+    def advance_all(self, horizon: int) -> list:
+        """Run every member on to ``horizon`` queries; one outcome per member.
 
-        The trace's ``elapsed`` covers this call only, plus the set-up
-        on the first call.
+        A member's outcome is its ``horizon``-step trace; the exception
+        that dropped it, in set-up or since the last call; or None if an
+        earlier call reported its drop.  The traces share the call's
+        time, plus the set-up on the first call.
         """
         if horizon not in self._schedules or horizon < self.t:
             raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
         start = self._setup_start if self._setup_start is not None else time.perf_counter()
         self._setup_start = None
-        policy, env, pending = self.policy, self.env, self._pending
+        pending, steps = self._pending, self._steps
+        dropped = False
         t = self.t
-        while t < horizon:
+        while t < horizon and steps:
             t += 1
-            arm = policy.select(t)
-            y = env.query(arm)
-            policy.observe(arm, y)
-            if t in pending:
-                self._record(t)
+            for select, query, observe, member in steps:
+                try:
+                    arm = select(t)
+                    observe(arm, query(arm))
+                    if t in pending:
+                        self._record(member, t)
+                except Exception as exc:
+                    member.error = exc
+                    dropped = True
+            if dropped:
+                self._regroup()
+                steps, dropped = self._steps, False
         self.t = t
+        elapsed = (time.perf_counter() - start) / max(len(self._live), 1)
+        outcomes = []
+        for member in self._members:
+            if member.error is not None:
+                outcomes.append(member.error)
+                member.error, member.rows = None, None
+            elif member.rows is None:
+                outcomes.append(None)
+            else:
+                outcomes.append(self._trace(member, horizon, elapsed))
+        return outcomes
+
+    def _trace(self, member: _Member, horizon: int, elapsed: float) -> RegretTrace:
         return RegretTrace(
             policy=self.policy_name,
-            seed=env.seed,
+            seed=member.env.seed,
             horizon=horizon,
-            noise=env.model,
-            rows=tuple(self._rows[s] for s in self._schedules[horizon]),
-            origin=self.origin,
+            noise=member.env.model,
+            rows=tuple(member.rows[s] for s in self._schedules[horizon]),
+            origin=member.origin,
             presample_end=self.presample_end,
             estimation_count=self.estimation_count,
-            final_counts=tuple(int(c) for c in policy.counts),
-            elapsed=time.perf_counter() - start,
+            final_counts=tuple(int(c) for c in member.policy.counts),
+            elapsed=elapsed,
         )
+
+    def advance(self, horizon: int) -> RegretTrace:
+        """``advance_all`` for a one-member episode: its trace, or its error raised.
+
+        An episode whose ``advance`` raised must be discarded.
+        """
+        if len(self._members) != 1:
+            raise ValueError("advance runs a one-member episode; use advance_all")
+        (outcome,) = self.advance_all(horizon)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 def run_episode(
@@ -896,10 +1159,10 @@ def run_episode(
     ``reference`` is an optional (optimal weights, optimal loss) pair;
     computed from the problem when omitted.  Episode randomness comes
     from two streams of the environment seed: the environment itself
-    (spawn key 0) and the policy (spawn key 1).  This is the one-horizon
-    use of ``Episode``; a sweep runs a horizon-free policy's seed once,
-    to its largest budget, and cuts the smaller budgets' traces from
-    that run.
+    (spawn key 0) and the policy (spawn key 1).  This is a one-member,
+    one-horizon ``Episode``; a sweep runs a horizon-free policy's seed
+    once, to its largest budget, and cuts the smaller budgets' traces
+    from that run, and steps a K > d cell's seeds in lock-step.
     """
     episode = Episode(
         policy_name, env, horizon, plan, checkpoint_ratio, estimation_count, options, reference

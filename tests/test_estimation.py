@@ -13,7 +13,6 @@ import pytest
 from activedesign.estimation import (
     BERNSTEIN_C,
     LCB_FLOOR,
-    ArmStats,
     ConfidenceParams,
     halving_sample_count,
     lcb_variance,
@@ -31,49 +30,6 @@ def test_bernstein_constant_pin():
     assert BERNSTEIN_C == pytest.approx(
         (math.e - 1.0) / (2.0 * math.e * (2.0 * math.e - 1.0)), rel=0, abs=0
     )
-
-
-# --------------------------------------------------------------------
-# streaming moments
-
-
-def test_welford_matches_batch():
-    rng = np.random.default_rng(0)
-    for trial in range(20):
-        n = int(rng.integers(2, 200))
-        ys = rng.standard_normal(n) * rng.uniform(0.1, 5.0) + rng.uniform(-3.0, 3.0)
-        stats = ArmStats()
-        for y in ys:
-            stats.update(float(y))
-        assert stats.count == n
-        assert stats.mean == pytest.approx(float(np.mean(ys)), rel=1e-12, abs=1e-12)
-        assert stats.variance == pytest.approx(float(np.var(ys)), rel=1e-11, abs=1e-13)
-
-
-def test_welford_update_many_equals_singles():
-    rng = np.random.default_rng(1)
-    ys = rng.standard_normal(57)
-    a, b = ArmStats(), ArmStats()
-    for y in ys:
-        a.update(float(y))
-    b.update_many(ys)
-    assert a.count == b.count
-    assert a.mean == b.mean and a.m2 == b.m2  # identical arithmetic path
-
-
-def test_variance_undefined_below_two_samples():
-    stats = ArmStats()
-    assert stats.variance is None
-    stats.update(3.0)
-    assert stats.variance is None
-    stats.update(5.0)
-    assert stats.variance == pytest.approx(1.0)  # population convention: m2/n
-
-
-def test_population_convention():
-    stats = ArmStats()
-    stats.update_many([1.0, 2.0, 3.0, 4.0])
-    assert stats.variance == pytest.approx(1.25, rel=1e-14)  # not 5/3
 
 
 # --------------------------------------------------------------------
@@ -149,9 +105,8 @@ def test_halving_validation():
 
 
 def test_lcb_pin():
-    stats = ArmStats(count=10, mean=0.0, m2=200.0)  # var_hat = 20
     params = ConfidenceParams(0.04, 1.0)
-    assert lcb_variance(stats.count, stats.variance, params) == pytest.approx(PIN_LCB, rel=1e-13)
+    assert lcb_variance(10, 200.0 / 10, params) == pytest.approx(PIN_LCB, rel=1e-13)
 
 
 def test_lcb_trivial_cases():
@@ -159,14 +114,13 @@ def test_lcb_trivial_cases():
     params = ConfidenceParams(0.04, 1.0)
     n = 10
     radius = variance_radius(n, 1.0, 0.04)
-    stats = ArmStats(count=n, mean=0.0, m2=n * (radius + 3.0))
-    assert lcb_variance(stats.count, stats.variance, params) == pytest.approx(3.0, rel=1e-12)
+    var_hat = n * (radius + 3.0) / n
+    assert lcb_variance(n, var_hat, params) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_lcb_floor_activation():
-    stats = ArmStats(count=2, mean=0.0, m2=1.0)  # var_hat = 0.5, radius huge
     params = ConfidenceParams(0.01, 2.0)
-    lcb = lcb_variance(stats.count, stats.variance, params)
+    lcb = lcb_variance(2, 1.0 / 2, params)  # var_hat = 0.5, radius huge
     assert lcb == pytest.approx(LCB_FLOOR * 2.0, rel=1e-14)
 
 
@@ -176,15 +130,13 @@ def test_lcb_never_exceeds_var_hat():
     for _ in range(50):
         n = int(rng.integers(2, 10_000))
         var_hat = float(rng.uniform(0.01, 10.0))
-        stats = ArmStats(count=n, mean=0.0, m2=n * var_hat)
-        assert lcb_variance(stats.count, stats.variance, params) <= var_hat
+        assert lcb_variance(n, n * var_hat / n, params) <= var_hat
 
 
 def test_lcb_requires_two_observations():
     params = ConfidenceParams(0.05, 1.0)
-    stats = ArmStats(count=1, mean=1.0, m2=0.0)
     with pytest.raises(ValueError, match="two observations"):
-        lcb_variance(stats.count, stats.variance, params)
+        lcb_variance(1, None, params)
 
 
 def test_confidence_params_validation():

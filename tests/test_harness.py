@@ -227,6 +227,35 @@ def test_config_rejects_non_integer_seeds():
         ExperimentConfig.from_dict({**base_config_dict(), "seeds": [0, -1]})
 
 
+@pytest.mark.parametrize("value", [10.9, "abc", "10", True, [10]])
+def test_config_rejects_non_integer_estimation_count(value):
+    # 10.9 used to be truncated to 10, and "abc" raised a bare ValueError
+    with pytest.raises(ConfigError, match="'estimation_count'"):
+        ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": value})
+    cfg = ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": 10.0})
+    assert cfg.estimation_count == 10 and isinstance(cfg.estimation_count, int)
+
+
+@pytest.mark.parametrize(
+    "ratio", [math.nan, math.inf, -math.inf, [2], "2", True, None, {"r": 2}, 1.0, 0.5]
+)
+def test_config_rejects_a_checkpoint_ratio_that_is_not_a_finite_number_above_1(ratio):
+    # a NaN ratio used to collapse the checkpoint schedule to {start, T},
+    # and [2] raised a bare TypeError
+    with pytest.raises(ConfigError, match="'checkpoints.ratio'"):
+        ExperimentConfig.from_dict({**base_config_dict(), "checkpoints": {"ratio": ratio}})
+
+
+def test_config_reads_a_nan_ratio_from_json_as_an_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base_config_dict(), "checkpoints": {"ratio": math.nan}}))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(path)
+    ok = {**base_config_dict(), "checkpoints": {"ratio": 2}}
+    assert ExperimentConfig.from_dict(ok).checkpoint_ratio == 2.0
+
+
 def test_config_policy_entries_carry_options():
     raw = base_config_dict()
     raw["policies"] = [{"name": "randomized", "design_delta": 0.5}, "uniform"]

@@ -20,7 +20,7 @@ from activedesign import policies
 from activedesign.core import problem_constants
 from activedesign.environment import make_env
 from activedesign.harness import build_problem
-from activedesign.estimation import ArmStats, lcb_variance
+from activedesign.estimation import lcb_variance
 from activedesign.policies import (
     Episode,
     GradientUcbPolicy,
@@ -43,6 +43,29 @@ TRUE_SIGMA2 = "sigma2"
 # reference: the array state and formulas of the numpy K = d step
 
 
+class _Welford:
+    """One arm's one-pass moments, in the package's Welford operation order."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def update(self, y):
+        self.count += 1
+        delta = y - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (y - self.mean)
+
+    def update_many(self, ys):
+        for y in np.asarray(ys, dtype=np.float64).reshape(-1).tolist():
+            self.update(y)
+
+    @property
+    def variance(self):
+        return None if self.count < 2 else self.m2 / self.count
+
+
 def _numpy_square_gradient(problem, sigma2, p):
     inv_gram_diag = np.diag(np.linalg.inv(problem.covariates.gram())).copy()
     return -inv_gram_diag * sigma2 / (p * p)
@@ -63,7 +86,7 @@ _ARRAYS = (
 
 
 class _ArrayState:
-    """Holds the per-arm state in float arrays, the moments in ``ArmStats``."""
+    """Holds the per-arm state in float arrays, the moments in ``_Welford``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -72,7 +95,7 @@ class _ArrayState:
             if isinstance(value, list):
                 setattr(self, name, np.array(value))
         if hasattr(self, "_mean"):
-            self.stats = [ArmStats() for _ in range(self.n_arms)]
+            self.stats = [_Welford() for _ in range(self.n_arms)]
         if hasattr(self, "_design_variances"):
             self._design_variances = self.fixed_variances
 
