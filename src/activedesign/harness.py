@@ -414,7 +414,8 @@ class _Group:
     def __init__(self, budgets: tuple, seeds: tuple):
         self.budgets = budgets
         self.seeds = seeds
-        self.episodes: list = []  # (Episode, its seeds) with live members
+        self.episodes: list = []  # (Episode, its member seeds) with live members
+        self.running: set = set()  # seeds of those live members
         self.outcomes: dict = {}  # (horizon, seed) -> trace or exception
 
 
@@ -428,8 +429,7 @@ def _advance_group(job) -> None:
     """
     problem, model, name, options, horizon, _, ratio, n0, reference, group = job
     later = tuple(t for t in group.budgets if t > horizon)
-    running = {seed for _, seeds in group.episodes for seed in seeds}
-    restart = [seed for seed in group.seeds if seed not in running]
+    restart = [seed for seed in group.seeds if seed not in group.running]
     if restart:
         try:
             episode = Episode(
@@ -445,16 +445,19 @@ def _advance_group(job) -> None:
             group.episodes.append((episode, restart))
         except Exception as exc:
             group.outcomes.update(((horizon, seed), exc) for seed in restart)
-    live = []
+    live, running = [], set()
     for episode, seeds in group.episodes:
-        outcomes = episode.advance_all(horizon)
-        group.outcomes.update(
-            ((horizon, seed), out) for seed, out in zip(seeds, outcomes) if out is not None
-        )
-        alive = [seed for seed, out in zip(seeds, outcomes) if isinstance(out, RegretTrace)]
+        # one outcome per member seed; None for a drop reported earlier
+        alive = set()
+        for seed, out in zip(seeds, episode.advance_all(horizon)):
+            if out is not None:
+                group.outcomes[horizon, seed] = out
+            if isinstance(out, RegretTrace):
+                alive.add(seed)
         if alive and later:
-            live.append((episode, alive))
-    group.episodes = live
+            live.append((episode, seeds))
+            running |= alive
+    group.episodes, group.running = live, running
 
 
 def _episode_task(args) -> tuple:

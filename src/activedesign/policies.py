@@ -47,7 +47,6 @@ presampling does, and its draws are anchored at counts / T.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -301,9 +300,9 @@ class Policy:
     read the horizon T.
 
     A class that can pick the arms of a K > d lock-step group at once
-    names the (K,) per-arm arrays its ``select`` reads in ``_stacked``
-    and defines ``select_stacked``; the others are stepped one ``select``
-    at a time.
+    names the per-arm arrays its ``select`` reads that differ between
+    seeds in ``_stacked`` and defines ``select_stacked``; the others are
+    stepped one ``select`` at a time.
     """
 
     name = "?"
@@ -344,14 +343,11 @@ class Policy:
 
         Each member's values are copied into its row and the attribute
         rebound to that row, so ``observe`` keeps writing its own state
-        in place.  Returns the (S, K) arrays by name; a field that is None
-        (``fixed_variances`` unset) is left out.
+        in place.  Returns the (S, K) arrays by name.
         """
         arrays = {}
         for name in cls._stacked:
-            if getattr(members[0], name) is None:
-                continue
-            block = np.array([getattr(m, name) for m in members], dtype=np.float64)
+            block = np.array([getattr(m, name) for m in members])
             for member, row in zip(members, block):
                 setattr(member, name, row)
             arrays[name] = block
@@ -361,8 +357,9 @@ class Policy:
     def select_stacked(cls, members: list, t: int, arrays: dict) -> list:
         """Every member's ``select(t)`` from the stacked ``arrays`` at once.
 
-        The members share one round; an entry is an arm, or the exception
-        that member's own ``select`` would have raised.
+        The members share one round and their per-problem values, which
+        are read from the first; an entry is an arm, or the exception that
+        member's own ``select`` would have raised.
         """
         raise NotImplementedError
 
@@ -435,7 +432,7 @@ class OracleTrackingPolicy(Policy):
 
     name = "oracle"
     horizon_free = True
-    _stacked = ("counts", "p_star")
+    _stacked = ("counts",)
 
     def __init__(self, problem, rng, horizon, p_star=None):
         super().__init__(problem, rng, horizon)
@@ -457,10 +454,10 @@ class OracleTrackingPolicy(Policy):
 
     @classmethod
     def select_stacked(cls, members, t, arrays):
-        n = _common_round(members)
+        n, p_star = _common_round(members), members[0].p_star
         if n == 0:
-            return arrays["p_star"].argmax(axis=1).tolist()
-        return (arrays["p_star"] - arrays["counts"] / n).argmax(axis=1).tolist()
+            return [int(p_star.argmax())] * len(members)
+        return (p_star - arrays["counts"] / n).argmax(axis=1).tolist()
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -585,7 +582,7 @@ class GradientUcbPolicy(_Moments, Policy):
     """
 
     name = "gradient_ucb"
-    _stacked = ("counts", "sig2hat", "_lcb", "_var_floor", "fixed_variances")
+    _stacked = ("counts", "sig2hat", "_lcb")
 
     def __init__(
         self,
@@ -645,12 +642,12 @@ class GradientUcbPolicy(_Moments, Policy):
     def select_stacked(cls, members, t, arrays):
         first, counts = members[0], arrays["counts"]
         n = _common_round(members)
-        sig2 = arrays.get("fixed_variances")
+        sig2 = first.fixed_variances
         if sig2 is None:
             sig2 = (
                 arrays["_lcb"]
                 if first.use_lcb
-                else np.maximum(arrays["sig2hat"], arrays["_var_floor"])
+                else np.maximum(arrays["sig2hat"], first._var_floor)
             )
         arms = [None] * len(members)
         g = _stacked_gradients(first._x, sig2, counts / n, arms)
@@ -675,7 +672,7 @@ class ThompsonPolicy(Policy):
 
     name = "thompson"
     horizon_free = True
-    _stacked = ("counts", "post_alpha", "post_beta", "_clip_lo")
+    _stacked = ("counts", "post_alpha", "post_beta")
 
     def __init__(
         self,
@@ -749,7 +746,7 @@ class ThompsonPolicy(Policy):
             except Exception as exc:
                 arms[i] = exc
         draws = arrays["post_beta"] / gamma
-        sig2 = np.minimum(np.maximum(draws, arrays["_clip_lo"]), members[0]._clip_hi)
+        sig2 = np.minimum(np.maximum(draws, members[0]._clip_lo), members[0]._clip_hi)
         g = _stacked_gradients(members[0]._x, sig2, arrays["counts"] / n, arms)
         return _fill_argmin(g, arms)
 
@@ -882,8 +879,8 @@ def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
 class _Member:
     """One seed of an ``Episode``: its environment, policy and checkpoint rows.
 
-    ``error`` holds the exception that dropped the member until an
-    ``advance_all`` reports it; ``rows`` is None once it has.
+    ``error`` holds the exception that dropped the member; ``rows`` is
+    None once an ``advance_all`` has reported it.
     """
 
     __slots__ = ("env", "policy", "origin", "rows", "error")
@@ -895,25 +892,72 @@ class _Member:
         self.error: Exception | None = None
 
 
-class _StackedChoice:
-    """The arms of a K > d lock-step group, all picked by one stacked call per step."""
+class _AllDropped(Exception):
+    """Raised by a ``_Lockstep`` group once every member has raised."""
 
-    def __init__(self, policies: list):
-        self._cls = type(policies[0])
-        self._policies = policies
-        self._arrays = self._cls.stack(policies)
-        self._t = None
-        self._arms: list = []
 
-    def pick(self, i: int, t: int) -> int:
-        """Member ``i``'s arm at step ``t``; the step's first pick computes them all."""
-        if t != self._t:
-            self._arms = self._cls.select_stacked(self._policies, t, self._arrays)
-            self._t = t
-        arm = self._arms[i]
-        if isinstance(arm, Exception):
-            raise arm
-        return arm
+class _Lockstep:
+    """The step calls of two or more ``Episode`` members, in member order.
+
+    ``select(t)`` returns every member's arm: one ``select_stacked`` call
+    when ``stacked``, else one ``select`` per member.  ``query`` takes
+    those arms and ``observe`` the arms and responses.  A member that
+    raises keeps the exception as its ``error`` and sits out the rest of
+    the step; the step's ``observe`` then drops it from the group (and
+    restacks the rest), or raises ``_AllDropped`` if none is left.
+    """
+
+    def __init__(self, members: list, stacked: bool):
+        self._stacked = stacked
+        self._regroup(members)
+
+    def _regroup(self, members: list) -> None:
+        self._members = [m for m in members if m.error is None]
+        if not self._members:
+            raise _AllDropped
+        self._policies = [m.policy for m in self._members]
+        self._cls = type(self._policies[0])
+        self._arrays = self._cls.stack(self._policies) if self._stacked else None
+
+    def select(self, t: int) -> list:
+        if self._arrays is None:
+            arms = []
+            for policy in self._policies:
+                try:
+                    arms.append(policy.select(t))
+                except Exception as exc:
+                    arms.append(exc)
+        else:
+            arms = self._cls.select_stacked(self._policies, t, self._arrays)
+        for member, arm in zip(self._members, arms):
+            if isinstance(arm, Exception) and member.error is None:
+                member.error = arm
+        return arms
+
+    def query(self, arms: list) -> list:
+        ys = []
+        for member, arm in zip(self._members, arms):
+            y = None
+            if member.error is None:
+                try:
+                    y = member.env.query(arm)
+                except Exception as exc:
+                    member.error = exc
+            ys.append(y)
+        return ys
+
+    def observe(self, arms: list, ys: list) -> None:
+        dropped = False
+        for member, arm, y in zip(self._members, arms, ys):
+            if member.error is not None:
+                dropped = True
+                continue
+            try:
+                member.policy.observe(arm, y)
+            except Exception as exc:
+                member.error, dropped = exc, True
+        if dropped:
+            self._regroup(self._members)
 
 
 class Episode:
@@ -929,13 +973,14 @@ class Episode:
     member's arm, by one stacked computation (``select_stacked``) for a
     K > d ``thompson``, ``gradient_ucb`` or ``oracle`` group of two or
     more, otherwise by one ``select`` per member; each member then
-    queries its environment and observes.  Since stacked and per-member
-    arithmetic are bit-equal, a member's trace is the one it would record
-    alone.  K = d groups are not stacked: their step runs on Python
-    floats and has no numpy call to share.  Members must end presampling
-    at the same round, and then share it at every step; K > d members
-    always do, while K = d adaptive presampling depends on each seed's
-    variance estimates.
+    queries its environment and observes.  A one-member episode makes
+    its member's calls straight from the step loop, with no loop over
+    members.  Since stacked and per-member arithmetic are bit-equal, a
+    member's trace is the one it would record alone.  K = d groups are
+    not stacked: their step runs on Python floats and has no numpy call
+    to share.  Members must end presampling at the same round, and then
+    share it at every step; K > d members always do, while K = d
+    adaptive presampling depends on each seed's variance estimates.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
@@ -1030,13 +1075,17 @@ class Episode:
         }
         self._pending = set().union(*self._schedules.values())
         if t in self._pending:
-            for member in live:
-                try:
-                    self._record(member, t)
-                except Exception as exc:
-                    member.error = exc
-        self._live = live
-        self._regroup()
+            self._record(t)
+        live = [m for m in live if m.error is None]
+        if len(live) == 1:
+            policy, env = live[0].policy, live[0].env
+            self._calls = (policy.select, env.query, policy.observe)
+        elif live:
+            stacked = bool(type(live[0].policy)._stacked) and not problem.is_square
+            group = _Lockstep(live, stacked)
+            self._calls = (group.select, group.query, group.observe)
+        else:
+            self._calls = None
 
     @property
     def policy(self) -> Policy:
@@ -1044,34 +1093,24 @@ class Episode:
         (policy,) = self.policies
         return policy
 
-    def _regroup(self) -> None:
-        """Drop failed members; bind each one left to the calls of its step.
-
-        ``_steps`` holds (select, query, observe, member) per live member.
-        """
-        live = [m for m in self._live if m.error is None]
-        policies = [m.policy for m in live]
-        if len(live) > 1 and type(policies[0])._stacked and not self._problem.is_square:
-            choice = _StackedChoice(policies)
-            selects = [functools.partial(choice.pick, i) for i in range(len(live))]
-        else:
-            selects = [policy.select for policy in policies]
-        self._live = live
-        self._steps = [
-            (select, m.env.query, m.policy.observe, m) for select, m in zip(selects, live)
-        ]
-
-    def _record(self, member: _Member, now: int) -> None:
-        counts = member.policy.counts
-        p = np.asarray(counts) / now
-        value = loss(self._problem, p)
-        member.rows[now] = CheckpointRow(
-            t=now,
-            regret=regret(value, now, self._loss_star),
-            loss_gap=value - self._loss_star,
-            p_min=float(p.min()),
-            counts=tuple(int(c) for c in counts),
-        )
+    def _record(self, now: int) -> None:
+        """Record checkpoint ``now`` of every live member."""
+        for member in self._members:
+            if member.error is not None:
+                continue
+            try:
+                counts = member.policy.counts
+                p = np.asarray(counts) / now
+                value = loss(self._problem, p)
+                member.rows[now] = CheckpointRow(
+                    t=now,
+                    regret=regret(value, now, self._loss_star),
+                    loss_gap=value - self._loss_star,
+                    p_min=float(p.min()),
+                    counts=tuple(int(c) for c in counts),
+                )
+            except Exception as exc:
+                member.error = exc
 
     def advance_all(self, horizon: int) -> list:
         """Run every member on to ``horizon`` queries; one outcome per member.
@@ -1085,32 +1124,33 @@ class Episode:
             raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
         start = self._setup_start if self._setup_start is not None else time.perf_counter()
         self._setup_start = None
-        pending, steps = self._pending, self._steps
-        dropped = False
-        t = self.t
-        while t < horizon and steps:
-            t += 1
-            for select, query, observe, member in steps:
-                try:
+        if self._calls is not None:
+            select, query, observe = self._calls
+            pending, t = self._pending, self.t
+            try:
+                while t < horizon:
+                    t += 1
                     arm = select(t)
                     observe(arm, query(arm))
                     if t in pending:
-                        self._record(member, t)
-                except Exception as exc:
-                    member.error = exc
-                    dropped = True
-            if dropped:
-                self._regroup()
-                steps, dropped = self._steps, False
-        self.t = t
-        elapsed = (time.perf_counter() - start) / max(len(self._live), 1)
+                        self._record(t)
+            except Exception as exc:
+                # a one-member episode's calls raise its member's error; a
+                # group keeps each member's own and raises once none is left
+                for member in self._members:
+                    if member.error is None:
+                        member.error = exc
+                self._calls = None
+        self.t = horizon
+        ran = sum(member.error is None for member in self._members)
+        elapsed = (time.perf_counter() - start) / max(ran, 1)
         outcomes = []
         for member in self._members:
-            if member.error is not None:
-                outcomes.append(member.error)
-                member.error, member.rows = None, None
-            elif member.rows is None:
+            if member.rows is None:
                 outcomes.append(None)
+            elif member.error is not None:
+                outcomes.append(member.error)
+                member.rows = None
             else:
                 outcomes.append(self._trace(member, horizon, elapsed))
         return outcomes

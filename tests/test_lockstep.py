@@ -272,6 +272,44 @@ def test_failing_member_matches_separate_episodes(monkeypatch, threads):
         assert _fields(got) == _fields(traces[key]), key
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_first_member_failing_before_a_later_budget(monkeypatch, threads):
+    # seed 0 leads its group and fails in every budget, so from the second
+    # chained budget on its dropped member sits before live ones
+    if threads != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched environment only when forked")
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+
+    def failing(self, arm, _query=Environment.query):
+        if self.seed == 0 and self.draws >= 500:
+            raise RuntimeError(f"stopped after {self.draws} draws")
+        return _query(self, arm)
+
+    calls, advance = [], harness._advance_group
+
+    def counted(job):
+        calls.append((job[2], job[4]))
+        advance(job)
+
+    monkeypatch.setattr(Environment, "query", failing)
+    monkeypatch.setattr(harness, "_advance_group", counted)
+    raw = _sweep_raw(budgets=[1000, 2000, 3000])
+    result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
+    traces, failures = _outcomes_alone(raw)
+    assert sorted(result.failures) == failures
+    assert {(name, t, s) for name, t, s, _ in failures} == {
+        (name, t, 0) for name in raw["policies"] for t in raw["budgets"]
+    }
+    assert sorted(result.traces) == sorted(traces)
+    for key, got in result.traces.items():
+        assert _fields(got) == _fields(traces[key]), key
+    if threads == "1":
+        # one group per (policy, budget), each advanced by one job
+        assert sorted(calls) == sorted(
+            (name, t) for name in raw["policies"] for t in raw["budgets"]
+        )
+
+
 def test_sweep_files_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
     written = {}
     for threads in ("1", "3"):
