@@ -19,21 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import loss, problem_constants
+from .core import problem_constants
 from .environment import NOISE_MODELS, make_env
 from .geometry import dual_feasibility, kkt_certificate
 from .harness import (
+    TRACE_COLUMNS,
     ConfigError,
     InstanceFormatError,
-    _write_csv,
     build_problem,
+    concentration_report_text,
+    csv_text,
     load_config,
     load_instance,
     run_sweep,
     trace_json_rows,
     trace_rows,
     verify_concentration,
-    write_concentration_report,
 )
 from .policies import POLICY_NAMES, run_episode
 from .solver import reference_optimum
@@ -178,9 +179,7 @@ def _cmd_simulate(args) -> int:
         }
         _emit(json.dumps(payload, indent=1, sort_keys=True), args.out)
     else:
-        lines = ["t,regret,loss_gap,p_min"]
-        lines += [",".join(str(v) for v in row) for row in trace_rows(trace)]
-        _emit("\n".join(lines), args.out)
+        _emit(csv_text(TRACE_COLUMNS, trace_rows(trace)), args.out)
     print(
         f"{trace.policy} T={trace.horizon} seed={trace.seed} "
         f"final regret {trace.final_regret:.6g}",
@@ -210,15 +209,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
     )
     ok = all(r["violation_rate"] <= r["bound"] + 3.0 * r["binom_se"] for r in rows)
-    if args.out:
-        write_concentration_report(rows, args.out, args.format)
-    elif args.format == "json":
-        _emit(json.dumps(rows, indent=1, sort_keys=True), None)
-    else:
-        header = ["kind", "n", "delta", "trials", "violation_rate", "bound", "binom_se"]
-        lines = [",".join(header)]
-        lines += [",".join(str(r[h]) for h in header) for r in rows]
-        _emit("\n".join(lines), None)
+    _emit(concentration_report_text(rows, args.format), args.out)
     print("coverage ok" if ok else "coverage VIOLATED", file=sys.stderr)
     return 0 if ok else 2
 

@@ -8,10 +8,14 @@ arm k.  The quality of a design is measured by the A-optimality loss
     L(p) = trace(Omega(p)^-1),   Omega(p) = sum_k (p_k / sigma_k^2) X_k X_k^T,
 
 which equals T * E||beta_hat - beta*||^2 for the weighted least-squares
-estimator after T samples.  This module provides the loss, its gradient,
-the closed-form optimum for the square case K = d, the problem constants
-used by the adaptive policies (strong convexity, boundary distance,
-smoothness), and the least-squares estimator itself.
+estimator after T samples.  Its gradient is minus the leverage marks
+m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, which the one kernel ``marks``
+computes for one design or S stacked ones; the K > d policy steps, the
+reference solver and the KKT certificate all call it, and ``singular``
+is the one test for a singular information matrix.  This module also
+provides the loss, the closed-form optimum for the square case K = d,
+the problem constants used by the adaptive policies (strong convexity,
+boundary distance, smoothness), and the least-squares estimator itself.
 
 Everything here is deterministic and side-effect free except for a module
 counter that records how often tiny negative regret values were clamped.
@@ -215,27 +219,40 @@ def _weights_array(weights) -> np.ndarray:
     return np.asarray(weights, dtype=np.float64).reshape(-1)
 
 
+def _omega(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (x * (p / sigma2)[..., None, :]) @ x.T
+
+
 def info_matrix(problem: DesignProblem, weights) -> np.ndarray:
     """Information matrix Omega(p) = sum_k (p_k / sigma_k^2) X_k X_k^T."""
-    p = _weights_array(weights)
-    x = problem.covariates.columns
-    w = p / problem.noise.sigma2
-    return (x * w) @ x.T
+    return _omega(problem.covariates.columns, problem.noise.sigma2, _weights_array(weights))
 
 
-def _loss_from_eigs(eigs: np.ndarray) -> float:
-    # trace(Omega^-1) is the sum of reciprocal eigenvalues; a relative
-    # eigenvalue collapse means the design does not identify beta.
-    top = eigs[-1]
-    if top <= 0.0 or eigs[0] <= SINGULARITY_RTOL * top:
-        return math.inf
-    return float(np.sum(1.0 / eigs))
+def singular(eigs: np.ndarray) -> bool:
+    """Whether Omega(p), with ascending eigenvalues ``eigs``, fails to identify beta."""
+    return bool(eigs[-1] <= 0.0 or eigs[0] <= SINGULARITY_RTOL * eigs[-1])
+
+
+def marks(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Leverage marks m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, minus the gradient.
+
+    ``x`` holds the (d, K) covariate columns; ``p`` and ``sigma2`` are
+    (K,) or (S, K), and S stacked designs give (S, K) marks, each row
+    bit-equal to its own call.  Only an exactly singular Omega(p) raises.
+    """
+    a = np.linalg.solve(_omega(x, sigma2, p), x)
+    return np.einsum("...ij,...ij->...j", a, a) / sigma2
+
+
+def loss_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> float:
+    """trace(Omega(p)^-1), the sum of reciprocal eigenvalues; +inf when ``singular``."""
+    eigs = np.linalg.eigvalsh(_omega(x, sigma2, p))
+    return math.inf if singular(eigs) else float(np.sum(1.0 / eigs))
 
 
 def loss(problem: DesignProblem, weights) -> float:
     """A-optimality loss trace(Omega(p)^-1), +inf off the identifiable set."""
-    eigs = np.linalg.eigvalsh(info_matrix(problem, weights))
-    return _loss_from_eigs(eigs)
+    return loss_given(problem.covariates.columns, problem.noise.sigma2, _weights_array(weights))
 
 
 def loss_closed_form(problem: DesignProblem, weights) -> float:
@@ -263,13 +280,9 @@ def gradient(problem: DesignProblem, weights) -> np.ndarray:
     Omega(p) is singular at the given weights.
     """
     p = _weights_array(weights)
-    x = problem.covariates.columns
-    omega = info_matrix(problem, p)
-    eigs = np.linalg.eigvalsh(omega)
-    if eigs[-1] <= 0.0 or eigs[0] <= SINGULARITY_RTOL * eigs[-1]:
+    if singular(np.linalg.eigvalsh(info_matrix(problem, p))):
         raise ValueError("design is not identifiable at these weights")
-    a = np.linalg.solve(omega, x)
-    return -np.einsum("ij,ij->j", a, a) / problem.noise.sigma2
+    return -marks(problem.covariates.columns, problem.noise.sigma2, p)
 
 
 def gram_cofactors(gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -447,8 +460,7 @@ def ols_fit(problem: DesignProblem, arms, values) -> np.ndarray:
     means = np.divide(sums, counts, out=np.zeros(k), where=counts > 0)
 
     omega = info_matrix(problem, p)
-    eigs = np.linalg.eigvalsh(omega)
-    if eigs[-1] <= 0.0 or eigs[0] <= SINGULARITY_RTOL * eigs[-1]:
+    if singular(np.linalg.eigvalsh(omega)):
         raise ValueError("sampled arms do not identify beta")
     rhs = problem.covariates.columns @ (p / problem.noise.sigma2 * means)
     return np.linalg.solve(omega, rhs)

@@ -1,7 +1,7 @@
 """Optimality certificates: simplex KKT conditions and the dual ellipsoid.
 
-At an optimal design p* the rescaled leverage scores
-m_k = ||Omega(p*)^-1 X_k / sigma_k||^2 are equal to a common level
+At an optimal design p* the leverage marks (``core.marks``)
+m_k = ||Omega(p*)^-1 X_k||^2 / sigma_k^2 are equal to a common level
 lambda on the support of p* and no larger than lambda off it (these are
 minus the loss gradient entries, so this is exactly simplex KKT).  The
 same data feeds the dual view: W = Omega(p*)^-2 / lambda defines an
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignProblem, _weights_array, info_matrix
+from .core import DesignProblem, _weights_array, info_matrix, marks, singular
 
 
 @dataclass(frozen=True)
@@ -64,30 +64,26 @@ def kkt_certificate(
     is not modified).
     """
     p = _weights_array(weights)
-    omega = info_matrix(problem, p)
-    spectrum = np.linalg.eigvalsh(omega)
-    if spectrum[0] <= spectrum[-1] * 1e-12:
+    if singular(np.linalg.eigvalsh(info_matrix(problem, p))):
         raise np.linalg.LinAlgError(
             "information matrix is singular at the evaluation point"
         )
-    x = problem.covariates.columns / problem.noise.sigma
-    a = np.linalg.solve(omega, x)
-    marks = np.einsum("ij,ij->j", a, a)
+    m = marks(problem.covariates.columns, problem.noise.sigma2, p)
 
     active = p > active_threshold
     if not np.any(active):
         raise ValueError("no active arms above the threshold")
-    level = float(np.max(marks[active]))
-    slacks = level - marks
+    level = float(np.max(m[active]))
+    slacks = level - m
 
     view = np.where(active, p, 0.0)
     scale = tol * level
-    ok_active = bool(np.all(np.abs(marks[active] - level) <= scale))
-    ok_inactive = bool(np.all(marks[~active] <= level + scale))
+    ok_active = bool(np.all(np.abs(m[active] - level) <= scale))
+    ok_inactive = bool(np.all(m[~active] <= level + scale))
     ok_slack = bool(np.all(view * slacks <= scale))
     return EllipsoidCertificate(
         weights=view,
-        marks=marks,
+        marks=m,
         level=level,
         slacks=slacks,
         active=active,
@@ -112,7 +108,7 @@ def dual_feasibility(
     p = certificate.weights
     omega = info_matrix(problem, p)
     eigs, vecs = np.linalg.eigh(omega)
-    if eigs[0] <= eigs[-1] * 1e-12:
+    if singular(eigs):
         raise ValueError("information matrix is singular at the certificate point")
     primal = float(np.sum(1.0 / eigs))
 

@@ -28,6 +28,7 @@ concurrently; on K > d a sweep steps a cell's seeds in lock-step groups.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CovariateSet, DesignProblem, NoiseSpec, SimplexWeights
+from .core import CovariateSet, DesignProblem, NoiseSpec
 from .environment import (
     NOISE_MODELS,
     make_env,
@@ -331,9 +332,9 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
                 raise ConfigError(f"random instance keys must be in {sorted(allowed)}")
             return (
                 make_random_instance(
-                    int(instance.get("d", 3)),
-                    int(instance.get("K", instance.get("d", 3))),
-                    int(instance.get("seed", 0)),
+                    _integer("d", instance.get("d", 3)),
+                    _integer("K", instance.get("K", instance.get("d", 3))),
+                    _integer("seed", instance.get("seed", 0)),
                     tuple(instance.get("sigma2_range", (0.5, 2.0))),
                     model,
                     bool(instance.get("canonical", False)),
@@ -675,15 +676,25 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
 # output files
 
 
+TRACE_COLUMNS = ["t", "regret", "loss_gap", "p_min"]
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
 
+def csv_text(header: list[str], rows: list) -> str:
+    """CSV text of ``header`` and ``rows``, each line ending in a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(csv_text(header, rows))
 
 
 def trace_rows(trace: RegretTrace) -> list:
@@ -702,7 +713,7 @@ def _write_outputs(out_dir, config, traces, summaries, slopes, failures, fmt) ->
     for (name, horizon, seed), trace in sorted(traces.items()):
         path = out_dir / f"trace_{name}_T{horizon}_seed{seed}.{ext}"
         if fmt == "csv":
-            _write_csv(path, ["t", "regret", "loss_gap", "p_min"], trace_rows(trace))
+            _write_csv(path, TRACE_COLUMNS, trace_rows(trace))
         else:
             payload = {
                 "policy": name,
@@ -827,25 +838,15 @@ def verify_concentration(
     return rows
 
 
+def concentration_report_text(rows: list[dict], fmt: str = "csv") -> str:
+    """``verify_concentration`` rows as CSV or JSON text."""
+    if fmt != "csv":
+        return json.dumps(rows, indent=1, sort_keys=True) + "\n"
+    header = ["kind", "n", "delta", "trials", "violation_rate", "bound", "binom_se"]
+    floats = ("delta", "violation_rate", "bound", "binom_se")
+    return csv_text(header, [[_fmt(r[h]) if h in floats else r[h] for h in header] for r in rows])
+
+
 def write_concentration_report(rows: list[dict], path, fmt: str = "csv") -> None:
-    path = Path(path)
-    if fmt == "csv":
-        header = ["kind", "n", "delta", "trials", "violation_rate", "bound", "binom_se"]
-        _write_csv(
-            path,
-            header,
-            [
-                [
-                    r["kind"],
-                    r["n"],
-                    _fmt(r["delta"]),
-                    r["trials"],
-                    _fmt(r["violation_rate"]),
-                    _fmt(r["bound"]),
-                    _fmt(r["binom_se"]),
-                ]
-                for r in rows
-            ],
-        )
-    else:
-        path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(concentration_report_text(rows, fmt))

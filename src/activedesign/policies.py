@@ -30,11 +30,12 @@ policies keep (K,) float arrays and solve Omega(p) with numpy.
 An ``Episode`` runs several seeds of one policy in lock-step.  On K > d,
 ``thompson``, ``gradient_ucb`` and ``oracle`` then pick every member's
 arm in one stacked computation over (S, K) arrays (``select_stacked``):
-one matmul for the S information matrices, one solve, one einsum, a
-row-wise argmin.  Each is bit-equal to its per-member call, so outputs
-do not depend on the grouping, and the ~10 numpy calls of a step are
-paid once per group instead of once per seed.  K = d groups are not
-stacked: their float step makes no numpy call to share.
+one ``core.marks`` call (one matmul for the S information matrices, one
+solve, one einsum) and a row-wise argmin.  Each is bit-equal to its
+per-member call, so outputs do not depend on the grouping, and the ~10
+numpy calls of a step are paid once per group instead of once per seed.
+K = d groups are not stacked: their float step makes no numpy call to
+share.
 
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
 never read T, so at budgets of 2K or more (past thompson's warm-up and
@@ -56,9 +57,10 @@ import numpy as np
 
 from .core import (
     DesignProblem,
-    SINGULARITY_RTOL,
     SimplexWeights,
     loss,
+    loss_given,
+    marks,
     problem_constants,
 )
 # a checkpoint's two core calls, under the names perfbench's layer probes patch
@@ -156,21 +158,6 @@ def kd_presample(k: int, horizon: int) -> PresamplePlan:
     )
 
 
-def _loss_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> float:
-    omega = (x * (p / sigma2)) @ x.T
-    eigs = np.linalg.eigvalsh(omega)
-    top = eigs[-1]
-    if top <= 0.0 or eigs[0] <= SINGULARITY_RTOL * top:
-        return math.inf
-    return float(np.sum(1.0 / eigs))
-
-
-def _gradient_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    omega = (x * (p / sigma2)) @ x.T
-    a = np.linalg.solve(omega, x)
-    return -np.einsum("ij,ij->j", a, a) / sigma2
-
-
 def _closed_form_gradient(neg_inv_gram_diag: list, sigma2, counts, n: int) -> list:
     """Closed-form loss gradient for K = d: -(Gamma^-1)_kk sigma_k^2 / p_k^2.
 
@@ -257,26 +244,25 @@ def _common_round(members: list) -> int:
 
 
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
-    """``_gradient_given`` for the S rows of ``sigma2`` and ``p`` at once.
+    """The gradients -``marks`` for the S rows of ``p`` at once.
 
-    One matmul builds the (S, d, d) stack of Omega, one solve and one
-    einsum give the marks; each is bit-equal to its per-row call.  If the
-    stacked solve raises ``LinAlgError``, the rows are solved one by one
-    on the same inputs, and a row whose own solve raises gets that error
-    in ``arms``; rows whose entry in ``arms`` is already set are skipped.
+    If the stacked solve raises ``LinAlgError``, the rows are redone one
+    by one on the same inputs, and a row whose own solve raises gets that
+    error in ``arms``; rows whose entry in ``arms`` is already set are
+    skipped.  ``sigma2`` is (S, K), or (K,) shared by every row.
     """
-    omega = (x * (p / sigma2)[:, None, :]) @ x.T
     try:
-        a = np.linalg.solve(omega, x)
+        return -marks(x, sigma2, p)
     except np.linalg.LinAlgError:
-        a = np.zeros(omega.shape[:1] + x.shape)
+        sigma2 = np.broadcast_to(sigma2, p.shape)
+        g = np.zeros(p.shape)
         for i, arm in enumerate(arms):
             if arm is None:
                 try:
-                    a[i] = np.linalg.solve(omega[i], x)
+                    g[i] = -marks(x, sigma2[i], p[i])
                 except np.linalg.LinAlgError as exc:
                     arms[i] = exc
-    return -np.einsum("sij,sij->sj", a, a) / sigma2
+        return g
 
 
 def _fill_argmin(g: np.ndarray, arms: list) -> list:
@@ -538,8 +524,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
             return [v / total for v in raw]
         x = self.problem.covariates.columns
         res = minimize(
-            lambda p: _loss_given(x, sig2, p),
-            lambda p: _gradient_given(x, sig2, p),
+            lambda p: loss_given(x, sig2, p),
+            lambda p: -marks(x, sig2, p),
             self.n_arms,
             self._solver_config,
         )
@@ -624,7 +610,7 @@ class GradientUcbPolicy(_Moments, Policy):
 
     def select(self, t: int) -> int:
         if not self._square:
-            g = _gradient_given(self._x, self._variances(), self.counts / self.round)
+            g = -marks(self._x, self._variances(), self.counts / self.round)
             if self.bonus_scale > 0.0:
                 g = g - self.bonus_scale * np.sqrt(
                     self.bonus_log_coeff * math.log(t) / self.counts
@@ -729,7 +715,7 @@ class ThompsonPolicy(Policy):
 
     def select(self, t: int) -> int:
         if not self._square:
-            g = _gradient_given(self._x, self.sample_variances(), self.counts / self.round)
+            g = -marks(self._x, self.sample_variances(), self.counts / self.round)
             return int(g.argmin())
         sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
         return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))

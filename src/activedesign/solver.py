@@ -32,9 +32,11 @@ from .core import (
     DesignProblem,
     NoiseSpec,
     SimplexWeights,
-    gradient,  # noqa: F401  (not called here; kept importable as ``solver.gradient``)
+    # perfbench's layer probes patch ``solver.gradient``; not called here
+    gradient,  # noqa: F401
     info_matrix,
     loss,
+    marks,
     optimal_weights_closed_form,
 )
 
@@ -153,13 +155,11 @@ def _certify_subset(
     full = np.zeros(problem.n_arms)
     full[active] = np.asarray(p_sub)
     try:
-        omega = info_matrix(problem, full)
-        value = float(np.trace(np.linalg.inv(omega)))
-        a = np.linalg.solve(omega, problem.covariates.columns)
+        value = float(np.trace(np.linalg.inv(info_matrix(problem, full))))
+        m = marks(problem.covariates.columns, problem.noise.sigma2, full)
     except np.linalg.LinAlgError:
         return None
-    marks = np.einsum("ij,ij->j", a, a) / problem.noise.sigma2
-    if np.max(marks) > value * (1.0 + tol):
+    if np.max(m) > value * (1.0 + tol):
         return None
     return SimplexWeights(full), value
 
@@ -244,13 +244,11 @@ def _multiplicative_refine(
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
-    x = problem.covariates.columns / problem.noise.sigma
+    x, sigma2 = problem.covariates.columns, problem.noise.sigma2
     for sweep in range(max_iters + 1):
-        omega = info_matrix(problem, p)
-        a = np.linalg.solve(omega, x)
-        marks = np.einsum("ij,ij->j", a, a)
-        value = float(p @ marks)
-        converged = np.max(marks) - value <= rel_tol * value
+        m = marks(x, sigma2, p)
+        value = float(p @ m)
+        converged = np.max(m) - value <= rel_tol * value
         due = converged or sweep == max_iters or (sweep > 0 and sweep % _POLISH_EVERY == 0)
         if certify is not None and due:
             hit = certify(p, value)
@@ -263,10 +261,10 @@ def _multiplicative_refine(
             logger.warning(
                 "multiplicative fixed point unconverged after %d sweeps: relative gap %.3g",
                 max_iters,
-                (np.max(marks) - value) / value,
+                (np.max(m) - value) / value,
             )
             break
-        p = p * np.sqrt(marks / value)
+        p = p * np.sqrt(m / value)
         p /= p.sum()
     return SimplexWeights(p), value
 

@@ -16,13 +16,16 @@ from activedesign.core import (
     info_matrix,
     loss,
     loss_closed_form,
+    marks,
     negative_regret_clamps,
     ols_fit,
     optimal_weights_closed_form,
     problem_constants,
     regret,
+    singular,
 )
 from activedesign.environment import make_hard_instance, make_random_instance
+from activedesign.geometry import kkt_certificate
 
 
 def canonical_problem(sigma2, beta=None):
@@ -188,6 +191,35 @@ def test_gradient_rejects_singular_point():
     prob = canonical_problem([1.0, 1.0])
     with pytest.raises(ValueError, match="identifiable"):
         gradient(prob, [1.0, 0.0])
+
+
+def test_marks_of_stacked_designs_equal_each_rows_own_call_bit_for_bit():
+    prob = make_random_instance(4, 9, seed=3)
+    x = prob.covariates.columns
+    rng = np.random.default_rng(5)
+    p = rng.dirichlet(np.ones(9), size=6)
+    sig2 = rng.uniform(0.1, 10.0, (6, 9))
+    stacked = marks(x, sig2, p)
+    assert stacked.shape == (6, 9)
+    for i in range(6):
+        assert stacked[i].tobytes() == marks(x, sig2[i], p[i]).tobytes()
+
+
+def test_marks_equal_minus_gradient_and_the_kkt_marks_exactly():
+    prob = make_random_instance(3, 5, seed=2)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        p = rng.dirichlet(np.ones(5))
+        m = marks(prob.covariates.columns, prob.noise.sigma2, p)
+        assert (-gradient(prob, p)).tobytes() == m.tobytes()
+        assert kkt_certificate(prob, p).marks.tobytes() == m.tobytes()
+
+
+def test_singular_flags_a_relative_eigenvalue_collapse():
+    assert singular(np.array([0.0, 1.0]))
+    assert singular(np.array([1e-13, 1.0]))
+    assert singular(np.array([-2.0, -1.0]))
+    assert not singular(np.array([1e-11, 1.0]))
 
 
 # --------------------------------------------------------------------

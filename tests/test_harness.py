@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from activedesign.core import CovariateSet, DesignProblem, NoiseSpec
-from activedesign.environment import make_env, make_hard_instance, make_random_instance
+from activedesign.environment import make_env, make_random_instance
 from activedesign import harness
 from activedesign.harness import (
     ConfigError,
@@ -310,6 +309,13 @@ def test_build_problem_errors(tmp_path):
         ({"generator": "magic"}, "unknown generator"),
         ({"generator": "hard", "d": 3}, "takes only 'delta'"),
         ({"generator": "random", "delta": 1.0}, "random instance keys"),
+        # sizes and seeds used to be truncated: 3.7 x 5.2 from seed 1.9
+        # built a 3 x 5 instance from seed 1, and True built d = 1
+        ({"generator": "random", "d": 3.7, "K": 5}, "'d' must be integers"),
+        ({"generator": "random", "d": 3, "K": 5.2}, "'K' must be integers"),
+        ({"generator": "random", "d": 3, "K": 5, "seed": 1.9}, "'seed' must be integers"),
+        ({"generator": "random", "d": True, "K": 5}, "'d' must be integers"),
+        ({"generator": "random", "d": 2, "seed": "1"}, "'seed' must be integers"),
         ({"file": "x", "d": 2}, "takes no other keys"),
         ({"covariates": [[1, 0], [0, 1]]}, "needs 'variances'"),
         ({"generator": "hard", "noise": "cauchy"}, "unknown noise model"),

@@ -11,8 +11,7 @@ from activedesign.core import (
     DesignProblem,
     NoiseSpec,
     gradient,
-    loss,
-    optimal_weights_closed_form,
+    marks,
     problem_constants,
 )
 from activedesign.environment import make_env, make_random_instance
@@ -25,7 +24,6 @@ from activedesign.policies import (
     ThompsonPolicy,
     UniformPolicy,
     _closed_form_gradient,
-    _gradient_given,
     _neg_inv_gram_diag,
     checkpoint_schedule,
     default_estimation_count,
@@ -422,7 +420,7 @@ def test_square_closed_form_gradient_matches_the_solve(d):
             sig2 = rng.uniform(0.1, 10.0, d)
             np.testing.assert_allclose(
                 _closed_form_gradient(neg_diag, sig2.tolist(), p.tolist(), 1),
-                _gradient_given(x, sig2, p),
+                -marks(x, sig2, p),
                 rtol=1e-12,
                 atol=0,
             )
@@ -448,7 +446,7 @@ def test_gradient_ucb_square_select_matches_the_solve_route():
         bonus = policy.bonus_scale * np.sqrt(
             policy.bonus_log_coeff * math.log(t) / policy.counts
         )
-        g = _gradient_given(x, sig2, policy.counts / policy.round) - bonus
+        g = -marks(x, sig2, policy.counts / policy.round) - bonus
         assert policy.select(t) == int(np.argmin(g))
 
 
