@@ -3,6 +3,7 @@
     active-design solve INSTANCE [--format csv|json] [--out FILE]
     active-design geometry INSTANCE [--format csv|json] [--out FILE]
     active-design simulate CONFIG --policy NAME --budget T [--seed S]
+                           [--format csv|json] [--out FILE]
     active-design sweep CONFIG [--format csv|json] [--quiet]
     active-design verify [--trials N] [--horizon T] [--noise MODEL] ...
 
@@ -13,7 +14,6 @@ malformed files, unknown names), 2 when a run fails at execution time.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,17 +23,16 @@ from .core import problem_constants
 from .environment import NOISE_MODELS, make_env
 from .geometry import dual_feasibility, kkt_certificate
 from .harness import (
+    CONCENTRATION_COLUMNS,
     TRACE_COLUMNS,
     ConfigError,
     InstanceFormatError,
     build_problem,
-    concentration_report_text,
-    csv_text,
     load_config,
     load_instance,
     run_sweep,
-    trace_json_rows,
-    trace_rows,
+    table_text,
+    trace_records,
     verify_concentration,
 )
 from .policies import POLICY_NAMES, run_episode
@@ -92,9 +91,19 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+
+
+def _report_text(report: dict, fmt: str) -> str:
+    """``report`` as JSON, or as CSV lines: ``key,value`` for each scalar
+    in dict order, then ``key,v1 v2 ...`` for each list."""
+    if fmt != "csv":
+        return table_text(fmt, [], [], report)
+    scalars = [f"{k},{v}\n" for k, v in report.items() if not isinstance(v, list)]
+    lists = [f"{k},{' '.join(map(str, v))}\n" for k, v in report.items() if isinstance(v, list)]
+    return "".join(scalars + lists)
 
 
 def _cmd_solve(args) -> int:
@@ -117,12 +126,7 @@ def _cmd_solve(args) -> int:
             c_smooth=consts.c_smooth,
             hessian_diag_bound=consts.hessian_diag_bound,
         )
-    if args.format == "json":
-        _emit(json.dumps(report, indent=1, sort_keys=True), args.out)
-    else:
-        lines = [f"{k},{v}" for k, v in report.items() if k != "optimal_weights"]
-        lines.append("optimal_weights," + " ".join(repr(w) for w in report["optimal_weights"]))
-        _emit("\n".join(lines), args.out)
+    _emit(_report_text(report, args.format), args.out)
     return 0
 
 
@@ -134,25 +138,15 @@ def _cmd_geometry(args) -> int:
     report = {
         "certified": bool(cert.certified),
         "level": float(cert.level),
+        "active": [int(a) for a in np.flatnonzero(cert.active)],
         "marks": [float(m) for m in cert.marks],
         "weights": [float(w) for w in np.asarray(cert.weights)],
-        "active": [int(a) for a in np.flatnonzero(cert.active)],
         "dual_value": float(dual.dual_value),
         "primal_value": float(dual.primal_value),
         "duality_gap": float(dual.duality_gap),
         "dual_feasible": bool(dual.feasible),
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=1, sort_keys=True), args.out)
-    else:
-        lines = []
-        for key in ("certified", "level", "dual_value", "primal_value", "duality_gap",
-                    "dual_feasible"):
-            lines.append(f"{key},{report[key]}")
-        lines.append("active," + " ".join(str(a) for a in report["active"]))
-        lines.append("marks," + " ".join(repr(m) for m in report["marks"]))
-        lines.append("weights," + " ".join(repr(w) for w in report["weights"]))
-        _emit("\n".join(lines), args.out)
+    _emit(_report_text(report, args.format), args.out)
     return 0
 
 
@@ -169,17 +163,15 @@ def _cmd_simulate(args) -> int:
         estimation_count=config.estimation_count,
         options=options,
     )
-    if args.format == "json":
-        payload = {
-            "policy": trace.policy,
-            "seed": trace.seed,
-            "horizon": trace.horizon,
-            "final_regret": trace.final_regret,
-            "rows": trace_json_rows(trace),
-        }
-        _emit(json.dumps(payload, indent=1, sort_keys=True), args.out)
-    else:
-        _emit(csv_text(TRACE_COLUMNS, trace_rows(trace)), args.out)
+    rows = trace_records(trace)
+    payload = {
+        "policy": trace.policy,
+        "seed": trace.seed,
+        "horizon": trace.horizon,
+        "final_regret": trace.final_regret,
+        "rows": rows,
+    }
+    _emit(table_text(args.format, TRACE_COLUMNS, rows, payload), args.out)
     print(
         f"{trace.policy} T={trace.horizon} seed={trace.seed} "
         f"final regret {trace.final_regret:.6g}",
@@ -209,7 +201,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
     )
     ok = all(r["violation_rate"] <= r["bound"] + 3.0 * r["binom_se"] for r in rows)
-    _emit(concentration_report_text(rows, args.format), args.out)
+    _emit(table_text(args.format, CONCENTRATION_COLUMNS, rows), args.out)
     print("coverage ok" if ok else "coverage VIOLATED", file=sys.stderr)
     return 0 if ok else 2
 

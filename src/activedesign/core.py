@@ -120,8 +120,8 @@ class NoiseSpec:
         k2 = k2.reshape(-1)
         if s2.shape != k2.shape:
             raise ValueError("sigma2 and kappa2 must have matching length")
-        if np.any(s2 <= 0.0) or np.any(k2 <= 0.0):
-            raise ValueError("variances and proxies must be positive")
+        if not (np.all((s2 > 0.0) & (s2 < np.inf)) and np.all((k2 > 0.0) & (k2 < np.inf))):
+            raise ValueError("variances and proxies must be positive and finite")
         if np.any(k2 < s2 * (1.0 - 1e-12)):
             raise ValueError("kappa2 must dominate sigma2 for every arm")
         s2.setflags(write=False)

@@ -136,8 +136,8 @@ def make_hard_instance(delta: float, model: str = "gaussian") -> DesignProblem:
     until the variances are resolved, which is what makes the instance
     adversarial for adaptive samplers.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     covs = CovariateSet(np.array([[1.0, 1.0]]))
     sigma2 = np.array([1.0, 1.0 + delta])
     noise = NoiseSpec(sigma2=sigma2, kappa2=noise_proxy(model, sigma2))

@@ -18,9 +18,13 @@ A sweep config is a JSON object with keys ``instance``, ``policies``,
 25), ``checkpoints`` ({"ratio": r}, default 1.2), ``estimation_count``,
 and ``output`` (directory, default "results").  Outputs are one trace
 file per episode (columns t, regret, loss_gap, p_min), one summary per
-policy (T, mean_regret, stderr, n_seeds), and a slope table; identical
-configs produce byte-identical files.  Budgets must be distinct
-integers; fractional budgets and seeds are rejected, not truncated.
+policy (T, mean_regret, stderr, n_seeds), and a slope table (policy,
+slope, intercept, r_squared, n_points), all written by ``table_text``;
+identical configs produce byte-identical files.  As JSON a trace is
+{policy, horizon, seed, rows}, a summary is a list of records and the
+slopes are {policy: fit}.  When an episode fails, ``failures.csv``
+(policy, T, seed, error) is written too, always as CSV.  Budgets must be
+distinct integers; fractional budgets and seeds are rejected, not truncated.
 ``ACTIVE_DESIGN_THREADS`` caps how many worker processes run episodes
 concurrently; on K > d a sweep steps a cell's seeds in lock-step groups.
 """
@@ -36,7 +40,7 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +81,25 @@ def _integer(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key!r} must be integers, got {value!r}")
     return int(value)
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a float; bools, non-numbers and NaN or inf raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be a number and must be finite, got {value!r}")
+    return float(value)
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _real_pair(key: str, values) -> tuple[float, float]:
+    if not isinstance(values, (list, tuple)) or len(values) != 2:
+        raise ConfigError(f"{key!r} must be a list of two numbers, got {values!r}")
+    return _real(key, values[0]), _real(key, values[1])
 
 
 # --------------------------------------------------------------------
@@ -267,23 +290,19 @@ class ExperimentConfig:
             cp = raw["checkpoints"]
             if not isinstance(cp, dict) or set(cp) - {"ratio"}:
                 raise ConfigError("'checkpoints' must be an object with key 'ratio'")
-            ratio = cp.get("ratio", 1.2)
-            if (
-                isinstance(ratio, bool)
-                or not isinstance(ratio, numbers.Real)
-                or not math.isfinite(ratio)
-                or ratio <= 1.0
-            ):
-                raise ConfigError(
-                    f"'checkpoints.ratio' must be finite and must exceed 1, got {ratio!r}"
-                )
-            ratio = float(ratio)
+            ratio = _real("checkpoints.ratio", cp.get("ratio", 1.2))
+            if ratio <= 1.0:
+                raise ConfigError(f"'checkpoints.ratio' must exceed 1, got {ratio!r}")
 
         n0 = raw.get("estimation_count")
         if n0 is not None:
             n0 = _integer("estimation_count", n0)
             if n0 < 2:
                 raise ConfigError("'estimation_count' must be at least 2")
+
+        output = raw.get("output", "results")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"'output' must be a directory path or null, got {output!r}")
 
         return ExperimentConfig(
             instance=instance,
@@ -292,7 +311,7 @@ class ExperimentConfig:
             seeds=seeds,
             checkpoint_ratio=ratio,
             estimation_count=n0,
-            output=raw.get("output", "results"),
+            output=output,
         )
 
 
@@ -325,7 +344,7 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
         if kind == "hard":
             if keys - {"generator", "delta"}:
                 raise ConfigError("hard instance takes only 'delta'")
-            return make_hard_instance(float(instance.get("delta", 1.0)), model), model
+            return make_hard_instance(_real("delta", instance.get("delta", 1.0)), model), model
         if kind == "random":
             allowed = {"generator", "d", "K", "seed", "sigma2_range", "canonical"}
             if keys - allowed:
@@ -335,9 +354,9 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
                     _integer("d", instance.get("d", 3)),
                     _integer("K", instance.get("K", instance.get("d", 3))),
                     _integer("seed", instance.get("seed", 0)),
-                    tuple(instance.get("sigma2_range", (0.5, 2.0))),
+                    _real_pair("sigma2_range", instance.get("sigma2_range", (0.5, 2.0))),
                     model,
-                    bool(instance.get("canonical", False)),
+                    _boolean("canonical", instance.get("canonical", False)),
                 ),
                 model,
             )
@@ -667,7 +686,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     if config.output is not None:
         out_dir = Path(config.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_outputs(out_dir, config, traces, summaries, slopes, failures, fmt)
+        _write_outputs(out_dir, traces, summaries, slopes, failures, fmt)
 
     return SweepResult(traces, summaries, slopes, failures, out_dir)
 
@@ -679,97 +698,56 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
 TRACE_COLUMNS = ["t", "regret", "loss_gap", "p_min"]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def table_text(fmt: str, header: list[str], records: list[dict], payload=None) -> str:
+    """``records`` as CSV under ``header``, floats as ``repr(float(x))``;
+    or as JSON ``payload`` (default ``records``), indented and key-sorted.
 
-
-def csv_text(header: list[str], rows: list) -> str:
-    """CSV text of ``header`` and ``rows``, each line ending in a newline."""
+    The text ends in a newline.
+    """
+    if fmt != "csv":
+        return json.dumps(records if payload is None else payload, indent=1, sort_keys=True) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for record in records:
+        values = (record[h] for h in header)
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in values])
     return buf.getvalue()
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(header, rows))
+def trace_records(trace: RegretTrace) -> list[dict]:
+    """The trace's checkpoint rows keyed by ``TRACE_COLUMNS``, for either format."""
+    return [{column: getattr(row, column) for column in TRACE_COLUMNS} for row in trace.rows]
 
 
-def trace_rows(trace: RegretTrace) -> list:
-    return [[row.t, _fmt(row.regret), _fmt(row.loss_gap), _fmt(row.p_min)] for row in trace.rows]
+def _write_outputs(out_dir, traces, summaries, slopes, failures, fmt) -> None:
+    def write(stem, header, records, payload=None, fmt=fmt):
+        text = table_text(fmt, header, records, payload)
+        (out_dir / f"{stem}.{fmt}").write_text(text, newline="")
 
-
-def trace_json_rows(trace: RegretTrace) -> list:
-    return [
-        {"t": r.t, "regret": r.regret, "loss_gap": r.loss_gap, "p_min": r.p_min}
-        for r in trace.rows
-    ]
-
-
-def _write_outputs(out_dir, config, traces, summaries, slopes, failures, fmt) -> None:
-    ext = fmt
     for (name, horizon, seed), trace in sorted(traces.items()):
-        path = out_dir / f"trace_{name}_T{horizon}_seed{seed}.{ext}"
-        if fmt == "csv":
-            _write_csv(path, TRACE_COLUMNS, trace_rows(trace))
-        else:
-            payload = {
-                "policy": name,
-                "horizon": horizon,
-                "seed": seed,
-                "rows": trace_json_rows(trace),
-            }
-            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        rows = trace_records(trace)
+        payload = {"policy": name, "horizon": horizon, "seed": seed, "rows": rows}
+        write(f"trace_{name}_T{horizon}_seed{seed}", TRACE_COLUMNS, rows, payload)
 
+    header = ["T", "mean_regret", "stderr", "n_seeds"]
     for name, rows in sorted(summaries.items()):
-        path = out_dir / f"summary_{name}.{ext}"
-        if fmt == "csv":
-            _write_csv(
-                path,
-                ["T", "mean_regret", "stderr", "n_seeds"],
-                [[t, _fmt(m), _fmt(se), n] for (t, m, se, n) in rows],
-            )
-        else:
-            payload = [
-                {"T": t, "mean_regret": m, "stderr": se, "n_seeds": n} for (t, m, se, n) in rows
-            ]
-            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        write(f"summary_{name}", header, [dict(zip(header, row)) for row in rows])
 
-    path = out_dir / f"slopes.{ext}"
-    slope_items = sorted((name, fit) for name, fit in slopes.items() if fit is not None)
-    if fmt == "csv":
-        _write_csv(
-            path,
-            ["policy", "slope", "intercept", "r_squared", "n_points"],
-            [
-                [name, _fmt(f.slope), _fmt(f.intercept), _fmt(f.r_squared), f.n_points]
-                for name, f in slope_items
-            ],
-        )
-    else:
-        payload = {
-            name: {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "r_squared": f.r_squared,
-                "n_points": f.n_points,
-            }
-            for name, f in slope_items
-        }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    fits = {name: asdict(fit) for name, fit in sorted(slopes.items()) if fit is not None}
+    header = ["policy", "slope", "intercept", "r_squared", "n_points"]
+    write("slopes", header, [{"policy": name, **fit} for name, fit in fits.items()], fits)
 
     if failures:
-        _write_csv(
-            out_dir / "failures.csv",
-            ["policy", "T", "seed", "error"],
-            [[name, t, seed, msg] for name, t, seed, msg in sorted(failures)],
-        )
+        header = ["policy", "T", "seed", "error"]
+        write("failures", header, [dict(zip(header, f)) for f in sorted(failures)], fmt="csv")
 
 
 # --------------------------------------------------------------------
 # concentration verification
+
+
+CONCENTRATION_COLUMNS = ["kind", "n", "delta", "trials", "violation_rate", "bound", "binom_se"]
 
 
 def verify_concentration(
@@ -801,52 +779,17 @@ def verify_concentration(
             return rng.uniform(-a, a, (trials, n))
         return math.sqrt(sigma2) * (2.0 * rng.integers(0, 2, (trials, n)) - 1.0)
 
-    rows = []
-    for n, delta in pairs:
-        samples = draw(int(n))
-        var_hat = samples.var(axis=1)  # population convention
-        radius = variance_radius(int(n), kappa2, float(delta))
-        rate = float(np.mean(np.abs(var_hat - sigma2) > radius))
-        rows.append(
-            {
-                "kind": "radius",
-                "n": int(n),
-                "delta": float(delta),
-                "trials": trials,
-                "violation_rate": rate,
-                "bound": float(delta),
-                "binom_se": math.sqrt(float(delta) * (1.0 - float(delta)) / trials),
-            }
-        )
+    def row(kind: str, n: int, delta: float, threshold: float) -> dict:
+        """How often n samples' variance misses sigma2 by over ``threshold``."""
+        var_hat = draw(n).var(axis=1)  # population convention
+        rate = float(np.mean(np.abs(var_hat - sigma2) > threshold))
+        se = math.sqrt(delta * (1.0 - delta) / trials)
+        return dict(zip(CONCENTRATION_COLUMNS, (kind, n, delta, trials, rate, delta, se)))
 
+    rows = [
+        row("radius", int(n), float(delta), variance_radius(int(n), kappa2, float(delta)))
+        for n, delta in pairs
+    ]
     n_half = halving_sample_count(kappa2, sigma2, horizon)
-    samples = draw(n_half)
-    var_hat = samples.var(axis=1)
-    bound = 1.0 / horizon**2
-    rate = float(np.mean(np.abs(var_hat - sigma2) > sigma2 / 2.0))
-    rows.append(
-        {
-            "kind": "halving",
-            "n": n_half,
-            "delta": bound,
-            "trials": trials,
-            "violation_rate": rate,
-            "bound": bound,
-            "binom_se": math.sqrt(bound * (1.0 - bound) / trials),
-        }
-    )
+    rows.append(row("halving", n_half, 1.0 / horizon**2, sigma2 / 2.0))
     return rows
-
-
-def concentration_report_text(rows: list[dict], fmt: str = "csv") -> str:
-    """``verify_concentration`` rows as CSV or JSON text."""
-    if fmt != "csv":
-        return json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    header = ["kind", "n", "delta", "trials", "violation_rate", "bound", "binom_se"]
-    floats = ("delta", "violation_rate", "bound", "binom_se")
-    return csv_text(header, [[_fmt(r[h]) if h in floats else r[h] for h in header] for r in rows])
-
-
-def write_concentration_report(rows: list[dict], path, fmt: str = "csv") -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(concentration_report_text(rows, fmt))

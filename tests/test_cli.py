@@ -49,9 +49,13 @@ def test_solve_csv_to_file(square_instance, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert cli_main(["solve", square_instance, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    text = out.read_text()
-    assert "optimal_loss,9.0" in text
-    assert "optimal_weights," in text
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "d", "K", "square", "optimal_loss", "det_gram", "lambda_min",
+        "mu", "eta", "c_smooth", "hessian_diag_bound", "optimal_weights",
+    ]
+    assert "optimal_loss,9.0" in lines
+    assert lines[-1].startswith("optimal_weights,")
 
 
 def test_geometry_certifies_the_optimum(square_instance, capsys):
@@ -68,7 +72,11 @@ def test_geometry_csv_layout(square_instance, capsys):
     assert cli_main(["geometry", square_instance]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "certified,True"
-    assert any(line.startswith("marks,") for line in lines)
+    assert [line.split(",")[0] for line in lines] == [
+        "certified", "level", "dual_value", "primal_value", "duality_gap",
+        "dual_feasible", "active", "marks", "weights",
+    ]
+    assert "active,0 1" in lines
 
 
 def test_simulate_trace_output(sweep_config_path, capsys):
@@ -178,3 +186,28 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     assert cli_main(["simulate", str(cfg), "--policy", "uniform", "--budget", "0"]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_non_finite_and_mistyped_values_exit_one_naming_the_file_or_key(tmp_path, capsys):
+    inst = tmp_path / "nan.txt"
+    inst.write_text("2 2\n1 0\n0 1\n1.0 nan\n")
+    assert cli_main(["solve", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert "nan.txt" in err and "finite" in err
+
+    base = {"policies": ["uniform"], "budgets": [10], "seeds": 1,
+            "output": str(tmp_path / "results")}
+    cases = [
+        ({**base, "instance": {"generator": "hard", "delta": float("nan")}}, "'delta'"),
+        ({**base, "instance": {"generator": "random", "d": 2, "canonical": "false"}},
+         "'canonical'"),
+        ({**base, "instance": {"generator": "random", "d": 2, "sigma2_range": "ab"}},
+         "'sigma2_range'"),
+        ({**base, "instance": {"generator": "hard"}, "output": 5}, "'output'"),
+    ]
+    cfg = tmp_path / "cfg.json"
+    for raw, key in cases:
+        cfg.write_text(json.dumps(raw))
+        assert cli_main(["sweep", str(cfg), "--quiet"]) == 1, key
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()

@@ -78,6 +78,10 @@ def test_dimension_cap():
 def test_noise_spec_rejects_proxy_below_variance():
     with pytest.raises(ValueError, match="dominate"):
         NoiseSpec(np.array([1.0]), np.array([0.5]))
+    # NaN and inf slipped past the positivity and dominance checks
+    for sigma2, kappa2 in [(np.nan, None), (np.inf, None), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            NoiseSpec(np.array([1.0, sigma2]), None if kappa2 is None else np.array([1.0, kappa2]))
 
 
 def test_noise_spec_defaults_proxy_to_variance():

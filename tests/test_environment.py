@@ -239,8 +239,9 @@ def test_hard_instance_closed_form_loss():
 
 
 def test_hard_instance_validation():
-    with pytest.raises(ValueError, match="positive"):
-        make_hard_instance(0.0)
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive"):
+            make_hard_instance(delta)
 
 
 def test_hard_instance_proxies_follow_model():

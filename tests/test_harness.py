@@ -21,8 +21,8 @@ from activedesign.harness import (
     load_config,
     load_instance,
     run_sweep,
+    table_text,
     verify_concentration,
-    write_concentration_report,
     write_instance,
 )
 from activedesign.policies import (
@@ -108,6 +108,12 @@ def test_instance_errors_carry_line_numbers(tmp_path):
     path.write_text("")
     with pytest.raises(InstanceFormatError, match="empty"):
         load_instance(path)
+
+    # non-finite variances and proxies used to load; the error names the file
+    for body in ("1.0 nan\n", "1.0 inf\n", "1.0 1.0\n1.0 inf\n", "1.0 1.0\nnan 1.0\n"):
+        path.write_text("2 2\n1 0\n0 1\n" + body)
+        with pytest.raises(InstanceFormatError, match=f"{path.name}.*finite"):
+            load_instance(path)
 
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "missing.txt")
@@ -195,6 +201,8 @@ def test_config_errors_name_the_offending_key():
         ({**base_config_dict(), "checkpoints": {"ratio": 1.0}}, "must exceed 1"),
         ({**base_config_dict(), "estimation_count": 1}, "'estimation_count'"),
         ({**base_config_dict(), "instance": "hard"}, "'instance' must be an object"),
+        ({**base_config_dict(), "output": 5}, "'output' must be a directory path or null"),
+        ({**base_config_dict(), "output": ["a"]}, "'output'"),
     ]
     for raw, fragment in cases:
         with pytest.raises(ConfigError, match=fragment.replace("(", "\\(")):
@@ -316,6 +324,19 @@ def test_build_problem_errors(tmp_path):
         ({"generator": "random", "d": 3, "K": 5, "seed": 1.9}, "'seed' must be integers"),
         ({"generator": "random", "d": True, "K": 5}, "'d' must be integers"),
         ({"generator": "random", "d": 2, "seed": "1"}, "'seed' must be integers"),
+        # "false" built the canonical instance, true built delta = 1, and
+        # "ab" raised a bare TypeError; NaN built sigma^2 = (1, NaN)
+        ({"generator": "random", "d": 2, "canonical": "false"},
+         "'canonical' must be true or false"),
+        ({"generator": "random", "d": 2, "canonical": 1}, "'canonical'"),
+        ({"generator": "random", "d": 2, "sigma2_range": "ab"}, "'sigma2_range' must be a list"),
+        ({"generator": "random", "d": 2, "sigma2_range": [1.0]}, "'sigma2_range'"),
+        ({"generator": "random", "d": 2, "sigma2_range": [0.5, "2"]}, "'sigma2_range'"),
+        ({"generator": "random", "d": 2, "sigma2_range": [0.5, math.inf]}, "'sigma2_range'"),
+        ({"generator": "hard", "delta": True}, "'delta' must be a number"),
+        ({"generator": "hard", "delta": "0.5"}, "'delta' must be a number"),
+        ({"generator": "hard", "delta": math.nan}, "'delta' must be a number and must be finite"),
+        ({"generator": "hard", "delta": math.inf}, "'delta'"),
         ({"file": "x", "d": 2}, "takes no other keys"),
         ({"covariates": [[1, 0], [0, 1]]}, "needs 'variances'"),
         ({"generator": "hard", "noise": "cauchy"}, "unknown noise model"),
@@ -324,6 +345,11 @@ def test_build_problem_errors(tmp_path):
     for instance, fragment in cases:
         with pytest.raises(ConfigError, match=fragment.replace("'", "'")):
             build_problem(instance)
+    inline = {"covariates": [[1, 0], [0, 1]], "variances": [1.0, math.nan]}
+    with pytest.raises(ValueError, match="finite"):
+        build_problem(inline)
+    with pytest.raises(ValueError, match="finite"):
+        build_problem({**inline, "variances": [1.0, 1.0], "kappa2": [1.0, math.inf]})
 
 
 # --------------------------------------------------------------------
@@ -420,6 +446,44 @@ def test_run_sweep_json_output(tmp_path, monkeypatch):
         run_sweep(cfg, quiet=True, fmt="tsv")
 
 
+def test_run_sweep_csv_and_json_files_hold_the_same_values(tmp_path, monkeypatch):
+    # every CSV float, read back with float(), equals its JSON value exactly
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    written = {}
+    for fmt in ("csv", "json"):
+        cfg = sweep_config(tmp_path, output=str(tmp_path / fmt))
+        out = run_sweep(cfg, quiet=True, fmt=fmt).output_dir
+        written[fmt] = {p.stem: p.read_text() for p in out.iterdir()}
+        assert all(p.suffix == f".{fmt}" for p in out.iterdir())
+    assert sorted(written["csv"]) == sorted(written["json"])
+    assert len(written["csv"]) == 2 * 3 * 3 + 2 + 1
+
+    def csv_records(text):
+        header, *lines = [line.split(",") for line in text.splitlines()]
+        return [dict(zip(header, line)) for line in lines]
+
+    def same(csv_value, json_value):
+        if isinstance(json_value, float):
+            return float(csv_value) == json_value
+        return csv_value == str(json_value)
+
+    for stem, text in written["csv"].items():
+        records, payload = csv_records(text), json.loads(written["json"][stem])
+        if stem.startswith("trace_"):
+            name, horizon, seed = stem[len("trace_"):].rsplit("_", 2)
+            assert (payload["policy"], payload["horizon"], payload["seed"]) == (
+                name, int(horizon[1:]), int(seed[4:])
+            )
+            payload = payload["rows"]
+        elif stem == "slopes":
+            payload = [{"policy": name, **fit} for name, fit in sorted(payload.items())]
+        assert len(records) == len(payload) > 0, stem
+        for record, expected in zip(records, payload):
+            assert set(record) == set(expected), stem
+            for key, value in expected.items():
+                assert same(record[key], value), (stem, key, record[key], value)
+
+
 def test_run_sweep_collects_per_episode_failures(tmp_path, monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     # the estimation phase cannot fit inside T=5, so those episodes fail
@@ -492,13 +556,10 @@ def test_verify_concentration_rows(tmp_path):
         # the bound is conservative, so observed rates sit well below it
         assert row["violation_rate"] <= row["bound"] + 5.0 * row["binom_se"]
 
-    path = tmp_path / "conc.csv"
-    write_concentration_report(rows, path)
-    lines = path.read_text().splitlines()
+    lines = table_text("csv", harness.CONCENTRATION_COLUMNS, rows).splitlines()
     assert lines[0].startswith("kind,n,delta")
     assert len(lines) == 4
-    write_concentration_report(rows, tmp_path / "conc.json", fmt="json")
-    parsed = json.loads((tmp_path / "conc.json").read_text())
+    parsed = json.loads(table_text("json", harness.CONCENTRATION_COLUMNS, rows))
     assert parsed[0]["kind"] == "radius"
 
 
