@@ -10,9 +10,10 @@ arm k.  The quality of a design is measured by the A-optimality loss
 which equals T * E||beta_hat - beta*||^2 for the weighted least-squares
 estimator after T samples.  Its gradient is minus the leverage marks
 m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, which the one kernel ``marks``
-computes for one design or S stacked ones; the K > d policy steps, the
-reference solver and the KKT certificate all call it, and ``singular``
-is the one test for a singular information matrix.  This module also
+computes, from one inverse and one matmul, for one design or S stacked
+ones; the K > d policy steps, the reference solver and the KKT
+certificate all call it, and ``singular`` is the one test for a
+singular information matrix.  This module also
 provides the loss, the closed-form optimum for the square case K = d,
 the problem constants used by the adaptive policies (strong convexity,
 boundary distance, smoothness), and the least-squares estimator itself.
@@ -62,9 +63,9 @@ def _unit_columns(vectors: np.ndarray) -> np.ndarray:
 class CovariateSet:
     """Unit covariate vectors stored as the columns of a (d, K) array.
 
-    Construction renormalizes each column to Euclidean norm 1; zero
-    vectors are rejected.  The columns are required to span R^d, since
-    otherwise no design has finite loss.
+    Construction renormalizes each column to Euclidean norm 1; zero and
+    non-finite vectors are rejected.  The columns are required to span
+    R^d, since otherwise no design has finite loss.
     """
 
     columns: np.ndarray
@@ -78,6 +79,8 @@ class CovariateSet:
             raise ValueError("need at least one covariate in at least one dimension")
         if d > MAX_DIMENSION:
             raise ValueError(f"dimension {d} exceeds the supported cap {MAX_DIMENSION}")
+        if not np.all(np.isfinite(cols)):
+            raise ValueError("covariates must be finite")
         cols = _unit_columns(cols)
         svals = np.linalg.svd(cols, compute_uv=False)
         if k < d or svals[-1] <= 1e-10 * svals[0]:
@@ -144,7 +147,7 @@ class DesignProblem:
 
     ``beta`` is the regression vector used by simulation environments; it
     does not influence the loss surface and may be omitted for purely
-    geometric work.
+    geometric work; when given, it must be finite.
     """
 
     covariates: CovariateSet
@@ -158,6 +161,8 @@ class DesignProblem:
             b = np.asarray(self.beta, dtype=np.float64).reshape(-1)
             if b.shape[0] != self.covariates.dimension:
                 raise ValueError("beta has the wrong dimension")
+            if not np.all(np.isfinite(b)):
+                raise ValueError("beta must be finite")
             b.setflags(write=False)
             object.__setattr__(self, "beta", b)
 
@@ -238,9 +243,13 @@ def marks(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     ``x`` holds the (d, K) covariate columns; ``p`` and ``sigma2`` are
     (K,) or (S, K), and S stacked designs give (S, K) marks, each row
-    bit-equal to its own call.  Only an exactly singular Omega(p) raises.
+    bit-equal to its own call.  Omega(p)^-1 X is one inverse and one
+    matmul: inverting against the d identity columns and multiplying is
+    cheaper than triangular solves against the K >= d covariate columns,
+    and the marks stay within about kappa(Omega) * eps of the largest
+    one.  Only an exactly singular Omega(p) raises.
     """
-    a = np.linalg.solve(_omega(x, sigma2, p), x)
+    a = np.linalg.inv(_omega(x, sigma2, p)) @ x
     return np.einsum("...ij,...ij->...j", a, a) / sigma2
 
 

@@ -106,13 +106,15 @@ def _real_pair(key: str, values) -> tuple[float, float]:
 # instance files
 
 
-def _parse_floats(tokens: list[str], lineno: int) -> list[float]:
+def _parse_floats(path: Path, tokens: list[str], lineno: int) -> list[float]:
     out = []
     for tok in tokens:
         try:
             out.append(float(tok))
         except ValueError:
-            raise InstanceFormatError(f"line {lineno}: {tok!r} is not a number") from None
+            raise InstanceFormatError(f"{path}: line {lineno}: {tok!r} is not a number") from None
+        if not math.isfinite(out[-1]):
+            raise InstanceFormatError(f"{path}: line {lineno}: {tok!r} is not finite")
     return out
 
 
@@ -153,7 +155,7 @@ def load_instance(path) -> DesignProblem:
             raise InstanceFormatError(
                 f"line {lineno}: covariate row has {len(tokens)} entries, expected {d}"
             )
-        cols[:, arm] = _parse_floats(tokens, lineno)
+        cols[:, arm] = _parse_floats(path, tokens, lineno)
         norm = float(np.linalg.norm(cols[:, arm]))
         if norm > 0.0 and abs(norm - 1.0) > 1e-6:
             logger.warning("line %d: covariate %d has norm %.6g, renormalizing", lineno, arm, norm)
@@ -163,7 +165,7 @@ def load_instance(path) -> DesignProblem:
         raise InstanceFormatError(
             f"line {lineno}: variance row has {len(tokens)} entries, expected {k}"
         )
-    sigma2 = np.array(_parse_floats(tokens, lineno))
+    sigma2 = np.array(_parse_floats(path, tokens, lineno))
 
     kappa2 = None
     beta = None
@@ -177,14 +179,14 @@ def load_instance(path) -> DesignProblem:
             raise InstanceFormatError(f"line {ln1}: proxy row has {len(t1)} entries, expected {k}")
         if len(t2) != d:
             raise InstanceFormatError(f"line {ln2}: beta row has {len(t2)} entries, expected {d}")
-        kappa2 = np.array(_parse_floats(t1, ln1))
-        beta = np.array(_parse_floats(t2, ln2))
+        kappa2 = np.array(_parse_floats(path, t1, ln1))
+        beta = np.array(_parse_floats(path, t2, ln2))
     elif len(extras) == 1:
         ln, tokens = extras[0]
         if len(tokens) == k:
-            kappa2 = np.array(_parse_floats(tokens, ln))
+            kappa2 = np.array(_parse_floats(path, tokens, ln))
         elif len(tokens) == d:
-            beta = np.array(_parse_floats(tokens, ln))
+            beta = np.array(_parse_floats(path, tokens, ln))
         else:
             raise InstanceFormatError(
                 f"line {ln}: optional row has {len(tokens)} entries, expected {k} or {d}"
@@ -544,10 +546,10 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     prefixes; budgets below 2K run on their own.  On K > d the seeds of
     a (policy, chain or budget) run as one lock-step ``Episode``, whose
     K > d ``thompson``, ``gradient_ucb`` and ``oracle`` steps pick every
-    seed's arm in one stacked solve: all seeds in one group in process,
-    else split into at most ``ACTIVE_DESIGN_THREADS`` contiguous groups.
-    K = d runs one seed per task, as its float step has nothing to
-    stack.  Grouping leaves every file byte-identical.  Each trace's
+    seed's arm in one stacked ``marks`` call: all seeds in one group in
+    process, else split into at most ``ACTIVE_DESIGN_THREADS`` contiguous
+    groups.  K = d runs one seed per task, as its float step has nothing
+    to stack.  Grouping leaves every file byte-identical.  Each trace's
     ``elapsed`` counts its own budget's increment (its share of it, in a
     group).  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run the
     tasks in parallel; in process, ``_episode_task`` runs once per

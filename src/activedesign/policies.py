@@ -25,15 +25,16 @@ is kept in lists of Python floats, and a step -- ``select`` and
 ``observe`` -- runs on those floats with no numpy call except the
 random generator's.  It does the IEEE operations of the array formulas
 in the same order, so its choices are bit-for-bit theirs.  K > d
-policies keep (K,) float arrays and solve Omega(p) with numpy.
+policies keep (K,) float arrays and invert Omega(p) with numpy.
 
 An ``Episode`` runs several seeds of one policy in lock-step.  On K > d,
 ``thompson``, ``gradient_ucb`` and ``oracle`` then pick every member's
 arm in one stacked computation over (S, K) arrays (``select_stacked``):
 one ``core.marks`` call (one matmul for the S information matrices, one
-solve, one einsum) and a row-wise argmin.  Each is bit-equal to its
-per-member call, so outputs do not depend on the grouping, and the ~10
-numpy calls of a step are paid once per group instead of once per seed.
+stacked inverse, one matmul, one einsum) and a row-wise argmin.  Each is
+bit-equal to its per-member call, so outputs do not depend on the
+grouping, and the ~10 numpy calls of a step are paid once per group
+instead of once per seed.
 K = d groups are not stacked: their float step makes no numpy call to
 share.
 
@@ -246,8 +247,8 @@ def _common_round(members: list) -> int:
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
     """The gradients -``marks`` for the S rows of ``p`` at once.
 
-    If the stacked solve raises ``LinAlgError``, the rows are redone one
-    by one on the same inputs, and a row whose own solve raises gets that
+    If the stacked inverse raises ``LinAlgError``, the rows are redone one
+    by one on the same inputs, and a row whose own inverse raises gets that
     error in ``arms``; rows whose entry in ``arms`` is already set are
     skipped.  ``sigma2`` is (S, K), or (K,) shared by every row.
     """
@@ -279,7 +280,7 @@ class Policy:
     ``round`` is the number of observations so far; ``proportions`` the
     exact empirical frequencies.  Per-arm state (``_per_arm``) is a list
     of Python floats on square problems, whose steps run on floats, and
-    a float array otherwise, for the numpy solve.  Only ``gradient_ucb``
+    a float array otherwise, for ``core.marks``.  Only ``gradient_ucb``
     and ``randomized`` read variance estimates, so only they keep per-arm
     moments and plug-in variances (``sig2hat``); thompson keeps its
     posteriors.  ``horizon_free`` marks a policy whose choices never
@@ -561,7 +562,7 @@ class GradientUcbPolicy(_Moments, Policy):
     variances, minus scale * sqrt(coeff * log(t) / T_k).  Ties break to
     the lowest index.  On square problems (K = d) the gradient is the
     closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and the whole step runs
-    on Python floats with no numpy call; K > d solves Omega(p) each step.
+    on Python floats with no numpy call; K > d inverts Omega(p) each step.
     ``use_lcb`` swaps plug-in variances for their lower confidence
     bounds; ``fixed_variances`` bypasses estimation entirely (testing
     hook).
@@ -651,7 +652,7 @@ class ThompsonPolicy(Policy):
     sampled variances.  On square problems that gradient is the closed
     form -(Gamma^-1)_kk sigma~_k^2 / p_k^2 and the variances are drawn
     arm by arm, so the step runs on Python floats with no numpy call but
-    the generator's; K > d draws them in one array call and solves
+    the generator's; K > d draws them in one array call and inverts
     Omega(p).  Sampled values are clipped to a wide band around the
     noise proxies as a numerical guard.
     """

@@ -194,6 +194,12 @@ def test_non_finite_and_mistyped_values_exit_one_naming_the_file_or_key(tmp_path
     assert cli_main(["solve", str(inst)]) == 1
     err = capsys.readouterr().err
     assert "nan.txt" in err and "finite" in err
+    # a NaN covariate failed with "SVD did not converge"; a NaN beta loaded
+    for body, line in [("1 0\nnan 1\n1.0 1.0\n", 3), ("1 0\n0 1\n1.0 1.0\n1.0 1.0\n1 nan\n", 6)]:
+        inst.write_text("2 2\n" + body)
+        assert cli_main(["solve", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert f"nan.txt: line {line}: 'nan' is not finite" in err
 
     base = {"policies": ["uniform"], "budgets": [10], "seeds": 1,
             "output": str(tmp_path / "results")}

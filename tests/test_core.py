@@ -1,6 +1,7 @@
 """Exact-value and finite-difference oracles for the design objective."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ def test_covariates_are_renormalized():
 def test_zero_covariate_rejected():
     with pytest.raises(ValueError, match="zero"):
         CovariateSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # a NaN or infinite entry used to fail only inside the SVD, or not at all
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            CovariateSet(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 def test_too_few_arms_rejected():
@@ -98,6 +103,10 @@ def test_problem_arm_count_mismatch():
 def test_problem_beta_dimension():
     with pytest.raises(ValueError, match="dimension"):
         canonical_problem([1.0, 1.0], beta=np.ones(3))
+    # a NaN beta used to load, and every simulated response was NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            canonical_problem([1.0, 1.0], beta=np.array([1.0, bad]))
 
 
 def test_simplex_weights_clamp_and_renormalize():
@@ -217,6 +226,46 @@ def test_marks_equal_minus_gradient_and_the_kkt_marks_exactly():
         m = marks(prob.covariates.columns, prob.noise.sigma2, p)
         assert (-gradient(prob, p)).tobytes() == m.tobytes()
         assert kkt_certificate(prob, p).marks.tobytes() == m.tobytes()
+
+
+def _exact_marks(omega: np.ndarray, x: np.ndarray, sigma2: np.ndarray) -> list:
+    """Marks from Gauss-Jordan elimination in exact rationals on float64 inputs."""
+    d, k = x.shape
+    rows = [
+        [Fraction(v) for v in (*om_row, *x_row)]
+        for om_row, x_row in zip(omega.tolist(), x.tolist())
+    ]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[c])]
+    return [
+        sum((rows[i][d + j] / rows[i][i]) ** 2 for i in range(d)) / Fraction(float(sigma2[j]))
+        for j in range(k)
+    ]
+
+
+def test_marks_are_accurate_to_the_condition_of_omega():
+    # against exact arithmetic on the same float64 Omega, weights skewed
+    # down to 1e-5 and variances over 16 decades; the error is taken
+    # relative to the largest mark (a small mark's own relative error can
+    # exceed kappa * eps when it is computed from the inverse)
+    rng = np.random.default_rng(17)
+    eps = np.finfo(np.float64).eps
+    for trial in range(24):
+        d, k = [(3, 4), (6, 12)][trial % 2]
+        x = make_random_instance(d, k, seed=trial).covariates.columns
+        sigma2 = 10.0 ** rng.uniform(-8.0, 8.0, k)
+        p = 10.0 ** rng.uniform(-5.0, 0.0, k)
+        p /= p.sum()
+        problem = DesignProblem(CovariateSet(x), NoiseSpec(sigma2))
+        omega = info_matrix(problem, p)
+        exact = np.array([float(v) for v in _exact_marks(omega, x, sigma2)])
+        error = np.max(np.abs(marks(x, sigma2, p) - exact)) / np.max(exact)
+        assert error <= d * np.linalg.cond(omega) * eps, (trial, error)
 
 
 def test_singular_flags_a_relative_eigenvalue_collapse():

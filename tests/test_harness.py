@@ -115,6 +115,19 @@ def test_instance_errors_carry_line_numbers(tmp_path):
         with pytest.raises(InstanceFormatError, match=f"{path.name}.*finite"):
             load_instance(path)
 
+    # a non-finite covariate failed only inside the SVD, and a non-finite
+    # beta loaded; the error names the file and the line
+    for text, lineno in [
+        ("2 2\n1 0\nnan 1\n1.0 1.0\n", 3),
+        ("2 2\ninf 0\n0 1\n1.0 1.0\n", 2),
+        ("2 2\n1 0\n0 1\n1.0 1.0\n1.0 1.0\nnan 1\n", 6),
+        ("3 2\n1 0 0\n0 1 0\n1.0 1.0\n1 -inf 1\n", 5),
+    ]:
+        path.write_text(text)
+        message = f"{path.name}: line {lineno}: .* is not finite"
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(path)
+
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance(tmp_path / "missing.txt")
 
@@ -350,6 +363,10 @@ def test_build_problem_errors(tmp_path):
         build_problem(inline)
     with pytest.raises(ValueError, match="finite"):
         build_problem({**inline, "variances": [1.0, 1.0], "kappa2": [1.0, math.inf]})
+    with pytest.raises(ValueError, match="covariates must be finite"):
+        build_problem({**inline, "covariates": [[1, 0], [math.nan, 1]], "variances": [1.0, 1.0]})
+    with pytest.raises(ValueError, match="beta must be finite"):
+        build_problem({**inline, "variances": [1.0, 1.0], "beta": [1.0, math.nan]})
 
 
 # --------------------------------------------------------------------
@@ -431,6 +448,19 @@ def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch
     assert written == sorted(p.name for p in golden.iterdir())
     for name in written:
         assert (result.output_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_two_point_configs_are_the_hard_instance_in_both_orientations():
+    names = ("two_point.json", "two_point_swapped.json")
+    configs = [load_config(ROOT / "configs" / name) for name in names]
+    (listed, _), (swapped, _) = (build_problem(cfg.instance) for cfg in configs)
+    assert configs[0].instance == {"generator": "hard", "delta": 0.5}
+    for field in ("policies", "budgets", "seeds"):
+        assert getattr(configs[0], field) == getattr(configs[1], field)
+    np.testing.assert_array_equal(swapped.covariates.columns, listed.covariates.columns)
+    np.testing.assert_array_equal(swapped.noise.sigma2, listed.noise.sigma2[::-1])
+    np.testing.assert_array_equal(swapped.noise.kappa2, listed.noise.kappa2[::-1])
+    np.testing.assert_array_equal(swapped.beta, listed.beta)
 
 
 def test_run_sweep_json_output(tmp_path, monkeypatch):

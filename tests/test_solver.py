@@ -408,6 +408,21 @@ def test_reference_optimum_screens_out_hopeless_supports(monkeypatch, make, call
     assert len(seen) == calls
 
 
+def test_reference_optimum_marks_calls_are_pinned(monkeypatch):
+    # one ``marks`` call per fixed-point sweep on 20x40 seed 0: a kernel
+    # whose rounding slows the fixed point's convergence shows up here
+    calls = []
+    exact = solver.marks
+
+    def counted(x, sigma2, p):
+        calls.append(None)
+        return exact(x, sigma2, p)
+
+    monkeypatch.setattr(solver, "marks", counted)
+    reference_optimum(make_random_instance(20, 40, seed=0))
+    assert len(calls) == 2973
+
+
 def test_reference_optimum_polishes_a_slow_vertex_early(caplog):
     # the fixed point shrinks the off-support mass only by
     # sqrt(1 / (1 + delta)) per sweep; the periodic polish stops it at
