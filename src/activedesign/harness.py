@@ -61,7 +61,7 @@ logger = logging.getLogger(__name__)
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance file; message carries the offending line number."""
+    """Malformed instance file; the message names the file and the offending line."""
 
 
 class ConfigError(ValueError):
@@ -135,13 +135,13 @@ def load_instance(path) -> DesignProblem:
         raise InstanceFormatError(f"{path}: empty instance file")
     lineno, header = rows[0]
     if len(header) != 2:
-        raise InstanceFormatError(f"line {lineno}: header must be 'd K'")
+        raise InstanceFormatError(f"{path}: line {lineno}: header must be 'd K'")
     try:
         d, k = int(header[0]), int(header[1])
     except ValueError:
-        raise InstanceFormatError(f"line {lineno}: header must be two integers") from None
+        raise InstanceFormatError(f"{path}: line {lineno}: header must be two integers") from None
     if d < 1 or k < 1:
-        raise InstanceFormatError(f"line {lineno}: dimensions must be positive")
+        raise InstanceFormatError(f"{path}: line {lineno}: dimensions must be positive")
 
     body_rows = rows[1:]
     if len(body_rows) < k + 1:
@@ -153,7 +153,7 @@ def load_instance(path) -> DesignProblem:
         lineno, tokens = body_rows[arm]
         if len(tokens) != d:
             raise InstanceFormatError(
-                f"line {lineno}: covariate row has {len(tokens)} entries, expected {d}"
+                f"{path}: line {lineno}: covariate row has {len(tokens)} entries, expected {d}"
             )
         cols[:, arm] = _parse_floats(path, tokens, lineno)
         norm = float(np.linalg.norm(cols[:, arm]))
@@ -163,7 +163,7 @@ def load_instance(path) -> DesignProblem:
     lineno, tokens = body_rows[k]
     if len(tokens) != k:
         raise InstanceFormatError(
-            f"line {lineno}: variance row has {len(tokens)} entries, expected {k}"
+            f"{path}: line {lineno}: variance row has {len(tokens)} entries, expected {k}"
         )
     sigma2 = np.array(_parse_floats(path, tokens, lineno))
 
@@ -171,14 +171,18 @@ def load_instance(path) -> DesignProblem:
     beta = None
     extras = body_rows[k + 1 :]
     if len(extras) > 2:
-        raise InstanceFormatError(f"line {extras[2][0]}: unexpected trailing data")
+        raise InstanceFormatError(f"{path}: line {extras[2][0]}: unexpected trailing data")
     if len(extras) == 2:
         ln1, t1 = extras[0]
         ln2, t2 = extras[1]
         if len(t1) != k:
-            raise InstanceFormatError(f"line {ln1}: proxy row has {len(t1)} entries, expected {k}")
+            raise InstanceFormatError(
+                f"{path}: line {ln1}: proxy row has {len(t1)} entries, expected {k}"
+            )
         if len(t2) != d:
-            raise InstanceFormatError(f"line {ln2}: beta row has {len(t2)} entries, expected {d}")
+            raise InstanceFormatError(
+                f"{path}: line {ln2}: beta row has {len(t2)} entries, expected {d}"
+            )
         kappa2 = np.array(_parse_floats(path, t1, ln1))
         beta = np.array(_parse_floats(path, t2, ln2))
     elif len(extras) == 1:
@@ -189,7 +193,7 @@ def load_instance(path) -> DesignProblem:
             beta = np.array(_parse_floats(path, tokens, ln))
         else:
             raise InstanceFormatError(
-                f"line {ln}: optional row has {len(tokens)} entries, expected {k} or {d}"
+                f"{path}: line {ln}: optional row has {len(tokens)} entries, expected {k} or {d}"
             )
 
     if kappa2 is None:
@@ -525,7 +529,7 @@ def _thread_cap() -> int:
 def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
     """The seeds that run as one lock-step episode, in contiguous groups.
 
-    K = d: one seed per group, since a float step has nothing to stack.
+    K = d: one seed per group, as a K = d ``Episode`` has one seed.
     K > d: every seed in one group when episodes run in process, else
     at most ``cap`` groups, so the pool still has work for every worker.
     """
@@ -544,12 +548,10 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     each seed once, to its largest budget, and cuts the smaller budgets'
     traces from that run, since with the same seed they are exact
     prefixes; budgets below 2K run on their own.  On K > d the seeds of
-    a (policy, chain or budget) run as one lock-step ``Episode``, whose
-    K > d ``thompson``, ``gradient_ucb`` and ``oracle`` steps pick every
-    seed's arm in one stacked ``marks`` call: all seeds in one group in
-    process, else split into at most ``ACTIVE_DESIGN_THREADS`` contiguous
-    groups.  K = d runs one seed per task, as its float step has nothing
-    to stack.  Grouping leaves every file byte-identical.  Each trace's
+    a (policy, chain or budget) run as one lock-step ``Episode`` (see the
+    README): all seeds in one group in process, else split into at most
+    ``ACTIVE_DESIGN_THREADS`` contiguous groups.  K = d runs one seed per
+    task.  Grouping leaves every file byte-identical.  Each trace's
     ``elapsed`` counts its own budget's increment (its share of it, in a
     group).  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run the
     tasks in parallel; in process, ``_episode_task`` runs once per

@@ -20,23 +20,13 @@ keeps every later information matrix invertible and floors the empirical
 proportions; otherwise a T^(3/4)-per-arm schedule.  The runner executes
 those phases, drives the policy loop, and records regret checkpoints.
 
-On square problems (K = d) per-arm state (counts, moments, posteriors)
-is kept in lists of Python floats, and a step -- ``select`` and
-``observe`` -- runs on those floats with no numpy call except the
-random generator's.  It does the IEEE operations of the array formulas
-in the same order, so its choices are bit-for-bit theirs.  K > d
-policies keep (K,) float arrays and invert Omega(p) with numpy.
-
-An ``Episode`` runs several seeds of one policy in lock-step.  On K > d,
-``thompson``, ``gradient_ucb`` and ``oracle`` then pick every member's
-arm in one stacked computation over (S, K) arrays (``select_stacked``):
-one ``core.marks`` call (one matmul for the S information matrices, one
-stacked inverse, one matmul, one einsum) and a row-wise argmin.  Each is
-bit-equal to its per-member call, so outputs do not depend on the
-grouping, and the ~10 numpy calls of a step are paid once per group
-instead of once per seed.
-K = d groups are not stacked: their float step makes no numpy call to
-share.
+On square problems (K = d) an episode is one seed, its per-arm state
+(counts, moments, posteriors) is kept in lists of Python floats, and a
+step -- ``select`` and ``observe`` -- runs on those floats with no numpy
+call except the random generator's.  It does the IEEE operations of the
+array formulas in the same order, so its choices are bit-for-bit theirs.
+On K > d one policy steps every seed of an ``Episode`` as a row of
+(S, K) arrays, as the README's lock-step paragraph describes.
 
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
 never read T, so at budgets of 2K or more (past thompson's warm-up and
@@ -238,12 +228,6 @@ def _pairwise_sum(a: list, lo: int, n: int) -> float:
     return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
 
 
-def _common_round(members: list) -> int:
-    n = members[0].round
-    assert all(m.round == n for m in members), "lock-step members must share their round"
-    return n
-
-
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
     """The gradients -``marks`` for the S rows of ``p`` at once.
 
@@ -268,51 +252,62 @@ def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: l
 
 def _fill_argmin(g: np.ndarray, arms: list) -> list:
     """``arms`` with each unset (None) entry set to its row's argmin."""
-    for i, arm in enumerate(g.argmin(axis=1).tolist()):
-        if arms[i] is None:
-            arms[i] = arm
-    return arms
+    best = g.argmin(axis=1).tolist()
+    if not any(arms):
+        return best
+    return [b if arm is None else arm for arm, b in zip(arms, best)]
+
+
+# the per-row state a K > d policy may hold, deleted with a row that fails
+_ROW_STATE = (
+    "counts", "_mean", "_m2", "sig2hat", "_lcb", "_anchor",
+    "post_mu", "post_nu", "post_alpha", "post_beta",
+)
 
 
 class Policy:
     """Shared bookkeeping: the round and the per-arm counts.
 
     ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.  Per-arm state (``_per_arm``) is a list
-    of Python floats on square problems, whose steps run on floats, and
-    a float array otherwise, for ``core.marks``.  Only ``gradient_ucb``
-    and ``randomized`` read variance estimates, so only they keep per-arm
-    moments and plug-in variances (``sig2hat``); thompson keeps its
-    posteriors.  ``horizon_free`` marks a policy whose choices never
-    read the horizon T.
-
-    A class that can pick the arms of a K > d lock-step group at once
-    names the per-arm arrays its ``select`` reads that differ between
-    seeds in ``_stacked`` and defines ``select_stacked``; the others are
-    stepped one ``select`` at a time.
+    exact empirical frequencies.  On square problems per-arm state is a
+    list of Python floats, and ``select(t)`` returns one arm and
+    ``observe(arm, y)`` takes one observation.  On K > d the policy owns
+    S rows, one per seed: ``rng`` is a list of S generators (a single
+    generator, or None, is one row), per-row state is an (S, K) array,
+    per-problem values are arrays every row shares, ``select(t)``
+    returns S entries (an arm, or the exception that row raised) and
+    ``observe`` takes one arm and response per row.  Only
+    ``gradient_ucb`` and ``randomized`` read variance estimates, so only
+    they keep per-arm moments and plug-in variances (``sig2hat``);
+    thompson keeps its posteriors.  ``horizon_free`` marks a policy
+    whose choices never read the horizon T.
     """
 
     name = "?"
     horizon_free = False
-    _stacked: tuple = ()
 
     def __init__(
         self,
         problem: DesignProblem,
-        rng: np.random.Generator | None,
+        rng: np.random.Generator | list | None,
         horizon: int,
     ):
         self.problem = problem
-        self.rng = rng
         self.horizon = int(horizon)
         self.n_arms = problem.n_arms
         self._square = problem.is_square
-        self.counts = self._per_arm(0.0)
+        self.rng = rng if self._square or isinstance(rng, list) else [rng]
+        self.counts = self._per_arm(0.0, rows=True)
         self.round = 0
 
-    def _per_arm(self, values):
-        """Per-arm values (a scalar or K of them) in this policy's container."""
-        values = np.full(self.n_arms, values, dtype=np.float64)
+    def _per_arm(self, values, rows: bool = False):
+        """Per-arm values (a scalar or K of them) in this policy's container.
+
+        A list of floats on square problems; otherwise a (K,) array, or
+        with ``rows`` an (S, K) array holding them in every row.
+        """
+        shape = (len(self.rng), self.n_arms) if rows and not self._square else self.n_arms
+        values = np.full(shape, values, dtype=np.float64)
         return values.tolist() if self._square else values
 
     @property
@@ -321,46 +316,39 @@ class Policy:
             raise ValueError("no observations yet")
         return np.asarray(self.counts) / self.round
 
-    def select(self, t: int) -> int:
+    def select(self, t: int):
         raise NotImplementedError
 
-    @classmethod
-    def stack(cls, members: list) -> dict:
-        """Rebind the members' ``_stacked`` arrays to rows of (S, K) arrays.
-
-        Each member's values are copied into its row and the attribute
-        rebound to that row, so ``observe`` keeps writing its own state
-        in place.  Returns the (S, K) arrays by name.
-        """
-        arrays = {}
-        for name in cls._stacked:
-            block = np.array([getattr(m, name) for m in members])
-            for member, row in zip(members, block):
-                setattr(member, name, row)
-            arrays[name] = block
-        return arrays
-
-    @classmethod
-    def select_stacked(cls, members: list, t: int, arrays: dict) -> list:
-        """Every member's ``select(t)`` from the stacked ``arrays`` at once.
-
-        The members share one round and their per-problem values, which
-        are read from the first; an entry is an arm, or the exception that
-        member's own ``select`` would have raised.
-        """
-        raise NotImplementedError
-
-    def observe(self, arm: int, y: float) -> None:
+    def observe(self, arm, y) -> None:
         self.round += 1
-        self.counts[arm] += 1.0
+        if self._square:
+            self.counts[arm] += 1.0
+        else:
+            for key in enumerate(arm):
+                self.counts[key] += 1.0
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
-        """Observations ``ys`` of one arm, in order; same as observing each."""
-        for y in ys.tolist():
-            self.observe(arm, y)
+        """Observations ``ys`` of one arm, in order; same as observing each.
+
+        On K > d ``ys`` is (S, m): every row observes ``arm`` m times.
+        """
+        if self._square:
+            for y in ys.tolist():
+                self.observe(arm, y)
+        else:
+            arms = [arm] * len(ys)
+            for y in ys.T.tolist():
+                self.observe(arms, y)
 
     def presample_done(self, t: int) -> None:
         """Hook called once after the presampling plan has executed."""
+
+    def drop(self, rows: list) -> None:
+        """Delete the K > d ``rows`` from the per-row state and the generators."""
+        for name in _ROW_STATE:
+            if name in vars(self):
+                setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
+        self.rng = [g for i, g in enumerate(self.rng) if i not in rows]
 
 
 class _Moments:
@@ -368,50 +356,60 @@ class _Moments:
 
     Mixed into a ``Policy`` subclass, whose ``__init__`` calls
     ``_init_moments``.  The arm's count is the policy's ``counts``; the
-    running mean and m2 are Python floats beside it.  ``sig2hat`` is the
+    running mean and m2 are kept beside it.  ``sig2hat`` is the
     population variance m2 / n, NaN until the arm has two observations;
     with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
     failure share ``delta_arm``) are kept beside it.
     """
 
     def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
-        k = self.n_arms
-        self._mean = [0.0] * k
-        self._m2 = [0.0] * k
-        self.sig2hat = self._per_arm(np.nan)
+        self._mean = self._per_arm(0.0, rows=True)
+        self._m2 = self._per_arm(0.0, rows=True)
+        self.sig2hat = self._per_arm(np.nan, rows=True)
         self._track_lcb = track_lcb
         self._params = [ConfidenceParams(delta_arm, k2) for k2 in self.problem.noise.kappa2]
-        self._lcb = self._per_arm(np.nan)
+        self._lcb = self._per_arm(np.nan, rows=True)
 
-    def _update(self, arm: int, ys) -> None:
-        n, mean, m2 = self.counts[arm], self._mean[arm], self._m2[arm]
+    def _update(self, key, arm: int, ys) -> None:
+        """Welford over ``ys`` of ``arm``, at ``key``: the arm, or (row, arm) on K > d."""
+        n, mean, m2 = self.counts[key], self._mean[key], self._m2[key]
         for y in ys:
             n += 1.0
             delta = y - mean
             mean += delta / n
             m2 += delta * (y - mean)
-        self.round += len(ys)
-        self.counts[arm], self._mean[arm], self._m2[arm] = n, mean, m2
+        self.counts[key], self._mean[key], self._m2[key] = n, mean, m2
         if n >= 2.0:
             var = m2 / n
-            self.sig2hat[arm] = var
+            self.sig2hat[key] = var
             if self._track_lcb:
-                self._lcb[arm] = lcb_variance(n, var, self._params[arm])
+                self._lcb[key] = lcb_variance(n, var, self._params[arm])
 
-    def observe(self, arm: int, y: float) -> None:
-        self._update(arm, (y,))
+    def observe(self, arm, y) -> None:
+        if self._square:
+            self._update(arm, arm, (y,))
+        else:
+            for i, a in enumerate(arm):
+                self._update((i, a), a, (y[i],))
+        self.round += 1
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
         """Welford over the block in order; variances and LCB set once."""
-        self._update(arm, ys.tolist())
+        if self._square:
+            self._update(arm, arm, ys.tolist())
+        else:
+            for i, row in enumerate(ys.tolist()):
+                self._update((i, arm), arm, row)
+        self.round += ys.shape[-1]
 
 
 class UniformPolicy(Policy):
     name = "uniform"
     horizon_free = True
 
-    def select(self, t: int) -> int:
-        return self.round % self.n_arms
+    def select(self, t: int):
+        arm = self.round % self.n_arms
+        return arm if self._square else [arm] * len(self.rng)
 
 
 class OracleTrackingPolicy(Policy):
@@ -419,7 +417,6 @@ class OracleTrackingPolicy(Policy):
 
     name = "oracle"
     horizon_free = True
-    _stacked = ("counts",)
 
     def __init__(self, problem, rng, horizon, p_star=None):
         super().__init__(problem, rng, horizon)
@@ -427,24 +424,17 @@ class OracleTrackingPolicy(Policy):
             p_star, _ = reference_optimum(problem)
         self.p_star = self._per_arm(p_star)
 
-    def select(self, t: int) -> int:
+    def select(self, t: int):
         n = self.round
         if not self._square:
             if n == 0:
-                return int(self.p_star.argmax())
-            return int((self.p_star - self.counts / n).argmax())
+                return [int(self.p_star.argmax())] * len(self.rng)
+            return (self.p_star - self.counts / n).argmax(axis=1).tolist()
         # the largest deficit p*_k - counts_k / n is the first smallest
         # counts_k / n - p*_k: IEEE subtraction is exactly antisymmetric
         if n == 0:
             return _argmin([-p for p in self.p_star])
         return _argmin([c / n - p for c, p in zip(self.counts, self.p_star)])
-
-    @classmethod
-    def select_stacked(cls, members, t, arrays):
-        n, p_star = _common_round(members), members[0].p_star
-        if n == 0:
-            return [int(p_star.argmax())] * len(members)
-        return (p_star - arrays["counts"] / n).argmax(axis=1).tolist()
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -461,7 +451,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
     a mixture with the presampling origin; without presampling this
     reduces to drawing from the design itself.  On square problems the
     design, the residual and the draw run on Python floats, with sums in
-    numpy's order.  The bounds are read only once ``presample_done`` has
+    numpy's order; a K > d row solves its own design and draws from its
+    own generator.  The bounds are read only once ``presample_done`` has
     found every arm's bound defined; ``fixed_variances`` replace them.
     """
 
@@ -496,7 +487,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
                 raise ValueError("fixed_variances must be positive and finite")
         # variances the design is solved under: None until defined
         self._design_variances = self.fixed_variances
-        self._anchor = self._per_arm(0.0)
+        self._anchor = self._per_arm(0.0, rows=True)
         if problem.is_square:
             self._root_cof = np.sqrt(problem_constants(problem).cofactors).tolist()
             self._solver_config = None
@@ -509,13 +500,19 @@ class RandomizedDesignPolicy(_Moments, Policy):
             )
 
     def presample_done(self, t: int) -> None:
-        self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon)
+        self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon, rows=True)
         # the bounds only ever go from NaN to defined, so one scan here
         # covers every later round
         if self._design_variances is None and not np.any(np.isnan(self._lcb)):
             self._design_variances = self._lcb
 
-    def _optimistic_design(self):
+    def drop(self, rows: list) -> None:
+        bounds = self._design_variances is self._lcb
+        super().drop(rows)
+        if bounds:
+            self._design_variances = self._lcb
+
+    def _optimistic_design(self, row: int = 0):
         sig2 = self._design_variances
         if sig2 is None:
             raise ValueError("variance bounds undefined; presample every arm first")
@@ -523,6 +520,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
             raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
             total = _float_sum(raw)
             return [v / total for v in raw]
+        if sig2 is self._lcb:
+            sig2 = sig2[row]
         x = self.problem.covariates.columns
         res = minimize(
             lambda p: loss_given(x, sig2, p),
@@ -532,15 +531,21 @@ class RandomizedDesignPolicy(_Moments, Policy):
         )
         return res.weights.values
 
-    def select(self, t: int) -> int:
-        design = self._optimistic_design()
+    def select(self, t: int):
         if not self._square:
-            residual = np.maximum(design - self._anchor, 0.0)
-            total = residual.sum()
-            q = residual / total if total > 0.0 else design
-            u = self.rng.random()
-            arm = int(np.cumsum(q).searchsorted(u, side="right"))
-            return min(arm, self.n_arms - 1)
+            arms = []
+            for row, rng in enumerate(self.rng):
+                try:
+                    design = self._optimistic_design(row)
+                    residual = np.maximum(design - self._anchor[row], 0.0)
+                    total = residual.sum()
+                    q = residual / total if total > 0.0 else design
+                    arm = int(np.cumsum(q).searchsorted(rng.random(), side="right"))
+                    arms.append(min(arm, self.n_arms - 1))
+                except Exception as exc:
+                    arms.append(exc)
+            return arms
+        design = self._optimistic_design()
         residual = [d - a for d, a in zip(design, self._anchor)]
         residual = [0.0 if r < 0.0 else r for r in residual]
         total = _float_sum(residual)
@@ -562,14 +567,14 @@ class GradientUcbPolicy(_Moments, Policy):
     variances, minus scale * sqrt(coeff * log(t) / T_k).  Ties break to
     the lowest index.  On square problems (K = d) the gradient is the
     closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and the whole step runs
-    on Python floats with no numpy call; K > d inverts Omega(p) each step.
+    on Python floats with no numpy call; K > d inverts every row's
+    Omega(p) in one stacked ``marks`` call each step.
     ``use_lcb`` swaps plug-in variances for their lower confidence
     bounds; ``fixed_variances`` bypasses estimation entirely (testing
     hook).
     """
 
     name = "gradient_ucb"
-    _stacked = ("counts", "sig2hat", "_lcb")
 
     def __init__(
         self,
@@ -592,7 +597,10 @@ class GradientUcbPolicy(_Moments, Policy):
         )
         self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
         self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
-        self._var_floor = self._per_arm(1e-12 * problem.noise.kappa2)
+        floor = 1e-12 * problem.noise.kappa2
+        # shared by the rows, and held as one (1, K) row so that a one-row
+        # episode's (1, K) plug-ins meet it without a numpy broadcast
+        self._var_floor = floor.tolist() if self._square else floor[None]
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)
         else:
@@ -609,14 +617,13 @@ class GradientUcbPolicy(_Moments, Policy):
         # NaN, an arm below two observations, passes as in np.maximum
         return [f if s < f else s for s, f in zip(self.sig2hat, self._var_floor)]
 
-    def select(self, t: int) -> int:
+    def select(self, t: int):
         if not self._square:
-            g = -marks(self._x, self._variances(), self.counts / self.round)
+            counts, arms = self.counts, [None] * len(self.rng)
+            g = _stacked_gradients(self._x, self._variances(), counts / self.round, arms)
             if self.bonus_scale > 0.0:
-                g = g - self.bonus_scale * np.sqrt(
-                    self.bonus_log_coeff * math.log(t) / self.counts
-                )
-            return int(g.argmin())
+                g = g - self.bonus_scale * np.sqrt(self.bonus_log_coeff * math.log(t) / counts)
+            return _fill_argmin(g, arms)
         counts = _ieee_counts(self.counts)
         g = _closed_form_gradient(self._neg_inv_gram, self._variances(), counts, self.round)
         if self.bonus_scale > 0.0:
@@ -624,23 +631,6 @@ class GradientUcbPolicy(_Moments, Policy):
             for k, m in enumerate(counts):
                 g[k] -= scale * math.sqrt(c / m)
         return _argmin(g)
-
-    @classmethod
-    def select_stacked(cls, members, t, arrays):
-        first, counts = members[0], arrays["counts"]
-        n = _common_round(members)
-        sig2 = first.fixed_variances
-        if sig2 is None:
-            sig2 = (
-                arrays["_lcb"]
-                if first.use_lcb
-                else np.maximum(arrays["sig2hat"], first._var_floor)
-            )
-        arms = [None] * len(members)
-        g = _stacked_gradients(first._x, sig2, counts / n, arms)
-        if first.bonus_scale > 0.0:
-            g = g - first.bonus_scale * np.sqrt(first.bonus_log_coeff * math.log(t) / counts)
-        return _fill_argmin(g, arms)
 
 
 class ThompsonPolicy(Policy):
@@ -652,14 +642,14 @@ class ThompsonPolicy(Policy):
     sampled variances.  On square problems that gradient is the closed
     form -(Gamma^-1)_kk sigma~_k^2 / p_k^2 and the variances are drawn
     arm by arm, so the step runs on Python floats with no numpy call but
-    the generator's; K > d draws them in one array call and inverts
-    Omega(p).  Sampled values are clipped to a wide band around the
-    noise proxies as a numerical guard.
+    the generator's; a K > d row draws them in one call on its own
+    generator, and the rows' Omega(p) are inverted together.  Sampled
+    values are clipped to a wide band around the noise proxies as a
+    numerical guard.
     """
 
     name = "thompson"
     horizon_free = True
-    _stacked = ("counts", "post_alpha", "post_beta")
 
     def __init__(
         self,
@@ -672,10 +662,10 @@ class ThompsonPolicy(Policy):
         mu0, nu0, alpha0, beta0 = prior
         if nu0 <= 0.0 or alpha0 <= 0.0 or beta0 <= 0.0:
             raise ValueError("nu, alpha, beta must be positive")
-        self.post_mu = self._per_arm(mu0)
-        self.post_nu = self._per_arm(nu0)
-        self.post_alpha = self._per_arm(alpha0)
-        self.post_beta = self._per_arm(beta0)
+        self.post_mu = self._per_arm(mu0, rows=True)
+        self.post_nu = self._per_arm(nu0, rows=True)
+        self.post_alpha = self._per_arm(alpha0, rows=True)
+        self.post_beta = self._per_arm(beta0, rows=True)
         kap2 = problem.noise.kappa2
         self._clip_lo = self._per_arm(1e-8 * kap2)
         self._clip_hi = 1e8 * float(kap2.max())
@@ -684,26 +674,29 @@ class ThompsonPolicy(Policy):
         else:
             self._x = problem.covariates.columns
 
-    def observe(self, arm: int, y: float) -> None:
+    def observe(self, arm, y) -> None:
         super().observe(arm, y)
-        mu, nu = self.post_mu[arm], self.post_nu[arm]
-        self.post_nu[arm] = nu + 1.0
-        self.post_mu[arm] = (nu * mu + y) / (nu + 1.0)
-        self.post_alpha[arm] += 0.5
-        self.post_beta[arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
+        if self._square:
+            self._posterior(arm, y)
+        else:
+            for i, a in enumerate(arm):
+                self._posterior((i, a), y[i])
 
-    def sample_variances(self):
-        """beta_k / Gamma(alpha_k), clipped to [clip_lo_k, clip_hi].
+    def _posterior(self, key, y: float) -> None:
+        """The conjugate update at ``key``: the arm, or (row, arm) on K > d."""
+        mu, nu = self.post_mu[key], self.post_nu[key]
+        self.post_nu[key] = nu + 1.0
+        self.post_mu[key] = (nu * mu + y) / (nu + 1.0)
+        self.post_alpha[key] += 0.5
+        self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
-        Square problems draw arm by arm, in index order: that consumes
-        the same stream, and gives the same values, as the one
-        ``standard_gamma`` call on the alpha array that K > d makes.
+    def sample_variances(self) -> list:
+        """beta_k / Gamma(alpha_k), clipped to [clip_lo_k, clip_hi], on K = d.
+
+        Drawn arm by arm, in index order: that consumes the same stream,
+        and gives the same values, as one ``standard_gamma`` call on the
+        alpha array, which is how a K > d row draws.
         """
-        if not self._square:
-            # same stream and values as gamma(alpha) and np.clip, which add
-            # per-call wrapper cost on this per-step path
-            draws = self.post_beta / self.rng.standard_gamma(self.post_alpha)
-            return np.minimum(np.maximum(draws, self._clip_lo), self._clip_hi)
         gamma, hi = self.rng.standard_gamma, self._clip_hi
         draws = []
         for a, b, lo in zip(self.post_alpha, self.post_beta, self._clip_lo):
@@ -714,27 +707,21 @@ class ThompsonPolicy(Policy):
             draws.append(hi if s > hi else s)
         return draws
 
-    def select(self, t: int) -> int:
-        if not self._square:
-            g = -marks(self._x, self.sample_variances(), self.counts / self.round)
-            return int(g.argmin())
-        sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
-        return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))
-
-    @classmethod
-    def select_stacked(cls, members, t, arrays):
-        n = _common_round(members)
-        arms = [None] * len(members)
-        gamma = np.ones_like(arrays["post_alpha"])
-        for i, member in enumerate(members):
-            # each member draws from its own generator, in member order
+    def select(self, t: int):
+        if self._square:
+            sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
+            return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))
+        arms = [None] * len(self.rng)
+        gamma = np.ones_like(self.post_alpha)
+        for i, rng in enumerate(self.rng):
+            # each row draws from its own generator, in row order
             try:
-                gamma[i] = member.rng.standard_gamma(member.post_alpha)
+                gamma[i] = rng.standard_gamma(self.post_alpha[i])
             except Exception as exc:
                 arms[i] = exc
-        draws = arrays["post_beta"] / gamma
-        sig2 = np.minimum(np.maximum(draws, members[0]._clip_lo), members[0]._clip_hi)
-        g = _stacked_gradients(members[0]._x, sig2, arrays["counts"] / n, arms)
+        # np.minimum and np.maximum: np.clip's values, without its wrapper cost
+        sig2 = np.minimum(np.maximum(self.post_beta / gamma, self._clip_lo), self._clip_hi)
+        g = _stacked_gradients(self._x, sig2, self.counts / self.round, arms)
         return _fill_argmin(g, arms)
 
 
@@ -760,7 +747,7 @@ def policy_class(name: str) -> type[Policy]:
 def make_policy(
     name: str,
     problem: DesignProblem,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator | list | None,
     horizon: int,
     options: dict | None = None,
 ) -> Policy:
@@ -817,39 +804,33 @@ def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[in
     return sorted(t for t in ts if start <= t <= horizon)
 
 
-def _feed(env: Environment, policy: Policy, arm: int, m: int) -> None:
-    if m <= 0:
-        return
-    policy.observe_block(arm, env.query_block(arm, m))
-
-
-def _presample(policy: Policy, env: Environment, policy_name: str, plan, n0: int, horizon: int):
-    """Run ``policy``'s presampling on ``env``; returns the design it laid out, if any."""
-    problem, k = env.problem, policy.n_arms
+def _presample(policy: Policy, feed, policy_name: str, plan, n0: int, horizon: int):
+    """Presample ``policy`` through ``feed(arm, m)``; returns the design laid out, if any."""
+    problem, k = policy.problem, policy.n_arms
     if plan is not None:
         for arm in range(k):
-            _feed(env, policy, arm, n0)
+            feed(arm, n0)
         for arm in range(k):
-            _feed(env, policy, arm, int(plan.counts[arm]) - int(policy.counts[arm]))
+            feed(arm, int(plan.counts[arm]) - n0)
         return None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
     if policy_name in _ADAPTIVE and problem.is_square:
         for arm in range(k):
-            _feed(env, policy, arm, n0)
+            feed(arm, n0)
         concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
         if concrete.total() > horizon:
             raise ValueError("presampling plan exceeds the budget")
         for arm in range(k):
-            _feed(env, policy, arm, int(concrete.counts[arm]) - int(policy.counts[arm]))
+            feed(arm, int(concrete.counts[arm]) - n0)
         return np.asarray(concrete.origin, dtype=np.float64)
     if policy_name in _ADAPTIVE:
         concrete = kd_presample(k, horizon)
         for arm in range(k):
-            _feed(env, policy, arm, int(concrete.counts[arm]))
+            feed(arm, int(concrete.counts[arm]))
         return np.asarray(concrete.origin, dtype=np.float64)
     if policy_name == "thompson":
         # two observations per arm so posteriors and proportions are sane
         for arm in range(k):
-            _feed(env, policy, arm, min(2, horizon - policy.round))
+            feed(arm, min(2, horizon - policy.round))
     return None
 
 
@@ -864,118 +845,40 @@ def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
 
 
 class _Member:
-    """One seed of an ``Episode``: its environment, policy and checkpoint rows.
+    """One seed of an ``Episode``: its environment and checkpoint rows.
 
     ``error`` holds the exception that dropped the member; ``rows`` is
     None once an ``advance_all`` has reported it.
     """
 
-    __slots__ = ("env", "policy", "origin", "rows", "error")
+    __slots__ = ("env", "rows", "error")
 
     def __init__(self, env: Environment):
         self.env = env
-        self.policy = self.origin = None
         self.rows: dict | None = {}
         self.error: Exception | None = None
-
-
-class _AllDropped(Exception):
-    """Raised by a ``_Lockstep`` group once every member has raised."""
-
-
-class _Lockstep:
-    """The step calls of two or more ``Episode`` members, in member order.
-
-    ``select(t)`` returns every member's arm: one ``select_stacked`` call
-    when ``stacked``, else one ``select`` per member.  ``query`` takes
-    those arms and ``observe`` the arms and responses.  A member that
-    raises keeps the exception as its ``error`` and sits out the rest of
-    the step; the step's ``observe`` then drops it from the group (and
-    restacks the rest), or raises ``_AllDropped`` if none is left.
-    """
-
-    def __init__(self, members: list, stacked: bool):
-        self._stacked = stacked
-        self._regroup(members)
-
-    def _regroup(self, members: list) -> None:
-        self._members = [m for m in members if m.error is None]
-        if not self._members:
-            raise _AllDropped
-        self._policies = [m.policy for m in self._members]
-        self._cls = type(self._policies[0])
-        self._arrays = self._cls.stack(self._policies) if self._stacked else None
-
-    def select(self, t: int) -> list:
-        if self._arrays is None:
-            arms = []
-            for policy in self._policies:
-                try:
-                    arms.append(policy.select(t))
-                except Exception as exc:
-                    arms.append(exc)
-        else:
-            arms = self._cls.select_stacked(self._policies, t, self._arrays)
-        for member, arm in zip(self._members, arms):
-            if isinstance(arm, Exception) and member.error is None:
-                member.error = arm
-        return arms
-
-    def query(self, arms: list) -> list:
-        ys = []
-        for member, arm in zip(self._members, arms):
-            y = None
-            if member.error is None:
-                try:
-                    y = member.env.query(arm)
-                except Exception as exc:
-                    member.error = exc
-            ys.append(y)
-        return ys
-
-    def observe(self, arms: list, ys: list) -> None:
-        dropped = False
-        for member, arm, y in zip(self._members, arms, ys):
-            if member.error is not None:
-                dropped = True
-                continue
-            try:
-                member.policy.observe(arm, y)
-            except Exception as exc:
-                member.error, dropped = exc, True
-        if dropped:
-            self._regroup(self._members)
 
 
 class Episode:
     """Seeded episodes of one policy, run budget by budget in lock-step.
 
     ``envs`` is one ``Environment`` or a list of them, one per member
-    (seed), on one problem.  Each member keeps its own policy, generator
-    streams and environment.  Construction builds every member's policy
-    for ``horizon`` and runs its presampling; ``advance_all(T)``
+    (seed), on one problem; on K = d an episode has one member.
+    Construction builds the policy for ``horizon`` (on K > d one row per
+    member, see ``Policy``) and runs its presampling; ``advance_all(T)``
     continues the step loop to T and returns each member's T-step trace,
-    and ``advance(T)`` does so for a one-member episode.  The members
-    step together: at each step the policy class picks every live
-    member's arm, by one stacked computation (``select_stacked``) for a
-    K > d ``thompson``, ``gradient_ucb`` or ``oracle`` group of two or
-    more, otherwise by one ``select`` per member; each member then
-    queries its environment and observes.  A one-member episode makes
-    its member's calls straight from the step loop, with no loop over
-    members.  Since stacked and per-member arithmetic are bit-equal, a
-    member's trace is the one it would record alone.  K = d groups are
-    not stacked: their step runs on Python floats and has no numpy call
-    to share.  Members must end presampling at the same round, and then
-    share it at every step; K > d members always do, while K = d
-    adaptive presampling depends on each seed's variance estimates.
+    and ``advance(T)`` does so for a one-member episode.  A member whose
+    presampling query, ``select`` entry, step query or checkpoint raises
+    loses its row and keeps its error; the others run on, their streams
+    untouched, so each member's trace is the one it records alone.  An
+    error no row owns (from building the policy, or from ``observe``,
+    which updates every row) is every running member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
     episode is a prefix of every longer one.  Checkpoints are recorded on
     the union of the horizons' schedules, and each trace keeps the rows
-    of its own schedule.  A member that raises, in set-up or in a step,
-    is dropped from the group; the others run on, their streams
-    untouched.  Other arguments are those of ``run_episode``.
+    of its own schedule.  Other arguments are those of ``run_episode``.
     """
 
     def __init__(
@@ -997,6 +900,8 @@ class Episode:
         problem = envs[0].problem
         if any(env.problem is not problem for env in envs):
             raise ValueError("an episode's environments must share one problem")
+        if problem.is_square and len(envs) > 1:
+            raise ValueError("a K = d episode has one seed; run the seeds as separate episodes")
         if horizon < 1:
             raise ValueError("horizon must be positive")
         k = problem.n_arms
@@ -1034,25 +939,22 @@ class Episode:
                 raise ValueError("estimation phase alone exceeds the budget")
 
         self._members = [_Member(env) for env in envs]
-        for member in self._members:
-            env = member.env
-            try:
-                rng = np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
-                member.policy = make_policy(policy_name, problem, rng, horizon, opts)
-                member.origin = _presample(member.policy, env, policy_name, plan, n0, horizon)
-                member.policy.presample_done(member.policy.round)
-            except Exception as exc:
-                member.error = exc
-        live = [m for m in self._members if m.error is None]
-        ends = {m.policy.round for m in live}
-        if len(ends) > 1:
-            raise ValueError(
-                "members end presampling at different rounds; run them as separate episodes"
-            )
-        t = ends.pop() if ends else 0
+        self._live = list(self._members)  # the members still running, in row order
+        self.policy = self.origin = None
+        try:
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
+                for env in envs
+            ]
+            rng = rngs[0] if problem.is_square else rngs
+            self.policy = make_policy(policy_name, problem, rng, horizon, opts)
+            self.origin = _presample(self.policy, self._feed, policy_name, plan, n0, horizon)
+            self.policy.presample_done(self.policy.round)
+        except Exception as exc:
+            self._fail(exc)
+        t = self.policy.round if self._live else 0
 
         self.policy_name = policy_name
-        self.policies = [m.policy for m in self._members]
         self.t = t
         self.presample_end = t
         self.estimation_count = n0
@@ -1062,31 +964,74 @@ class Episode:
         }
         self._pending = set().union(*self._schedules.values())
         if t in self._pending:
-            self._record(t)
-        live = [m for m in live if m.error is None]
-        if len(live) == 1:
-            policy, env = live[0].policy, live[0].env
-            self._calls = (policy.select, env.query, policy.observe)
-        elif live:
-            stacked = bool(type(live[0].policy)._stacked) and not problem.is_square
-            group = _Lockstep(live, stacked)
-            self._calls = (group.select, group.query, group.observe)
-        else:
-            self._calls = None
+            try:
+                self._record(t)
+            except Exception as exc:  # raised once no member is left
+                self._fail(exc)
 
-    @property
-    def policy(self) -> Policy:
-        """The policy of a one-member episode."""
-        (policy,) = self.policies
-        return policy
+    def _fail(self, exc: Exception) -> None:
+        """End every running member with ``exc``."""
+        for member in self._live:
+            member.error = exc
+        self._live = []
 
-    def _record(self, now: int) -> None:
-        """Record checkpoint ``now`` of every live member."""
-        for member in self._members:
-            if member.error is not None:
+    def _drop(self, failed: list) -> None:
+        """Delete the rows ``failed`` (ascending), whose members hold their errors.
+
+        Raises the last one's error when no member is left, which ends the
+        set-up or the step loop.
+        """
+        if not failed:
+            return
+        if not self._problem.is_square:
+            self.policy.drop(failed)
+        last = self._live[failed[-1]]
+        self._live = [m for m in self._live if m.error is None]
+        if not self._live:
+            raise last.error
+
+    def _feed(self, arm: int, m: int) -> None:
+        """Presample: every member observes ``arm`` m times from its environment."""
+        if m <= 0:
+            return
+        ys, failed = [], []
+        for i, member in enumerate(self._live):
+            try:
+                ys.append(member.env.query_block(arm, m))
+            except Exception as exc:
+                member.error = exc
+                failed.append(i)
+        self._drop(failed)
+        self.policy.observe_block(arm, ys[0] if self._problem.is_square else np.array(ys))
+
+    def _query_rows(self, arms: list) -> list:
+        """The K > d step's responses, one per row.
+
+        A row whose ``select`` entry is an exception, or whose query
+        raises, is dropped, and its entry deleted from ``arms``.
+        """
+        ys = []
+        for member, arm in zip(self._live, arms):
+            if isinstance(arm, Exception):
+                member.error = arm
                 continue
             try:
-                counts = member.policy.counts
+                ys.append(member.env.query(arm))
+            except Exception as exc:
+                member.error = exc
+        if len(ys) < len(arms):
+            failed = [i for i, m in enumerate(self._live) if m.error is not None]
+            self._drop(failed)
+            for i in reversed(failed):
+                del arms[i]
+        return ys
+
+    def _record(self, now: int) -> None:
+        """Record checkpoint ``now`` of every running member."""
+        rows = [self.policy.counts] if self._problem.is_square else self.policy.counts
+        failed = []
+        for i, (member, counts) in enumerate(zip(self._live, rows)):
+            try:
                 p = np.asarray(counts) / now
                 value = loss(self._problem, p)
                 member.rows[now] = CheckpointRow(
@@ -1098,6 +1043,8 @@ class Episode:
                 )
             except Exception as exc:
                 member.error = exc
+                failed.append(i)
+        self._drop(failed)
 
     def advance_all(self, horizon: int) -> list:
         """Run every member on to ``horizon`` queries; one outcome per member.
@@ -1111,8 +1058,9 @@ class Episode:
             raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
         start = self._setup_start if self._setup_start is not None else time.perf_counter()
         self._setup_start = None
-        if self._calls is not None:
-            select, query, observe = self._calls
+        if self._live:
+            select, observe = self.policy.select, self.policy.observe
+            query = self._live[0].env.query if self._problem.is_square else self._query_rows
             pending, t = self._pending, self.t
             try:
                 while t < horizon:
@@ -1122,15 +1070,11 @@ class Episode:
                     if t in pending:
                         self._record(t)
             except Exception as exc:
-                # a one-member episode's calls raise its member's error; a
-                # group keeps each member's own and raises once none is left
-                for member in self._members:
-                    if member.error is None:
-                        member.error = exc
-                self._calls = None
+                # a member that raised alone has lost its row already; this
+                # error is every remaining member's, or the last one's
+                self._fail(exc)
         self.t = horizon
-        ran = sum(member.error is None for member in self._members)
-        elapsed = (time.perf_counter() - start) / max(ran, 1)
+        elapsed = (time.perf_counter() - start) / max(len(self._live), 1)
         outcomes = []
         for member in self._members:
             if member.rows is None:
@@ -1143,16 +1087,17 @@ class Episode:
         return outcomes
 
     def _trace(self, member: _Member, horizon: int, elapsed: float) -> RegretTrace:
+        rows = tuple(member.rows[s] for s in self._schedules[horizon])
         return RegretTrace(
             policy=self.policy_name,
             seed=member.env.seed,
             horizon=horizon,
             noise=member.env.model,
-            rows=tuple(member.rows[s] for s in self._schedules[horizon]),
-            origin=member.origin,
+            rows=rows,
+            origin=self.origin,
             presample_end=self.presample_end,
             estimation_count=self.estimation_count,
-            final_counts=tuple(int(c) for c in member.policy.counts),
+            final_counts=rows[-1].counts,
             elapsed=elapsed,
         )
 

@@ -86,19 +86,19 @@ def test_instance_errors_carry_line_numbers(tmp_path):
         load_instance(path)
 
     path.write_text("2\n1 0\n0 1\n1.0 1.0\n")
-    with pytest.raises(InstanceFormatError, match="line 1.*header"):
+    with pytest.raises(InstanceFormatError, match=r"bad\.txt: line 1.*header"):
         load_instance(path)
 
     path.write_text("2 2\n1 0 0\n0 1\n1.0 1.0\n")
-    with pytest.raises(InstanceFormatError, match="line 2.*covariate row has 3"):
+    with pytest.raises(InstanceFormatError, match=r"bad\.txt: line 2.*covariate row has 3"):
         load_instance(path)
 
     path.write_text("2 2\n1 0\n0 1\n1.0 1.0 1.0\n")
-    with pytest.raises(InstanceFormatError, match="line 4.*variance row"):
+    with pytest.raises(InstanceFormatError, match=r"bad\.txt: line 4.*variance row"):
         load_instance(path)
 
     path.write_text("2 2\n1 0\n0 1\n1.0 1.0\n1.0 1.0\n0 0\n1 1\n")
-    with pytest.raises(InstanceFormatError, match="unexpected trailing data"):
+    with pytest.raises(InstanceFormatError, match=r"bad\.txt: line 7: unexpected trailing data"):
         load_instance(path)
 
     path.write_text("3 2\n1 0 0\n0 1 0\n1.0 1.0\n1 1 1 1\n")

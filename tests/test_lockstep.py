@@ -1,14 +1,17 @@
 """Lock-step episodes: several seeds of one policy stepped together.
 
-On K > d, ``thompson``, ``gradient_ucb`` and ``oracle`` pick every
-member's arm in one stacked solve.  Each member's trace must be the one
-it records alone, field by field; a member that raises must fail alone,
-as it would in a separate episode; and a sweep's files must not depend
+On K > d one policy owns every member as a row of (S, K) arrays and
+picks every row's arm in one ``select`` call.  Each member's trace must
+be the one it records alone, field by field; a member that raises must
+fail alone, as it would in a separate episode; the row updates must be
+bit-equal to the scalar formulas; and a sweep's files must not depend
 on how its seeds were grouped.
 """
 
+import copy
 import dataclasses
 import functools
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 
 from activedesign import core, harness, policies
 from activedesign.environment import Environment, make_env
+from activedesign.estimation import ConfidenceParams, lcb_variance
 from activedesign.harness import ExperimentConfig, build_problem, run_sweep
 from activedesign.policies import Episode, run_episode
 from activedesign.solver import reference_optimum
@@ -87,26 +91,23 @@ def test_lockstep_members_record_their_separate_traces(instance, name, noise, si
         assert _fields(got) == _fields(_alone(instance, noise, name, seed, horizon))
 
 
-def test_stacked_groups_pick_through_select_stacked(monkeypatch):
-    # a group of two or more K > d thompson members never calls the
-    # per-member select; K = d groups and one-member groups always do
+def test_kd_group_makes_one_select_call_per_step(monkeypatch):
+    # every member is a row of the one policy: a K > d step is one select
+    # call with one entry per row, whatever the group's size
     calls = []
 
     def counting(self, t, _select=policies.ThompsonPolicy.select):
-        calls.append(t)
-        return _select(self, t)
+        arms = _select(self, t)
+        calls.append(len(arms))
+        return arms
 
     monkeypatch.setattr(policies.ThompsonPolicy, "select", counting)
     problem, model, ref = _problem("random3x5", "gaussian")
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
-    Episode("thompson", envs, 300, reference=ref).advance_all(300)
-    assert calls == []
-    Episode("thompson", envs[:1], 300, reference=ref).advance_all(300)
-    assert len(calls) == 300 - 10
-    square, square_model = build_problem({"generator": "random", "d": 3, "K": 3, "seed": 4})
-    calls.clear()
-    Episode("thompson", [make_env(square, s, square_model) for s in (1, 2)], 100).advance_all(100)
-    assert len(calls) == 2 * (100 - 6)
+    for size in (1, 3):
+        calls.clear()
+        envs = [make_env(problem, s, model) for s in SEEDS[:size]]
+        Episode("thompson", envs, 300, reference=ref).advance_all(300)
+        assert calls == [size] * (300 - 10)
 
 
 @pytest.mark.parametrize("options", [(("use_lcb", True),), (("bonus_scale", 0.0),)])
@@ -135,12 +136,12 @@ def test_stacked_singular_solve_fails_only_its_own_member(name):
     horizon = 2000
     envs = [make_env(problem, s, model) for s in SEEDS[:3]]
     episode = Episode(name, envs, horizon, reference=ref)
-    # no mass on any arm: Omega(p) = 0, whose solve raises for this
-    # member alone; the write lands in the group's stacked counts
-    episode.policies[1].counts[:] = 0.0
+    # no mass on any arm: Omega(p) = 0, whose inverse raises for this
+    # row alone (checked on a copy, so the group's generators stay unused)
+    episode.policy.counts[1] = 0.0
     with np.errstate(divide="ignore"):
-        with pytest.raises(np.linalg.LinAlgError):
-            episode.policies[1].select(episode.t + 1)
+        arms = copy.deepcopy(episode.policy).select(episode.t + 1)
+        assert [type(a) for a in arms] == [int, np.linalg.LinAlgError, int]
         outcomes = episode.advance_all(horizon)
     assert isinstance(outcomes[1], np.linalg.LinAlgError)
     for i in (0, 2):
@@ -152,7 +153,7 @@ def test_dropped_member_is_reported_once():
     problem, model, ref = _problem("random3x5", "gaussian")
     envs = [make_env(problem, s, model) for s in SEEDS[:3]]
     episode = Episode("thompson", envs, 300, reference=ref, budgets=(600,))
-    episode.policies[2].counts[:] = 0.0
+    episode.policy.counts[2] = 0.0
     first = episode.advance_all(300)
     assert isinstance(first[2], np.linalg.LinAlgError)
     second = episode.advance_all(600)
@@ -172,26 +173,132 @@ def test_set_up_failure_is_the_members_outcome():
     assert [str(o) for o in outcomes] == [str(alone.value)] * 2
 
 
-def test_members_must_share_their_problem_and_presampling_end():
+def test_members_share_one_problem_and_square_runs_one_seed():
     problem, model, ref = _problem("random3x5", "gaussian")
     other, _, _ = _problem("random3x5", "uniform")
     with pytest.raises(ValueError, match="share one problem"):
         Episode("uniform", [make_env(problem, 0, model), make_env(other, 1, model)], 100)
     with pytest.raises(ValueError, match="at least one"):
         Episode("uniform", [], 100)
-    # K = d adaptive presampling lays out counts from each seed's own
-    # variance estimates, so two seeds can end it at different rounds
+    # a K = d episode steps one seed on Python floats; its seeds run apart
     square, square_model = build_problem({"generator": "random", "d": 3, "K": 3, "seed": 4})
-    ends = {
-        run_episode("gradient_ucb", make_env(square, s, square_model), 2000).presample_end: s
-        for s in range(6)
-    }
-    assert len(ends) > 1
-    envs = [make_env(square, s, square_model) for s in list(ends.values())[:2]]
-    with pytest.raises(ValueError, match="different rounds"):
-        Episode("gradient_ucb", envs, 2000)
+    with pytest.raises(ValueError, match="one seed"):
+        Episode("gradient_ucb", [make_env(square, s, square_model) for s in (0, 1)], 2000)
     with pytest.raises(ValueError, match="one-member"):
         Episode("uniform", [make_env(problem, s, model) for s in (0, 1)], 100).advance(100)
+
+
+def test_member_failing_in_presampling_fails_alone(monkeypatch):
+    # the middle seed's environment raises partway through K > d
+    # presampling: its outcome is its own episode's error, and the rows
+    # around it record their separate traces
+    def failing(self, arm, n, _block=Environment.query_block):
+        if self.seed == SEEDS[1] and arm == 2:
+            raise RuntimeError(f"seed {self.seed} stopped at arm {arm}")
+        return _block(self, arm, n)
+
+    problem, model, ref = _problem("redundant", "gaussian")
+    want = [_alone("redundant", "gaussian", "gradient_ucb", s, 1000) for s in SEEDS[:3]]
+    monkeypatch.setattr(Environment, "query_block", failing)
+    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    outcomes = Episode("gradient_ucb", envs, 1000, reference=ref).advance_all(1000)
+    with pytest.raises(RuntimeError) as alone:
+        run_episode("gradient_ucb", make_env(problem, SEEDS[1], model), 1000, reference=ref)
+    assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == str(alone.value)
+    for i in (0, 2):
+        assert _fields(outcomes[i]) == _fields(want[i])
+
+
+# --------------------------------------------------------------------
+# row updates
+
+
+def _pow_hazard(rng, mu: float) -> float:
+    """A response y whose d = y - mu has d * d != d ** 2 (C ``pow``)."""
+    while True:
+        y = mu + float(rng.standard_normal()) * 10.0
+        d = y - mu
+        if d * d != d**2:
+            return y
+
+
+def test_thompson_row_updates_equal_the_scalar_formulas():
+    # K > d, three rows: y - mu is picked where the scalar update's pow
+    # and an array ``** 2`` (a product) round differently
+    problem, _, _ = _problem("random3x5", "gaussian")
+    s, k = 3, problem.n_arms
+    policy = policies.ThompsonPolicy(problem, [None] * s, 100)
+    state = [[[0.0, 1.0, 1.0, 1.0] for _ in range(k)] for _ in range(s)]  # mu, nu, alpha, beta
+
+    def scalar(row, arm, y):
+        mu, nu, alpha, beta = state[row][arm]
+        state[row][arm] = [
+            (nu * mu + y) / (nu + 1.0), nu + 1.0, alpha + 0.5,
+            beta + nu * (y - mu) ** 2 / (2.0 * (nu + 1.0)),
+        ]
+
+    rng = np.random.default_rng(7)
+    for step in range(60):
+        arms = [int(a) for a in rng.integers(0, k, s)]
+        if step % 3:
+            ys = [_pow_hazard(rng, state[i][a][0]) for i, a in enumerate(arms)]
+            policy.observe(arms, ys)
+            for i, (a, y) in enumerate(zip(arms, ys)):
+                scalar(i, a, y)
+        else:
+            block = np.empty((s, 4))
+            for i in range(s):
+                for j in range(4):
+                    block[i, j] = _pow_hazard(rng, state[i][arms[0]][0])
+                    scalar(i, arms[0], block[i, j])
+            policy.observe_block(arms[0], block)
+    for i in range(s):
+        for j, name in enumerate(("post_mu", "post_nu", "post_alpha", "post_beta")):
+            want = np.array([state[i][a][j] for a in range(k)])
+            assert getattr(policy, name)[i].tobytes() == want.tobytes(), (i, name)
+
+
+def test_moment_row_updates_equal_the_scalar_formulas():
+    # K > d gradient_ucb with its bounds: per-row Welford moments,
+    # plug-in variances and LCBs against the scalar formulas
+    problem, _, _ = _problem("random3x5", "gaussian")
+    s, k, horizon = 3, problem.n_arms, 2000
+    policy = policies.GradientUcbPolicy(problem, [None] * s, horizon, use_lcb=True)
+    delta = 1.0 / (float(horizon) ** 2 * k)
+    params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
+    state = [[[0.0, 0.0, 0.0, math.nan, math.nan] for _ in range(k)] for _ in range(s)]
+
+    def scalar(row, arm, y):
+        n, mean, m2, var, lcb = state[row][arm]
+        n += 1.0
+        d = y - mean
+        mean += d / n
+        m2 += d * (y - mean)
+        if n >= 2.0:
+            var = m2 / n
+            lcb = lcb_variance(n, var, params[arm])
+        state[row][arm] = [n, mean, m2, var, lcb]
+
+    rng = np.random.default_rng(8)
+    for step in range(60):
+        arms = [int(a) for a in rng.integers(0, k, s)]
+        if step % 3:
+            ys = (rng.standard_normal(s) * 3.0 + 1.0).tolist()
+            policy.observe(arms, ys)
+            for i, (a, y) in enumerate(zip(arms, ys)):
+                scalar(i, a, y)
+        else:
+            block = rng.standard_normal((s, 5)) * 3.0 - 2.0
+            policy.observe_block(arms[0], block)
+            for i in range(s):
+                for y in block[i].tolist():
+                    scalar(i, arms[0], y)
+    names = ("counts", "_mean", "_m2", "sig2hat", "_lcb")
+    for i in range(s):
+        for j, name in enumerate(names):
+            want = np.array([state[i][a][j] for a in range(k)])
+            assert getattr(policy, name)[i].tobytes() == want.tobytes(), (i, name)
+    assert not np.any(np.isnan(policy._lcb))
 
 
 # --------------------------------------------------------------------

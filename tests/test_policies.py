@@ -118,13 +118,14 @@ def test_kd_presample_budget_errors():
 
 
 def test_counts_and_incremental_proportions_agree():
+    # K > d: one row, observed through one-entry lists
     problem = make_random_instance(2, 3, seed=0)
     policy = UniformPolicy(problem, None, horizon=100)
     rng = np.random.default_rng(5)
-    expect = np.zeros(3)
+    expect = np.zeros((1, 3))
     for t, arm in enumerate(rng.integers(0, 3, size=200), start=1):
-        policy.observe(int(arm), float(rng.standard_normal()))
-        expect[arm] += 1.0
+        policy.observe([int(arm)], [float(rng.standard_normal())])
+        expect[0, arm] += 1.0
         assert policy.round == t
         np.testing.assert_array_equal(policy.counts, expect)
         np.testing.assert_array_equal(policy.proportions, policy.counts / t)
