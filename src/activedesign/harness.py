@@ -253,6 +253,8 @@ class ExperimentConfig:
         if not isinstance(instance, dict):
             raise ConfigError("'instance' must be an object")
 
+        if not isinstance(raw["policies"], (list, tuple)):
+            raise ConfigError(f"'policies' must be a list, got {raw['policies']!r}")
         policies = []
         seen = set()
         for entry in raw["policies"]:
@@ -433,73 +435,63 @@ class SweepResult:
 
 
 class _Group:
-    """The seeds of one policy that run in lock-step through ``budgets``
-    (ascending; one budget unless they chain), and between two of the
-    group's jobs its live episodes and the outcomes not yet taken."""
+    """The seeds of one policy that run as one lock-step ``Episode``
+    through ``budgets`` (ascending; one budget unless they chain).
 
-    def __init__(self, budgets: tuple, seeds: tuple):
+    ``run`` holds the sweep's constants (problem, model, name, options,
+    ratio, n0, reference); ``outcomes`` the traces and errors that the
+    group's jobs have not taken yet.
+    """
+
+    def __init__(self, run: tuple, budgets: tuple, seeds: tuple):
+        self.run = run
         self.budgets = budgets
         self.seeds = seeds
-        self.episodes: list = []  # (Episode, its member seeds) with live members
-        self.running: set = set()  # seeds of those live members
+        self.episode = None
         self.outcomes: dict = {}  # (horizon, seed) -> trace or exception
 
+    def advance(self, horizon: int) -> None:
+        """Advance every seed to ``horizon`` and keep each one's outcome.
 
-def _advance_group(job) -> None:
-    """Advance every seed of the job's group to the job's budget.
-
-    Seeds without a live episode (at the first budget, or after their
-    member raised) start again from step one in a new episode that can
-    reach the group's later budgets, as a separate episode would.  Each
-    seed's trace or error is kept in ``group.outcomes`` for its job.
-    """
-    problem, model, name, options, horizon, _, ratio, n0, reference, group = job
-    later = tuple(t for t in group.budgets if t > horizon)
-    restart = [seed for seed in group.seeds if seed not in group.running]
-    if restart:
+        The episode is built at the first budget that reaches here.  An
+        error from building or advancing it is every seed's; a seed that
+        failed keeps its error at the later budgets.
+        """
+        problem, model, name, options, ratio, n0, reference = self.run
         try:
-            episode = Episode(
-                name,
-                [make_env(problem, seed, model) for seed in restart],
-                horizon,
-                checkpoint_ratio=ratio,
-                estimation_count=n0,
-                options=options,
-                reference=reference,
-                budgets=later,
-            )
-            group.episodes.append((episode, restart))
+            if self.episode is None:
+                self.episode = Episode(
+                    name,
+                    [make_env(problem, seed, model) for seed in self.seeds],
+                    horizon,
+                    checkpoint_ratio=ratio,
+                    estimation_count=n0,
+                    options=options,
+                    reference=reference,
+                    budgets=tuple(t for t in self.budgets if t > horizon),
+                )
+            outcomes = self.episode.advance_all(horizon)
         except Exception as exc:
-            group.outcomes.update(((horizon, seed), exc) for seed in restart)
-    live, running = [], set()
-    for episode, seeds in group.episodes:
-        # one outcome per member seed; None for a drop reported earlier
-        alive = set()
-        for seed, out in zip(seeds, episode.advance_all(horizon)):
-            if out is not None:
-                group.outcomes[horizon, seed] = out
-            if isinstance(out, RegretTrace):
-                alive.add(seed)
-        if alive and later:
-            live.append((episode, seeds))
-            running |= alive
-    group.episodes, group.running = live, running
+            outcomes = [exc] * len(self.seeds)
+        self.outcomes.update(((horizon, seed), out) for seed, out in zip(self.seeds, outcomes))
+        if horizon == self.budgets[-1]:
+            self.episode = None  # free its environments and policy state
 
 
 def _episode_task(args) -> tuple:
-    """Run one (policy, budget, seed) job: (name, horizon, seed, trace).
+    """Run one (group, budget, seed) job: (name, horizon, seed, trace).
 
     The first job of a budget in its group advances the whole group to
-    that budget (``_advance_group``); every job then returns its own
+    that budget (``_Group.advance``); every job then returns its own
     seed's trace, or raises its own seed's error.
     """
-    name, horizon, seed, group = args[2], args[4], args[5], args[-1]
+    group, horizon, seed = args
     if (horizon, seed) not in group.outcomes:
-        _advance_group(args)
+        group.advance(horizon)
     outcome = group.outcomes.pop((horizon, seed))
     if isinstance(outcome, Exception):
         raise outcome
-    return name, horizon, seed, outcome
+    return group.run[2], horizon, seed, outcome
 
 
 def _chain_task(jobs: list) -> list:
@@ -558,8 +550,9 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     (policy, budget, seed), and the first job of a group's budget steps
     the whole group.  Failures are collected rather than fatal so a bad
     seed cannot sink a long sweep; callers decide how to surface them.
-    A seed that fails a budget drops out of its group, and at the next
-    budget starts again from the first step.
+    A seed that fails a budget drops out of its group and keeps that
+    error at the group's later budgets: a chained run does not depend
+    on the budget, so a restart would fail again at the same step.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -575,13 +568,10 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
 
     def make_task(name, options, budgets, seeds):
-        group = _Group(budgets, seeds)
-        return [
-            (problem, model, name, options, horizon, seed, config.checkpoint_ratio,
-             config.estimation_count, reference, group)
-            for horizon in budgets
-            for seed in seeds
-        ]
+        run = (problem, model, name, options, config.checkpoint_ratio,
+               config.estimation_count, reference)
+        group = _Group(run, budgets, seeds)
+        return [(group, horizon, seed) for horizon in budgets for seed in seeds]
 
     # A horizon-free policy's shorter episodes are prefixes of its longest
     # one, so its chained budgets run in ascending order as one episode;
@@ -616,9 +606,9 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     else:
         done = [_chain_task(task) for task in tasks]
     outcomes = {
-        (job[2], job[4], job[5]): outcome
+        (group.run[2], horizon, seed): outcome
         for task, results in zip(tasks, done)
-        for job, outcome in zip(task, results)
+        for (group, horizon, seed), outcome in zip(task, results)
     }
 
     traces: dict = {}

@@ -67,6 +67,9 @@ POLICY_NAMES = ("uniform", "randomized", "gradient_ucb", "thompson", "oracle")
 # Policies that need variance estimates and therefore a presampling plan.
 _ADAPTIVE = ("randomized", "gradient_ucb")
 
+# the Frank-Wolfe solve of randomized's K > d design
+_DESIGN_SOLVER = SolverConfig(max_iters=2000, gap_tol=1e-7)
+
 
 def default_estimation_count(horizon: int) -> int:
     """Phase-0 samples per arm: max(2, ceil(10 log(2T)))."""
@@ -449,11 +452,12 @@ class RandomizedDesignPolicy(_Moments, Policy):
     the residual between the optimistic design and the mass already laid
     out, so the final proportions converge to the design rather than to
     a mixture with the presampling origin; without presampling this
-    reduces to drawing from the design itself.  On square problems the
-    design, the residual and the draw run on Python floats, with sums in
-    numpy's order; a K > d row solves its own design and draws from its
-    own generator.  The bounds are read only once ``presample_done`` has
-    found every arm's bound defined; ``fixed_variances`` replace them.
+    reduces to drawing from the design itself.  The residual and the
+    draw run on Python floats, with sums in numpy's order, as does the
+    design on square problems; a K > d row solves its own design and
+    draws from its own generator.  The bounds are read only once
+    ``presample_done`` has found every arm's bound defined;
+    ``fixed_variances`` replace them.
     """
 
     name = "randomized"
@@ -464,7 +468,6 @@ class RandomizedDesignPolicy(_Moments, Policy):
         rng,
         horizon,
         fixed_variances=None,
-        solver_config: SolverConfig | None = None,
         design_delta: float | None = None,
     ):
         super().__init__(problem, rng, horizon)
@@ -485,15 +488,12 @@ class RandomizedDesignPolicy(_Moments, Policy):
             self.fixed_variances = self._per_arm(fixed_variances)
             if not all(0.0 < v < math.inf for v in self.fixed_variances):
                 raise ValueError("fixed_variances must be positive and finite")
-        # variances the design is solved under: None until defined
-        self._design_variances = self.fixed_variances
+        self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
         if problem.is_square:
             self._root_cof = np.sqrt(problem_constants(problem).cofactors).tolist()
-            self._solver_config = None
         else:
             self._root_cof = None
-            self._solver_config = solver_config or SolverConfig(max_iters=2000, gap_tol=1e-7)
             logger.warning(
                 "randomized policy with K > d is extension behavior; "
                 "re-solving the design by Frank-Wolfe each recompute"
@@ -503,54 +503,34 @@ class RandomizedDesignPolicy(_Moments, Policy):
         self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon, rows=True)
         # the bounds only ever go from NaN to defined, so one scan here
         # covers every later round
-        if self._design_variances is None and not np.any(np.isnan(self._lcb)):
-            self._design_variances = self._lcb
+        self._bounds_ready = not np.any(np.isnan(self._lcb))
 
-    def drop(self, rows: list) -> None:
-        bounds = self._design_variances is self._lcb
-        super().drop(rows)
-        if bounds:
-            self._design_variances = self._lcb
-
-    def _optimistic_design(self, row: int = 0):
-        sig2 = self._design_variances
+    def _optimistic_design(self, row: int = 0) -> list:
+        sig2 = self.fixed_variances
         if sig2 is None:
-            raise ValueError("variance bounds undefined; presample every arm first")
+            if not self._bounds_ready:
+                raise ValueError("variance bounds undefined; presample every arm first")
+            sig2 = self._lcb if self._square else self._lcb[row]
         if self._root_cof is not None:
             raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
             total = _float_sum(raw)
             return [v / total for v in raw]
-        if sig2 is self._lcb:
-            sig2 = sig2[row]
         x = self.problem.covariates.columns
         res = minimize(
             lambda p: loss_given(x, sig2, p),
             lambda p: -marks(x, sig2, p),
             self.n_arms,
-            self._solver_config,
+            _DESIGN_SOLVER,
         )
-        return res.weights.values
+        return res.weights.values.tolist()
 
-    def select(self, t: int):
-        if not self._square:
-            arms = []
-            for row, rng in enumerate(self.rng):
-                try:
-                    design = self._optimistic_design(row)
-                    residual = np.maximum(design - self._anchor[row], 0.0)
-                    total = residual.sum()
-                    q = residual / total if total > 0.0 else design
-                    arm = int(np.cumsum(q).searchsorted(rng.random(), side="right"))
-                    arms.append(min(arm, self.n_arms - 1))
-                except Exception as exc:
-                    arms.append(exc)
-            return arms
-        design = self._optimistic_design()
-        residual = [d - a for d, a in zip(design, self._anchor)]
+    def _draw(self, design: list, anchor: list, rng) -> int:
+        """An arm from the residual of ``design`` over ``anchor``, else from ``design``."""
+        residual = [d - a for d, a in zip(design, anchor)]
         residual = [0.0 if r < 0.0 else r for r in residual]
         total = _float_sum(residual)
         q = [r / total for r in residual] if total > 0.0 else design
-        u = self.rng.random()
+        u = rng.random()
         # the first arm whose cumulative mass exceeds u
         cum = 0.0
         for arm, w in enumerate(q):
@@ -558,6 +538,18 @@ class RandomizedDesignPolicy(_Moments, Policy):
             if u < cum:
                 return arm
         return self.n_arms - 1
+
+    def select(self, t: int):
+        if self._square:
+            return self._draw(self._optimistic_design(), self._anchor, self.rng)
+        arms = []
+        for row, rng in enumerate(self.rng):
+            try:
+                design = self._optimistic_design(row)
+                arms.append(self._draw(design, self._anchor[row].tolist(), rng))
+            except Exception as exc:
+                arms.append(exc)
+        return arms
 
 
 class GradientUcbPolicy(_Moments, Policy):
@@ -591,7 +583,9 @@ class GradientUcbPolicy(_Moments, Policy):
             raise ValueError("bonus parameters must be nonnegative")
         self.bonus_scale = float(bonus_scale)
         self.bonus_log_coeff = float(bonus_log_coeff)
-        self.use_lcb = bool(use_lcb)
+        if not isinstance(use_lcb, bool):
+            raise ValueError(f"use_lcb must be true or false, got {use_lcb!r}")
+        self.use_lcb = use_lcb
         self.fixed_variances = (
             None if fixed_variances is None else self._per_arm(fixed_variances)
         )
@@ -796,6 +790,9 @@ def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[in
     if horizon < 1:
         raise ValueError("horizon must be positive")
     start = max(int(start), 1)
+    if horizon * (ratio - 1.0) < 1.0:
+        # v then grows by under 1 a step, so round() skips no integer
+        return list(range(start, horizon + 1))
     ts = {horizon}
     v = float(start)
     while v < horizon:
@@ -845,17 +842,14 @@ def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
 
 
 class _Member:
-    """One seed of an ``Episode``: its environment and checkpoint rows.
-
-    ``error`` holds the exception that dropped the member; ``rows`` is
-    None once an ``advance_all`` has reported it.
-    """
+    """One seed of an ``Episode``: its environment, checkpoint rows and
+    the exception that dropped it, if any."""
 
     __slots__ = ("env", "rows", "error")
 
     def __init__(self, env: Environment):
         self.env = env
-        self.rows: dict | None = {}
+        self.rows: dict = {}
         self.error: Exception | None = None
 
 
@@ -1049,10 +1043,9 @@ class Episode:
     def advance_all(self, horizon: int) -> list:
         """Run every member on to ``horizon`` queries; one outcome per member.
 
-        A member's outcome is its ``horizon``-step trace; the exception
-        that dropped it, in set-up or since the last call; or None if an
-        earlier call reported its drop.  The traces share the call's
-        time, plus the set-up on the first call.
+        A member's outcome is its ``horizon``-step trace, or the exception
+        that dropped it, at this call and every later one.  The traces
+        share the call's time, plus the set-up on the first call.
         """
         if horizon not in self._schedules or horizon < self.t:
             raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
@@ -1075,16 +1068,10 @@ class Episode:
                 self._fail(exc)
         self.t = horizon
         elapsed = (time.perf_counter() - start) / max(len(self._live), 1)
-        outcomes = []
-        for member in self._members:
-            if member.rows is None:
-                outcomes.append(None)
-            elif member.error is not None:
-                outcomes.append(member.error)
-                member.rows = None
-            else:
-                outcomes.append(self._trace(member, horizon, elapsed))
-        return outcomes
+        return [
+            member.error if member.error is not None else self._trace(member, horizon, elapsed)
+            for member in self._members
+        ]
 
     def _trace(self, member: _Member, horizon: int, elapsed: float) -> RegretTrace:
         rows = tuple(member.rows[s] for s in self._schedules[horizon])

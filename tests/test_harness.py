@@ -276,6 +276,14 @@ def test_config_reads_a_nan_ratio_from_json_as_an_error(tmp_path):
     assert ExperimentConfig.from_dict(ok).checkpoint_ratio == 2.0
 
 
+@pytest.mark.parametrize("policies", ["uniform", 5, {"name": "uniform"}, None])
+def test_config_rejects_policies_that_are_not_a_list(policies):
+    # "uniform" used to be read letter by letter ("unknown policy 'u'"),
+    # and 5 raised a bare TypeError
+    with pytest.raises(ConfigError, match="'policies' must be a list"):
+        ExperimentConfig.from_dict({**base_config_dict(), "policies": policies})
+
+
 def test_config_policy_entries_carry_options():
     raw = base_config_dict()
     raw["policies"] = [{"name": "randomized", "design_delta": 0.5}, "uniform"]
@@ -539,6 +547,22 @@ def test_run_sweep_rejects_bad_policy_options(tmp_path, monkeypatch):
     }
     cfg = ExperimentConfig.from_dict(raw)
     with pytest.raises(ConfigError, match="options rejected"):
+        run_sweep(cfg, quiet=True)
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_run_sweep_rejects_a_use_lcb_that_is_not_a_bool(monkeypatch, value):
+    # "no" used to be read as bool("no"), which is True, and the sweep ran
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    raw = {
+        "instance": {"generator": "hard"},
+        "policies": [{"name": "gradient_ucb", "use_lcb": value}],
+        "budgets": [100],
+        "seeds": 1,
+        "output": None,
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match="options rejected: use_lcb must be true or false"):
         run_sweep(cfg, quiet=True)
 
 

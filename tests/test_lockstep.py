@@ -28,9 +28,11 @@ from activedesign.solver import reference_optimum
 ROOT = Path(__file__).resolve().parents[1]
 REDUNDANT = {"file": str(ROOT / "instances" / "redundant_arm.txt")}
 INSTANCES = {
-    # (instance, policies, budget); each budget clears gradient_ucb's
-    # T^(3/4) presampling
-    "redundant": (REDUNDANT, ("uniform", "oracle", "thompson", "gradient_ucb"), 1000),
+    # (instance, policies, budget); each budget clears the T^(3/4)
+    # presampling of gradient_ucb and randomized
+    "redundant": (
+        REDUNDANT, ("uniform", "oracle", "thompson", "gradient_ucb", "randomized"), 1000
+    ),
     "random3x5": (
         {"generator": "random", "d": 3, "K": 5, "seed": 11},
         ("uniform", "oracle", "thompson", "gradient_ucb"),
@@ -149,7 +151,7 @@ def test_stacked_singular_solve_fails_only_its_own_member(name):
         assert _fields(outcomes[i]) == _fields(want)
 
 
-def test_dropped_member_is_reported_once():
+def test_dropped_member_keeps_its_error():
     problem, model, ref = _problem("random3x5", "gaussian")
     envs = [make_env(problem, s, model) for s in SEEDS[:3]]
     episode = Episode("thompson", envs, 300, reference=ref, budgets=(600,))
@@ -157,7 +159,7 @@ def test_dropped_member_is_reported_once():
     first = episode.advance_all(300)
     assert isinstance(first[2], np.linalg.LinAlgError)
     second = episode.advance_all(600)
-    assert second[2] is None
+    assert second[2] is first[2]
     for seed, got in zip(SEEDS, second[:2]):
         assert _fields(got) == _fields(_alone("random3x5", "gaussian", "thompson", seed, 600))
 
@@ -359,8 +361,7 @@ def test_failing_member_matches_separate_episodes(monkeypatch, threads):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
 
     # keyed to the environment's own draws, so a member that went on
-    # after the failure, or a restart that did not begin from step one,
-    # would stop elsewhere or not at all
+    # after the failure would stop elsewhere or not at all
     def failing(self, arm, _query=Environment.query):
         if self.seed == 2 and self.draws >= 1500:
             raise RuntimeError(f"stopped after {self.draws} draws")
@@ -392,14 +393,14 @@ def test_first_member_failing_before_a_later_budget(monkeypatch, threads):
             raise RuntimeError(f"stopped after {self.draws} draws")
         return _query(self, arm)
 
-    calls, advance = [], harness._advance_group
+    calls, advance = [], harness._Group.advance
 
-    def counted(job):
-        calls.append((job[2], job[4]))
-        advance(job)
+    def counted(self, horizon):
+        calls.append((self.run[2], horizon))
+        advance(self, horizon)
 
     monkeypatch.setattr(Environment, "query", failing)
-    monkeypatch.setattr(harness, "_advance_group", counted)
+    monkeypatch.setattr(harness._Group, "advance", counted)
     raw = _sweep_raw(budgets=[1000, 2000, 3000])
     result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
     traces, failures = _outcomes_alone(raw)
@@ -415,6 +416,38 @@ def test_first_member_failing_before_a_later_budget(monkeypatch, threads):
         assert sorted(calls) == sorted(
             (name, t) for name in raw["policies"] for t in raw["budgets"]
         )
+
+
+def test_member_failing_its_first_budget_keeps_the_error(monkeypatch):
+    # seed 1 fails in its first chained budget; the group's one Episode
+    # carries that error to the later budgets, with no second episode
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+
+    def failing(self, arm, _query=Environment.query):
+        if self.seed == 1 and self.draws >= 700:
+            raise RuntimeError(f"stopped after {self.draws} draws")
+        return _query(self, arm)
+
+    built = []
+
+    class Counted(Episode):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(Environment, "query", failing)
+    monkeypatch.setattr(harness, "Episode", Counted)
+    raw = _sweep_raw(policies=["uniform", "thompson"], budgets=[1000, 2000, 3000])
+    result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
+    assert built == ["uniform", "thompson"]
+    traces, failures = _outcomes_alone(raw)
+    assert sorted(result.failures) == failures
+    assert {(name, t, s) for name, t, s, _ in failures} == {
+        (name, t, 1) for name in raw["policies"] for t in raw["budgets"]
+    }
+    assert sorted(result.traces) == sorted(traces)
+    for key, got in result.traces.items():
+        assert _fields(got) == _fields(traces[key]), key
 
 
 def test_sweep_files_do_not_depend_on_the_grouping(tmp_path, monkeypatch):

@@ -547,6 +547,28 @@ def test_checkpoint_schedule_contract():
         checkpoint_schedule(10, 0)
 
 
+def _stepped_schedule(start, horizon, ratio):
+    """The schedule stepped one ratio at a time, as the general case does."""
+    ts, v = {horizon}, float(start)
+    while v < horizon:
+        ts.add(int(round(v)))
+        v *= ratio
+    return sorted(t for t in ts if start <= t <= horizon)
+
+
+def test_checkpoint_schedule_near_ratio_1_is_every_step():
+    # one step per checkpoint used to take ~3 s at ratio 1 + 1e-6 and ten
+    # times longer per decade closer to 1
+    for start in (1, 6, 1999, 2000):
+        assert checkpoint_schedule(start, 2000, 1.0 + 1e-9) == list(range(start, 2001))
+    for start in (1, 7, 499, 500, 501):
+        for c in (0.5, 0.99, 1.0, 1.01, 2.0):
+            ratio = 1.0 + c / 500
+            assert checkpoint_schedule(start, 500, ratio) == _stepped_schedule(
+                start, 500, ratio
+            ), (start, c)
+
+
 def test_episode_with_degenerate_plan_is_presampling_only():
     problem = canonical([1.0, 4.0], beta=[1.0, -1.0])
     plan = PresamplePlan(counts=np.array([3, 2]))

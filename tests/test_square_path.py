@@ -96,8 +96,6 @@ class _ArrayState:
                 setattr(self, name, np.array(value))
         if hasattr(self, "_mean"):
             self.stats = [_Welford() for _ in range(self.n_arms)]
-        if hasattr(self, "_design_variances"):
-            self._design_variances = self.fixed_variances
 
 
 
@@ -140,6 +138,11 @@ class NumpyGradientUcb(_ArrayMoments, GradientUcbPolicy):
 
 
 class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # variances the design is solved under: None until defined
+        self._design_variances = self.fixed_variances
+
     def presample_done(self, t):
         self._anchor = self.counts / self.horizon
         if self._design_variances is None and not np.any(np.isnan(self._lcb)):
