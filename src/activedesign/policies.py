@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -150,6 +151,13 @@ def kd_presample(k: int, horizon: int) -> PresamplePlan:
         estimation_count=0,
         origin=SimplexWeights.uniform(k),
     )
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-number or a NaN or infinity raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _closed_form_gradient(neg_inv_gram_diag: list, sigma2, counts, n: int) -> list:
@@ -425,7 +433,8 @@ class OracleTrackingPolicy(Policy):
         super().__init__(problem, rng, horizon)
         if p_star is None:
             p_star, _ = reference_optimum(problem)
-        self.p_star = self._per_arm(p_star)
+        p_star = self._per_arm(p_star)  # a (1, K) row on K > d, as ``_var_floor``
+        self.p_star = p_star if self._square else p_star[None]
 
     def select(self, t: int):
         n = self.round
@@ -579,10 +588,10 @@ class GradientUcbPolicy(_Moments, Policy):
         fixed_variances=None,
     ):
         super().__init__(problem, rng, horizon)
-        if bonus_scale < 0.0 or bonus_log_coeff < 0.0:
+        self.bonus_scale = _finite("bonus_scale", bonus_scale)
+        self.bonus_log_coeff = _finite("bonus_log_coeff", bonus_log_coeff)
+        if self.bonus_scale < 0.0 or self.bonus_log_coeff < 0.0:
             raise ValueError("bonus parameters must be nonnegative")
-        self.bonus_scale = float(bonus_scale)
-        self.bonus_log_coeff = float(bonus_log_coeff)
         if not isinstance(use_lcb, bool):
             raise ValueError(f"use_lcb must be true or false, got {use_lcb!r}")
         self.use_lcb = use_lcb
@@ -653,7 +662,7 @@ class ThompsonPolicy(Policy):
         prior: tuple[float, float, float, float] = (0.0, 1.0, 1.0, 1.0),
     ):
         super().__init__(problem, rng, horizon)
-        mu0, nu0, alpha0, beta0 = prior
+        mu0, nu0, alpha0, beta0 = (_finite("each prior entry", v) for v in prior)
         if nu0 <= 0.0 or alpha0 <= 0.0 or beta0 <= 0.0:
             raise ValueError("nu, alpha, beta must be positive")
         self.post_mu = self._per_arm(mu0, rows=True)
@@ -661,7 +670,8 @@ class ThompsonPolicy(Policy):
         self.post_alpha = self._per_arm(alpha0, rows=True)
         self.post_beta = self._per_arm(beta0, rows=True)
         kap2 = problem.noise.kappa2
-        self._clip_lo = self._per_arm(1e-8 * kap2)
+        clip_lo = 1e-8 * kap2  # a (1, K) row on K > d, as ``_var_floor``
+        self._clip_lo = clip_lo.tolist() if self._square else clip_lo[None]
         self._clip_hi = 1e8 * float(kap2.max())
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)

@@ -1,28 +1,20 @@
 """Simplex solvers and the offline reference optimum.
 
-``reference_optimum`` computes the exact optimal design that regrets are
-measured against.  Square problems (K = d) use the closed form.  When
-K > d it runs the multiplicative fixed point from the uniform design,
-which decreases the A-optimality loss monotonically and converges for
-any optimal support size.  ``active_set_polish`` then tries to replace
-the iterate by the exact closed-form optimum of a d-arm support that
-certifies globally; it does so on the final iterate, and every 5,000
-sweeps while the fixed point is unconverged.  A batched closed-form
-bound rejects most candidate supports before their exact check: a
-support whose closed-form loss exceeds the iterate's cannot certify.
-
-``minimize`` is plain conditional gradient (Frank-Wolfe) with
-backtracking line search for smooth convex objectives on the simplex;
-the randomized policy uses it for its per-round argmin when K > d.  An
-interior floor keeps the evaluation point strictly positive because the
-loss blows up on non-identifying faces; the floor is small enough that
-boundary optima are still represented to ~1e-9.
+``reference_optimum`` computes the optimal design that regrets are
+measured against: the closed form when K = d, else the multiplicative
+fixed point, finished by a support Newton solve or a d-arm active-set
+polish whenever one of them certifies globally.  ``minimize`` is
+conditional gradient (Frank-Wolfe) with backtracking line search, which
+the randomized policy uses when K > d.  It evaluates at an interior
+floor, because the loss blows up on non-identifying faces; the floor is
+small enough that boundary optima are still represented to ~1e-9.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +41,9 @@ _SCREEN_CHUNK = 64
 
 # Sweeps between polish attempts while the fixed point is unconverged.
 _POLISH_EVERY = 5_000
+
+# Steps of one support Newton solve, at most.
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -220,6 +215,62 @@ def active_set_polish(
     return None
 
 
+def _support_newton(
+    problem: DesignProblem, weights, rel_tol: float = 1e-12
+) -> tuple[SimplexWeights, float] | None:
+    """Newton's method on the heaviest arms of ``weights``, kept only if it certifies.
+
+    With a_k = X_k / sigma_k, M = sum_S w_k a_k a_k^T and B = M^-1 A_S,
+    the loss on a support S has gradient -||B_k||^2 and Hessian
+    H = 2 (A_S^T B) o (B^T B), of rank at most d(d + 1) / 2, so S starts
+    as the d(d + 1) / 2 + 1 heaviest arms.  Each step solves the KKT
+    system [H 1; 1^T 0] (Boyd & Vandenberghe, Convex Optimization, 10.2).
+    A step that would empty an arm stops where the first one empties,
+    and that arm leaves for good (dropping every arm the full step
+    empties lost a true arm on one random instance in five).  The answer
+    must pass the fixed point's own test, max_k m_k - L <= rel_tol L
+    over all K arms; d arms give their closed form via
+    ``_certify_subset``, and a singular system (exact clones) or fewer
+    than d arms give None.
+    """
+    d = problem.dimension
+    a = problem.covariates.columns / problem.noise.sigma
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    support = np.sort(np.argsort(-w, kind="stable")[: d * (d + 1) // 2 + 1])
+    support = support[w[support] > 0.0]
+    w = w[support] / np.sum(w[support])
+    try:
+        for _ in range(_NEWTON_STEPS):
+            n = len(support)
+            if n <= d:
+                return _certify_subset(problem, support, rel_tol) if n == d else None
+            a_s = a[:, support]
+            b = np.linalg.solve((a_s * w) @ a_s.T, a_s)
+            h = 2.0 * (a_s.T @ b) * (b.T @ b)
+            kkt = np.block([[h, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+            step = np.linalg.solve(kkt, np.append(np.einsum("ij,ij->j", b, b), 0.0))[:n]
+            with np.errstate(divide="ignore"):
+                reach = w / np.maximum(-step, 0.0)
+            j = int(np.argmin(reach))
+            w = w + min(reach[j], 1.0) * step
+            if reach[j] < 1.0:
+                w[j] = 0.0
+            keep = w > 0.0
+            support, w = support[keep], w[keep] / np.sum(w[keep])
+            if np.all(keep) and np.max(np.abs(step)) <= rel_tol:
+                break
+        full = np.zeros(problem.n_arms)
+        full[support] = w
+        m = marks(problem.covariates.columns, problem.noise.sigma2, full)
+    except np.linalg.LinAlgError:
+        return None
+    value = float(full @ m)
+    # written so that a NaN mark fails
+    if not np.max(m) - value <= rel_tol * value:
+        return None
+    return SimplexWeights(full), value
+
+
 def _multiplicative_refine(
     problem: DesignProblem,
     weights,
@@ -237,21 +288,28 @@ def _multiplicative_refine(
     gap, available for free each sweep.  Stopping at ``max_iters``
     before that gap falls to ``rel_tol`` L(p) logs a warning.
 
-    ``certify``, when given, is called as ``certify(p, L(p))`` on the
-    final iterate and every 5,000 sweeps while the gap is open; the
-    first answer it returns that is not None is returned instead, so
-    an iterate that crawls toward an exact vertex stops early.
+    ``certify``, when given, is called as ``certify(p, L(p), due)`` each
+    time the relative gap first falls below a power of ten (1e-1, 1e-2,
+    ...), and with ``due`` true on the final iterate and every 5,000
+    sweeps while the gap is open; the first answer it returns that is
+    not None is returned instead, so an iterate that crawls toward an
+    exact optimum stops early.
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
     x, sigma2 = problem.covariates.columns, problem.noise.sigma2
+    decade = 0.1
     for sweep in range(max_iters + 1):
         m = marks(x, sigma2, p)
         value = float(p @ m)
         converged = np.max(m) - value <= rel_tol * value
         due = converged or sweep == max_iters or (sweep > 0 and sweep % _POLISH_EVERY == 0)
-        if certify is not None and due:
-            hit = certify(p, value)
+        gap = (np.max(m) - value) / value
+        crossed = gap < decade
+        if crossed and gap > 0.0:
+            decade = 10.0 ** math.floor(math.log10(gap))
+        if certify is not None and (crossed or due):
+            hit = certify(p, value, due)
             if hit is not None:
                 return hit
         if converged:
@@ -261,7 +319,7 @@ def _multiplicative_refine(
             logger.warning(
                 "multiplicative fixed point unconverged after %d sweeps: relative gap %.3g",
                 max_iters,
-                (np.max(m) - value) / value,
+                gap,
             )
             break
         p = p * np.sqrt(m / value)
@@ -276,15 +334,12 @@ def reference_optimum(
 
     Square problems use the exact closed form.  Otherwise the
     multiplicative fixed point runs from the uniform design for at most
-    ``config.max_iters`` sweeps (20,000 without a config); optimal
-    supports can hold more than d arms, which it represents and no d-arm
-    restriction can.  When the optimum sits on exactly d arms the
-    iterate only approaches that boundary, so an active-set polish
-    replaces it by the closed-form restriction whenever that certifies
-    as globally optimal.  The polish runs on the final iterate and,
-    while the fixed point is unconverged, every 5,000 sweeps, so an
-    iterate that crawls toward a vertex stops at the first certificate.
-    Results for the default config are cached on the problem.
+    ``config.max_iters`` sweeps (20,000 without a config).  It converges
+    only linearly, and only approaches an optimum on the boundary, so at
+    each of its ``certify`` calls a support Newton solve runs, and where
+    the polish is due and Newton declines, the d-arm active-set polish;
+    the first certified answer is returned.  Results for the default
+    config are cached on the problem.
     """
     if config is None and hasattr(problem, "_reference_cache"):
         return problem._reference_cache
@@ -294,16 +349,18 @@ def reference_optimum(
         answer = p_star, loss(problem, p_star)
     else:
 
-        def polish(p, value):
-            polished = active_set_polish(problem, p)
-            if polished is not None and polished[1] <= value + 1e-9:
-                return polished
-            return None
+        def certify(p, value, due):
+            hit = _support_newton(problem, p)
+            if hit is None and due:
+                hit = active_set_polish(problem, p)
+                if hit is not None and hit[1] > value + 1e-9:
+                    return None
+            return hit
 
         k = problem.n_arms
         max_iters = 20_000 if config is None else config.max_iters
         answer = _multiplicative_refine(
-            problem, np.full(k, 1.0 / k), max_iters=max_iters, certify=polish
+            problem, np.full(k, 1.0 / k), max_iters=max_iters, certify=certify
         )
     if cache:
         object.__setattr__(problem, "_reference_cache", answer)

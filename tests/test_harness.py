@@ -566,6 +566,30 @@ def test_run_sweep_rejects_a_use_lcb_that_is_not_a_bool(monkeypatch, value):
         run_sweep(cfg, quiet=True)
 
 
+@pytest.mark.parametrize(
+    "policy, match",
+    [
+        ({"name": "gradient_ucb", "bonus_scale": math.nan}, "bonus_scale must be a finite"),
+        ({"name": "gradient_ucb", "bonus_log_coeff": math.inf}, "bonus_log_coeff must be a finite"),
+        ({"name": "gradient_ucb", "bonus_scale": True}, "bonus_scale must be a finite"),
+        ({"name": "thompson", "prior": [0.0, math.nan, 1.0, 1.0]}, "prior entry must be a finite"),
+        ({"name": "thompson", "prior": [0.0, 1.0, math.inf, 1.0]}, "prior entry must be a finite"),
+    ],
+)
+def test_run_sweep_rejects_non_finite_policy_options(monkeypatch, policy, match):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    raw = {
+        "instance": {"generator": "hard"},
+        "policies": [policy],
+        "budgets": [100],
+        "seeds": 1,
+        "output": None,
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match=f"options rejected: .*{match}"):
+        run_sweep(cfg, quiet=True)
+
+
 def test_run_sweep_excludes_warm_smallest_budget(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     cfg = sweep_config(

@@ -362,6 +362,16 @@ def test_gradient_ucb_option_validation():
         GradientUcbPolicy(problem, None, 100, bonus_scale=-1.0)
 
 
+@pytest.mark.parametrize("key", ["bonus_scale", "bonus_log_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2"])
+def test_gradient_ucb_rejects_non_finite_and_bool_bonus(key, value):
+    # a NaN scale used to drop the bonus silently, an infinite one to
+    # pick arm 0 in every round, and true to read as 1.0
+    problem = canonical([1.0, 1.0])
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        make_policy("gradient_ucb", problem, np.random.default_rng(0), 100, {key: value})
+
+
 def test_gradient_ucb_breaks_ties_to_the_lowest_index():
     problem = canonical([1.0, 1.0])
     policy = GradientUcbPolicy(
@@ -470,6 +480,16 @@ def test_thompson_prior_validation():
     problem = canonical([1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
         ThompsonPolicy(problem, np.random.default_rng(0), 100, prior=(0.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [(0.0, math.nan, 1.0, 1.0), (0.0, 1.0, math.inf, 1.0), (math.nan, 1.0, 1.0, 1.0), (0, 1, True, 1)],
+)
+def test_thompson_rejects_non_finite_and_bool_priors(prior):
+    problem = canonical([1.0, 1.0])
+    with pytest.raises(ValueError, match="each prior entry must be a finite number"):
+        make_policy("thompson", problem, np.random.default_rng(0), 100, {"prior": prior})
 
 
 def test_thompson_conjugate_update_recurrence():

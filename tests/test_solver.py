@@ -36,14 +36,14 @@ def design_oracles(problem):
     return (lambda p: loss(problem, p)), (lambda p: gradient(problem, p))
 
 
-def duplicate_arm_problem(seed=4):
-    """The K = d instance with its first covariate repeated at equal noise.
+def duplicate_arm_problem(seed=4, k=3):
+    """A random 3 x k instance with its first covariate repeated at equal noise.
 
-    Collapsing the duplicate pair turns the K = d + 1 problem back into
-    the base instance, so the optimal loss is the base closed-form value
+    Collapsing the duplicate pair turns the K = k + 1 problem back into
+    the base instance, so the optimal loss is the base optimal value
     and an optimal design exists with zero weight on the clone.
     """
-    base = make_random_instance(3, 3, seed=seed)
+    base = make_random_instance(3, k, seed=seed)
     cols = np.column_stack([base.covariates.columns, base.covariates.columns[:, 0]])
     sigma2 = np.append(base.noise.sigma2, base.noise.sigma2[0])
     dup = DesignProblem(CovariateSet(cols), NoiseSpec(sigma2), beta=base.beta)
@@ -260,7 +260,9 @@ def test_polish_breaks_weight_ties_toward_the_lower_arm():
 
 
 def test_multiplicative_refine_warns_when_unconverged(caplog):
-    problem = make_random_instance(3, 5, seed=0)
+    # the clone pair makes every support Newton solve singular, and the
+    # optimum holds 4 > d arms, so no d-arm polish certifies either
+    _, problem = duplicate_arm_problem(seed=0, k=5)
     with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
         reference_optimum(problem, SolverConfig(max_iters=5))
     assert any("unconverged after 5 sweeps" in r.getMessage() for r in caplog.records)
@@ -408,9 +410,7 @@ def test_reference_optimum_screens_out_hopeless_supports(monkeypatch, make, call
     assert len(seen) == calls
 
 
-def test_reference_optimum_marks_calls_are_pinned(monkeypatch):
-    # one ``marks`` call per fixed-point sweep on 20x40 seed 0: a kernel
-    # whose rounding slows the fixed point's convergence shows up here
+def count_marks_calls(monkeypatch):
     calls = []
     exact = solver.marks
 
@@ -419,14 +419,25 @@ def test_reference_optimum_marks_calls_are_pinned(monkeypatch):
         return exact(x, sigma2, p)
 
     monkeypatch.setattr(solver, "marks", counted)
+    return calls
+
+
+def test_reference_optimum_marks_calls_are_pinned(monkeypatch):
+    # on 20x40 seed 0, one ``marks`` call for each of the four fixed-point
+    # sweeps and one for the certificate of the support Newton solve,
+    # which certifies once the relative gap falls below 1e-1: a kernel
+    # whose rounding slows the fixed point, or a Newton solve that stops
+    # certifying, shows up here
+    calls = count_marks_calls(monkeypatch)
     reference_optimum(make_random_instance(20, 40, seed=0))
-    assert len(calls) == 2973
+    assert len(calls) == 5
 
 
 def test_reference_optimum_polishes_a_slow_vertex_early(caplog):
     # the fixed point shrinks the off-support mass only by
-    # sqrt(1 / (1 + delta)) per sweep; the periodic polish stops it at
-    # the exact vertex long before 20,000 sweeps
+    # sqrt(1 / (1 + delta)) per sweep; the support Newton solve at the
+    # first gap below 1e-1 drops that arm and returns the closed form of
+    # the exact vertex, long before 20,000 sweeps
     problem = make_hard_instance(1e-3)
     start = time.process_time()
     with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
@@ -436,3 +447,71 @@ def test_reference_optimum_polishes_a_slow_vertex_early(caplog):
     assert value == 1.0
     assert not caplog.records
     assert elapsed < 0.25
+
+
+# --------------------------------------------------------------------
+# the support Newton solve
+
+
+def test_reference_optimum_reaches_a_slow_vertex_in_a_few_sweeps(monkeypatch):
+    # the fixed point alone crawls about 4,600 sweeps toward this vertex
+    calls = count_marks_calls(monkeypatch)
+    p_star, value = reference_optimum(make_hard_instance(1e-2))
+    np.testing.assert_array_equal(np.asarray(p_star), [1.0, 0.0])
+    assert value == 1.0
+    assert len(calls) <= 10
+
+
+def test_support_newton_declines_exact_clones():
+    # arms 0 and 3 of the shipped instance are exact clones, so the KKT
+    # system of any support holding both is singular
+    problem = load_instance(REDUNDANT_ARM)
+    start = np.full(4, 0.25)
+    assert solver._support_newton(problem, start) is None
+    iterate, _ = _multiplicative_refine(problem, start, max_iters=3)
+    assert solver._support_newton(problem, np.asarray(iterate)) is None
+
+
+@pytest.mark.parametrize(
+    "d, k, seed",
+    [(3, 5, s) for s in range(6)] + [(8, 16, s) for s in range(3)] + [(20, 40, 0)],
+)
+def test_support_newton_certifies_at_or_below_the_fixed_point(d, k, seed):
+    problem = make_random_instance(d, k, seed=seed)
+    start = np.full(k, 1.0 / k)
+    _, slow = _multiplicative_refine(problem, start)
+    iterate, _ = _multiplicative_refine(problem, start, max_iters=20)
+    hit = solver._support_newton(problem, np.asarray(iterate))
+    assert hit is not None
+    p_star, value = hit
+    assert kkt_certificate(problem, p_star).certified
+    assert abs(value - loss(problem, p_star)) <= 1e-12 * value
+    # equal up to rounding where the fixed point also reaches the optimum
+    assert value <= slow * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("d, k, seed", [(3, 100, 1), (10, 200, 0)])
+def test_support_newton_starts_from_the_heaviest_arms(monkeypatch, caplog, d, k, seed):
+    # K exceeds d(d + 1) / 2 + 1, the largest support whose KKT system can
+    # be nonsingular, so the solve starts from that many of the heaviest
+    # arms; the fixed point alone took 10,973 sweeps on 3x100 and did not
+    # converge in 20,000 on 10x200
+    problem = make_random_instance(d, k, seed=seed)
+    calls = count_marks_calls(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="activedesign.solver"):
+        p_star, value = reference_optimum(problem)
+    assert not caplog.records
+    assert len(calls) <= 40
+    assert kkt_certificate(problem, p_star).certified
+    assert abs(value - loss(problem, p_star)) <= 1e-12 * value
+
+
+def test_support_newton_rejects_a_support_missing_a_true_arm():
+    problem = make_random_instance(20, 40, seed=0)
+    p_star, _ = reference_optimum(problem)
+    p_star = np.asarray(p_star)
+    assert kkt_certificate(problem, p_star).certified
+    assert solver._support_newton(problem, p_star) is not None
+    missing = p_star.copy()
+    missing[np.argmax(missing)] = 0.0
+    assert solver._support_newton(problem, missing / missing.sum()) is None
