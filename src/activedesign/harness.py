@@ -54,7 +54,7 @@ from .environment import (
     noise_proxy,
 )
 from .estimation import halving_sample_count, variance_radius
-from .policies import POLICY_NAMES, Episode, RegretTrace, extends_past, make_policy
+from .policies import POLICY_NAMES, Episode, RegretTrace, extends_past, kd_budget_floor, make_policy
 from .solver import reference_optimum
 
 logger = logging.getLogger(__name__)
@@ -559,13 +559,19 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     problem, model = build_problem(config.instance)
     reference = reference_optimum(problem)
 
-    # fail fast on unusable policy options before spending episode time
+    # fail fast on unusable options and unfit budgets before spending episode time
     probe_rng = np.random.default_rng(0)
     for name, options in config.policies:
         try:
             make_policy(name, problem, probe_rng, max(config.budgets), dict(options))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
+        for horizon in config.budgets:
+            if (floor := kd_budget_floor(name, problem, horizon)) is not None:
+                raise ConfigError(
+                    f"policy {name!r} cannot presample {problem.n_arms} arms within budget "
+                    f"{horizon}; the smallest feasible budget at or above it is {floor}"
+                )
 
     def make_task(name, options, budgets, seeds):
         run = (problem, model, name, options, config.checkpoint_ratio,
@@ -762,6 +768,10 @@ def verify_concentration(
     """
     if noise not in NOISE_MODELS:
         raise ConfigError(f"unknown noise model {noise!r}")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials!r}")
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise ConfigError(f"sigma2 must be positive and finite, got {sigma2!r}")
     kappa2 = float(noise_proxy(noise, np.array([sigma2]))[0])
     rng = np.random.default_rng(seed)
 

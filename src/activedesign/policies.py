@@ -153,6 +153,22 @@ def kd_presample(k: int, horizon: int) -> PresamplePlan:
     )
 
 
+def kd_budget_floor(policy_name: str, problem: DesignProblem, horizon: int) -> int | None:
+    """The smallest budget from ``horizon`` up that fits ``policy_name``'s
+    K > d presampling (``kd_presample``), or None if ``horizon`` does.
+    K ceil(T^(3/4)) < T needs T > K^4, so the search starts there.
+    """
+    if policy_name not in _ADAPTIVE or problem.is_square:
+        return None
+    t, k = horizon, problem.n_arms
+    while True:
+        try:
+            kd_presample(k, t)
+            return None if t == horizon else t
+        except ValueError:
+            t = max(t + 1, k**4 + 1)
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a float; a bool, a non-number or a NaN or infinity raises."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):

@@ -2,12 +2,12 @@
 
 ``reference_optimum`` computes the optimal design that regrets are
 measured against: the closed form when K = d, else the multiplicative
-fixed point, finished by a support Newton solve or a d-arm active-set
-polish whenever one of them certifies globally.  ``minimize`` is
-conditional gradient (Frank-Wolfe) with backtracking line search, which
-the randomized policy uses when K > d.  It evaluates at an interior
-floor, because the loss blows up on non-identifying faces; the floor is
-small enough that boundary optima are still represented to ~1e-9.
+fixed point, finished by a support Newton solve that merges exact
+clones, or by a d-arm active-set polish of its final iterate.
+``minimize``, conditional gradient (Frank-Wolfe) with backtracking line
+search, serves the randomized policy on K > d.  It evaluates at an
+interior floor, since the loss blows up on non-identifying faces; the
+floor is small enough that boundary optima are still represented to ~1e-9.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ from .core import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Relative slack of the polish screen over L(w), and subsets per stacked
-# inverse; see ``active_set_polish``.
-_SCREEN_SLACK = 1e-6
-_SCREEN_CHUNK = 64
-
-# Sweeps between polish attempts while the fixed point is unconverged.
-_POLISH_EVERY = 5_000
 
 # Steps of one support Newton solve, at most.
 _NEWTON_STEPS = 50
@@ -172,46 +164,19 @@ def active_set_polish(
     candidate is accepted only if the global KKT condition holds:
     inactive arms must satisfy ||Omega^{-1} X_k||^2 / sigma_k^2 <= L,
     which by convexity certifies a global optimum.  Returns None when
-    no restriction certifies.
-
-    A batched bound screens the candidates before that exact check.  A
-    certified support S has max_k m_k <= (1 + tol) L_S, and that gap
-    bounds L_S - L*, so its closed-form loss
-    L_S = (sum_{k in S} sigma_k sqrt((Gamma_S^-1)_kk))^2 satisfies
-    L_S <= L* / (1 - tol) <= L(w) / (1 - tol), about L(w)(1 + tol), for
-    the design w handed in.  Since Gamma_S^-1 = X_S^-1 X_S^-T,
-    (Gamma_S^-1)_kk is the squared norm of row k of X_S^-1, so one
-    stacked inverse bounds a chunk of 64 subsets at once.  A subset
-    whose L_S exceeds that bound by a relative 1e-6 is dropped; the
-    slack absorbs rounding in both losses.  The survivors go to the
-    exact check in the unscreened order, so the first certificate is
-    the one the plain enumeration finds.  A chunk holding an exactly
-    singular X_S (clone arms) makes the stacked inverse raise and keeps
-    all its subsets, and a NaN bound keeps its subset.
+    no restriction certifies.  ``reference_optimum`` runs it only on a
+    final iterate that the support Newton solve did not certify.
     """
-    k, d = problem.n_arms, problem.dimension
-    if k <= d:
+    d = problem.dimension
+    if problem.n_arms <= d:
         return None
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     # ties go to the lowest arm index, so exact clones keep a stable order
-    pool = np.argsort(-w, kind="stable")[: min(k, d + 3)]
-    bound = (1.0 + _SCREEN_SLACK) * loss(problem, w / w.sum()) / (1.0 - tol)
-    x, sigma = problem.covariates.columns, problem.noise.sigma
-    # drawn lazily, so no list of all C(d + 3, 3) supports is ever held
-    subsets = itertools.combinations(pool.tolist(), d)
-    while chunk := list(itertools.islice(subsets, _SCREEN_CHUNK)):
-        active = np.sort(chunk, axis=1)
-        try:
-            inv = np.linalg.inv(x[:, active].transpose(1, 0, 2))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            closed = np.sum(sigma[active] * np.sqrt(np.einsum("nij,nij->ni", inv, inv)), axis=1)
-            active = active[~(closed**2 > bound)]
-        for subset in active:
-            hit = _certify_subset(problem, subset, tol)
-            if hit is not None:
-                return hit
+    pool = np.argsort(-w, kind="stable")[: d + 3]
+    for subset in itertools.combinations(pool.tolist(), d):
+        hit = _certify_subset(problem, np.sort(subset), tol)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -225,20 +190,29 @@ def _support_newton(
     H = 2 (A_S^T B) o (B^T B), of rank at most d(d + 1) / 2, so S starts
     as the d(d + 1) / 2 + 1 heaviest arms.  Each step solves the KKT
     system [H 1; 1^T 0] (Boyd & Vandenberghe, Convex Optimization, 10.2).
+    Exact clones (a_k = +-a_j) add the same a_k a_k^T and would make it
+    singular, so each clone group in S first merges into its lowest arm
+    with the group's summed weight; a clone-free S passes bit for bit.
     A step that would empty an arm stops where the first one empties,
     and that arm leaves for good (dropping every arm the full step
     empties lost a true arm on one random instance in five).  The answer
     must pass the fixed point's own test, max_k m_k - L <= rel_tol L
-    over all K arms; d arms give their closed form via
-    ``_certify_subset``, and a singular system (exact clones) or fewer
-    than d arms give None.
+    over all K arms (a merged clone's mark is its twin's); d arms give
+    their closed form via ``_certify_subset``, and a singular system or
+    fewer than d arms give None.
     """
     d = problem.dimension
     a = problem.covariates.columns / problem.noise.sigma
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     support = np.sort(np.argsort(-w, kind="stable")[: d * (d + 1) // 2 + 1])
-    support = support[w[support] > 0.0]
-    w = w[support] / np.sum(w[support])
+    # with each column's first nonzero entry made positive, a clone's twin
+    # is the first equal column; a one-entry sum is exact
+    a_s = a[:, support]
+    signed = a_s * np.sign(a_s[np.argmax(a_s != 0.0, axis=0), np.arange(len(support))])
+    twin = np.argmax(np.all(signed[:, :, None] == signed[:, None, :], axis=0), axis=0)
+    w = np.bincount(twin, weights=w[support], minlength=len(support))
+    support, w = support[w > 0.0], w[w > 0.0]
+    w = w / np.sum(w)
     try:
         for _ in range(_NEWTON_STEPS):
             n = len(support)
@@ -290,10 +264,9 @@ def _multiplicative_refine(
 
     ``certify``, when given, is called as ``certify(p, L(p), due)`` each
     time the relative gap first falls below a power of ten (1e-1, 1e-2,
-    ...), and with ``due`` true on the final iterate and every 5,000
-    sweeps while the gap is open; the first answer it returns that is
-    not None is returned instead, so an iterate that crawls toward an
-    exact optimum stops early.
+    ...), and with ``due`` true on the final iterate; the first answer
+    it returns that is not None is returned instead, so an iterate that
+    crawls toward an exact optimum stops early.
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
@@ -303,7 +276,7 @@ def _multiplicative_refine(
         m = marks(x, sigma2, p)
         value = float(p @ m)
         converged = np.max(m) - value <= rel_tol * value
-        due = converged or sweep == max_iters or (sweep > 0 and sweep % _POLISH_EVERY == 0)
+        due = converged or sweep == max_iters
         gap = (np.max(m) - value) / value
         crossed = gap < decade
         if crossed and gap > 0.0:
@@ -328,22 +301,23 @@ def _multiplicative_refine(
 
 
 def reference_optimum(
-    problem: DesignProblem, config: SolverConfig | None = None
+    problem: DesignProblem, max_iters: int | None = None
 ) -> tuple[SimplexWeights, float]:
     """Optimal design and its loss under the problem's true variances.
 
     Square problems use the exact closed form.  Otherwise the
     multiplicative fixed point runs from the uniform design for at most
-    ``config.max_iters`` sweeps (20,000 without a config).  It converges
-    only linearly, and only approaches an optimum on the boundary, so at
-    each of its ``certify`` calls a support Newton solve runs, and where
-    the polish is due and Newton declines, the d-arm active-set polish;
-    the first certified answer is returned.  Results for the default
-    config are cached on the problem.
+    ``max_iters`` sweeps (20,000 by default).  It converges only
+    linearly, and only approaches an optimum on the boundary, so at each
+    of its ``certify`` calls a support Newton solve, which merges exact
+    clones, runs; on the final iterate, if Newton never certified, the
+    d-arm active-set polish runs too.  The first certified answer is
+    returned.  Results of the default call are cached on the problem.
     """
-    if config is None and hasattr(problem, "_reference_cache"):
+    if max_iters is None and hasattr(problem, "_reference_cache"):
         return problem._reference_cache
-    cache = config is None
+    if max_iters is not None and max_iters < 1:
+        raise ValueError("max_iters must be positive")
     if problem.is_square:
         p_star = optimal_weights_closed_form(problem)
         answer = p_star, loss(problem, p_star)
@@ -358,10 +332,9 @@ def reference_optimum(
             return hit
 
         k = problem.n_arms
-        max_iters = 20_000 if config is None else config.max_iters
         answer = _multiplicative_refine(
-            problem, np.full(k, 1.0 / k), max_iters=max_iters, certify=certify
+            problem, np.full(k, 1.0 / k), max_iters=max_iters or 20_000, certify=certify
         )
-    if cache:
+    if max_iters is None:
         object.__setattr__(problem, "_reference_cache", answer)
     return answer

@@ -120,9 +120,11 @@ def test_sweep_quiet_silences_progress(sweep_config_path, capsys, monkeypatch):
 
 
 def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
+    # a K = d estimation phase that cannot fit T = 5 fails at run time
+    # (a K > d presampling misfit is rejected before any episode runs)
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     cfg = {
-        "instance": {"generator": "hard"},
+        "instance": {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0]},
         "policies": ["randomized"],
         "budgets": [5],
         "seeds": 1,
@@ -133,6 +135,24 @@ def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert cli_main(["sweep", str(path), "--quiet"]) == 2
     assert "FAILED randomized T=5" in capsys.readouterr().err
+
+
+def test_sweep_with_a_budget_kd_presampling_cannot_fit_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    cfg = {
+        "instance": {"generator": "random", "d": 6, "K": 12, "seed": 0},
+        "policies": ["gradient_ucb"],
+        "budgets": [400, 5000],
+        "seeds": 2,
+        "output": str(tmp_path / "results"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "'gradient_ucb'" in err and "budget 400" in err and "20749" in err
+    assert "FAILED" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_sweep_with_a_fractional_seed_count_exits_one(sweep_config_path, capsys):
@@ -159,6 +179,21 @@ def test_verify_coverage(capsys, tmp_path):
         == 0
     )
     assert json.loads(out.read_text())[0]["kind"] == "radius"
+
+
+@pytest.mark.parametrize(
+    "flags, shown",
+    [
+        (["--trials", "0"], "got 0"),
+        (["--trials", "-5"], "got -5"),
+        (["--sigma2", "-1"], "got -1.0"),
+        (["--sigma2", "nan"], "got nan"),
+    ],
+)
+def test_verify_bad_numbers_exit_one_naming_the_value(capsys, flags, shown):
+    assert cli_main(["verify", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):

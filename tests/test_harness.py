@@ -30,6 +30,7 @@ from activedesign.policies import (
     ThompsonPolicy,
     UniformPolicy,
     checkpoint_schedule,
+    kd_budget_floor,
     run_episode,
 )
 from activedesign.solver import reference_optimum
@@ -644,6 +645,41 @@ def test_verify_concentration_rows(tmp_path):
 def test_verify_concentration_rejects_unknown_noise():
     with pytest.raises(ConfigError, match="unknown noise model"):
         verify_concentration(trials=10, noise="cauchy")
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"trials": -5}, "trials must be at least 1, got -5"),
+        ({"sigma2": -1.0}, "sigma2 must be positive and finite, got -1.0"),
+        ({"sigma2": 0.0}, "sigma2 must be positive and finite, got 0.0"),
+        ({"sigma2": math.nan}, "sigma2 must be positive and finite, got nan"),
+        ({"sigma2": math.inf}, "sigma2 must be positive and finite, got inf"),
+    ],
+)
+def test_verify_concentration_rejects_bad_trials_and_variances(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        verify_concentration(**kwargs)
+
+
+def test_run_sweep_rejects_kd_budgets_that_presampling_cannot_fit(monkeypatch):
+    # 12 arms at ceil(T^(3/4)) samples each fit a budget only above 12^4;
+    # the sweep used to accept T = 400 and then fail every episode
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    raw = {
+        "instance": {"generator": "random", "d": 6, "K": 12, "seed": 0},
+        "policies": ["gradient_ucb"],
+        "budgets": [400, 5000],
+        "seeds": 2,
+        "output": None,
+    }
+    problem, _ = build_problem(raw["instance"])
+    assert kd_budget_floor("gradient_ucb", problem, 400) == 20749
+    assert kd_budget_floor("gradient_ucb", problem, 20749) is None
+    assert kd_budget_floor("thompson", problem, 400) is None
+    with pytest.raises(ConfigError, match="'gradient_ucb' .* budget 400; .* is 20749"):
+        run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
 
 
 def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
