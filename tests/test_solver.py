@@ -309,13 +309,74 @@ def test_reference_optimum_matches_frank_wolfe_then_refine(d, k, seed):
 
 
 # --------------------------------------------------------------------
-# the active-set polish on clones
+# the active-set polish
 
 
 def axis_clone_problem():
     """Arms e1, e2 and an exact copy of e1: the pair {0, 2} is exactly singular."""
     cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     return DesignProblem(CovariateSet(cols), NoiseSpec(np.array([1.0, 2.0, 1.0])))
+
+
+def refined(problem):
+    k = problem.n_arms
+    return _multiplicative_refine(problem, np.full(k, 1.0 / k))[0]
+
+
+def rough(problem):
+    f, g = design_oracles(problem)
+    return minimize(f, g, problem.n_arms, SolverConfig(max_iters=400)).weights
+
+
+_POLISH_CASES = (
+    [(f"random-3x4-{s}", lambda s=s: make_random_instance(3, 4, seed=s)) for s in range(6)]
+    + [
+        ("random-3x5-0", lambda: make_random_instance(3, 5, seed=0)),
+        ("random-8x16-0", lambda: make_random_instance(8, 16, seed=0)),
+        ("random-20x40-0", lambda: make_random_instance(20, 40, seed=0)),
+        ("hard-1", lambda: make_hard_instance(1.0)),
+        ("hard-1e-2", lambda: make_hard_instance(1e-2)),
+    ]
+)
+
+
+@pytest.mark.parametrize("start", [refined, rough])
+@pytest.mark.parametrize("name, make", _POLISH_CASES, ids=[c[0] for c in _POLISH_CASES])
+def test_polish_certifies_exactly_the_d_arm_optima(name, make, start):
+    # the polish solves d-arm restrictions only: from a rough or a refined
+    # iterate it must return the reference optimum when that sits on d
+    # arms, and nothing when the optimum needs more
+    problem = make()
+    p_ref, value = reference_optimum(problem)
+    hit = active_set_polish(problem, start(problem))
+    if np.count_nonzero(np.asarray(p_ref)) > problem.dimension:
+        assert hit is None
+        return
+    assert hit is not None
+    np.testing.assert_array_equal(np.asarray(hit[0]), np.asarray(p_ref))
+    assert hit[1] == value
+
+
+@pytest.mark.parametrize(
+    "make, weights",
+    [
+        (lambda: load_instance(REDUNDANT_ARM), None),
+        (lambda: duplicate_arm_problem()[1], [0.35, 0.1, 0.1, 0.45]),
+        (axis_clone_problem, [0.4, 0.2, 0.4]),
+    ],
+    ids=["redundant-arm", "duplicate-arm", "axis-clone"],
+)
+def test_polish_reaches_the_reference_value_on_clones(make, weights):
+    # a clone pair may share the mass either way, so the answer is held
+    # to its certificate and to the reference value, not to its weights
+    problem = make()
+    w = refined(problem) if weights is None else np.array(weights)
+    hit = active_set_polish(problem, w)
+    assert hit is not None
+    p_star, value = hit
+    _, ref = reference_optimum(problem)
+    assert kkt_certificate(problem, p_star).certified
+    assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_polish_steps_past_an_axis_clone_pair():
