@@ -50,7 +50,8 @@ def variance_radius(n: int, kappa2: float, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     u = math.log(4.0 / delta) / (BERNSTEIN_C * n)
-    return 3.0 * kappa2 * max(u, math.sqrt(u))
+    root = math.sqrt(u)
+    return 3.0 * kappa2 * (root if root > u else u)  # max(u, root), without its call cost
 
 
 def halving_sample_count(kappa2: float, sigma2: float, horizon: int) -> int:
@@ -78,5 +79,6 @@ def lcb_variance(count: float, variance: float, params: ConfidenceParams) -> flo
     """
     if count < 2:
         raise ValueError("variance undefined with fewer than two observations")
-    radius = variance_radius(count, params.kappa2, params.delta)
-    return max(variance - radius, LCB_FLOOR * params.kappa2)
+    low = variance - variance_radius(count, params.kappa2, params.delta)
+    floor = LCB_FLOOR * params.kappa2
+    return floor if floor > low else low

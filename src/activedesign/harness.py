@@ -39,7 +39,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -601,6 +600,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
 
     workers = min(cap, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chain_task, task) for task in tasks]
             done = []

@@ -176,52 +176,41 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _closed_form_gradient(neg_inv_gram_diag: list, sigma2, counts, n: int) -> list:
-    """Closed-form loss gradient for K = d: -(Gamma^-1)_kk sigma_k^2 / p_k^2.
+def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale=0.0, c=0.0) -> int:
+    """``np.argmin`` of the K = d gradient less its bonus, in one pass over the arms.
 
     With the covariates X square and invertible,
     Omega(p) = X diag(p / sigma^2) X^T, so
     Omega^-1 X_k = X^-T diag(sigma^2 / p) X^-1 X_k = X^-T e_k sigma_k^2 / p_k
     and ||Omega^-1 X_k||^2 = (X^-1 X^-T)_kk sigma_k^4 / p_k^2.  Since
-    X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the mark
-    divided by sigma_k^2 needs only the fixed diagonal, passed negated
-    (``_neg_inv_gram_diag``).  p_k = counts_k / n, on Python floats in the
-    array formula's operation order; ``counts`` holding a zero must come
-    as an array (see ``_ieee_counts``).
+    X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the
+    gradient -(Gamma^-1)_kk sigma_k^2 / p_k^2 needs only the fixed
+    diagonal, passed negated (``_neg_inv_gram_diag``).  Here sigma_k^2 is
+    raised to ``floor``_k, p_k = counts_k / n, and with ``scale`` > 0 the
+    bonus scale sqrt(c / counts_k) is subtracted, all in the array
+    formulas' IEEE operation order; an arm with no count runs on numpy's
+    float64, so that p = 0 divides to inf or NaN as it did there.  The
+    first NaN wins, else the first least value.
     """
-    grad = []
-    for a, s, c in zip(neg_inv_gram_diag, sigma2, counts):
-        p = c / n
-        grad.append(a * s / (p * p))
-    return grad
+    best, low, k = 0, math.inf, 0
+    for a, s, f, m in zip(neg_diag, sigma2, floor, counts):
+        if not m:
+            m = np.float64(m)
+        p = m / n
+        g = a * (f if s < f else s) / (p * p)
+        if scale > 0.0:
+            g -= scale * math.sqrt(c / m)
+        if g < low:
+            best, low = k, g
+        elif g != g:
+            return k
+        k += 1
+    return best
 
 
 def _neg_inv_gram_diag(problem: DesignProblem) -> list:
     """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient."""
     return (-np.diag(np.linalg.inv(problem.covariates.gram()))).tolist()
-
-
-def _ieee_counts(counts):
-    """``counts``, as an array when an arm has none, so that p = 0 divides.
-
-    Python float division by zero raises; numpy's float64 scalars give
-    the inf or NaN the array formulas gave, and compare the same way.
-    """
-    return np.array(counts) if 0.0 in counts else counts
-
-
-def _argmin(values: list) -> int:
-    """``np.argmin`` of a list: the first NaN, else the first smallest value."""
-    best, low = 0, values[0]
-    if low != low:
-        return 0
-    for k in range(1, len(values)):
-        v = values[k]
-        if v < low:
-            best, low = k, v
-        elif v != v:
-            return k
-    return best
 
 
 def _float_sum(values: list) -> float:
@@ -231,28 +220,29 @@ def _float_sum(values: list) -> float:
     pairwise sum is sequential below 8 values, runs 8 accumulators up to
     128 and splits larger blocks in two at a multiple of 8.
     """
-    return 0.0 + _pairwise_sum(values, 0, len(values))
+    return 0.0 + _pairwise_sum(values)
 
 
-def _pairwise_sum(a: list, lo: int, n: int) -> float:
+def _pairwise_sum(a: list) -> float:
+    n = len(a)
     if n < 8:
         res = -0.0
-        for i in range(lo, lo + n):
-            res += a[i]
+        for v in a:
+            res += v
         return res
     if n <= 128:
-        r = a[lo : lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
+        r = a[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
             for j in range(8):
                 r[j] += a[i + j]
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            res += a[i]
+        for v in a[end:]:
+            res += v
         return res
     n2 = n // 2
     n2 -= n2 % 8
-    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+    return _pairwise_sum(a[:n2]) + _pairwise_sum(a[n2:])
 
 
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
@@ -459,10 +449,17 @@ class OracleTrackingPolicy(Policy):
                 return [int(self.p_star.argmax())] * len(self.rng)
             return (self.p_star - self.counts / n).argmax(axis=1).tolist()
         # the largest deficit p*_k - counts_k / n is the first smallest
-        # counts_k / n - p*_k: IEEE subtraction is exactly antisymmetric
-        if n == 0:
-            return _argmin([-p for p in self.p_star])
-        return _argmin([c / n - p for c, p in zip(self.counts, self.p_star)])
+        # counts_k / n - p*_k (IEEE subtraction is exactly antisymmetric),
+        # found in one pass as ``_closed_form_argmin`` finds its least arm
+        best, low, k = 0, math.inf, 0
+        for c, p in zip(self.counts, self.p_star):
+            v = c / n - p if n else -p
+            if v < low:
+                best, low = k, v
+            elif v != v:
+                return k
+            k += 1
+        return best
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -530,7 +527,9 @@ class RandomizedDesignPolicy(_Moments, Policy):
         # covers every later round
         self._bounds_ready = not np.any(np.isnan(self._lcb))
 
-    def _optimistic_design(self, row: int = 0) -> list:
+    def _optimistic_design(self, row: int = 0) -> tuple:
+        """The optimistic design as weights and their total: sigma_k sqrt(cofactor_k)
+        on K = d, the Frank-Wolfe solve's proportions and 1.0 on K > d."""
         sig2 = self.fixed_variances
         if sig2 is None:
             if not self._bounds_ready:
@@ -538,8 +537,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
             sig2 = self._lcb if self._square else self._lcb[row]
         if self._root_cof is not None:
             raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
-            total = _float_sum(raw)
-            return [v / total for v in raw]
+            return raw, _float_sum(raw)
         x = self.problem.covariates.columns
         res = minimize(
             lambda p: loss_given(x, sig2, p),
@@ -547,31 +545,32 @@ class RandomizedDesignPolicy(_Moments, Policy):
             self.n_arms,
             _DESIGN_SOLVER,
         )
-        return res.weights.values.tolist()
+        return res.weights.values.tolist(), 1.0
 
-    def _draw(self, design: list, anchor: list, rng) -> int:
-        """An arm from the residual of ``design`` over ``anchor``, else from ``design``."""
-        residual = [d - a for d, a in zip(design, anchor)]
-        residual = [0.0 if r < 0.0 else r for r in residual]
-        total = _float_sum(residual)
-        q = [r / total for r in residual] if total > 0.0 else design
+    def _draw(self, row: int, rng) -> int:
+        """An arm of ``row`` from the design's residual over the anchor, else from the design."""
+        weights, total = self._optimistic_design(row)
+        anchor = self._anchor if self._square else self._anchor[row].tolist()
+        residual = [0.0 if (r := w / total - a) < 0.0 else r for w, a in zip(weights, anchor)]
+        mass = _float_sum(residual)
+        if not mass > 0.0:
+            residual, mass = weights, total
         u = rng.random()
         # the first arm whose cumulative mass exceeds u
         cum = 0.0
-        for arm, w in enumerate(q):
-            cum += w
+        for arm, r in enumerate(residual):
+            cum += r / mass
             if u < cum:
                 return arm
         return self.n_arms - 1
 
     def select(self, t: int):
         if self._square:
-            return self._draw(self._optimistic_design(), self._anchor, self.rng)
+            return self._draw(0, self.rng)
         arms = []
         for row, rng in enumerate(self.rng):
             try:
-                design = self._optimistic_design(row)
-                arms.append(self._draw(design, self._anchor[row].tolist(), rng))
+                arms.append(self._draw(row, rng))
             except Exception as exc:
                 arms.append(exc)
         return arms
@@ -617,39 +616,42 @@ class GradientUcbPolicy(_Moments, Policy):
         self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
         self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
         floor = 1e-12 * problem.noise.kappa2
-        # shared by the rows, and held as one (1, K) row so that a one-row
-        # episode's (1, K) plug-ins meet it without a numpy broadcast
-        self._var_floor = floor.tolist() if self._square else floor[None]
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)
+            # a floor of -inf raises no fixed or LCB variance in select's loop
+            plug_in = self.fixed_variances is None and not use_lcb
+            self._var_floor = floor.tolist() if plug_in else [-math.inf] * self.n_arms
         else:
             self._x = problem.covariates.columns
+            # shared by the rows, and held as one (1, K) row so that a one-row
+            # episode's (1, K) plug-ins meet it without a numpy broadcast
+            self._var_floor = floor[None]
 
     def _variances(self):
+        """The variances a step reads; on K = d, before ``_var_floor`` raises them."""
         if self.fixed_variances is not None:
             return self.fixed_variances
         if self.use_lcb:
             return self._lcb
+        if self._square:
+            return self.sig2hat
         # numerical guard: a degenerate sample set must not zero a weight
-        if not self._square:
-            return np.maximum(self.sig2hat, self._var_floor)
-        # NaN, an arm below two observations, passes as in np.maximum
-        return [f if s < f else s for s, f in zip(self.sig2hat, self._var_floor)]
+        return np.maximum(self.sig2hat, self._var_floor)
 
     def select(self, t: int):
-        if not self._square:
-            counts, arms = self.counts, [None] * len(self.rng)
-            g = _stacked_gradients(self._x, self._variances(), counts / self.round, arms)
-            if self.bonus_scale > 0.0:
-                g = g - self.bonus_scale * np.sqrt(self.bonus_log_coeff * math.log(t) / counts)
-            return _fill_argmin(g, arms)
-        counts = _ieee_counts(self.counts)
-        g = _closed_form_gradient(self._neg_inv_gram, self._variances(), counts, self.round)
-        if self.bonus_scale > 0.0:
-            scale, c = self.bonus_scale, self.bonus_log_coeff * math.log(t)
-            for k, m in enumerate(counts):
-                g[k] -= scale * math.sqrt(c / m)
-        return _argmin(g)
+        scale = self.bonus_scale
+        c = self.bonus_log_coeff * math.log(t) if scale > 0.0 else 0.0
+        if self._square:
+            # NaN, an arm below two observations, passes the floor as in np.maximum
+            return _closed_form_argmin(
+                self._neg_inv_gram, self._variances(), self._var_floor, self.counts, self.round,
+                scale, c,
+            )
+        counts, arms = self.counts, [None] * len(self.rng)
+        g = _stacked_gradients(self._x, self._variances(), counts / self.round, arms)
+        if scale > 0.0:
+            g = g - scale * np.sqrt(c / counts)
+        return _fill_argmin(g, arms)
 
 
 class ThompsonPolicy(Policy):
@@ -729,8 +731,10 @@ class ThompsonPolicy(Policy):
 
     def select(self, t: int):
         if self._square:
-            sig2, counts = self.sample_variances(), _ieee_counts(self.counts)
-            return _argmin(_closed_form_gradient(self._neg_inv_gram, sig2, counts, self.round))
+            # the draws are clipped already: the floor clip_lo raises none
+            return _closed_form_argmin(
+                self._neg_inv_gram, self.sample_variances(), self._clip_lo, self.counts, self.round
+            )
         arms = [None] * len(self.rng)
         gamma = np.ones_like(self.post_alpha)
         for i, rng in enumerate(self.rng):

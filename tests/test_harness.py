@@ -441,15 +441,12 @@ def test_run_sweep_is_byte_identical_across_reruns(tmp_path, monkeypatch):
         assert snapshot[path.name] == path.read_bytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
-    # 3x3 gradient_ucb and uniform: a golden guard on the square hot path,
-    # in process and in the pool (uniform runs each seed as one chain)
-    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+def _assert_sweep_reproduces(tmp_path, config: str) -> None:
+    """``configs/<config>.json`` swept again writes ``results/<config>`` byte for byte."""
     root = Path(__file__).resolve().parents[1]
-    golden = root / "results" / "quickstart"
+    golden = root / "results" / config
     cfg = dataclasses.replace(
-        load_config(root / "configs" / "quickstart.json"), output=str(tmp_path / "out")
+        load_config(root / "configs" / f"{config}.json"), output=str(tmp_path / "out")
     )
     result = run_sweep(cfg, quiet=True)
     assert not result.failures
@@ -457,6 +454,22 @@ def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch
     assert written == sorted(p.name for p in golden.iterdir())
     for name in written:
         assert (result.output_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_quickstart_sweep_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
+    # 3x3 gradient_ucb and uniform: a golden guard on the square hot path,
+    # in process and in the pool (uniform runs each seed as one chain)
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+    _assert_sweep_reproduces(tmp_path, "quickstart")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_square_policies_sweep_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
+    # 3x3 thompson, randomized and oracle: the golden guard on the rest of
+    # the square step path, in process and in the pool
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+    _assert_sweep_reproduces(tmp_path, "square_policies")
 
 
 def test_two_point_configs_are_the_hard_instance_in_both_orientations():

@@ -23,7 +23,7 @@ from activedesign.policies import (
     RandomizedDesignPolicy,
     ThompsonPolicy,
     UniformPolicy,
-    _closed_form_gradient,
+    _closed_form_argmin,
     _neg_inv_gram_diag,
     checkpoint_schedule,
     default_estimation_count,
@@ -239,6 +239,12 @@ def test_oracle_episode_regret_is_tiny():
 # randomized design policy
 
 
+def design(policy):
+    """The randomized policy's optimistic design, its weights over their total."""
+    weights, total = policy._optimistic_design()
+    return [w / total for w in weights]
+
+
 def test_randomized_option_validation():
     problem = canonical([1.0, 4.0])
     rng = np.random.default_rng(0)
@@ -256,9 +262,7 @@ def test_randomized_design_matches_closed_form_under_true_variances():
     policy = RandomizedDesignPolicy(
         problem, np.random.default_rng(0), 100, fixed_variances=np.array([1.0, 4.0])
     )
-    np.testing.assert_allclose(
-        policy._optimistic_design(), [1.0 / 3.0, 2.0 / 3.0], rtol=1e-12
-    )
+    np.testing.assert_allclose(design(policy), [1.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
 
 
 def test_randomized_requires_defined_variance_bounds():
@@ -277,9 +281,9 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
         policy.select(4)
     feed(policy, [(1, 4.0)])
     policy.presample_done(4)
-    before = policy._optimistic_design()
+    before = design(policy)
     feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
-    after = policy._optimistic_design()
+    after = design(policy)
     assert after[1] > before[1]
     root = np.sqrt(policy._lcb) * np.sqrt(problem_constants(problem).cofactors)
     np.testing.assert_array_equal(after, root / root.sum())
@@ -419,8 +423,14 @@ def test_gradient_ucb_greedy_with_oracle_variances_converges():
     assert dev < 1e-3
 
 
+def _closed_form_gradient(neg_diag, sig2, p):
+    """-(Gamma^-1)_kk sigma_k^2 / p_k^2, the K = d gradient ``_closed_form_argmin`` scores."""
+    return [a * s / (q * q) for a, s, q in zip(neg_diag, sig2, p)]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_square_closed_form_gradient_matches_the_solve(d):
+    no_floor = [-math.inf] * d
     for seed in range(4):
         problem = make_random_instance(d, d, seed=seed)
         x = problem.covariates.columns
@@ -430,14 +440,16 @@ def test_square_closed_form_gradient_matches_the_solve(d):
             p = rng.dirichlet(np.ones(d))
             sig2 = rng.uniform(0.1, 10.0, d)
             np.testing.assert_allclose(
-                _closed_form_gradient(neg_diag, sig2.tolist(), p.tolist(), 1),
+                _closed_form_gradient(neg_diag, sig2.tolist(), p.tolist()),
                 -marks(x, sig2, p),
                 rtol=1e-12,
                 atol=0,
             )
+            arm = _closed_form_argmin(neg_diag, sig2.tolist(), no_floor, p.tolist(), 1)
+            assert arm == int(np.argmin(-marks(x, sig2, p)))
         p = rng.dirichlet(np.ones(d))
         np.testing.assert_allclose(
-            _closed_form_gradient(neg_diag, problem.noise.sigma2.tolist(), p.tolist(), 1),
+            _closed_form_gradient(neg_diag, problem.noise.sigma2.tolist(), p.tolist()),
             gradient(problem, p),
             rtol=1e-12,
             atol=0,

@@ -28,12 +28,14 @@ from activedesign.policies import (
     PresamplePlan,
     RandomizedDesignPolicy,
     ThompsonPolicy,
-    _argmin,
+    _closed_form_argmin,
     _float_sum,
 )
 
 SQUARE_REPLICATION = {"generator": "random", "d": 3, "K": 3, "seed": 4}
 CANONICAL = {"generator": "random", "d": 3, "K": 3, "seed": 4, "canonical": True}
+# K >= 8 reaches the pairwise branch of ``_float_sum``
+RANDOM_9 = {"generator": "random", "d": 9, "K": 9, "seed": 1}
 NOISE_MODELS = ("gaussian", "uniform", "rademacher")
 # stands for the instance's true variances in ``fixed_variances`` options
 TRUE_SIGMA2 = "sigma2"
@@ -255,7 +257,9 @@ def _options(options, problem):
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
 @pytest.mark.parametrize(
-    "instance", [SQUARE_REPLICATION, CANONICAL], ids=["replication", "canonical"]
+    "instance",
+    [SQUARE_REPLICATION, CANONICAL, RANDOM_9],
+    ids=["replication", "canonical", "random9"],
 )
 @pytest.mark.parametrize("name, options", VARIANTS, ids=[f"{n}-{o}" for n, o in VARIANTS])
 def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance, model):
@@ -327,11 +331,13 @@ def test_a_zero_gamma_draw_does_not_raise():
 
 
 def test_argmin_is_numpy_argmin():
-    # first NaN wins, else the first smallest value: ties to the lowest index
+    # first NaN wins, else the first smallest value: ties to the lowest index;
+    # unit factors, counts and no floor score each arm at its sigma2 entry
     values = (-math.inf, -1.0, 0.0, -0.0, 1.0, math.inf, math.nan)
     for k in range(1, 5):
+        ones, no_floor = [1.0] * k, [-math.inf] * k
         for v in itertools.product(values, repeat=k):
-            assert _argmin(list(v)) == int(np.argmin(v)), v
+            assert _closed_form_argmin(ones, list(v), no_floor, ones, 1) == int(np.argmin(v)), v
 
 
 def test_float_sum_is_numpy_sum():
