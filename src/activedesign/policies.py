@@ -49,9 +49,9 @@ import numpy as np
 
 from .core import (
     DesignProblem,
+    NoiseSpec,
     SimplexWeights,
     loss,
-    loss_given,
     marks,
     problem_constants,
 )
@@ -59,7 +59,10 @@ from .core import (
 from .core import regret_from_loss as regret
 from .environment import Environment
 from .estimation import ConfidenceParams, lcb_variance
-from .solver import SolverConfig, minimize, reference_optimum
+from .solver import reference_optimum
+
+# perfbench's layer probes patch ``policies.minimize``; not called here
+from .solver import minimize  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +71,9 @@ POLICY_NAMES = ("uniform", "randomized", "gradient_ucb", "thompson", "oracle")
 # Policies that need variance estimates and therefore a presampling plan.
 _ADAPTIVE = ("randomized", "gradient_ucb")
 
-# the Frank-Wolfe solve of randomized's K > d design
-_DESIGN_SOLVER = SolverConfig(max_iters=2000, gap_tol=1e-7)
+# fixed-point sweeps of randomized's K > d design solve, at most; under
+# floored bounds many solves certify only at the cap, so it stays small
+_DESIGN_SWEEPS = 200
 
 
 def default_estimation_count(horizon: int) -> int:
@@ -468,7 +472,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
     Variances enter through their lower confidence bounds at per-arm
     failure share delta' = 1 / (T^2 K).  The design is re-solved every
     round: for square problems the closed form, p_k proportional to
-    sigma_k sqrt(cofactor_k), and otherwise a Frank-Wolfe solve (the
+    sigma_k sqrt(cofactor_k), and otherwise ``reference_optimum`` under
+    the bounds, capped at ``_DESIGN_SWEEPS`` fixed-point sweeps (the
     latter is extension behavior beyond the square-case guarantees and
     is logged as such).  After presampling, draws target
     the residual between the optimistic design and the mass already laid
@@ -518,7 +523,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
             self._root_cof = None
             logger.warning(
                 "randomized policy with K > d is extension behavior; "
-                "re-solving the design by Frank-Wolfe each recompute"
+                "re-solving the design by the reference solver every round"
             )
 
     def presample_done(self, t: int) -> None:
@@ -529,7 +534,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
     def _optimistic_design(self, row: int = 0) -> tuple:
         """The optimistic design as weights and their total: sigma_k sqrt(cofactor_k)
-        on K = d, the Frank-Wolfe solve's proportions and 1.0 on K > d."""
+        on K = d, the reference solver's proportions and 1.0 on K > d."""
         sig2 = self.fixed_variances
         if sig2 is None:
             if not self._bounds_ready:
@@ -538,14 +543,9 @@ class RandomizedDesignPolicy(_Moments, Policy):
         if self._root_cof is not None:
             raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
             return raw, _float_sum(raw)
-        x = self.problem.covariates.columns
-        res = minimize(
-            lambda p: loss_given(x, sig2, p),
-            lambda p: -marks(x, sig2, p),
-            self.n_arms,
-            _DESIGN_SOLVER,
-        )
-        return res.weights.values.tolist(), 1.0
+        design = DesignProblem(self.problem.covariates, NoiseSpec(sig2))
+        weights, _ = reference_optimum(design, max_iters=_DESIGN_SWEEPS)
+        return weights.values.tolist(), 1.0
 
     def _draw(self, row: int, rng) -> int:
         """An arm of ``row`` from the design's residual over the anchor, else from the design."""

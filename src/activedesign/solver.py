@@ -4,10 +4,12 @@
 measured against: the closed form when K = d, else the multiplicative
 fixed point, finished by a support Newton solve that merges exact
 clones, or by a d-arm active-set polish of its final iterate.
-``minimize``, conditional gradient (Frank-Wolfe) with backtracking line
-search, serves the randomized policy on K > d.  It evaluates at an
-interior floor, since the loss blows up on non-identifying faces; the
-floor is small enough that boundary optima are still represented to ~1e-9.
+The randomized policy solves its K > d design with it too, under the
+variances' lower confidence bounds.  ``minimize``, conditional gradient
+(Frank-Wolfe) with backtracking line search from the uniform design, is
+acceptance criterion 2's reference.  It evaluates at an interior floor,
+since the loss blows up on non-identifying faces; the floor is small
+enough that boundary optima are still represented to ~1e-9.
 """
 
 from __future__ import annotations
@@ -37,23 +39,22 @@ logger = logging.getLogger(__name__)
 # Steps of one support Newton solve, at most.
 _NEWTON_STEPS = 50
 
+# ``minimize``'s Frank-Wolfe gap tolerance, interior floor, Armijo
+# constant, backtracking factor and smallest step
+_GAP_TOL = 1e-9
+_FLOOR = 1e-9
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    gap_tol: float = 1e-9
-    floor: float = 1e-9
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-16
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.gap_tol < 0.0 or self.floor < 0.0:
-            raise ValueError("tolerances must be nonnegative")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -68,62 +69,48 @@ class SolverResult:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def minimize(
-    loss_fn, grad_fn, k: int, config: SolverConfig = DEFAULT_CONFIG, start=None
-) -> SolverResult:
+def minimize(loss_fn, grad_fn, k: int, config: SolverConfig = DEFAULT_CONFIG) -> SolverResult:
     """Minimize a convex function over the K-simplex by conditional gradient.
 
-    ``loss_fn`` and ``grad_fn`` take a length-K weight vector.  All
-    evaluations happen at the floored point (1 - K eps) p + eps, so the
-    oracles never see an exact zero.  The returned weights are the
-    floored iterate and ``gap`` is the final Frank-Wolfe gap
-    max_j (p - e_j)^T grad, an upper bound on the suboptimality of the
-    returned point (up to the floor).  ``start`` warm-starts the iterate
-    (defaults to uniform).
+    ``loss_fn`` and ``grad_fn`` take a length-K weight vector.  The
+    iterate starts uniform, and all evaluations happen at the floored
+    point (1 - K eps) p + eps, so the oracles never see an exact zero.
+    The returned weights are the floored iterate and ``gap`` is the
+    final Frank-Wolfe gap max_j (p - e_j)^T grad, an upper bound on the
+    suboptimality of the returned point (up to the floor).
     """
     if k < 1:
         raise ValueError("need at least one arm")
-    eps = config.floor
-    if k * eps >= 1.0:
-        raise ValueError("floor too large for this many arms")
 
     def floored(q: np.ndarray) -> np.ndarray:
-        return (1.0 - k * eps) * q + eps
+        return (1.0 - k * _FLOOR) * q + _FLOOR
 
-    if start is None:
-        p = np.full(k, 1.0 / k)
-    else:
-        p = np.asarray(start, dtype=np.float64).reshape(-1)
-        if p.shape[0] != k or np.any(p < 0.0):
-            raise ValueError("start must be a nonnegative length-k vector")
-        p = p / p.sum()
+    p = np.full(k, 1.0 / k)
     f = loss_fn(floored(p))
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the uniform start")
 
-    gap = np.inf
-    it = 0
     for it in range(1, config.max_iters + 1):
         g = np.asarray(grad_fn(floored(p)), dtype=np.float64)
         j = int(np.argmin(g))
         gap = float(p @ g - g[j])
-        if gap <= config.gap_tol:
+        if gap <= _GAP_TOL:
             return SolverResult(SimplexWeights(floored(p)), f, gap, it, True)
 
         # direction e_j - p; directional derivative is exactly -gap
         step = 1.0
-        while step >= config.min_step:
+        while step >= _MIN_STEP:
             q = p + step * (np.eye(1, k, j).ravel() - p)
             fq = loss_fn(floored(q))
-            if np.isfinite(fq) and fq <= f - config.armijo * step * gap:
+            if np.isfinite(fq) and fq <= f - _ARMIJO * step * gap:
                 break
-            step *= config.backtrack
+            step *= _BACKTRACK
         else:
             # no acceptable step; gap is the certificate we leave with
             return SolverResult(SimplexWeights(floored(p)), f, gap, it, False)
         p, f = q, fq
 
-    return SolverResult(SimplexWeights(floored(p)), f, gap, config.max_iters, gap <= config.gap_tol)
+    return SolverResult(SimplexWeights(floored(p)), f, gap, config.max_iters, gap <= _GAP_TOL)
 
 
 def _certify_subset(

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from activedesign.core import (
     marks,
     problem_constants,
 )
-from activedesign.environment import make_env, make_random_instance
+from activedesign.environment import make_env, make_hard_instance, make_random_instance
+from activedesign.harness import load_instance
 from activedesign.policies import (
     Episode,
     GradientUcbPolicy,
@@ -34,6 +36,8 @@ from activedesign.policies import (
     run_episode,
 )
 from activedesign.solver import reference_optimum
+
+REDUNDANT_ARM = Path(__file__).resolve().parents[1] / "instances" / "redundant_arm.txt"
 
 
 def canonical(sigma2, beta=None):
@@ -336,6 +340,36 @@ def test_randomized_warns_on_wide_problems(caplog):
     with caplog.at_level(logging.WARNING, logger="activedesign.policies"):
         make_policy("randomized", problem, np.random.default_rng(0), 100, {})
     assert any("extension" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        load_instance(REDUNDANT_ARM),
+        make_hard_instance(0.5),
+        make_random_instance(6, 12, seed=0),
+    ],
+    ids=["redundant_arm", "two_point", "random_6x12"],
+)
+def test_randomized_wide_design_is_the_reference_optimum(problem):
+    policy = RandomizedDesignPolicy(
+        problem, np.random.default_rng(0), 1000, fixed_variances=problem.noise.sigma2
+    )
+    p_star, _ = reference_optimum(problem)
+    assert design(policy) == p_star.values.tolist()
+
+
+def test_randomized_finishes_redundant_arm_with_floored_bounds():
+    # design_delta 0.5 at T = 2000 puts two arms' bounds on the 1e-12 kappa^2 floor
+    problem = load_instance(REDUNDANT_ARM)
+    trace = run_episode(
+        "randomized",
+        make_env(problem, seed=1),
+        2000,
+        reference=reference_optimum(problem),
+        options={"design_delta": 0.5},
+    )
+    assert math.isfinite(trace.final_regret)
 
 
 def test_randomized_episode_tracks_the_optimum():
