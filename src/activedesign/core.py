@@ -253,15 +253,10 @@ def marks(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a, a) / sigma2
 
 
-def loss_given(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> float:
-    """trace(Omega(p)^-1), the sum of reciprocal eigenvalues; +inf when ``singular``."""
-    eigs = np.linalg.eigvalsh(_omega(x, sigma2, p))
-    return math.inf if singular(eigs) else float(np.sum(1.0 / eigs))
-
-
 def loss(problem: DesignProblem, weights) -> float:
-    """A-optimality loss trace(Omega(p)^-1), +inf off the identifiable set."""
-    return loss_given(problem.covariates.columns, problem.noise.sigma2, _weights_array(weights))
+    """A-optimality loss trace(Omega(p)^-1) = sum of 1 / eigenvalues; +inf when ``singular``."""
+    eigs = np.linalg.eigvalsh(info_matrix(problem, weights))
+    return math.inf if singular(eigs) else float(np.sum(1.0 / eigs))
 
 
 def loss_closed_form(problem: DesignProblem, weights) -> float:

@@ -13,12 +13,14 @@ Five ways to spend a budget of T arm queries:
 * ``oracle``: knows the true optimal design and tracks it by largest
   deficit; a lower-bound reference, not a learner.
 
-Adaptive policies start with a short estimation phase (enough samples per
-arm to define variances) followed by presampling: for square problems,
-half the budget laid out at the plug-in optimal proportions, which both
-keeps every later information matrix invertible and floors the empirical
-proportions; otherwise a T^(3/4)-per-arm schedule.  The runner executes
-those phases, drives the policy loop, and records regret checkpoints.
+Each policy class declares its presampling (``Policy.presample``).
+``gradient_ucb`` and ``randomized`` take a short estimation phase (enough
+samples per arm to define variances), then on square problems half the
+budget at the plug-in optimal proportions, which keeps every later
+information matrix invertible and floors the empirical proportions, and
+otherwise ceil(T^(3/4)) per arm; ``thompson`` two per arm; ``uniform``
+and ``oracle`` none.  The runner executes it, drives the policy loop,
+and records regret checkpoints.
 
 On square problems (K = d) an episode is one seed, its per-arm state
 (counts, moments, posteriors) is kept in lists of Python floats, and a
@@ -66,11 +68,6 @@ from .solver import minimize  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-POLICY_NAMES = ("uniform", "randomized", "gradient_ucb", "thompson", "oracle")
-
-# Policies that need variance estimates and therefore a presampling plan.
-_ADAPTIVE = ("randomized", "gradient_ucb")
-
 # fixed-point sweeps of randomized's K > d design solve, at most; under
 # floored bounds many solves certify only at the cap, so it stays small
 _DESIGN_SWEEPS = 200
@@ -104,6 +101,12 @@ class PresamplePlan:
     def total(self) -> int:
         per_arm = np.maximum(self.counts, self.estimation_count)
         return int(per_arm.sum())
+
+    def lay_out(self, feed, done: int):
+        """Feed each arm its count less the ``done`` samples it has had; the origin as an array."""
+        for arm, count in enumerate(self.counts.tolist()):
+            feed(arm, count - done)
+        return None if self.origin is None else np.asarray(self.origin, dtype=np.float64)
 
 
 def presample_plan(
@@ -152,7 +155,6 @@ def kd_presample(k: int, horizon: int) -> PresamplePlan:
         )
     return PresamplePlan(
         counts=np.full(k, n, dtype=np.int64),
-        estimation_count=0,
         origin=SimplexWeights.uniform(k),
     )
 
@@ -162,7 +164,7 @@ def kd_budget_floor(policy_name: str, problem: DesignProblem, horizon: int) -> i
     K > d presampling (``kd_presample``), or None if ``horizon`` does.
     K ceil(T^(3/4)) < T needs T > K^4, so the search starts there.
     """
-    if policy_name not in _ADAPTIVE or problem.is_square:
+    if not issubclass(policy_class(policy_name), _Moments) or problem.is_square:
         return None
     t, k = horizon, problem.n_arms
     while True:
@@ -301,7 +303,8 @@ class Policy:
     ``gradient_ucb`` and ``randomized`` read variance estimates, so only
     they keep per-arm moments and plug-in variances (``sig2hat``);
     thompson keeps its posteriors.  ``horizon_free`` marks a policy
-    whose choices never read the horizon T.
+    whose choices never read the horizon T; ``presample`` runs the
+    policy's own presampling, which by default takes no samples.
     """
 
     name = "?"
@@ -361,8 +364,22 @@ class Policy:
             for y in ys.T.tolist():
                 self.observe(arms, y)
 
+    def _fixed_variances(self, values):
+        """``values`` as per-arm variances, or None; each must be positive and finite."""
+        if values is not None:
+            values = self._per_arm(values)
+            if not all(0.0 < v < math.inf for v in values):
+                raise ValueError("fixed_variances must be positive and finite")
+        return values
+
+    def presample(self, feed, estimation_count: int | None) -> tuple:
+        """Feed this policy's presampling through ``feed(arm, m)``; returns the
+        phase-0 samples per arm (``estimation_count``, None for the default)
+        and the design laid out as an array, or (0, None).  The base takes none."""
+        return 0, None
+
     def presample_done(self, t: int) -> None:
-        """Hook called once after the presampling plan has executed."""
+        """Hook called once after the presampling has executed."""
 
     def drop(self, rows: list) -> None:
         """Delete the K > d ``rows`` from the per-row state and the generators."""
@@ -380,8 +397,25 @@ class _Moments:
     running mean and m2 are kept beside it.  ``sig2hat`` is the
     population variance m2 / n, NaN until the arm has two observations;
     with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
-    failure share ``delta_arm``) are kept beside it.
+    failure share ``delta_arm``) are kept beside it.  Presampling: the
+    estimation phase, then ``presample_plan`` on K = d; ``kd_presample`` on K > d.
     """
+
+    def presample(self, feed, estimation_count: int | None) -> tuple:
+        k, horizon, n0 = self.n_arms, self.horizon, 0
+        if self._square:
+            n0 = default_estimation_count(horizon) if estimation_count is None else estimation_count
+            n0 = max(2, n0)
+            if k * n0 > horizon:
+                raise ValueError("estimation phase alone exceeds the budget")
+            for arm in range(k):
+                feed(arm, n0)
+            plan = presample_plan(self.sig2hat, problem_constants(self.problem), horizon, n0)
+            if plan.total() > horizon:
+                raise ValueError("presampling plan exceeds the budget")
+        else:
+            plan = kd_presample(k, horizon)
+        return n0, plan.lay_out(feed, n0)
 
     def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
         self._mean = self._per_arm(0.0, rows=True)
@@ -510,11 +544,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
         if not 0.0 < self.delta_arm < 1.0:
             raise ValueError("design_delta must lie in (0, 1)")
         self._init_moments(self.delta_arm, track_lcb=True)
-        self.fixed_variances = None
-        if fixed_variances is not None:
-            self.fixed_variances = self._per_arm(fixed_variances)
-            if not all(0.0 < v < math.inf for v in self.fixed_variances):
-                raise ValueError("fixed_variances must be positive and finite")
+        self.fixed_variances = self._fixed_variances(fixed_variances)
         self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
         if problem.is_square:
@@ -610,9 +640,7 @@ class GradientUcbPolicy(_Moments, Policy):
         if not isinstance(use_lcb, bool):
             raise ValueError(f"use_lcb must be true or false, got {use_lcb!r}")
         self.use_lcb = use_lcb
-        self.fixed_variances = (
-            None if fixed_variances is None else self._per_arm(fixed_variances)
-        )
+        self.fixed_variances = self._fixed_variances(fixed_variances)
         self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
         self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
         floor = 1e-12 * problem.noise.kappa2
@@ -696,6 +724,12 @@ class ThompsonPolicy(Policy):
         else:
             self._x = problem.covariates.columns
 
+    def presample(self, feed, estimation_count: int | None) -> tuple:
+        # two observations per arm so posteriors and proportions are sane
+        for arm in range(self.n_arms):
+            feed(arm, min(2, self.horizon - self.round))
+        return 0, None
+
     def observe(self, arm, y) -> None:
         super().observe(arm, y)
         if self._square:
@@ -759,6 +793,7 @@ _POLICY_CLASSES = {
         OracleTrackingPolicy,
     )
 }
+POLICY_NAMES = tuple(_POLICY_CLASSES)
 
 
 def policy_class(name: str) -> type[Policy]:
@@ -831,36 +866,6 @@ def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[in
     return sorted(t for t in ts if start <= t <= horizon)
 
 
-def _presample(policy: Policy, feed, policy_name: str, plan, n0: int, horizon: int):
-    """Presample ``policy`` through ``feed(arm, m)``; returns the design laid out, if any."""
-    problem, k = policy.problem, policy.n_arms
-    if plan is not None:
-        for arm in range(k):
-            feed(arm, n0)
-        for arm in range(k):
-            feed(arm, int(plan.counts[arm]) - n0)
-        return None if plan.origin is None else np.asarray(plan.origin, dtype=np.float64)
-    if policy_name in _ADAPTIVE and problem.is_square:
-        for arm in range(k):
-            feed(arm, n0)
-        concrete = presample_plan(policy.sig2hat, problem_constants(problem), horizon, n0)
-        if concrete.total() > horizon:
-            raise ValueError("presampling plan exceeds the budget")
-        for arm in range(k):
-            feed(arm, int(concrete.counts[arm]) - n0)
-        return np.asarray(concrete.origin, dtype=np.float64)
-    if policy_name in _ADAPTIVE:
-        concrete = kd_presample(k, horizon)
-        for arm in range(k):
-            feed(arm, int(concrete.counts[arm]))
-        return np.asarray(concrete.origin, dtype=np.float64)
-    if policy_name == "thompson":
-        # two observations per arm so posteriors and proportions are sane
-        for arm in range(k):
-            feed(arm, min(2, horizon - policy.round))
-    return None
-
-
 def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
     """Whether a ``horizon``-step episode is the prefix of every longer one.
 
@@ -889,13 +894,14 @@ class Episode:
     ``envs`` is one ``Environment`` or a list of them, one per member
     (seed), on one problem; on K = d an episode has one member.
     Construction builds the policy for ``horizon`` (on K > d one row per
-    member, see ``Policy``) and runs its presampling; ``advance_all(T)``
-    continues the step loop to T and returns each member's T-step trace,
-    and ``advance(T)`` does so for a one-member episode.  A member whose
-    presampling query, ``select`` entry, step query or checkpoint raises
-    loses its row and keeps its error; the others run on, their streams
-    untouched, so each member's trace is the one it records alone.  An
-    error no row owns (from building the policy, or from ``observe``,
+    member, see ``Policy``) and runs its ``presample``, or lays out
+    ``plan``; ``advance_all(T)`` continues the step loop to T and returns
+    each member's T-step trace, and ``advance(T)`` does so for a
+    one-member episode.  A member whose presampling query, ``select``
+    entry, step query or checkpoint raises loses its row and keeps its
+    error; the others run on, their streams untouched, so each member's
+    trace is the one it records alone.  An error no row owns (from
+    building the policy or its presampling plan, or from ``observe``,
     which updates every row) is every running member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
@@ -947,24 +953,13 @@ class Episode:
         opts = dict(options or {})
         if policy_name == "oracle":
             opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
-        n0 = 0
-        if plan is not None:
-            n0 = plan.estimation_count
-            if plan.total() > horizon:
-                raise ValueError("presampling plan exceeds the budget")
-        elif policy_name in _ADAPTIVE and problem.is_square:
-            n0 = (
-                estimation_count
-                if estimation_count is not None
-                else default_estimation_count(horizon)
-            )
-            n0 = max(2, n0)
-            if k * n0 > horizon:
-                raise ValueError("estimation phase alone exceeds the budget")
+        if plan is not None and plan.total() > horizon:
+            raise ValueError("presampling plan exceeds the budget")
 
         self._members = [_Member(env) for env in envs]
         self._live = list(self._members)  # the members still running, in row order
         self.policy = self.origin = None
+        n0 = 0
         try:
             rngs = [
                 np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
@@ -972,7 +967,13 @@ class Episode:
             ]
             rng = rngs[0] if problem.is_square else rngs
             self.policy = make_policy(policy_name, problem, rng, horizon, opts)
-            self.origin = _presample(self.policy, self._feed, policy_name, plan, n0, horizon)
+            if plan is None:
+                n0, self.origin = self.policy.presample(self._feed, estimation_count)
+            else:
+                n0 = plan.estimation_count
+                for arm in range(k):
+                    self._feed(arm, n0)
+                self.origin = plan.lay_out(self._feed, n0)
             self.policy.presample_done(self.policy.round)
         except Exception as exc:
             self._fail(exc)
@@ -1143,8 +1144,10 @@ def run_episode(
 ) -> RegretTrace:
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
-    ``plan`` overrides the policy's default presampling (pass a plan
-    whose counts sum to the horizon to study presampling alone).
+    ``plan`` replaces the policy's ``presample`` (pass a plan whose counts
+    sum to the horizon to study presampling alone); ``estimation_count``
+    is the K = d phase-0 count that ``presample`` takes.  A presampling
+    error, such as an estimation phase over the budget, is raised here.
     ``reference`` is an optional (optimal weights, optimal loss) pair;
     computed from the problem when omitted.  Episode randomness comes
     from two streams of the environment seed: the environment itself

@@ -604,6 +604,27 @@ def test_run_sweep_rejects_non_finite_policy_options(monkeypatch, policy, match)
         run_sweep(cfg, quiet=True)
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0]]
+)
+@pytest.mark.parametrize("name", ["gradient_ucb", "randomized"])
+def test_run_sweep_rejects_fixed_variances_that_are_not_positive_and_finite(
+    monkeypatch, name, bad
+):
+    # gradient_ucb used to accept these and run the sweep, where randomized rejected them
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    raw = {
+        "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
+        "policies": [{"name": name, "fixed_variances": bad}],
+        "budgets": [500],
+        "seeds": 1,
+        "output": None,
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match="options rejected: fixed_variances must be positive"):
+        run_sweep(cfg, quiet=True)
+
+
 def test_run_sweep_excludes_warm_smallest_budget(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     cfg = sweep_config(
@@ -763,6 +784,34 @@ def test_chained_traces_equal_separate_episodes(monkeypatch, instance, noise):
                     "origin", "presample_end", "estimation_count",
                 ):
                     assert getattr(got, field) == getattr(want, field), (name, horizon, field)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [CHAIN_INSTANCES["square"], CHAIN_INSTANCES["redundant"],
+     {"generator": "random", "d": 6, "K": 12, "seed": 0}],
+    ids=["square", "redundant", "random6x12"],
+)
+def test_horizon_free_policies_finish_every_small_budget(monkeypatch, instance):
+    # below 2K thompson's warm-up of two samples per arm is cut to the budget
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    budgets = [1, 2, 3, 5, 7, 11, 24, 30]
+    cfg = ExperimentConfig.from_dict(
+        {
+            "instance": instance,
+            "policies": ["thompson", "uniform", "oracle"],
+            "budgets": budgets,
+            "seeds": 3,
+            "output": None,
+        }
+    )
+    result = run_sweep(cfg, quiet=True)
+    assert not result.failures
+    assert len(result.traces) == 3 * len(budgets) * 3
+    for (name, horizon, seed), trace in result.traces.items():
+        assert sum(trace.final_counts) == horizon == trace.rows[-1].t, (name, seed)
+        if name == "thompson" and horizon < 2 * len(trace.final_counts):
+            assert trace.presample_end == horizon
 
 
 def test_chained_sweep_runs_each_step_once(monkeypatch):

@@ -660,6 +660,10 @@ def test_episode_rejects_budgets_below_the_estimation_phase():
         run_episode(
             "randomized", make_env(problem, seed=0), 5, estimation_count=3
         )
+    # the policy's own presampling raises it, so the built episode holds it
+    episode = Episode("gradient_ucb", make_env(problem, seed=0), 5, estimation_count=3)
+    with pytest.raises(ValueError, match="estimation phase alone exceeds the budget"):
+        episode.advance(5)
 
 
 def test_episode_is_seed_deterministic():
