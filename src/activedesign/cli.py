@@ -28,6 +28,7 @@ from .harness import (
     ConfigError,
     InstanceFormatError,
     build_problem,
+    check_runs,
     load_config,
     load_instance,
     run_sweep,
@@ -154,6 +155,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     options = dict(next((o for n, o in config.policies if n == args.policy), {}))
     problem, model = build_problem(config.instance)
+    check_runs(problem, [(args.policy, options)], [args.budget])
     env = make_env(problem, args.seed, model)
     trace = run_episode(
         args.policy,

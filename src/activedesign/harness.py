@@ -403,16 +403,17 @@ class SlopeFit:
 def fit_slope(budgets, regrets) -> SlopeFit:
     """Least-squares slope of log10(regret) against log10(T).
 
-    Nonpositive regret values cannot be placed on the log scale and are
-    dropped with a warning; fewer than three usable points is an error.
+    Nonpositive and infinite regret values (an infinite one is a budget
+    too small to identify beta) cannot be placed on the log scale and
+    are dropped with a warning; fewer than three usable points is an error.
     """
     ts = np.asarray(budgets, dtype=np.float64)
     rs = np.asarray(regrets, dtype=np.float64)
     if ts.shape != rs.shape:
         raise ValueError("budgets and regrets must align")
-    keep = rs > 0.0
-    if not np.all(keep):
-        logger.warning("dropping %d nonpositive regret point(s) from slope fit", int((~keep).sum()))
+    keep = (rs > 0.0) & (rs < math.inf)
+    if dropped := int((~keep).sum()):
+        logger.warning("dropping %d nonpositive or infinite regrets from slope fit", dropped)
     ts, rs = ts[keep], rs[keep]
     if ts.size < 3:
         raise ValueError("need at least three positive points to fit a slope")
@@ -532,6 +533,28 @@ def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def check_runs(problem: DesignProblem, policies, budgets) -> None:
+    """Raise ``ConfigError`` if an episode of ``policies``, (name, options)
+    pairs, at ``budgets`` could not run: the problem has no ``beta``, a
+    policy rejects its options, or a budget is below its K > d floor."""
+    if problem.beta is None:
+        raise ConfigError("the instance has no truth vector beta, which simulation needs")
+    if min(budgets) < 1:
+        raise ConfigError("budgets must be positive")
+    probe_rng = np.random.default_rng(0)
+    for name, options in policies:
+        try:
+            make_policy(name, problem, probe_rng, max(budgets), dict(options))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
+        for horizon in budgets:
+            if (floor := kd_budget_floor(name, problem, horizon)) is not None:
+                raise ConfigError(
+                    f"policy {name!r} cannot presample {problem.n_arms} arms within budget "
+                    f"{horizon}; the smallest feasible budget at or above it is {floor}"
+                )
+
+
 def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -> SweepResult:
     """Run every (policy, budget, seed) episode and write the result files.
 
@@ -557,20 +580,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
         raise ConfigError(f"unknown output format {fmt!r}")
     problem, model = build_problem(config.instance)
     reference = reference_optimum(problem)
-
-    # fail fast on unusable options and unfit budgets before spending episode time
-    probe_rng = np.random.default_rng(0)
-    for name, options in config.policies:
-        try:
-            make_policy(name, problem, probe_rng, max(config.budgets), dict(options))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
-        for horizon in config.budgets:
-            if (floor := kd_budget_floor(name, problem, horizon)) is not None:
-                raise ConfigError(
-                    f"policy {name!r} cannot presample {problem.n_arms} arms within budget "
-                    f"{horizon}; the smallest feasible budget at or above it is {floor}"
-                )
+    check_runs(problem, config.policies, config.budgets)
 
     def make_task(name, options, budgets, seeds):
         run = (problem, model, name, options, config.checkpoint_ratio,
@@ -641,7 +651,8 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
             if not finals:
                 continue
             arr = np.array(finals)
-            stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+            with np.errstate(invalid="ignore"):  # infinite regrets give a NaN stderr
+                stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
             rows.append((horizon, float(arr.mean()), stderr, arr.size))
         summaries[name] = rows
 

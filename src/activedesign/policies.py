@@ -897,12 +897,14 @@ class Episode:
     member, see ``Policy``) and runs its ``presample``, or lays out
     ``plan``; ``advance_all(T)`` continues the step loop to T and returns
     each member's T-step trace, and ``advance(T)`` does so for a
-    one-member episode.  A member whose presampling query, ``select``
-    entry, step query or checkpoint raises loses its row and keeps its
-    error; the others run on, their streams untouched, so each member's
-    trace is the one it records alone.  An error no row owns (from
-    building the policy or its presampling plan, or from ``observe``,
-    which updates every row) is every running member's.
+    one-member episode.  Every per-member call (a presampling query, a
+    K > d step's query, a checkpoint) runs through ``_each``: a member
+    whose call raises, or whose ``select`` entry is an exception, loses
+    its row and keeps its error; the others run on, their streams
+    untouched, so each member's trace is the one it records alone.  An
+    error no row owns (from building the policy or its presampling plan,
+    or from ``observe``, which updates every row) is every running
+    member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
@@ -943,16 +945,9 @@ class Episode:
                 f"a {policy_name} episode of {horizon} steps cannot be extended to later budgets"
             )
 
-        if reference is None:
-            p_star, loss_star = reference_optimum(problem)
-        else:
-            p_star, loss_star = reference
+        _, loss_star = reference_optimum(problem) if reference is None else reference
         self._problem = problem
         self._loss_star = float(loss_star)
-
-        opts = dict(options or {})
-        if policy_name == "oracle":
-            opts.setdefault("p_star", np.asarray(p_star, dtype=np.float64))
         if plan is not None and plan.total() > horizon:
             raise ValueError("presampling plan exceeds the budget")
 
@@ -966,7 +961,7 @@ class Episode:
                 for env in envs
             ]
             rng = rngs[0] if problem.is_square else rngs
-            self.policy = make_policy(policy_name, problem, rng, horizon, opts)
+            self.policy = make_policy(policy_name, problem, rng, horizon, options)
             if plan is None:
                 n0, self.origin = self.policy.presample(self._feed, estimation_count)
             else:
@@ -1000,76 +995,61 @@ class Episode:
             member.error = exc
         self._live = []
 
-    def _drop(self, failed: list) -> None:
-        """Delete the rows ``failed`` (ascending), whose members hold their errors.
+    def _each(self, call, entries: list) -> list:
+        """``call(member, entry)`` for every running member and its entry, in row order.
 
-        Raises the last one's error when no member is left, which ends the
-        set-up or the step loop.
+        Returns the running members' results.  A member whose entry is an
+        exception, or whose call raises, keeps that error and loses its
+        row, here in ``entries`` and in the policy; when no member is left
+        the last one's error is raised, which ends the set-up or the step
+        loop.
         """
-        if not failed:
-            return
-        if not self._problem.is_square:
-            self.policy.drop(failed)
-        last = self._live[failed[-1]]
-        self._live = [m for m in self._live if m.error is None]
-        if not self._live:
-            raise last.error
+        results, failed = [], []
+        for i, (member, entry) in enumerate(zip(self._live, entries)):
+            try:
+                if isinstance(entry, Exception):
+                    raise entry
+                results.append(call(member, entry))
+            except Exception as exc:
+                member.error = exc
+                failed.append(i)
+        if failed:
+            if not self._problem.is_square:
+                self.policy.drop(failed)
+            for i in reversed(failed):
+                del entries[i]
+            last = self._live[failed[-1]]
+            self._live = [m for m in self._live if m.error is None]
+            if not self._live:
+                raise last.error
+        return results
 
     def _feed(self, arm: int, m: int) -> None:
         """Presample: every member observes ``arm`` m times from its environment."""
-        if m <= 0:
-            return
-        ys, failed = [], []
-        for i, member in enumerate(self._live):
-            try:
-                ys.append(member.env.query_block(arm, m))
-            except Exception as exc:
-                member.error = exc
-                failed.append(i)
-        self._drop(failed)
-        self.policy.observe_block(arm, ys[0] if self._problem.is_square else np.array(ys))
+        if m > 0:
+            ys = self._each(lambda member, a: member.env.query_block(a, m), [arm] * len(self._live))
+            self.policy.observe_block(arm, ys[0] if self._problem.is_square else np.array(ys))
 
     def _query_rows(self, arms: list) -> list:
-        """The K > d step's responses, one per row.
-
-        A row whose ``select`` entry is an exception, or whose query
-        raises, is dropped, and its entry deleted from ``arms``.
-        """
-        ys = []
-        for member, arm in zip(self._live, arms):
-            if isinstance(arm, Exception):
-                member.error = arm
-                continue
-            try:
-                ys.append(member.env.query(arm))
-            except Exception as exc:
-                member.error = exc
-        if len(ys) < len(arms):
-            failed = [i for i, m in enumerate(self._live) if m.error is not None]
-            self._drop(failed)
-            for i in reversed(failed):
-                del arms[i]
-        return ys
+        """The K > d step's responses to ``arms``, one per running row."""
+        return self._each(lambda member, arm: member.env.query(arm), arms)
 
     def _record(self, now: int) -> None:
         """Record checkpoint ``now`` of every running member."""
-        rows = [self.policy.counts] if self._problem.is_square else self.policy.counts
-        failed = []
-        for i, (member, counts) in enumerate(zip(self._live, rows)):
-            try:
-                p = np.asarray(counts) / now
-                value = loss(self._problem, p)
-                member.rows[now] = CheckpointRow(
-                    t=now,
-                    regret=regret(value, now, self._loss_star),
-                    loss_gap=value - self._loss_star,
-                    p_min=float(p.min()),
-                    counts=tuple(int(c) for c in counts),
-                )
-            except Exception as exc:
-                member.error = exc
-                failed.append(i)
-        self._drop(failed)
+
+        def checkpoint(member, counts):
+            p = np.asarray(counts) / now
+            value = loss(self._problem, p)
+            member.rows[now] = CheckpointRow(
+                t=now,
+                regret=regret(value, now, self._loss_star),
+                loss_gap=value - self._loss_star,
+                p_min=float(p.min()),
+                counts=tuple(int(c) for c in counts),
+            )
+
+        counts = self.policy.counts
+        self._each(checkpoint, [counts] if self._problem.is_square else list(counts))
 
     def advance_all(self, horizon: int) -> list:
         """Run every member on to ``horizon`` queries; one outcome per member.
@@ -1148,13 +1128,15 @@ def run_episode(
     sum to the horizon to study presampling alone); ``estimation_count``
     is the K = d phase-0 count that ``presample`` takes.  A presampling
     error, such as an estimation phase over the budget, is raised here.
-    ``reference`` is an optional (optimal weights, optimal loss) pair;
-    computed from the problem when omitted.  Episode randomness comes
-    from two streams of the environment seed: the environment itself
-    (spawn key 0) and the policy (spawn key 1).  This is a one-member,
-    one-horizon ``Episode``; a sweep runs a horizon-free policy's seed
-    once, to its largest budget, and cuts the smaller budgets' traces
-    from that run, and steps a K > d cell's seeds in lock-step.
+    ``reference`` is an optional (optimal weights, optimal loss) pair, of
+    which regret reads the loss; computed from the problem when omitted.
+    ``oracle`` tracks ``reference_optimum(problem)`` unless its options
+    give ``p_star``.  Episode randomness comes from two streams of the
+    environment seed: the environment itself (spawn key 0) and the
+    policy (spawn key 1).  This is a one-member, one-horizon ``Episode``;
+    a sweep runs a horizon-free policy's seed once, to its largest
+    budget, and cuts the smaller budgets' traces from that run, and
+    steps a K > d cell's seeds in lock-step.
     """
     episode = Episode(
         policy_name, env, horizon, plan, checkpoint_ratio, estimation_count, options, reference

@@ -124,7 +124,11 @@ def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
     # (a K > d presampling misfit is rejected before any episode runs)
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     cfg = {
-        "instance": {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0]},
+        "instance": {
+            "covariates": [[1.0, 0.0], [0.0, 1.0]],
+            "variances": [1.0, 4.0],
+            "beta": [1.0, -1.0],
+        },
         "policies": ["randomized"],
         "budgets": [5],
         "seeds": 1,
@@ -153,6 +157,40 @@ def test_sweep_with_a_budget_kd_presampling_cannot_fit_exits_one(tmp_path, capsy
     assert "'gradient_ucb'" in err and "budget 400" in err and "20749" in err
     assert "FAILED" not in err
     assert not (tmp_path / "results").exists()
+
+
+def test_sweep_and_simulate_reject_an_instance_without_beta(tmp_path, capsys, monkeypatch):
+    # every episode would fail in its environment: rejected before any runs
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    cfg = {
+        "instance": {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0]},
+        "policies": ["uniform"],
+        "budgets": [40],
+        "seeds": 2,
+        "output": str(tmp_path / "results"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", str(path), "--quiet"]) == 1
+    assert cli_main(["simulate", str(path), "--policy", "uniform", "--budget", "40"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("truth vector beta") == 2 and "FAILED" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(tmp_path, capsys):
+    cfg = {
+        "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
+        "policies": [{"name": "gradient_ucb", "bogus": 1}],
+        "budgets": [200],
+        "output": str(tmp_path / "results"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", str(path), "--policy", "gradient_ucb", "--budget", "200"]) == 1
+    assert cli_main(["sweep", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("'gradient_ucb' options rejected") == 2 and "bogus" in err
 
 
 def test_sweep_with_a_fractional_seed_count_exits_one(sweep_config_path, capsys):
@@ -219,8 +257,10 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         "budgets": [10],
     }))
     assert cli_main(["simulate", str(cfg), "--policy", "uniform", "--budget", "0"]) == 1
+    # checked before the options probe builds a policy for T = 0
+    assert cli_main(["simulate", str(cfg), "--policy", "randomized", "--budget", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
 
 
 def test_non_finite_and_mistyped_values_exit_one_naming_the_file_or_key(tmp_path, capsys):

@@ -172,6 +172,15 @@ def test_fit_slope_drops_nonpositive_points(caplog):
     assert any("nonpositive" in r.message for r in caplog.records)
 
 
+def test_fit_slope_drops_infinite_points(caplog):
+    # a budget below K leaves some arm unsampled, and its regret is +inf
+    with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
+        fit = fit_slope([1, 2, 3, 5, 7], [math.inf, 1.0, 0.5, 0.2, 0.1])
+    assert fit == fit_slope([2, 3, 5, 7], [1.0, 0.5, 0.2, 0.1])
+    assert fit.n_points == 4 and math.isfinite(fit.slope) and fit.r_squared < 1.0
+    assert any("infinite" in r.message for r in caplog.records)
+
+
 def test_fit_slope_input_validation():
     with pytest.raises(ValueError, match="align"):
         fit_slope([1.0, 2.0], [1.0])

@@ -151,6 +151,32 @@ def test_stacked_singular_solve_fails_only_its_own_member(name):
         assert _fields(outcomes[i]) == _fields(want)
 
 
+@pytest.mark.parametrize("name", ["thompson", "gradient_ucb"])
+def test_member_failing_a_checkpoint_fails_alone(monkeypatch, name):
+    # the middle row's checkpoint raises at one checkpoint time: the
+    # middle row drops out, and the rows around it record the traces
+    # they record alone
+    horizon = 2000
+    want = [_alone("random3x5", "gaussian", name, s, horizon) for s in SEEDS[:3]]
+    fail_at = want[1].rows[len(want[1].rows) // 2].t
+    calls = []
+
+    def failing(value, now, loss_star, _regret=policies.regret):
+        calls.append(now)
+        if now == fail_at and calls.count(now) == 2:
+            raise RuntimeError(f"checkpoint {now} failed")
+        return _regret(value, now, loss_star)
+
+    problem, model, ref = _problem("random3x5", "gaussian")
+    monkeypatch.setattr(policies, "regret", failing)
+    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    outcomes = Episode(name, envs, horizon, reference=ref).advance_all(horizon)
+    assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == f"checkpoint {fail_at} failed"
+    assert calls.count(fail_at) == 3 and calls[-1] == horizon
+    for i in (0, 2):
+        assert _fields(outcomes[i]) == _fields(want[i])
+
+
 def test_dropped_member_keeps_its_error():
     problem, model, ref = _problem("random3x5", "gaussian")
     envs = [make_env(problem, s, model) for s in SEEDS[:3]]
