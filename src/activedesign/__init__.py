@@ -53,7 +53,6 @@ from .harness import (
 from .policies import (
     POLICY_NAMES,
     Episode,
-    PresamplePlan,
     RegretTrace,
     kd_presample,
     make_policy,
@@ -75,7 +74,6 @@ __all__ = [
     "ExperimentConfig",
     "NoiseSpec",
     "POLICY_NAMES",
-    "PresamplePlan",
     "ProblemConstants",
     "RegretTrace",
     "SimplexWeights",

@@ -155,7 +155,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     options = dict(next((o for n, o in config.policies if n == args.policy), {}))
     problem, model = build_problem(config.instance)
-    check_runs(problem, [(args.policy, options)], [args.budget])
+    check_runs(problem, [(args.policy, options)], [args.budget], config.estimation_count)
     env = make_env(problem, args.seed, model)
     trace = run_episode(
         args.policy,

@@ -53,7 +53,7 @@ from .environment import (
     noise_proxy,
 )
 from .estimation import halving_sample_count, variance_radius
-from .policies import POLICY_NAMES, Episode, RegretTrace, extends_past, kd_budget_floor, make_policy
+from .policies import POLICY_NAMES, Episode, RegretTrace, budget_floor, extends_past, make_policy
 from .solver import reference_optimum
 
 logger = logging.getLogger(__name__)
@@ -533,10 +533,11 @@ def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def check_runs(problem: DesignProblem, policies, budgets) -> None:
+def check_runs(problem: DesignProblem, policies, budgets, estimation_count=None) -> None:
     """Raise ``ConfigError`` if an episode of ``policies``, (name, options)
     pairs, at ``budgets`` could not run: the problem has no ``beta``, a
-    policy rejects its options, or a budget is below its K > d floor."""
+    policy rejects its options, or a budget is below the floor of its
+    presampling (``budget_floor``, under the config's ``estimation_count``)."""
     if problem.beta is None:
         raise ConfigError("the instance has no truth vector beta, which simulation needs")
     if min(budgets) < 1:
@@ -548,7 +549,7 @@ def check_runs(problem: DesignProblem, policies, budgets) -> None:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
         for horizon in budgets:
-            if (floor := kd_budget_floor(name, problem, horizon)) is not None:
+            if (floor := budget_floor(name, problem, horizon, estimation_count)) is not None:
                 raise ConfigError(
                     f"policy {name!r} cannot presample {problem.n_arms} arms within budget "
                     f"{horizon}; the smallest feasible budget at or above it is {floor}"
@@ -580,7 +581,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
         raise ConfigError(f"unknown output format {fmt!r}")
     problem, model = build_problem(config.instance)
     reference = reference_optimum(problem)
-    check_runs(problem, config.policies, config.budgets)
+    check_runs(problem, config.policies, config.budgets, config.estimation_count)
 
     def make_task(name, options, budgets, seeds):
         run = (problem, model, name, options, config.checkpoint_ratio,

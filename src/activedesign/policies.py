@@ -13,14 +13,17 @@ Five ways to spend a budget of T arm queries:
 * ``oracle``: knows the true optimal design and tracks it by largest
   deficit; a lower-bound reference, not a learner.
 
-Each policy class declares its presampling (``Policy.presample``).
-``gradient_ucb`` and ``randomized`` take a short estimation phase (enough
-samples per arm to define variances), then on square problems half the
-budget at the plug-in optimal proportions, which keeps every later
-information matrix invertible and floors the empirical proportions, and
-otherwise ceil(T^(3/4)) per arm; ``thompson`` two per arm; ``uniform``
-and ``oracle`` none.  The runner executes it, drives the policy loop,
-and records regret checkpoints.
+Each policy class declares its presampling (``Policy.presample``), the
+only source of presampled samples.  ``gradient_ucb`` and ``randomized``
+take, on square problems, a short estimation phase (enough samples per
+arm to define variances), then half the budget at the plug-in optimal
+proportions, which keeps every later information matrix invertible and
+floors the empirical proportions, and otherwise ceil(T^(3/4)) per arm;
+``thompson`` two per arm; ``uniform`` and ``oracle`` none.  Every
+observation, presampled or not, enters through ``Policy.observe`` or
+``observe_block`` and reaches the class's one ``_update`` hook.  The
+runner executes the presampling, drives the policy loop, and records
+regret checkpoints.
 
 On square problems (K = d) an episode is one seed, its per-arm state
 (counts, moments, posteriors) is kept in lists of Python floats, and a
@@ -78,50 +81,23 @@ def default_estimation_count(horizon: int) -> int:
     return max(2, math.ceil(10.0 * math.log(2.0 * horizon)))
 
 
-@dataclass(frozen=True)
-class PresamplePlan:
-    """Initial allocation executed before the policy loop.
-
-    ``counts`` are per-arm target totals (phase-0 samples count toward
-    them), ``estimation_count`` the phase-0 samples per arm, ``origin``
-    the design proportions the counts were derived from, when any.
-    """
-
-    counts: np.ndarray
-    estimation_count: int = 0
-    origin: SimplexWeights | None = None
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-        if np.any(c < 0) or self.estimation_count < 0:
-            raise ValueError("plan counts must be nonnegative")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    def total(self) -> int:
-        per_arm = np.maximum(self.counts, self.estimation_count)
-        return int(per_arm.sum())
-
-    def lay_out(self, feed, done: int):
-        """Feed each arm its count less the ``done`` samples it has had; the origin as an array."""
-        for arm, count in enumerate(self.counts.tolist()):
-            feed(arm, count - done)
-        return None if self.origin is None else np.asarray(self.origin, dtype=np.float64)
+def estimation_phase(k: int, horizon: int, estimation_count: int | None) -> int:
+    """K = d phase-0 samples per arm, at least 2 (``default_estimation_count``
+    by default); errors when the K arms' phase alone would exceed the budget."""
+    n0 = max(2, default_estimation_count(horizon) if estimation_count is None else estimation_count)
+    if k * n0 > horizon:
+        raise ValueError("estimation phase alone exceeds the budget")
+    return n0
 
 
-def presample_plan(
-    sigma2_estimates,
-    constants,
-    horizon: int,
-    estimation_count: int = 0,
-) -> PresamplePlan:
+def presample_plan(sigma2_estimates, constants, horizon: int) -> tuple:
     """Square-case presampling at half budget: N_k = ceil(p^o_k T / 2).
 
     ``p^o`` are the plug-in optimal proportions computed from the
     variance estimates and the Gram cofactors in ``constants``.  Counts
     are floored at 2 so every arm has a defined variance, and trimmed
     (largest first) in the rare case the total would exceed
-    ceil(T/2) + K.
+    ceil(T/2) + K.  Returns the per-arm target totals N and ``p^o``.
     """
     sbar2 = np.asarray(sigma2_estimates, dtype=np.float64).reshape(-1)
     if np.any(sbar2 <= 0.0):
@@ -129,15 +105,15 @@ def presample_plan(
     if constants.cofactors is None:
         raise ValueError("presample_plan needs square-case constants with cofactors")
     raw = np.sqrt(sbar2) * np.sqrt(constants.cofactors)
-    origin = SimplexWeights(raw / raw.sum())
-    counts = np.maximum(np.ceil(origin.values * horizon / 2.0).astype(np.int64), 2)
+    origin = SimplexWeights(raw / raw.sum()).values
+    counts = np.maximum(np.ceil(origin * horizon / 2.0).astype(np.int64), 2)
     cap = math.ceil(horizon / 2) + counts.shape[0]
     while counts.sum() > cap and counts.max() > 2:
         counts[np.argmax(counts)] -= 1
-    return PresamplePlan(counts=counts, estimation_count=estimation_count, origin=origin)
+    return counts, origin
 
 
-def kd_presample(k: int, horizon: int) -> PresamplePlan:
+def kd_presample(k: int, horizon: int) -> int:
     """Non-square presampling: ceil(T^(3/4)) samples of every arm.
 
     Exact integer fourth root so budgets like T = 10^4 give exactly
@@ -153,26 +129,29 @@ def kd_presample(k: int, horizon: int) -> PresamplePlan:
         raise ValueError(
             f"presampling {k} arms at {n} samples each needs {k * n} >= budget {horizon}"
         )
-    return PresamplePlan(
-        counts=np.full(k, n, dtype=np.int64),
-        origin=SimplexWeights.uniform(k),
-    )
+    return n
 
 
-def kd_budget_floor(policy_name: str, problem: DesignProblem, horizon: int) -> int | None:
+def budget_floor(
+    policy_name: str, problem: DesignProblem, horizon: int, estimation_count: int | None = None
+) -> int | None:
     """The smallest budget from ``horizon`` up that fits ``policy_name``'s
-    K > d presampling (``kd_presample``), or None if ``horizon`` does.
-    K ceil(T^(3/4)) < T needs T > K^4, so the search starts there.
+    presampling as far as it is known before any sample (``estimation_phase``
+    on K = d, ``kd_presample`` on K > d), or None if ``horizon`` does.  No
+    budget below K n0 fits the phase, and none up to K^4 fits the schedule.
     """
-    if not issubclass(policy_class(policy_name), _Moments) or problem.is_square:
+    if not issubclass(policy_class(policy_name), _Moments):
         return None
-    t, k = horizon, problem.n_arms
+    t, k, square = horizon, problem.n_arms, problem.is_square
     while True:
         try:
-            kd_presample(k, t)
+            if square:
+                estimation_phase(k, t, estimation_count)
+            else:
+                kd_presample(k, t)
             return None if t == horizon else t
         except ValueError:
-            t = max(t + 1, k**4 + 1)
+            t = max(t + 1, k * (estimation_count or 2) if square else k**4 + 1)
 
 
 def _finite(name: str, value) -> float:
@@ -299,7 +278,10 @@ class Policy:
     generator, or None, is one row), per-row state is an (S, K) array,
     per-problem values are arrays every row shares, ``select(t)``
     returns S entries (an arm, or the exception that row raised) and
-    ``observe`` takes one arm and response per row.  Only
+    ``observe`` takes one arm and response per row.  ``observe`` and
+    ``observe_block`` hold the only dispatch on the shape: both hand each
+    arm's responses to ``_update``, which a subclass overrides to keep
+    its own state.  Only
     ``gradient_ucb`` and ``randomized`` read variance estimates, so only
     they keep per-arm moments and plug-in variances (``sig2hat``);
     thompson keeps its posteriors.  ``horizon_free`` marks a policy
@@ -344,12 +326,12 @@ class Policy:
         raise NotImplementedError
 
     def observe(self, arm, y) -> None:
-        self.round += 1
         if self._square:
-            self.counts[arm] += 1.0
+            self._update(arm, arm, (y,))
         else:
-            for key in enumerate(arm):
-                self.counts[key] += 1.0
+            for i, a in enumerate(arm):
+                self._update((i, a), a, (y[i],))
+        self.round += 1
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
         """Observations ``ys`` of one arm, in order; same as observing each.
@@ -357,12 +339,16 @@ class Policy:
         On K > d ``ys`` is (S, m): every row observes ``arm`` m times.
         """
         if self._square:
-            for y in ys.tolist():
-                self.observe(arm, y)
+            self._update(arm, arm, ys.tolist())
         else:
-            arms = [arm] * len(ys)
-            for y in ys.T.tolist():
-                self.observe(arms, y)
+            for i, row in enumerate(ys.tolist()):
+                self._update((i, arm), arm, row)
+        self.round += ys.shape[-1]
+
+    def _update(self, key, arm: int, ys) -> None:
+        """Take observations ``ys`` of ``arm``, in order, into the state at
+        ``key``: the arm, or (row, arm) on K > d.  The base counts them."""
+        self.counts[key] += len(ys)
 
     def _fixed_variances(self, values):
         """``values`` as per-arm variances, or None; each must be positive and finite."""
@@ -378,7 +364,7 @@ class Policy:
         and the design laid out as an array, or (0, None).  The base takes none."""
         return 0, None
 
-    def presample_done(self, t: int) -> None:
+    def presample_done(self) -> None:
         """Hook called once after the presampling has executed."""
 
     def drop(self, rows: list) -> None:
@@ -398,24 +384,27 @@ class _Moments:
     population variance m2 / n, NaN until the arm has two observations;
     with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
     failure share ``delta_arm``) are kept beside it.  Presampling: the
-    estimation phase, then ``presample_plan`` on K = d; ``kd_presample`` on K > d.
+    estimation phase (``estimation_phase``), then ``presample_plan`` on
+    K = d, whose total must fit the budget; ``kd_presample`` on K > d.
     """
 
     def presample(self, feed, estimation_count: int | None) -> tuple:
-        k, horizon, n0 = self.n_arms, self.horizon, 0
-        if self._square:
-            n0 = default_estimation_count(horizon) if estimation_count is None else estimation_count
-            n0 = max(2, n0)
-            if k * n0 > horizon:
-                raise ValueError("estimation phase alone exceeds the budget")
+        k, horizon = self.n_arms, self.horizon
+        if not self._square:
+            n = kd_presample(k, horizon)
             for arm in range(k):
-                feed(arm, n0)
-            plan = presample_plan(self.sig2hat, problem_constants(self.problem), horizon, n0)
-            if plan.total() > horizon:
-                raise ValueError("presampling plan exceeds the budget")
-        else:
-            plan = kd_presample(k, horizon)
-        return n0, plan.lay_out(feed, n0)
+                feed(arm, n)
+            return 0, SimplexWeights.uniform(k).values
+        n0 = estimation_phase(k, horizon, estimation_count)
+        for arm in range(k):
+            feed(arm, n0)
+        counts, origin = presample_plan(self.sig2hat, problem_constants(self.problem), horizon)
+        counts = counts.tolist()
+        if sum(max(c, n0) for c in counts) > horizon:
+            raise ValueError("presampling plan exceeds the budget")
+        for arm, count in enumerate(counts):
+            feed(arm, count - n0)
+        return n0, origin
 
     def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
         self._mean = self._per_arm(0.0, rows=True)
@@ -439,23 +428,6 @@ class _Moments:
             self.sig2hat[key] = var
             if self._track_lcb:
                 self._lcb[key] = lcb_variance(n, var, self._params[arm])
-
-    def observe(self, arm, y) -> None:
-        if self._square:
-            self._update(arm, arm, (y,))
-        else:
-            for i, a in enumerate(arm):
-                self._update((i, a), a, (y[i],))
-        self.round += 1
-
-    def observe_block(self, arm: int, ys: np.ndarray) -> None:
-        """Welford over the block in order; variances and LCB set once."""
-        if self._square:
-            self._update(arm, arm, ys.tolist())
-        else:
-            for i, row in enumerate(ys.tolist()):
-                self._update((i, arm), arm, row)
-        self.round += ys.shape[-1]
 
 
 class UniformPolicy(Policy):
@@ -547,16 +519,16 @@ class RandomizedDesignPolicy(_Moments, Policy):
         self.fixed_variances = self._fixed_variances(fixed_variances)
         self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
-        if problem.is_square:
-            self._root_cof = np.sqrt(problem_constants(problem).cofactors).tolist()
-        else:
-            self._root_cof = None
+        self._root_cof = (
+            np.sqrt(problem_constants(problem).cofactors).tolist() if self._square else None
+        )
+
+    def presample_done(self) -> None:
+        if not self._square:
             logger.warning(
                 "randomized policy with K > d is extension behavior; "
                 "re-solving the design by the reference solver every round"
             )
-
-    def presample_done(self, t: int) -> None:
         self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon, rows=True)
         # the bounds only ever go from NaN to defined, so one scan here
         # covers every later round
@@ -730,21 +702,15 @@ class ThompsonPolicy(Policy):
             feed(arm, min(2, self.horizon - self.round))
         return 0, None
 
-    def observe(self, arm, y) -> None:
-        super().observe(arm, y)
-        if self._square:
-            self._posterior(arm, y)
-        else:
-            for i, a in enumerate(arm):
-                self._posterior((i, a), y[i])
-
-    def _posterior(self, key, y: float) -> None:
-        """The conjugate update at ``key``: the arm, or (row, arm) on K > d."""
-        mu, nu = self.post_mu[key], self.post_nu[key]
-        self.post_nu[key] = nu + 1.0
-        self.post_mu[key] = (nu * mu + y) / (nu + 1.0)
-        self.post_alpha[key] += 0.5
-        self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
+    def _update(self, key, arm: int, ys) -> None:
+        """The count and the conjugate update for each of ``ys``."""
+        for y in ys:
+            self.counts[key] += 1.0
+            mu, nu = self.post_mu[key], self.post_nu[key]
+            self.post_nu[key] = nu + 1.0
+            self.post_mu[key] = (nu * mu + y) / (nu + 1.0)
+            self.post_alpha[key] += 0.5
+            self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
     def sample_variances(self) -> list:
         """beta_k / Gamma(alpha_k), clipped to [clip_lo_k, clip_hi], on K = d.
@@ -824,7 +790,7 @@ class CheckpointRow:
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """Per-episode record: checkpoint rows plus the plan that preceded them.
+    """Per-episode record: checkpoint rows plus the presampling that preceded them.
 
     ``elapsed`` is the wall time spent on this budget: an ``Episode``
     advanced through several budgets charges each one its increment, and
@@ -894,17 +860,17 @@ class Episode:
     ``envs`` is one ``Environment`` or a list of them, one per member
     (seed), on one problem; on K = d an episode has one member.
     Construction builds the policy for ``horizon`` (on K > d one row per
-    member, see ``Policy``) and runs its ``presample``, or lays out
-    ``plan``; ``advance_all(T)`` continues the step loop to T and returns
-    each member's T-step trace, and ``advance(T)`` does so for a
-    one-member episode.  Every per-member call (a presampling query, a
-    K > d step's query, a checkpoint) runs through ``_each``: a member
-    whose call raises, or whose ``select`` entry is an exception, loses
-    its row and keeps its error; the others run on, their streams
+    member, see ``Policy``) and runs its ``presample``, the only source of
+    presampled samples; ``advance_all(T)`` continues the step loop to T
+    and returns each member's T-step trace, and ``advance(T)`` does so
+    for a one-member episode.  Every per-member call (a presampling
+    query, a K > d step's query, a checkpoint) runs through ``_each``: a
+    member whose call raises, or whose ``select`` entry is an exception,
+    loses its row and keeps its error; the others run on, their streams
     untouched, so each member's trace is the one it records alone.  An
-    error no row owns (from building the policy or its presampling plan,
-    or from ``observe``, which updates every row) is every running
-    member's.
+    error no row owns (from building the policy or its presampling, such
+    as a plan over the budget, or from ``observe``, which updates every
+    row) is every running member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
@@ -918,7 +884,6 @@ class Episode:
         policy_name: str,
         envs,
         horizon: int,
-        plan: PresamplePlan | None = None,
         checkpoint_ratio: float = 1.2,
         estimation_count: int | None = None,
         options: dict | None = None,
@@ -948,8 +913,6 @@ class Episode:
         _, loss_star = reference_optimum(problem) if reference is None else reference
         self._problem = problem
         self._loss_star = float(loss_star)
-        if plan is not None and plan.total() > horizon:
-            raise ValueError("presampling plan exceeds the budget")
 
         self._members = [_Member(env) for env in envs]
         self._live = list(self._members)  # the members still running, in row order
@@ -962,14 +925,8 @@ class Episode:
             ]
             rng = rngs[0] if problem.is_square else rngs
             self.policy = make_policy(policy_name, problem, rng, horizon, options)
-            if plan is None:
-                n0, self.origin = self.policy.presample(self._feed, estimation_count)
-            else:
-                n0 = plan.estimation_count
-                for arm in range(k):
-                    self._feed(arm, n0)
-                self.origin = plan.lay_out(self._feed, n0)
-            self.policy.presample_done(self.policy.round)
+            n0, self.origin = self.policy.presample(self._feed, estimation_count)
+            self.policy.presample_done()
         except Exception as exc:
             self._fail(exc)
         t = self.policy.round if self._live else 0
@@ -1116,7 +1073,6 @@ def run_episode(
     policy_name: str,
     env: Environment,
     horizon: int,
-    plan: PresamplePlan | None = None,
     checkpoint_ratio: float = 1.2,
     estimation_count: int | None = None,
     options: dict | None = None,
@@ -1124,10 +1080,9 @@ def run_episode(
 ) -> RegretTrace:
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
-    ``plan`` replaces the policy's ``presample`` (pass a plan whose counts
-    sum to the horizon to study presampling alone); ``estimation_count``
-    is the K = d phase-0 count that ``presample`` takes.  A presampling
-    error, such as an estimation phase over the budget, is raised here.
+    ``estimation_count`` is the K = d phase-0 count that the policy's
+    ``presample`` takes.  A presampling error, such as an estimation
+    phase over the budget, is raised here.
     ``reference`` is an optional (optimal weights, optimal loss) pair, of
     which regret reads the loss; computed from the problem when omitted.
     ``oracle`` tracks ``reference_optimum(problem)`` unless its options
@@ -1139,6 +1094,6 @@ def run_episode(
     steps a K > d cell's seeds in lock-step.
     """
     episode = Episode(
-        policy_name, env, horizon, plan, checkpoint_ratio, estimation_count, options, reference
+        policy_name, env, horizon, checkpoint_ratio, estimation_count, options, reference
     )
     return episode.advance(horizon)

@@ -120,8 +120,28 @@ def test_sweep_quiet_silences_progress(sweep_config_path, capsys, monkeypatch):
 
 
 def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
-    # a K = d estimation phase that cannot fit T = 5 fails at run time
-    # (a K > d presampling misfit is rejected before any episode runs)
+    # a K = d plug-in plan that cannot fit T = 190 fails at run time, as it
+    # depends on the estimated variances (an estimation phase or a K > d
+    # presampling misfit is rejected before any episode runs)
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    cfg = {
+        "instance": {
+            "covariates": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "variances": [1.0, 1.0, 64.0],
+            "beta": [1.0, 1.0, 1.0],
+        },
+        "policies": ["randomized"],
+        "budgets": [190],
+        "seeds": 1,
+        "output": str(tmp_path / "results"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", str(path), "--quiet"]) == 2
+    assert "FAILED randomized T=190" in capsys.readouterr().err
+
+
+def test_a_budget_the_estimation_phase_cannot_fit_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     cfg = {
         "instance": {
@@ -137,8 +157,13 @@ def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert cli_main(["sweep", str(path), "--quiet"]) == 2
-    assert "FAILED randomized T=5" in capsys.readouterr().err
+    assert cli_main(["sweep", str(path), "--quiet"]) == 1
+    assert cli_main(["simulate", str(path), "--policy", "gradient_ucb", "--budget", "19"]) == 1
+    err = capsys.readouterr().err
+    assert "'randomized'" in err and "budget 5;" in err and "'gradient_ucb'" in err
+    assert "budget 19;" in err and err.count("is 20") == 2
+    assert "FAILED" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_sweep_with_a_budget_kd_presampling_cannot_fit_exits_one(tmp_path, capsys, monkeypatch):

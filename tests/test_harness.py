@@ -30,7 +30,7 @@ from activedesign.policies import (
     ThompsonPolicy,
     UniformPolicy,
     checkpoint_schedule,
-    kd_budget_floor,
+    budget_floor,
     run_episode,
 )
 from activedesign.solver import reference_optimum
@@ -545,12 +545,22 @@ def test_run_sweep_csv_and_json_files_hold_the_same_values(tmp_path, monkeypatch
                 assert same(record[key], value), (stem, key, record[key], value)
 
 
+# canonical 3x3 with sigma^2 = (1, 1, 64): at T = 190 the estimation phase
+# fits, but the plan the estimated variances give does not, so episodes
+# fail at run time, past every check made before they start
+PLAN_MISFIT = {
+    "covariates": np.eye(3).tolist(),
+    "variances": [1.0, 1.0, 64.0],
+    "beta": [1.0, 1.0, 1.0],
+}
+
+
 def test_run_sweep_collects_per_episode_failures(tmp_path, monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    # the estimation phase cannot fit inside T=5, so those episodes fail
+    # the presampling plan cannot fit inside T=190, so those episodes fail
     # without sinking the sweep
     cfg = sweep_config(
-        tmp_path, policies=["randomized"], budgets=[5], seeds=2, estimation_count=10
+        tmp_path, instance=PLAN_MISFIT, policies=["randomized"], budgets=[190], seeds=2
     )
     result = run_sweep(cfg, quiet=True)
     assert len(result.failures) == 2
@@ -718,11 +728,28 @@ def test_run_sweep_rejects_kd_budgets_that_presampling_cannot_fit(monkeypatch):
         "output": None,
     }
     problem, _ = build_problem(raw["instance"])
-    assert kd_budget_floor("gradient_ucb", problem, 400) == 20749
-    assert kd_budget_floor("gradient_ucb", problem, 20749) is None
-    assert kd_budget_floor("thompson", problem, 400) is None
+    assert budget_floor("gradient_ucb", problem, 400) == 20749
+    assert budget_floor("gradient_ucb", problem, 20749) is None
+    assert budget_floor("thompson", problem, 400) is None
     with pytest.raises(ConfigError, match="'gradient_ucb' .* budget 400; .* is 20749"):
         run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
+
+
+def test_run_sweep_rejects_square_budgets_the_estimation_phase_cannot_fit(tmp_path):
+    # 2 arms at 10 phase-0 samples each need T >= 20; at the default count
+    # max(2, ceil(10 log(2T))) the smallest budget is 108
+    problem, _ = build_problem(sweep_config(tmp_path).instance)
+    assert budget_floor("randomized", problem, 5, 10) == 20
+    assert budget_floor("gradient_ucb", problem, 20, 10) is None
+    assert budget_floor("gradient_ucb", problem, 5) == 108
+    assert budget_floor("gradient_ucb", problem, 107) == 108
+    assert budget_floor("thompson", problem, 5, 10) is None
+    cfg = sweep_config(
+        tmp_path, policies=["uniform", "randomized"], budgets=[5, 40], estimation_count=10
+    )
+    with pytest.raises(ConfigError, match="'randomized' .* budget 5; .* is 20"):
+        run_sweep(cfg, quiet=True)
+    assert not (tmp_path / "results").exists()
 
 
 def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
@@ -738,7 +765,7 @@ def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
     # three budgets, one lost to failed episodes: the warning stays
     caplog.clear()
     cfg = sweep_config(
-        tmp_path, policies=["randomized"], budgets=[5, 200, 400], seeds=2, estimation_count=10
+        tmp_path, instance=PLAN_MISFIT, policies=["randomized"], budgets=[190, 2000, 4000], seeds=2
     )
     with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
         result = run_sweep(cfg, quiet=True)

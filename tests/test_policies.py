@@ -1,4 +1,4 @@
-"""Policy selection rules, presampling plans, and the episode runner."""
+"""Policy selection rules, presampling, and the episode runner."""
 
 import logging
 import math
@@ -21,10 +21,10 @@ from activedesign.policies import (
     Episode,
     GradientUcbPolicy,
     OracleTrackingPolicy,
-    PresamplePlan,
     RandomizedDesignPolicy,
     ThompsonPolicy,
     UniformPolicy,
+    _ROW_STATE,
     _closed_form_argmin,
     _neg_inv_gram_diag,
     checkpoint_schedule,
@@ -54,7 +54,7 @@ def feed(policy, pairs):
 
 
 # --------------------------------------------------------------------
-# presampling plans
+# presampling
 
 
 def test_default_estimation_count_pins():
@@ -62,35 +62,27 @@ def test_default_estimation_count_pins():
     assert default_estimation_count(10_000) == 100
 
 
-def test_plan_validation_and_total():
-    with pytest.raises(ValueError, match="nonnegative"):
-        PresamplePlan(counts=np.array([-1, 2]))
-    plan = PresamplePlan(counts=np.array([50, 150]), estimation_count=60)
-    # arms below the estimation count still get their phase-0 samples
-    assert plan.total() == 60 + 150
-
-
 def test_square_plan_symmetric_example():
     problem = canonical([1.0, 1.0])
-    plan = presample_plan(np.array([1.0, 1.0]), problem_constants(problem), 100)
-    np.testing.assert_array_equal(plan.counts, [25, 25])
-    np.testing.assert_allclose(np.asarray(plan.origin), [0.5, 0.5])
+    counts, origin = presample_plan(np.array([1.0, 1.0]), problem_constants(problem), 100)
+    np.testing.assert_array_equal(counts, [25, 25])
+    np.testing.assert_allclose(origin, [0.5, 0.5])
 
 
 def test_square_plan_skewed_example():
     problem = canonical([1.0, 1.0])
-    plan = presample_plan(np.array([1.0, 9.0]), problem_constants(problem), 400)
+    counts, origin = presample_plan(np.array([1.0, 9.0]), problem_constants(problem), 400)
     # estimated sigma = (1, 3) gives origin (1/4, 3/4) and half budget 200
-    np.testing.assert_allclose(np.asarray(plan.origin), [0.25, 0.75])
-    np.testing.assert_array_equal(plan.counts, [50, 150])
+    np.testing.assert_allclose(origin, [0.25, 0.75])
+    np.testing.assert_array_equal(counts, [50, 150])
 
 
 def test_square_plan_trims_to_the_cap():
     problem = canonical([1.0, 1.0, 1.0])
-    plan = presample_plan(np.array([1.0, 1.0, 1e4]), problem_constants(problem), 12)
+    counts, _ = presample_plan(np.array([1.0, 1.0, 1e4]), problem_constants(problem), 12)
     cap = math.ceil(12 / 2) + 3
-    assert plan.counts.sum() <= cap
-    assert plan.counts.min() >= 2
+    assert counts.sum() <= cap
+    assert counts.min() >= 2
 
 
 def test_square_plan_validation():
@@ -103,11 +95,9 @@ def test_square_plan_validation():
 
 
 def test_kd_presample_examples():
-    plan = kd_presample(4, 10_000)
-    np.testing.assert_array_equal(plan.counts, [1000] * 4)
-    np.testing.assert_allclose(np.asarray(plan.origin), 0.25)
-    assert kd_presample(3, 10**8).counts[0] == 10**6
-    np.testing.assert_array_equal(kd_presample(4, 300).counts, [73] * 4)
+    assert kd_presample(4, 10_000) == 1000
+    assert kd_presample(3, 10**8) == 10**6
+    assert kd_presample(4, 300) == 73
 
 
 def test_kd_presample_budget_errors():
@@ -150,32 +140,53 @@ def test_plugin_variance_is_population_form():
     assert np.isnan(policy.sig2hat[1])
 
 
-def _moment_state(policy):
-    return (policy.round,) + tuple(
-        np.array(v).tobytes()
-        for v in (policy.counts, policy._mean, policy._m2, policy.sig2hat, policy._lcb)
-    )
+def _row_state(policy):
+    held = [name for name in _ROW_STATE if name in vars(policy)]
+    assert "counts" in held
+    return (policy.round,) + tuple(np.array(getattr(policy, name)).tobytes() for name in held)
 
 
+OBSERVE_VARIANTS = [
+    ("uniform", {}),
+    ("oracle", {}),
+    ("thompson", {}),
+    ("gradient_ucb", {}),
+    ("gradient_ucb", {"use_lcb": True}),
+    ("randomized", {}),
+]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["square", "redundant_S1", "redundant_S3"])
 @pytest.mark.parametrize(
-    "name, options",
-    [("gradient_ucb", {}), ("gradient_ucb", {"use_lcb": True}), ("randomized", {})],
+    "name, options", OBSERVE_VARIANTS, ids=[f"{n}-{o}" for n, o in OBSERVE_VARIANTS]
 )
-def test_observe_block_equals_per_sample_observe(name, options):
-    # presampling feeds blocks; moments, plug-in variances and bounds
-    # must come out bit-equal to feeding the samples one by one
-    problem = make_random_instance(3, 3, seed=2)
+def test_observe_block_equals_per_sample_observe(name, options, rows):
+    # presampling feeds blocks; every per-row state a policy holds (counts,
+    # moments, plug-in variances, bounds, posteriors) must come out
+    # bit-equal to feeding the samples one by one, on K = d and on every
+    # row of a K > d policy
+    if rows is None:
+        problem, rng_arg = make_random_instance(3, 3, seed=2), None
+    else:
+        problem, rng_arg = load_instance(REDUNDANT_ARM), [None] * rows
     rng = np.random.default_rng(5)
-    blocks = [(0, 1), (1, 2), (0, 40), (2, 0), (2, 7), (1, 300), (0, 1)]
-    one = make_policy(name, problem, None, 1000, options)
-    blk = make_policy(name, problem, None, 1000, options)
+    k = problem.n_arms
+    blocks = [(0, 1), (1, 2), (0, 40), (2, 0), (2, 7), (1, 300), (0, 1), (k - 1, 3)]
+    one = make_policy(name, problem, rng_arg, 1000, options)
+    blk = make_policy(name, problem, rng_arg, 1000, options)
     for arm, n in blocks:
-        ys = rng.normal(3.0, 2.0, n)
-        for y in ys.tolist():
-            one.observe(arm, y)
+        if rows is None:
+            ys = rng.normal(3.0, 2.0, n)
+            for y in ys.tolist():
+                one.observe(arm, y)
+        else:
+            ys = rng.normal(3.0, 2.0, (rows, n))
+            for column in ys.T.tolist():
+                one.observe([arm] * rows, column)
         blk.observe_block(arm, ys)
-        assert _moment_state(blk) == _moment_state(one)
-    assert not np.any(np.isnan(blk.sig2hat))
+        assert _row_state(blk) == _row_state(one)
+    if name in ("gradient_ucb", "randomized"):
+        assert not np.any(np.isnan(blk.sig2hat))
     if name == "randomized" or options.get("use_lcb"):
         assert not np.any(np.isnan(blk._lcb))
 
@@ -280,11 +291,11 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
     problem = canonical([1.0, 4.0])
     policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100, design_delta=0.5)
     feed(policy, [(0, 1.0), (0, 3.0), (1, 0.0)])
-    policy.presample_done(3)  # arm 1 has no bound yet
+    policy.presample_done()  # arm 1 has no bound yet
     with pytest.raises(ValueError, match="presample"):
         policy.select(4)
     feed(policy, [(1, 4.0)])
-    policy.presample_done(4)
+    policy.presample_done()
     before = design(policy)
     feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
     after = design(policy)
@@ -314,7 +325,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
     )
     policy.counts = np.array([50.0, 10.0])
     policy.round = 60
-    policy.presample_done(60)
+    policy.presample_done()
     picks = np.array([policy.select(61) for _ in range(2000)])
     assert np.all(picks == 1)
 
@@ -326,7 +337,7 @@ def test_randomized_residual_frequencies():
     )
     policy.counts = np.array([10.0, 10.0])
     policy.round = 20
-    policy.presample_done(20)
+    policy.presample_done()
     q = np.maximum(np.array([1.0 / 3.0, 2.0 / 3.0]) - 0.1, 0.0)
     q /= q.sum()
     picks = np.array([policy.select(21) for _ in range(20_000)])
@@ -336,10 +347,13 @@ def test_randomized_residual_frequencies():
 
 
 def test_randomized_warns_on_wide_problems(caplog):
+    # once per episode, when it starts: a policy built to check options is silent
     problem = make_random_instance(3, 4, seed=2)
     with caplog.at_level(logging.WARNING, logger="activedesign.policies"):
-        make_policy("randomized", problem, np.random.default_rng(0), 100, {})
-    assert any("extension" in r.message for r in caplog.records)
+        make_policy("randomized", problem, np.random.default_rng(0), 300, {})
+        assert not any("extension" in r.message for r in caplog.records)
+        Episode("randomized", make_env(problem, seed=0), 300)
+    assert sum("extension" in r.message for r in caplog.records) == 1
 
 
 @pytest.mark.parametrize(
@@ -635,25 +649,6 @@ def test_checkpoint_schedule_near_ratio_1_is_every_step():
             ), (start, c)
 
 
-def test_episode_with_degenerate_plan_is_presampling_only():
-    problem = canonical([1.0, 4.0], beta=[1.0, -1.0])
-    plan = PresamplePlan(counts=np.array([3, 2]))
-    trace = run_episode("uniform", make_env(problem, seed=0), 5, plan=plan)
-    assert trace.presample_end == 5
-    assert trace.final_counts == (3, 2)
-    assert trace.rows[-1].t == 5
-    np.testing.assert_allclose(
-        np.array(trace.rows[-1].counts) / 5, [0.6, 0.4]
-    )
-
-
-def test_episode_rejects_overfull_plans():
-    problem = canonical([1.0, 4.0], beta=[1.0, -1.0])
-    plan = PresamplePlan(counts=np.array([4, 4]))
-    with pytest.raises(ValueError, match="exceeds the budget"):
-        run_episode("uniform", make_env(problem, seed=0), 5, plan=plan)
-
-
 def test_episode_rejects_budgets_below_the_estimation_phase():
     problem = canonical([1.0, 4.0], beta=[1.0, -1.0])
     with pytest.raises(ValueError, match="exceeds the budget"):
@@ -664,6 +659,17 @@ def test_episode_rejects_budgets_below_the_estimation_phase():
     episode = Episode("gradient_ucb", make_env(problem, seed=0), 5, estimation_count=3)
     with pytest.raises(ValueError, match="estimation phase alone exceeds the budget"):
         episode.advance(5)
+
+
+@pytest.mark.parametrize("name", ["gradient_ucb", "randomized"])
+def test_episode_rejects_plans_over_the_budget(name):
+    # sigma^2 = (1, 1, 64) at T = 190: 3 x 60 phase-0 samples fit, but the
+    # plug-in plan puts about 76 on arm 2, 196 samples in all
+    problem = canonical([1.0, 1.0, 64.0], beta=[1.0, 1.0, 1.0])
+    for seed in range(6):
+        with pytest.raises(ValueError, match="presampling plan exceeds the budget"):
+            run_episode(name, make_env(problem, seed=seed), 190)
+    assert run_episode(name, make_env(problem, seed=0), 2000).presample_end <= 2000
 
 
 def test_episode_is_seed_deterministic():

@@ -25,7 +25,6 @@ from activedesign.policies import (
     Episode,
     GradientUcbPolicy,
     OracleTrackingPolicy,
-    PresamplePlan,
     RandomizedDesignPolicy,
     ThompsonPolicy,
     _closed_form_argmin,
@@ -145,7 +144,7 @@ class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
         # variances the design is solved under: None until defined
         self._design_variances = self.fixed_variances
 
-    def presample_done(self, t):
+    def presample_done(self):
         self._anchor = self.counts / self.horizon
         if self._design_variances is None and not np.any(np.isnan(self._lcb)):
             self._design_variances = self._lcb
@@ -165,6 +164,10 @@ class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
 
 
 class NumpyThompson(_ArrayState, ThompsonPolicy):
+    def observe_block(self, arm, ys):
+        for y in ys.tolist():
+            self.observe(arm, y)
+
     def observe(self, arm, y):
         self.round += 1
         self.counts[arm] += 1.0
@@ -197,8 +200,9 @@ NUMPY_POLICY = {
 }
 
 
-def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, plan=None):
-    """One episode; returns (arms chosen, final policy)."""
+def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, counts=None):
+    """One episode; returns (arms chosen, final policy).  With ``counts``
+    the policy presamples each arm that many times instead of its own way."""
     base = NUMPY_POLICY[name] if reference else policies.policy_class(name)
     arms = []
 
@@ -207,10 +211,18 @@ def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, pl
         arms.append(arm)
         return arm
 
-    cls = type(base.__name__, (base,), {"select": recording_select})
+    def presample(self, feed, estimation_count):
+        for arm, count in enumerate(counts):
+            feed(arm, count)
+        return 0, None
+
+    members = {"select": recording_select}
+    if counts is not None:
+        members["presample"] = presample
+    cls = type(base.__name__, (base,), members)
     monkeypatch.setitem(policies._POLICY_CLASSES, name, cls)
     env = make_env(problem, 3, model)
-    episode = Episode(name, env, horizon, plan=plan, options=options)
+    episode = Episode(name, env, horizon, options=options)
     episode.advance(horizon)
     return arms, episode.policy
 
@@ -292,9 +304,9 @@ def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, in
 )
 def test_unobserved_arms_pick_what_numpy_picked(monkeypatch, name, options, counts):
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    plan = PresamplePlan(counts=np.array(counts))
     _assert_same_episode(
-        monkeypatch, name, problem, "gaussian", _options(options, problem), horizon=300, plan=plan
+        monkeypatch, name, problem, "gaussian", _options(options, problem), horizon=300,
+        counts=counts,
     )
 
 
