@@ -28,6 +28,7 @@ from .harness import (
     ConfigError,
     InstanceFormatError,
     build_problem,
+    check_reference,
     check_runs,
     load_config,
     load_instance,
@@ -109,7 +110,7 @@ def _report_text(report: dict, fmt: str) -> str:
 
 def _cmd_solve(args) -> int:
     problem = load_instance(args.instance)
-    weights, value = reference_optimum(problem)
+    weights, value = check_reference(reference_optimum(problem), args.instance)
     consts = problem_constants(problem)
     report = {
         "d": problem.dimension,
@@ -133,7 +134,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_geometry(args) -> int:
     problem = load_instance(args.instance)
-    weights, _ = reference_optimum(problem)
+    weights, _ = check_reference(reference_optimum(problem), args.instance)
     cert = kkt_certificate(problem, weights)
     dual = dual_feasibility(problem, cert)
     report = {
@@ -155,6 +156,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     options = dict(next((o for n, o in config.policies if n == args.policy), {}))
     problem, model = build_problem(config.instance)
+    reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, [(args.policy, options)], [args.budget], config.estimation_count)
     env = make_env(problem, args.seed, model)
     trace = run_episode(
@@ -164,6 +166,7 @@ def _cmd_simulate(args) -> int:
         checkpoint_ratio=config.checkpoint_ratio,
         estimation_count=config.estimation_count,
         options=options,
+        reference=reference,
     )
     rows = trace_records(trace)
     payload = {

@@ -15,8 +15,9 @@ ones; the K > d policy steps, the reference solver and the KKT
 certificate all call it, and ``singular`` is the one test for a
 singular information matrix.  This module also
 provides the loss, the closed-form optimum for the square case K = d,
-the problem constants used by the adaptive policies (strong convexity,
-boundary distance, smoothness), and the least-squares estimator itself.
+which the K = d policies plan toward, the problem constants that
+``active-design solve`` reports (strong convexity, boundary distance,
+smoothness), and the least-squares estimator itself.
 
 Everything here is deterministic and side-effect free except for a module
 counter that records how often tiny negative regret values were clamped.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -324,9 +325,12 @@ def optimal_weights_closed_form(problem: DesignProblem) -> SimplexWeights:
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Curvature and geometry constants of a design problem.
+    """The curvature and geometry report of a design problem, which
+    ``active-design solve`` prints.
 
-    For square problems (K = d) all fields are populated:
+    ``det_gram`` and ``lambda_min`` are the determinant and smallest
+    eigenvalue of the moment matrix sum_k X_k X_k^T.  For square problems
+    (K = d) the other fields are populated too; for K != d they are None:
 
     * ``mu``: strong convexity of the loss on the simplex,
       2 * min_k(Cof_kk sigma_k^2) / det(Gamma).
@@ -335,49 +339,34 @@ class ProblemConstants:
     * ``c_smooth``: smoothness bound on the region reachable after
       presampling, in the variance-agnostic constant-432 form.
     * ``hessian_diag_bound``: the sharper raw bound
-      max_k 16 Cof_kk sigma_k^2 / (det(Gamma) floor_k^3) for an explicit
-      floor vector (defaults to the optimal weights).
-
-    For K != d only the moment matrix, its determinant and its smallest
-    eigenvalue are available and the remaining fields are None.
+      max_k 16 Cof_kk sigma_k^2 / (det(Gamma) p*_k^3) at the optimum p*.
     """
 
-    gram: np.ndarray
     det_gram: float
     lambda_min: float
-    cofactors: np.ndarray | None = None
-    p_star: SimplexWeights | None = None
     mu: float | None = None
     eta: float | None = None
     c_smooth: float | None = None
     hessian_diag_bound: float | None = None
-    floor: np.ndarray | None = field(default=None, repr=False)
 
 
-def problem_constants(problem: DesignProblem, floor=None) -> ProblemConstants:
-    """Compute :class:`ProblemConstants`; see the dataclass docstring.
-
-    ``floor`` is an optional per-arm lower bound on reachable weights
-    used by the raw Hessian bound; it defaults to the closed-form
-    optimum, matching presampling at half those proportions.
-    """
+def problem_constants(problem: DesignProblem) -> ProblemConstants:
+    """Compute :class:`ProblemConstants`; see the dataclass docstring."""
     moment = problem.covariates.second_moment()
     lam_min = float(np.linalg.eigvalsh(moment)[0])
     if not problem.is_square:
-        det = float(np.linalg.det(moment))
-        return ProblemConstants(gram=moment, det_gram=det, lambda_min=lam_min)
+        return ProblemConstants(det_gram=float(np.linalg.det(moment)), lambda_min=lam_min)
 
-    gram = problem.covariates.gram()
-    det, cof = gram_cofactors(gram)
+    det, cof = gram_cofactors(problem.covariates.gram())
     if det <= 0.0 or np.any(cof <= 0.0):
         raise ValueError("covariate set is degenerate; constants undefined")
     sigma2 = problem.noise.sigma2
     sigma = problem.noise.sigma
-    p_star = optimal_weights_closed_form(problem)
+    p_star = optimal_weights_closed_form(problem).values
     k = problem.n_arms
 
     mu = 2.0 * float(np.min(cof * sigma2)) / det
-    eta = math.sqrt(k / (k - 1.0)) * float(np.min(p_star.values)) if k > 1 else 1.0
+    eta = math.sqrt(k / (k - 1.0)) * float(np.min(p_star)) if k > 1 else 1.0
 
     root_cof = np.sqrt(cof)
     c_smooth = (
@@ -386,26 +375,14 @@ def problem_constants(problem: DesignProblem, floor=None) -> ProblemConstants:
         * float(np.sum(sigma * root_cof)) ** 3
         / (det * float(np.min(sigma)) ** 3 * float(np.min(root_cof)))
     )
-
-    if floor is None:
-        floor_vec = p_star.values
-    else:
-        floor_vec = _weights_array(floor)
-        if floor_vec.shape[0] != k or np.any(floor_vec <= 0.0):
-            raise ValueError("floor must assign positive mass to every arm")
-    hess = 16.0 * float(np.max(cof * sigma2 / floor_vec**3)) / det
-
+    hess = 16.0 * float(np.max(cof * sigma2 / p_star**3)) / det
     return ProblemConstants(
-        gram=gram,
         det_gram=det,
         lambda_min=lam_min,
-        cofactors=cof,
-        p_star=p_star,
         mu=mu,
         eta=eta,
         c_smooth=c_smooth,
         hessian_diag_bound=hess,
-        floor=np.array(floor_vec),
     )
 
 

@@ -11,7 +11,8 @@ separated numbers with ``#`` comments:
 
 When only one optional row is present it is told apart by length; for
 square instances (K = d) that is ambiguous and the row is read as the
-proxies, so write both rows to pin beta.
+proxies, so write both rows to pin beta.  Without a proxy row the
+proxies are ``noise_proxy`` of the noise model, as for an inline instance.
 
 A sweep config is a JSON object with keys ``instance``, ``policies``,
 ``budgets`` and optionally ``seeds`` (count or explicit list, default
@@ -117,8 +118,9 @@ def _parse_floats(path: Path, tokens: list[str], lineno: int) -> list[float]:
     return out
 
 
-def load_instance(path) -> DesignProblem:
-    """Read a design problem from a text instance file."""
+def load_instance(path, model: str = "gaussian") -> DesignProblem:
+    """Read a design problem from a text instance file; without a proxy row
+    the proxies are ``noise_proxy(model, sigma2)``."""
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
     try:
@@ -196,7 +198,7 @@ def load_instance(path) -> DesignProblem:
             )
 
     if kappa2 is None:
-        kappa2 = sigma2.copy()
+        kappa2 = noise_proxy(model, sigma2)
     try:
         return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2, kappa2), beta=beta)
     except ValueError as exc:
@@ -344,7 +346,7 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
     if "file" in instance:
         if keys - {"file"}:
             raise ConfigError("instance with 'file' takes no other keys")
-        return load_instance(instance["file"]), model
+        return load_instance(instance["file"], model), model
 
     if "generator" in instance:
         kind = instance["generator"]
@@ -533,6 +535,18 @@ def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def check_reference(reference: tuple, name) -> tuple:
+    """``reference``, the (p*, L*) of ``reference_optimum``, if L* is finite;
+    else ``ConfigError`` naming the instance ``name``, since no design of
+    it identifies beta and every regret would be inf - inf."""
+    if not math.isfinite(reference[1]):
+        raise ConfigError(
+            f"instance {name}: the optimal design's loss L* is infinite; "
+            "its covariates are too close to linearly dependent"
+        )
+    return reference
+
+
 def check_runs(problem: DesignProblem, policies, budgets, estimation_count=None) -> None:
     """Raise ``ConfigError`` if an episode of ``policies``, (name, options)
     pairs, at ``budgets`` could not run: the problem has no ``beta``, a
@@ -580,7 +594,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     problem, model = build_problem(config.instance)
-    reference = reference_optimum(problem)
+    reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, config.policies, config.budgets, config.estimation_count)
 
     def make_task(name, options, budgets, seeds):

@@ -56,9 +56,10 @@ from .core import (
     DesignProblem,
     NoiseSpec,
     SimplexWeights,
+    gram_cofactors,
     loss,
     marks,
-    problem_constants,
+    optimal_weights_closed_form,
 )
 # a checkpoint's two core calls, under the names perfbench's layer probes patch
 from .core import regret_from_loss as regret
@@ -90,25 +91,25 @@ def estimation_phase(k: int, horizon: int, estimation_count: int | None) -> int:
     return n0
 
 
-def presample_plan(sigma2_estimates, constants, horizon: int) -> tuple:
+def presample_plan(sigma2_estimates, problem: DesignProblem, horizon: int, n0: int) -> tuple:
     """Square-case presampling at half budget: N_k = ceil(p^o_k T / 2).
 
-    ``p^o`` are the plug-in optimal proportions computed from the
-    variance estimates and the Gram cofactors in ``constants``.  Counts
-    are floored at 2 so every arm has a defined variance, and trimmed
-    (largest first) in the rare case the total would exceed
-    ceil(T/2) + K.  Returns the per-arm target totals N and ``p^o``.
+    ``p^o`` is the plug-in optimal design: ``optimal_weights_closed_form``
+    of ``problem``'s covariates under the variance estimates, which must
+    be positive and finite.  Counts are floored at 2 so every arm has a
+    defined variance, and trimmed (largest first) in the rare case the
+    total would exceed ceil(T/2) + K, then until the plan fits the
+    budget beside the ``n0`` phase-0 samples per arm:
+    sum_k max(N_k, n0) <= T, which K n0 <= T (``estimation_phase``)
+    makes reachable.  Returns the per-arm target totals N and ``p^o``.
     """
-    sbar2 = np.asarray(sigma2_estimates, dtype=np.float64).reshape(-1)
-    if np.any(sbar2 <= 0.0):
-        raise ValueError("variance estimates must be positive")
-    if constants.cofactors is None:
-        raise ValueError("presample_plan needs square-case constants with cofactors")
-    raw = np.sqrt(sbar2) * np.sqrt(constants.cofactors)
-    origin = SimplexWeights(raw / raw.sum()).values
+    design = DesignProblem(problem.covariates, NoiseSpec(sigma2_estimates))
+    origin = optimal_weights_closed_form(design).values
     counts = np.maximum(np.ceil(origin * horizon / 2.0).astype(np.int64), 2)
     cap = math.ceil(horizon / 2) + counts.shape[0]
     while counts.sum() > cap and counts.max() > 2:
+        counts[np.argmax(counts)] -= 1
+    while np.maximum(counts, n0).sum() > horizon and counts.max() > n0:
         counts[np.argmax(counts)] -= 1
     return counts, origin
 
@@ -270,12 +271,11 @@ _ROW_STATE = (
 class Policy:
     """Shared bookkeeping: the round and the per-arm counts.
 
-    ``round`` is the number of observations so far; ``proportions`` the
-    exact empirical frequencies.  On square problems per-arm state is a
-    list of Python floats, and ``select(t)`` returns one arm and
-    ``observe(arm, y)`` takes one observation.  On K > d the policy owns
-    S rows, one per seed: ``rng`` is a list of S generators (a single
-    generator, or None, is one row), per-row state is an (S, K) array,
+    ``round`` is the number of observations so far.  On square problems
+    per-arm state is a list of Python floats, ``select(t)`` returns one
+    arm and ``observe(arm, y)`` takes one observation.  On K > d the
+    policy owns S rows, one per seed: ``rng`` is a list of S generators
+    (a single generator, or None, is one row), per-row state is an (S, K) array,
     per-problem values are arrays every row shares, ``select(t)``
     returns S entries (an arm, or the exception that row raised) and
     ``observe`` takes one arm and response per row.  ``observe`` and
@@ -315,12 +315,6 @@ class Policy:
         shape = (len(self.rng), self.n_arms) if rows and not self._square else self.n_arms
         values = np.full(shape, values, dtype=np.float64)
         return values.tolist() if self._square else values
-
-    @property
-    def proportions(self) -> np.ndarray:
-        if self.round == 0:
-            raise ValueError("no observations yet")
-        return np.asarray(self.counts) / self.round
 
     def select(self, t: int):
         raise NotImplementedError
@@ -385,7 +379,7 @@ class _Moments:
     with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
     failure share ``delta_arm``) are kept beside it.  Presampling: the
     estimation phase (``estimation_phase``), then ``presample_plan`` on
-    K = d, whose total must fit the budget; ``kd_presample`` on K > d.
+    K = d, trimmed to fit the budget; ``kd_presample`` on K > d.
     """
 
     def presample(self, feed, estimation_count: int | None) -> tuple:
@@ -398,11 +392,8 @@ class _Moments:
         n0 = estimation_phase(k, horizon, estimation_count)
         for arm in range(k):
             feed(arm, n0)
-        counts, origin = presample_plan(self.sig2hat, problem_constants(self.problem), horizon)
-        counts = counts.tolist()
-        if sum(max(c, n0) for c in counts) > horizon:
-            raise ValueError("presampling plan exceeds the budget")
-        for arm, count in enumerate(counts):
+        counts, origin = presample_plan(self.sig2hat, self.problem, horizon, n0)
+        for arm, count in enumerate(counts.tolist()):
             feed(arm, count - n0)
         return n0, origin
 
@@ -440,15 +431,15 @@ class UniformPolicy(Policy):
 
 
 class OracleTrackingPolicy(Policy):
-    """Largest-deficit tracking of a known target design."""
+    """Largest-deficit tracking of the optimal design, ``reference_optimum(problem)``
+    (cached on the problem)."""
 
     name = "oracle"
     horizon_free = True
 
-    def __init__(self, problem, rng, horizon, p_star=None):
+    def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        if p_star is None:
-            p_star, _ = reference_optimum(problem)
+        p_star, _ = reference_optimum(problem)
         p_star = self._per_arm(p_star)  # a (1, K) row on K > d, as ``_var_floor``
         self.p_star = p_star if self._square else p_star[None]
 
@@ -519,9 +510,12 @@ class RandomizedDesignPolicy(_Moments, Policy):
         self.fixed_variances = self._fixed_variances(fixed_variances)
         self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
-        self._root_cof = (
-            np.sqrt(problem_constants(problem).cofactors).tolist() if self._square else None
-        )
+        self._root_cof = None
+        if self._square:
+            det, cof = gram_cofactors(problem.covariates.gram())
+            if det <= 0.0 or np.any(cof <= 0.0):
+                raise ValueError("covariate set is degenerate")
+            self._root_cof = np.sqrt(cof).tolist()
 
     def presample_done(self) -> None:
         if not self._square:
@@ -869,8 +863,8 @@ class Episode:
     loses its row and keeps its error; the others run on, their streams
     untouched, so each member's trace is the one it records alone.  An
     error no row owns (from building the policy or its presampling, such
-    as a plan over the budget, or from ``observe``, which updates every
-    row) is every running member's.
+    as an estimation phase over the budget, or from ``observe``, which
+    updates every row) is every running member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
@@ -1085,13 +1079,13 @@ def run_episode(
     phase over the budget, is raised here.
     ``reference`` is an optional (optimal weights, optimal loss) pair, of
     which regret reads the loss; computed from the problem when omitted.
-    ``oracle`` tracks ``reference_optimum(problem)`` unless its options
-    give ``p_star``.  Episode randomness comes from two streams of the
-    environment seed: the environment itself (spawn key 0) and the
-    policy (spawn key 1).  This is a one-member, one-horizon ``Episode``;
-    a sweep runs a horizon-free policy's seed once, to its largest
-    budget, and cuts the smaller budgets' traces from that run, and
-    steps a K > d cell's seeds in lock-step.
+    ``oracle`` tracks ``reference_optimum(problem)``.  Episode randomness
+    comes from two streams of the environment seed: the environment
+    itself (spawn key 0) and the policy (spawn key 1).  This is a
+    one-member, one-horizon ``Episode``; a sweep runs a horizon-free
+    policy's seed once, to its largest budget, and cuts the smaller
+    budgets' traces from that run, and steps a K > d cell's seeds in
+    lock-step.
     """
     episode = Episode(
         policy_name, env, horizon, checkpoint_ratio, estimation_count, options, reference

@@ -1,11 +1,13 @@
 """End to end checks of the command line entry points."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from activedesign.cli import cli_main
+from activedesign.core import CovariateSet, DesignProblem, NoiseSpec
 from activedesign.environment import make_random_instance
 from activedesign.harness import write_instance
 
@@ -119,16 +121,18 @@ def test_sweep_quiet_silences_progress(sweep_config_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_sweep_with_failing_episodes_exits_two(tmp_path, capsys, monkeypatch):
-    # a K = d plug-in plan that cannot fit T = 190 fails at run time, as it
-    # depends on the estimated variances (an estimation phase or a K > d
-    # presampling misfit is rejected before any episode runs)
+def test_sweep_with_failing_episodes_exits_two(
+    tmp_path, capsys, monkeypatch, fail_randomized_at
+):
+    # an episode that fails at run time, past every check made before it
+    # starts, makes the sweep exit 2
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    fail_randomized_at(190)
     cfg = {
         "instance": {
-            "covariates": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-            "variances": [1.0, 1.0, 64.0],
-            "beta": [1.0, 1.0, 1.0],
+            "covariates": [[1.0, 0.0], [0.0, 1.0]],
+            "variances": [1.0, 4.0],
+            "beta": [1.0, -1.0],
         },
         "policies": ["randomized"],
         "budgets": [190],
@@ -203,19 +207,23 @@ def test_sweep_and_simulate_reject_an_instance_without_beta(tmp_path, capsys, mo
     assert not (tmp_path / "results").exists()
 
 
-def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(tmp_path, capsys):
+# the oracle always tracks the problem's optimum: it has no target option
+@pytest.mark.parametrize(
+    "name, option", [("gradient_ucb", "bogus"), ("oracle", "p_star")]
+)
+def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(tmp_path, capsys, name, option):
     cfg = {
         "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
-        "policies": [{"name": "gradient_ucb", "bogus": 1}],
+        "policies": [{"name": name, option: [0.2, 0.3, 0.5]}],
         "budgets": [200],
         "output": str(tmp_path / "results"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert cli_main(["simulate", str(path), "--policy", "gradient_ucb", "--budget", "200"]) == 1
+    assert cli_main(["simulate", str(path), "--policy", name, "--budget", "200"]) == 1
     assert cli_main(["sweep", str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.count("'gradient_ucb' options rejected") == 2 and "bogus" in err
+    assert err.count(f"'{name}' options rejected") == 2 and option in err
 
 
 def test_sweep_with_a_fractional_seed_count_exits_one(sweep_config_path, capsys):
@@ -316,4 +324,82 @@ def test_non_finite_and_mistyped_values_exit_one_naming_the_file_or_key(tmp_path
         cfg.write_text(json.dumps(raw))
         assert cli_main(["sweep", str(cfg), "--quiet"]) == 1, key
         assert key in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def _clone_of_arm_0(split: float = 0.0, angle: float = 0.0) -> DesignProblem:
+    """Random 3x3 seed 4 plus a near clone of arm 0: its variance raised by
+    the factor 1 + ``split``, its direction turned by ``angle`` radians."""
+    base = make_random_instance(3, 3, seed=4)
+    x = base.covariates.columns
+    u = x[:, 1] - (x[:, 1] @ x[:, 0]) * x[:, 0]
+    clone = math.cos(angle) * x[:, 0] + math.sin(angle) * u / np.linalg.norm(u)
+    sigma2 = np.append(base.noise.sigma2, base.noise.sigma2[0] * (1.0 + split))
+    return DesignProblem(
+        CovariateSet(np.column_stack([x, clone])), NoiseSpec(sigma2), beta=base.beta
+    )
+
+
+def _spread_variances() -> DesignProblem:
+    base = make_random_instance(3, 6, seed=0)
+    return DesignProblem(base.covariates, NoiseSpec(np.logspace(-8.0, 8.0, 6)), beta=base.beta)
+
+
+# near-degenerate instances whose optimal design still has a finite loss
+FINITE_OPTIMUM = {
+    # singular at the uniform design, but L* = (1e-4 + 1e4)^2
+    "identity_variances_1e-8_1e8": lambda: DesignProblem(
+        CovariateSet(np.eye(2)), NoiseSpec(np.array([1e-8, 1e8])), beta=np.ones(2)
+    ),
+    "clone_split_1e-6": lambda: _clone_of_arm_0(split=1e-6),
+    "clone_split_1e-9": lambda: _clone_of_arm_0(split=1e-9),
+    "clone_split_1e-13": lambda: _clone_of_arm_0(split=1e-13),
+    "clone_turned_1e-4": lambda: _clone_of_arm_0(angle=1e-4),
+    "clone_turned_1e-7": lambda: _clone_of_arm_0(angle=1e-7),
+    "3x6_variances_1e-8_to_1e8": _spread_variances,
+    "1x5_variances_1e-12_apart": lambda: DesignProblem(
+        CovariateSet(np.ones((1, 5))),
+        NoiseSpec(np.array([1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0])),
+        beta=np.ones(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_OPTIMUM))
+def test_near_degenerate_instances_with_a_finite_optimum_load(tmp_path, capsys, case):
+    path = tmp_path / "inst.txt"
+    write_instance(FINITE_OPTIMUM[case](), path)
+    assert cli_main(["solve", str(path), "--format", "json"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["optimal_loss"])
+
+
+@pytest.mark.parametrize("command", ["solve", "geometry", "simulate", "sweep"])
+def test_an_instance_whose_optimum_has_infinite_loss_exits_one(
+    tmp_path, capsys, monkeypatch, command
+):
+    # arms 1 and 2 are 1e-6 rad apart: the covariates span R^3, but the
+    # information matrix is singular at every design, so L* is inf
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    a = 1e-6
+    cols = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, math.cos(a)], [0.0, 0.0, math.sin(a)]])
+    inst = tmp_path / "near.txt"
+    write_instance(DesignProblem(CovariateSet(cols), NoiseSpec(np.ones(3)), beta=np.ones(3)), inst)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "instance": {"file": str(inst)},
+        "policies": ["uniform", "gradient_ucb"],
+        "budgets": [2000, 4000],
+        "seeds": 2,
+        "output": str(tmp_path / "results"),
+    }))
+    argv = {
+        "solve": ["solve", str(inst)],
+        "geometry": ["geometry", str(inst)],
+        "simulate": ["simulate", str(cfg), "--policy", "gradient_ucb", "--budget", "2000"],
+        "sweep": ["sweep", str(cfg)],
+    }[command]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(inst) in captured.err and "L* is infinite" in captured.err
     assert not (tmp_path / "results").exists()

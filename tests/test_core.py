@@ -336,43 +336,39 @@ def test_closed_form_optimum_requires_square():
 
 
 def test_constants_canonical_equal_variance():
-    consts = problem_constants(canonical_problem([1.0, 1.0]))
+    prob = canonical_problem([1.0, 1.0])
+    consts = problem_constants(prob)
     assert consts.det_gram == pytest.approx(1.0, rel=1e-14)
-    np.testing.assert_allclose(consts.cofactors, [1.0, 1.0], rtol=1e-14)
-    assert np.asarray(consts.p_star) == pytest.approx([0.5, 0.5], rel=1e-14)
+    np.testing.assert_allclose(gram_cofactors(prob.covariates.gram())[1], [1.0, 1.0], rtol=1e-14)
+    assert np.asarray(optimal_weights_closed_form(prob)) == pytest.approx([0.5, 0.5], rel=1e-14)
     assert consts.mu == pytest.approx(2.0, rel=1e-14)
     assert consts.eta == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
     # 432 * sigma_max^2 * (sum sigma sqrt(cof))^3 / (det sigma_min^3 sqrt(min cof))
     assert consts.c_smooth == pytest.approx(432.0 * 8.0, rel=1e-14)
-    # raw bound at floor p*: 16 * max(cof sigma^2 / p*^3) / det = 16 / 0.125
+    # raw bound at p*: 16 * max(cof sigma^2 / p*^3) / det = 16 / 0.125
     assert consts.hessian_diag_bound == pytest.approx(128.0, rel=1e-14)
 
 
 def test_constants_canonical_unequal_variance():
-    consts = problem_constants(canonical_problem([1.0, 4.0]))
+    prob = canonical_problem([1.0, 4.0])
+    consts = problem_constants(prob)
     assert consts.mu == pytest.approx(2.0, rel=1e-14)
-    assert np.asarray(consts.p_star) == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-14)
+    assert np.asarray(optimal_weights_closed_form(prob)) == pytest.approx(
+        [1.0 / 3.0, 2.0 / 3.0], rel=1e-14
+    )
     assert consts.eta == pytest.approx(math.sqrt(2.0) / 3.0, rel=1e-14)
     # sigma_max^2 = 4, sum sigma sqrt(cof) = 3, sigma_min^3 = 1
     assert consts.c_smooth == pytest.approx(432.0 * 4.0 * 27.0, rel=1e-14)
-    # floor = p*: max over k of 16 cof sigma^2 / p*^3: arm1 16/(1/27)=432,
+    # at p*: max over k of 16 cof sigma^2 / p*^3: arm1 16/(1/27)=432,
     # arm2 64/(8/27)=216
     assert consts.hessian_diag_bound == pytest.approx(432.0, rel=1e-13)
-
-
-def test_constants_floor_override():
-    prob = canonical_problem([1.0, 1.0])
-    consts = problem_constants(prob, floor=[0.25, 0.25])
-    assert consts.hessian_diag_bound == pytest.approx(16.0 / 0.25**3, rel=1e-13)
-    with pytest.raises(ValueError, match="positive"):
-        problem_constants(prob, floor=[0.5, 0.0])
 
 
 def test_constants_rectangular_case():
     prob = make_random_instance(2, 5, seed=3)
     consts = problem_constants(prob)
-    assert consts.gram.shape == (2, 2)
     assert consts.mu is None and consts.eta is None and consts.c_smooth is None
+    assert consts.hessian_diag_bound is None
     moment = prob.covariates.second_moment()
     assert consts.det_gram == pytest.approx(np.linalg.det(moment), rel=1e-12)
     assert consts.lambda_min == pytest.approx(np.linalg.eigvalsh(moment)[0], rel=1e-12)
@@ -384,7 +380,7 @@ def test_strong_convexity_holds_along_segments():
     for trial in range(10):
         prob = make_random_instance(3, 3, seed=300 + trial)
         consts = problem_constants(prob)
-        p_star = np.asarray(consts.p_star)
+        p_star = np.asarray(optimal_weights_closed_form(prob))
         l_star = loss(prob, p_star)
         q = rng.dirichlet(np.ones(3))
         for s in (0.1, 0.3, 0.6):

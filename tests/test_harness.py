@@ -71,6 +71,20 @@ def test_instance_comments_and_blank_lines(tmp_path):
     assert problem.beta is None
 
 
+def test_a_file_instance_without_proxies_takes_its_noise_models_proxy(tmp_path):
+    # as an inline instance does; solve and geometry, which have no noise
+    # model, read the Gaussian proxies (the test above)
+    path = tmp_path / "inst.txt"
+    path.write_text("2 2\n1 0\n0 1\n1.0 4.0\n")
+    for model, kappa2 in (("uniform", [3.0, 12.0]), ("rademacher", [1.0, 4.0])):
+        from_file, _ = build_problem({"file": str(path), "noise": model})
+        inline, _ = build_problem(
+            {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0], "noise": model}
+        )
+        np.testing.assert_array_equal(from_file.noise.kappa2, kappa2)
+        np.testing.assert_array_equal(inline.noise.kappa2, kappa2)
+
+
 def test_instance_square_single_extra_row_reads_as_proxies(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("2 2\n1 0\n0 1\n1.0 1.0\n3.0 3.0\n")
@@ -545,26 +559,14 @@ def test_run_sweep_csv_and_json_files_hold_the_same_values(tmp_path, monkeypatch
                 assert same(record[key], value), (stem, key, record[key], value)
 
 
-# canonical 3x3 with sigma^2 = (1, 1, 64): at T = 190 the estimation phase
-# fits, but the plan the estimated variances give does not, so episodes
-# fail at run time, past every check made before they start
-PLAN_MISFIT = {
-    "covariates": np.eye(3).tolist(),
-    "variances": [1.0, 1.0, 64.0],
-    "beta": [1.0, 1.0, 1.0],
-}
-
-
-def test_run_sweep_collects_per_episode_failures(tmp_path, monkeypatch):
+def test_run_sweep_collects_per_episode_failures(tmp_path, monkeypatch, fail_randomized_at):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    # the presampling plan cannot fit inside T=190, so those episodes fail
-    # without sinking the sweep
-    cfg = sweep_config(
-        tmp_path, instance=PLAN_MISFIT, policies=["randomized"], budgets=[190], seeds=2
-    )
+    # the T=190 episodes fail at run time without sinking the sweep
+    fail_randomized_at(190)
+    cfg = sweep_config(tmp_path, policies=["randomized"], budgets=[190], seeds=2)
     result = run_sweep(cfg, quiet=True)
     assert len(result.failures) == 2
-    assert all("exceeds the budget" in msg for (_, _, _, msg) in result.failures)
+    assert all("injected failure" in msg for (_, _, _, msg) in result.failures)
     assert result.slopes["randomized"] is None
     assert (result.output_dir / "failures.csv").exists()
 
@@ -753,7 +755,7 @@ def test_run_sweep_rejects_square_budgets_the_estimation_phase_cannot_fit(tmp_pa
 
 
 def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
-    tmp_path, monkeypatch, caplog
+    tmp_path, monkeypatch, caplog, fail_randomized_at
 ):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     # two configured budgets cannot fit a slope; that is not worth a warning
@@ -764,9 +766,8 @@ def test_run_sweep_warns_about_a_missing_slope_only_when_points_were_lost(
     assert not any("no slope" in r.message for r in caplog.records)
     # three budgets, one lost to failed episodes: the warning stays
     caplog.clear()
-    cfg = sweep_config(
-        tmp_path, instance=PLAN_MISFIT, policies=["randomized"], budgets=[190, 2000, 4000], seeds=2
-    )
+    fail_randomized_at(190)
+    cfg = sweep_config(tmp_path, policies=["randomized"], budgets=[190, 2000, 4000], seeds=2)
     with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
         result = run_sweep(cfg, quiet=True)
     assert len(result.failures) == 2

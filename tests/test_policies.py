@@ -12,8 +12,8 @@ from activedesign.core import (
     DesignProblem,
     NoiseSpec,
     gradient,
+    gram_cofactors,
     marks,
-    problem_constants,
 )
 from activedesign.environment import make_env, make_hard_instance, make_random_instance
 from activedesign.harness import load_instance
@@ -64,14 +64,14 @@ def test_default_estimation_count_pins():
 
 def test_square_plan_symmetric_example():
     problem = canonical([1.0, 1.0])
-    counts, origin = presample_plan(np.array([1.0, 1.0]), problem_constants(problem), 100)
+    counts, origin = presample_plan(np.array([1.0, 1.0]), problem, 100, 2)
     np.testing.assert_array_equal(counts, [25, 25])
     np.testing.assert_allclose(origin, [0.5, 0.5])
 
 
 def test_square_plan_skewed_example():
     problem = canonical([1.0, 1.0])
-    counts, origin = presample_plan(np.array([1.0, 9.0]), problem_constants(problem), 400)
+    counts, origin = presample_plan(np.array([1.0, 9.0]), problem, 400, 2)
     # estimated sigma = (1, 3) gives origin (1/4, 3/4) and half budget 200
     np.testing.assert_allclose(origin, [0.25, 0.75])
     np.testing.assert_array_equal(counts, [50, 150])
@@ -79,19 +79,30 @@ def test_square_plan_skewed_example():
 
 def test_square_plan_trims_to_the_cap():
     problem = canonical([1.0, 1.0, 1.0])
-    counts, _ = presample_plan(np.array([1.0, 1.0, 1e4]), problem_constants(problem), 12)
+    counts, _ = presample_plan(np.array([1.0, 1.0, 1e4]), problem, 12, 2)
     cap = math.ceil(12 / 2) + 3
     assert counts.sum() <= cap
     assert counts.min() >= 2
 
 
+def test_square_plan_fits_the_budget_beside_the_estimation_phase():
+    # sigma^2 = (1, 1, 64) at T = 190 with 60 phase-0 samples per arm: the
+    # half-budget plan (10, 10, 76) would take 60 + 60 + 76 = 196 samples,
+    # so its largest count is trimmed until the budget holds them all
+    problem = canonical([1.0, 1.0, 1.0])
+    counts, origin = presample_plan(np.array([1.0, 1.0, 64.0]), problem, 190, 60)
+    np.testing.assert_allclose(origin, [0.1, 0.1, 0.8])
+    np.testing.assert_array_equal(counts, [10, 10, 70])
+    assert np.maximum(counts, 60).sum() == 190
+
+
 def test_square_plan_validation():
     problem = canonical([1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
-        presample_plan(np.array([1.0, 0.0]), problem_constants(problem), 100)
+        presample_plan(np.array([1.0, 0.0]), problem, 100, 2)
     wide = make_random_instance(2, 3, seed=0)
-    with pytest.raises(ValueError, match="cofactors"):
-        presample_plan(np.ones(3), problem_constants(wide), 100)
+    with pytest.raises(ValueError, match="as many arms"):
+        presample_plan(np.ones(3), wide, 100, 2)
 
 
 def test_kd_presample_examples():
@@ -111,7 +122,7 @@ def test_kd_presample_budget_errors():
 # shared bookkeeping
 
 
-def test_counts_and_incremental_proportions_agree():
+def test_counts_track_observations():
     # K > d: one row, observed through one-entry lists
     problem = make_random_instance(2, 3, seed=0)
     policy = UniformPolicy(problem, None, horizon=100)
@@ -122,15 +133,8 @@ def test_counts_and_incremental_proportions_agree():
         expect[0, arm] += 1.0
         assert policy.round == t
         np.testing.assert_array_equal(policy.counts, expect)
-        np.testing.assert_array_equal(policy.proportions, policy.counts / t)
     assert policy.round == 200
     assert policy.counts.sum() == 200
-
-
-def test_proportions_require_observations():
-    policy = UniformPolicy(make_random_instance(2, 2, seed=0), None, horizon=10)
-    with pytest.raises(ValueError, match="no observations"):
-        policy.proportions
 
 
 def test_plugin_variance_is_population_form():
@@ -212,10 +216,8 @@ def test_uniform_episode_counts_within_one():
 
 
 def test_oracle_deficit_sequence():
-    problem = canonical([1.0, 4.0])
-    policy = OracleTrackingPolicy(
-        problem, None, horizon=3, p_star=np.array([1.0 / 3.0, 2.0 / 3.0])
-    )
+    # the optimum of canonical sigma^2 = (1, 4) is (1/3, 2/3)
+    policy = OracleTrackingPolicy(canonical([1.0, 4.0]), None, horizon=3)
     picks = []
     for _ in range(3):
         arm = policy.select(0)
@@ -225,8 +227,8 @@ def test_oracle_deficit_sequence():
 
 
 def test_oracle_uniform_target_round_robins():
-    problem = make_random_instance(3, 3, seed=0)
-    policy = OracleTrackingPolicy(problem, None, horizon=6, p_star=np.full(3, 1 / 3))
+    # equal variances on the canonical instance: the optimum is uniform
+    policy = OracleTrackingPolicy(canonical([1.0, 1.0, 1.0]), None, horizon=6)
     picks = []
     for _ in range(6):
         arm = policy.select(0)
@@ -300,7 +302,7 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
     feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
     after = design(policy)
     assert after[1] > before[1]
-    root = np.sqrt(policy._lcb) * np.sqrt(problem_constants(problem).cofactors)
+    root = np.sqrt(policy._lcb) * np.sqrt(gram_cofactors(problem.covariates.gram())[1])
     np.testing.assert_array_equal(after, root / root.sum())
 
 
@@ -662,13 +664,15 @@ def test_episode_rejects_budgets_below_the_estimation_phase():
 
 
 @pytest.mark.parametrize("name", ["gradient_ucb", "randomized"])
-def test_episode_rejects_plans_over_the_budget(name):
-    # sigma^2 = (1, 1, 64) at T = 190: 3 x 60 phase-0 samples fit, but the
-    # plug-in plan puts about 76 on arm 2, 196 samples in all
+def test_episode_fits_the_plug_in_plan_to_the_budget(name):
+    # sigma^2 = (1, 1, 64) at T = 190: 3 x 60 phase-0 samples fit, and the
+    # plug-in plan, which would put about 76 on arm 2, is trimmed to fit too
     problem = canonical([1.0, 1.0, 64.0], beta=[1.0, 1.0, 1.0])
     for seed in range(6):
-        with pytest.raises(ValueError, match="presampling plan exceeds the budget"):
-            run_episode(name, make_env(problem, seed=seed), 190)
+        trace = run_episode(name, make_env(problem, seed=seed), 190)
+        assert trace.estimation_count == 60
+        assert trace.presample_end <= 190
+        assert sum(trace.final_counts) == 190
     assert run_episode(name, make_env(problem, seed=0), 2000).presample_end <= 2000
 
 

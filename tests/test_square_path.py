@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from activedesign import policies
-from activedesign.core import problem_constants
+from activedesign.core import gram_cofactors
 from activedesign.environment import make_env
 from activedesign.harness import build_problem
 from activedesign.estimation import lcb_variance
@@ -153,7 +153,7 @@ class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
         sig2 = self._design_variances
         if sig2 is None:
             raise ValueError("variance bounds undefined; presample every arm first")
-        raw = np.sqrt(sig2) * np.sqrt(problem_constants(self.problem).cofactors)
+        raw = np.sqrt(sig2) * np.sqrt(gram_cofactors(self.problem.covariates.gram())[1])
         design = raw / raw.sum()
         residual = np.maximum(design - self._anchor, 0.0)
         total = residual.sum()
