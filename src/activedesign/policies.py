@@ -28,7 +28,8 @@ regret checkpoints.
 On square problems (K = d) an episode is one seed, its per-arm state
 (counts, moments, posteriors) is kept in lists of Python floats, and a
 step -- ``select`` and ``observe`` -- runs on those floats with no numpy
-call except the random generator's.  It does the IEEE operations of the
+call except a draw from the random generator (``randomized`` draws its
+uniforms ``NOISE_CHUNK`` at a time).  It does the IEEE operations of the
 array formulas in the same order, so its choices are bit-for-bit theirs.
 On K > d one policy steps every seed of an ``Episode`` as a row of
 (S, K) arrays, as the README's lock-step paragraph describes.
@@ -63,7 +64,7 @@ from .core import (
 )
 # a checkpoint's two core calls, under the names perfbench's layer probes patch
 from .core import regret_from_loss as regret
-from .environment import Environment
+from .environment import NOISE_CHUNK, Environment
 from .estimation import ConfidenceParams, lcb_variance
 from .solver import reference_optimum
 
@@ -162,8 +163,8 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale=0.0, c=0.0) -> int:
-    """``np.argmin`` of the K = d gradient less its bonus, in one pass over the arms.
+def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale, c) -> int:
+    """``np.argmin`` of ``gradient_ucb``'s K = d gradient less its bonus, in one pass.
 
     With the covariates X square and invertible,
     Omega(p) = X diag(p / sigma^2) X^T, so
@@ -176,7 +177,8 @@ def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale=0.0
     bonus scale sqrt(c / counts_k) is subtracted, all in the array
     formulas' IEEE operation order; an arm with no count runs on numpy's
     float64, so that p = 0 divides to inf or NaN as it did there.  The
-    first NaN wins, else the first least value.
+    first NaN wins, else the first least value.  ``ThompsonPolicy.select``
+    scores its sampled variances by the same rules, as it draws them.
     """
     best, low, k = 0, math.inf, 0
     for a, s, f, m in zip(neg_diag, sigma2, floor, counts):
@@ -192,6 +194,14 @@ def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale=0.0
             return k
         k += 1
     return best
+
+
+def _uniforms(rng):
+    """Successive ``rng.random()`` values, drawn ``NOISE_CHUNK`` at a time:
+    ``rng.random(n)`` gives the n values, and leaves the generator in the
+    state, of n scalar calls."""
+    while True:
+        yield from rng.random(NOISE_CHUNK).tolist()
 
 
 def _neg_inv_gram_diag(problem: DesignProblem) -> list:
@@ -261,11 +271,13 @@ def _fill_argmin(g: np.ndarray, arms: list) -> list:
     return [b if arm is None else arm for arm, b in zip(arms, best)]
 
 
-# the per-row state a K > d policy may hold, deleted with a row that fails
+# the per-row state a K > d policy may hold, deleted with a row that fails:
+# (S, K) arrays, and lists of S random streams
 _ROW_STATE = (
     "counts", "_mean", "_m2", "sig2hat", "_lcb", "_anchor",
     "post_mu", "post_nu", "post_alpha", "post_beta",
 )
+_ROW_STREAMS = ("rng", "_uniforms")
 
 
 class Policy:
@@ -366,7 +378,9 @@ class Policy:
         for name in _ROW_STATE:
             if name in vars(self):
                 setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
-        self.rng = [g for i, g in enumerate(self.rng) if i not in rows]
+        for name in _ROW_STREAMS:
+            if name in vars(self):
+                setattr(self, name, [g for i, g in enumerate(getattr(self, name)) if i not in rows])
 
 
 class _Moments:
@@ -477,9 +491,12 @@ class RandomizedDesignPolicy(_Moments, Policy):
     out, so the final proportions converge to the design rather than to
     a mixture with the presampling origin; without presampling this
     reduces to drawing from the design itself.  The residual and the
-    draw run on Python floats, with sums in numpy's order, as does the
-    design on square problems; a K > d row solves its own design and
-    draws from its own generator.  The bounds are read only once
+    draw run on Python floats, with sums in numpy's order.  On square
+    problems the design weights sigma_k sqrt(cofactor_k) are a list whose
+    observed arm's entry ``_update`` refreshes; a K > d row solves its own
+    design.  Each row takes its uniforms from its own generator through
+    ``_uniforms``, the values one ``rng.random()`` per draw would give:
+    nothing else reads the policy's stream.  The bounds are read only once
     ``presample_done`` has found every arm's bound defined;
     ``fixed_variances`` replace them.
     """
@@ -510,12 +527,20 @@ class RandomizedDesignPolicy(_Moments, Policy):
         self.fixed_variances = self._fixed_variances(fixed_variances)
         self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
-        self._root_cof = None
+        self._uniforms = [_uniforms(g) for g in ([self.rng] if self._square else self.rng)]
         if self._square:
             det, cof = gram_cofactors(problem.covariates.gram())
             if det <= 0.0 or np.any(cof <= 0.0):
                 raise ValueError("covariate set is degenerate")
             self._root_cof = np.sqrt(cof).tolist()
+            sig2 = self._lcb if self.fixed_variances is None else self.fixed_variances
+            self._weights = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
+
+    def _update(self, key, arm: int, ys) -> None:
+        """The moments, then on K = d the arm's design weight under its new bound."""
+        super()._update(key, arm, ys)
+        if self._square and self.fixed_variances is None:
+            self._weights[arm] = math.sqrt(self._lcb[arm]) * self._root_cof[arm]
 
     def presample_done(self) -> None:
         if not self._square:
@@ -532,18 +557,16 @@ class RandomizedDesignPolicy(_Moments, Policy):
         """The optimistic design as weights and their total: sigma_k sqrt(cofactor_k)
         on K = d, the reference solver's proportions and 1.0 on K > d."""
         sig2 = self.fixed_variances
-        if sig2 is None:
-            if not self._bounds_ready:
-                raise ValueError("variance bounds undefined; presample every arm first")
-            sig2 = self._lcb if self._square else self._lcb[row]
-        if self._root_cof is not None:
-            raw = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
-            return raw, _float_sum(raw)
+        if sig2 is None and not self._bounds_ready:
+            raise ValueError("variance bounds undefined; presample every arm first")
+        if self._square:
+            return self._weights, _float_sum(self._weights)
+        sig2 = self._lcb[row] if sig2 is None else sig2
         design = DesignProblem(self.problem.covariates, NoiseSpec(sig2))
         weights, _ = reference_optimum(design, max_iters=_DESIGN_SWEEPS)
         return weights.values.tolist(), 1.0
 
-    def _draw(self, row: int, rng) -> int:
+    def _draw(self, row: int, uniforms) -> int:
         """An arm of ``row`` from the design's residual over the anchor, else from the design."""
         weights, total = self._optimistic_design(row)
         anchor = self._anchor if self._square else self._anchor[row].tolist()
@@ -551,7 +574,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
         mass = _float_sum(residual)
         if not mass > 0.0:
             residual, mass = weights, total
-        u = rng.random()
+        u = next(uniforms)
         # the first arm whose cumulative mass exceeds u
         cum = 0.0
         for arm, r in enumerate(residual):
@@ -562,11 +585,11 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
     def select(self, t: int):
         if self._square:
-            return self._draw(0, self.rng)
+            return self._draw(0, self._uniforms[0])
         arms = []
-        for row, rng in enumerate(self.rng):
+        for row, uniforms in enumerate(self._uniforms):
             try:
-                arms.append(self._draw(row, rng))
+                arms.append(self._draw(row, uniforms))
             except Exception as exc:
                 arms.append(exc)
         return arms
@@ -652,15 +675,17 @@ class ThompsonPolicy(Policy):
     """Normal-inverse-gamma posterior sampling on the noise variances.
 
     Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters (default
-    prior (0, 1, 1, 1)); a round samples sigma~_k^2 from each marginal
-    inverse-gamma and descends the loss gradient computed with the
-    sampled variances.  On square problems that gradient is the closed
-    form -(Gamma^-1)_kk sigma~_k^2 / p_k^2 and the variances are drawn
-    arm by arm, so the step runs on Python floats with no numpy call but
-    the generator's; a K > d row draws them in one call on its own
-    generator, and the rows' Omega(p) are inverted together.  Sampled
-    values are clipped to a wide band around the noise proxies as a
-    numerical guard.
+    prior (0, 1, 1, 1)); a round samples sigma~_k^2 = beta_k / Gamma(alpha_k)
+    from each marginal inverse-gamma, clipped to a wide band around the
+    noise proxies as a numerical guard, and descends the loss gradient
+    computed with the sampled variances.  On square problems that
+    gradient is the closed form -(Gamma^-1)_kk sigma~_k^2 / p_k^2, and one
+    pass over the arms draws, clips and scores each in turn
+    (``_closed_form_argmin``'s rules, without its bonus); its K scalar
+    ``gamma`` calls give the values, and leave the generator in the state,
+    of one ``standard_gamma`` call on the alpha array, which is how a
+    K > d row draws on its own generator before the rows' Omega(p) are
+    inverted together.
     """
 
     name = "thompson"
@@ -706,29 +731,25 @@ class ThompsonPolicy(Policy):
             self.post_alpha[key] += 0.5
             self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
-    def sample_variances(self) -> list:
-        """beta_k / Gamma(alpha_k), clipped to [clip_lo_k, clip_hi], on K = d.
-
-        Drawn arm by arm, in index order: that consumes the same stream,
-        and gives the same values, as one ``standard_gamma`` call on the
-        alpha array, which is how a K > d row draws.
-        """
-        gamma, hi = self.rng.standard_gamma, self._clip_hi
-        draws = []
-        for a, b, lo in zip(self.post_alpha, self.post_beta, self._clip_lo):
-            g = gamma(a)
-            # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
-            s = b / g if g else np.float64(b) / g
-            s = lo if s < lo else s
-            draws.append(hi if s > hi else s)
-        return draws
-
     def select(self, t: int):
         if self._square:
-            # the draws are clipped already: the floor clip_lo raises none
-            return _closed_form_argmin(
-                self._neg_inv_gram, self.sample_variances(), self._clip_lo, self.counts, self.round
-            )
+            gamma, hi, n = self.rng.gamma, self._clip_hi, self.round
+            best, low, first_nan = 0, math.inf, -1
+            state = (self.post_alpha, self.post_beta, self._clip_lo, self._neg_inv_gram, self.counts)
+            for k, (a, b, lo, neg, m) in enumerate(zip(*state)):
+                g = gamma(a)
+                # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
+                s = b / g if g else np.float64(b) / g
+                s = lo if s < lo else hi if s > hi else s
+                if not m:
+                    m = np.float64(m)
+                p = m / n
+                v = neg * s / (p * p)
+                if v < low:
+                    best, low = k, v
+                elif v != v and first_nan < 0:
+                    first_nan = k
+            return best if first_nan < 0 else first_nan
         arms = [None] * len(self.rng)
         gamma = np.ones_like(self.post_alpha)
         for i, rng in enumerate(self.rng):

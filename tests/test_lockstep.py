@@ -151,13 +151,22 @@ def test_stacked_singular_solve_fails_only_its_own_member(name):
         assert _fields(outcomes[i]) == _fields(want)
 
 
-@pytest.mark.parametrize("name", ["thompson", "gradient_ucb"])
-def test_member_failing_a_checkpoint_fails_alone(monkeypatch, name):
+@pytest.mark.parametrize(
+    "instance, name, horizon",
+    [
+        ("random3x5", "thompson", 2000),
+        ("random3x5", "gradient_ucb", 2000),
+        # each row draws its uniforms ahead from its own generator: the
+        # dropped row's buffer must leave with that generator
+        ("redundant", "randomized", 1000),
+    ],
+    ids=["thompson", "gradient_ucb", "randomized"],
+)
+def test_member_failing_a_checkpoint_fails_alone(monkeypatch, instance, name, horizon):
     # the middle row's checkpoint raises at one checkpoint time: the
     # middle row drops out, and the rows around it record the traces
     # they record alone
-    horizon = 2000
-    want = [_alone("random3x5", "gaussian", name, s, horizon) for s in SEEDS[:3]]
+    want = [_alone(instance, "gaussian", name, s, horizon) for s in SEEDS[:3]]
     fail_at = want[1].rows[len(want[1].rows) // 2].t
     calls = []
 
@@ -167,7 +176,7 @@ def test_member_failing_a_checkpoint_fails_alone(monkeypatch, name):
             raise RuntimeError(f"checkpoint {now} failed")
         return _regret(value, now, loss_star)
 
-    problem, model, ref = _problem("random3x5", "gaussian")
+    problem, model, ref = _problem(instance, "gaussian")
     monkeypatch.setattr(policies, "regret", failing)
     envs = [make_env(problem, s, model) for s in SEEDS[:3]]
     outcomes = Episode(name, envs, horizon, reference=ref).advance_all(horizon)

@@ -15,7 +15,7 @@ from activedesign.core import (
     gram_cofactors,
     marks,
 )
-from activedesign.environment import make_env, make_hard_instance, make_random_instance
+from activedesign.environment import NOISE_CHUNK, make_env, make_hard_instance, make_random_instance
 from activedesign.harness import load_instance
 from activedesign.policies import (
     Episode,
@@ -36,6 +36,7 @@ from activedesign.policies import (
     run_episode,
 )
 from activedesign.solver import reference_optimum
+from test_square_path import assert_thompson_selects_as_numpy
 
 REDUNDANT_ARM = Path(__file__).resolve().parents[1] / "instances" / "redundant_arm.txt"
 
@@ -348,6 +349,23 @@ def test_randomized_residual_frequencies():
     assert abs(f - q[1]) <= 3.0 * se
 
 
+def test_randomized_uniforms_are_the_generators_successive_draws():
+    # drawn NOISE_CHUNK at a time, the uniforms a row serves are its own
+    # generator's rng.random() values in order, across refills, on K = d and
+    # on each row of a K > d group, the rows served in turn as a step does
+    n = 2 * NOISE_CHUNK + 5
+    seeds = (3, 4, 5)
+    square = RandomizedDesignPolicy(canonical([1.0, 4.0]), np.random.default_rng(seeds[0]), 100)
+    rows = RandomizedDesignPolicy(
+        load_instance(REDUNDANT_ARM), [np.random.default_rng(s) for s in seeds], 1000
+    )
+    for policy, row_seeds in ((square, seeds[:1]), (rows, seeds)):
+        served = [[next(u) for u in policy._uniforms] for _ in range(n)]
+        for row, seed in enumerate(row_seeds):
+            reference = np.random.default_rng(seed)
+            assert [step[row] for step in served] == [reference.random() for _ in range(n)]
+
+
 def test_randomized_warns_on_wide_problems(caplog):
     # once per episode, when it starts: a policy built to check options is silent
     problem = make_random_instance(3, 4, seed=2)
@@ -495,7 +513,9 @@ def test_square_closed_form_gradient_matches_the_solve(d):
                 rtol=1e-12,
                 atol=0,
             )
-            arm = _closed_form_argmin(neg_diag, sig2.tolist(), no_floor, p.tolist(), 1)
+            arm = _closed_form_argmin(
+                neg_diag, sig2.tolist(), no_floor, p.tolist(), 1, 0.0, 0.0
+            )
             assert arm == int(np.argmin(-marks(x, sig2, p)))
         p = rng.dirichlet(np.ones(d))
         np.testing.assert_allclose(
@@ -584,28 +604,19 @@ def test_thompson_symmetry_between_identical_arms():
 
 
 def test_thompson_draws_match_the_clipped_gamma_stream():
-    problem = make_random_instance(3, 3, seed=4)
-    policy = ThompsonPolicy(problem, np.random.default_rng(11), 100)
-    reference = np.random.default_rng(11)
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        policy.post_alpha = rng.uniform(0.5, 50.0, 3)
-        policy.post_beta = rng.uniform(1e-3, 1e3, 3)
-        expect = np.clip(
-            policy.post_beta / reference.gamma(policy.post_alpha),
-            policy._clip_lo,
-            policy._clip_hi,
-        )
-        np.testing.assert_array_equal(policy.sample_variances(), expect)
-    assert policy.rng.bit_generator.state == reference.bit_generator.state
+    # one gamma draw per arm, in index order: the array formula's values and stream
+    assert_thompson_selects_as_numpy(
+        make_random_instance(3, 3, seed=4), lambda: np.random.default_rng(11)
+    )
 
 
 def test_thompson_variance_draws_are_clipped():
-    problem = canonical([1.0, 1.0])
-    policy = ThompsonPolicy(problem, np.random.default_rng(0), 100)
-    policy.post_beta = [1e30, 1e30]
-    draws = policy.sample_variances()
-    assert np.all(np.asarray(draws) <= policy._clip_hi)
+    # beta scaled so far that every sampled variance clips, to clip_hi or to clip_lo
+    for scale in (1e30, 1e-30):
+        assert_thompson_selects_as_numpy(
+            make_random_instance(3, 3, seed=4), lambda: np.random.default_rng(0),
+            beta=lambda b: b * scale,
+        )
 
 
 # --------------------------------------------------------------------

@@ -5,11 +5,14 @@ floats.  The reference policies below hold the per-arm state in arrays
 and step it with the array formulas the package used before, kept here
 (not in the package) as the oracle: whole episodes must choose the same
 arms, end with bit-equal counts, moments and variances, and leave the
-policy's generator in the same state.  The
+policy's generator in the same state (for ``randomized``, which draws
+its uniforms ahead in chunks, serve the same next uniforms).  The
 edge cases pin numpy's IEEE semantics where Python floats differ:
 division by zero, NaN in an argmin, ties.
 """
 
+import collections
+import functools
 import itertools
 import math
 
@@ -18,7 +21,7 @@ import pytest
 
 from activedesign import policies
 from activedesign.core import gram_cofactors
-from activedesign.environment import make_env
+from activedesign.environment import NOISE_CHUNK, make_env
 from activedesign.harness import build_problem
 from activedesign.estimation import lcb_variance
 from activedesign.policies import (
@@ -236,7 +239,17 @@ def _state(policy):
         state["moments"] = np.array([(s.mean, s.m2) for s in policy.stats]).tobytes()
     elif hasattr(policy, "_mean"):
         state["moments"] = np.array(list(zip(policy._mean, policy._m2))).tobytes()
-    state["rng"] = policy.rng.bit_generator.state
+    if not isinstance(policy, RandomizedDesignPolicy):
+        state["rng"] = policy.rng.bit_generator.state
+        return state
+    # the package draws its uniforms NOISE_CHUNK at a time, so its generator
+    # runs ahead of the reference's: compare the next uniforms each serves,
+    # past the package's next refill, instead
+    if isinstance(policy, _ArrayState):
+        draw = policy.rng.random
+    else:
+        draw = functools.partial(next, policy._uniforms[0])
+    state["uniforms"] = [draw() for _ in range(NOISE_CHUNK + 1)]
     return state
 
 
@@ -310,36 +323,115 @@ def test_unobserved_arms_pick_what_numpy_picked(monkeypatch, name, options, coun
     )
 
 
+def thompson_states(n: int = 1000):
+    """``n`` random 3-arm thompson states: alpha, beta and positive counts."""
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        counts = rng.integers(1, 50, 3).astype(np.float64)
+        yield rng.uniform(0.5, 50.0, 3), rng.uniform(1e-3, 1e3, 3), counts
+
+
+def _generator_state(rng):
+    return rng.bit_generator.state if hasattr(rng, "bit_generator") else rng.draws
+
+
+def assert_thompson_selects_as_numpy(problem, make_rng, alpha=None, beta=None) -> None:
+    """``ThompsonPolicy.select`` against ``NumpyThompson.select`` over
+    ``thompson_states``, each mapped by ``alpha`` and ``beta``: the same arm
+    and, after each step, the same generator state, from equal generators."""
+    policy = ThompsonPolicy(problem, make_rng(), 100)
+    reference = NumpyThompson(problem, make_rng(), 100)
+    for a, b, counts in thompson_states():
+        a, b = (a if alpha is None else alpha(a)), (b if beta is None else beta(b))
+        policy.post_alpha, policy.post_beta, policy.counts = a.tolist(), b.tolist(), counts.tolist()
+        reference.post_alpha, reference.post_beta, reference.counts = a, b, counts
+        policy.round = reference.round = int(counts.sum())
+        assert policy.select(policy.round + 1) == reference.select(policy.round + 1)
+        assert _generator_state(policy.rng) == _generator_state(reference.rng)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_gamma_draws_clip_to_the_upper_bound():
     # shape 1e-3 draws underflow to exactly 0.0 now and then; beta / 0
     # must give inf (clipped to clip_hi) as the array formula did
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    policy = ThompsonPolicy(problem, np.random.default_rng(5), 100)
-    reference = np.random.default_rng(5)
-    zeros = 0
-    for _ in range(200):
-        policy.post_alpha = [1e-3, 1e-3, 2.0]
-        alpha = np.array(policy.post_alpha)
-        g = reference.standard_gamma(alpha)
-        zeros += int(np.sum(g == 0.0))
-        with np.errstate(divide="ignore", over="ignore"):
-            expect = np.clip(np.array(policy.post_beta) / g, policy._clip_lo, policy._clip_hi)
-        draws = policy.sample_variances()
-        np.testing.assert_array_equal(draws, expect)
+
+    def tiny(alpha):
+        return np.array([1e-3, 1e-3, alpha[2]])
+
+    assert_thompson_selects_as_numpy(problem, lambda: np.random.default_rng(5), alpha=tiny)
+    probe = np.random.default_rng(5)  # the draws both made, replayed
+    zeros = sum(int(np.sum(probe.standard_gamma(tiny(a)) == 0.0)) for a, _, _ in thompson_states())
     assert zeros > 0
-    assert policy.rng.bit_generator.state == reference.bit_generator.state
+
+
+class ZeroGamma:
+    """A generator whose every gamma draw is 0.0; its state is the draws made."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def gamma(self, shape):
+        self.draws += 1
+        return 0.0
+
+    def standard_gamma(self, shape):
+        self.draws += np.size(shape)
+        return np.zeros(np.shape(shape))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_zero_gamma_draw_does_not_raise():
-    class ZeroGamma:
-        def standard_gamma(self, shape):
-            return 0.0
-
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    policy = ThompsonPolicy(problem, ZeroGamma(), 100)
-    assert policy.sample_variances() == [policy._clip_hi] * 3
+    assert_thompson_selects_as_numpy(problem, ZeroGamma)
+
+
+class _Counting:
+    """A generator that counts its method calls by name."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _counted_episode(monkeypatch, name: str, horizon: int):
+    """A square episode run to ``horizon`` on a counting policy generator:
+    the episode and the generator's call counts."""
+    problem, _ = build_problem(dict(SQUARE_REPLICATION))
+    env = make_env(problem, 3, "gaussian")
+    made = []
+
+    def default_rng(seed, _make=np.random.default_rng):
+        made.append(_Counting(_make(seed)))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", default_rng)
+        episode = Episode(name, env, horizon)
+    episode.advance(horizon)
+    (rng,) = made
+    return episode, rng.calls
+
+
+def test_square_randomized_draws_its_uniforms_a_chunk_at_a_time(monkeypatch):
+    episode, calls = _counted_episode(monkeypatch, "randomized", 20_000)
+    draws = episode.t - episode.presample_end
+    assert draws > 3 * NOISE_CHUNK
+    assert calls == {"random": math.ceil(draws / NOISE_CHUNK)}
+
+
+def test_square_thompson_draws_one_gamma_per_arm_and_step(monkeypatch):
+    episode, calls = _counted_episode(monkeypatch, "thompson", 2000)
+    assert calls == {"gamma": 3 * (episode.t - episode.presample_end)}
 
 
 def test_argmin_is_numpy_argmin():
@@ -349,7 +441,8 @@ def test_argmin_is_numpy_argmin():
     for k in range(1, 5):
         ones, no_floor = [1.0] * k, [-math.inf] * k
         for v in itertools.product(values, repeat=k):
-            assert _closed_form_argmin(ones, list(v), no_floor, ones, 1) == int(np.argmin(v)), v
+            got = _closed_form_argmin(ones, list(v), no_floor, ones, 1, 0.0, 0.0)
+            assert got == int(np.argmin(v)), v
 
 
 def test_float_sum_is_numpy_sum():
