@@ -157,14 +157,13 @@ def _cmd_simulate(args) -> int:
     options = dict(next((o for n, o in config.policies if n == args.policy), {}))
     problem, model = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
-    check_runs(problem, [(args.policy, options)], [args.budget], config.estimation_count)
+    check_runs(problem, [(args.policy, options)], [args.budget])
     env = make_env(problem, args.seed, model)
     trace = run_episode(
         args.policy,
         env,
         args.budget,
         checkpoint_ratio=config.checkpoint_ratio,
-        estimation_count=config.estimation_count,
         options=options,
         reference=reference,
     )

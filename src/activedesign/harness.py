@@ -16,8 +16,8 @@ proxies are ``noise_proxy`` of the noise model, as for an inline instance.
 
 A sweep config is a JSON object with keys ``instance``, ``policies``,
 ``budgets`` and optionally ``seeds`` (count or explicit list, default
-25), ``checkpoints`` ({"ratio": r}, default 1.2), ``estimation_count``,
-and ``output`` (directory, default "results").  Outputs are one trace
+25), ``checkpoints`` ({"ratio": r}, default 1.2) and ``output``
+(directory, default "results").  Outputs are one trace
 file per episode (columns t, regret, loss_gap, p_min), one summary per
 policy (T, mean_regret, stderr, n_seeds), and a slope table (policy,
 slope, intercept, r_squared, n_points), all written by ``table_text``;
@@ -229,7 +229,6 @@ class ExperimentConfig:
     budgets: tuple
     seeds: tuple
     checkpoint_ratio: float = 1.2
-    estimation_count: int | None = None
     output: str | None = "results"
 
     @staticmethod
@@ -240,7 +239,6 @@ class ExperimentConfig:
             "budgets",
             "seeds",
             "checkpoints",
-            "estimation_count",
             "output",
         }
         for key in raw:
@@ -289,6 +287,8 @@ class ExperimentConfig:
             seeds = tuple(range(count))
         else:
             seeds = _integers("seeds", seeds_raw)
+            if not seeds:
+                raise ConfigError("'seeds' must not be empty")
             if any(s < 0 for s in seeds):
                 raise ConfigError("'seeds' must be nonnegative")
             if len(set(seeds)) != len(seeds):
@@ -303,12 +303,6 @@ class ExperimentConfig:
             if ratio <= 1.0:
                 raise ConfigError(f"'checkpoints.ratio' must exceed 1, got {ratio!r}")
 
-        n0 = raw.get("estimation_count")
-        if n0 is not None:
-            n0 = _integer("estimation_count", n0)
-            if n0 < 2:
-                raise ConfigError("'estimation_count' must be at least 2")
-
         output = raw.get("output", "results")
         if output is not None and not isinstance(output, str):
             raise ConfigError(f"'output' must be a directory path or null, got {output!r}")
@@ -319,7 +313,6 @@ class ExperimentConfig:
             budgets=budgets,
             seeds=seeds,
             checkpoint_ratio=ratio,
-            estimation_count=n0,
             output=output,
         )
 
@@ -441,7 +434,7 @@ class _Group:
     through ``budgets`` (ascending; one budget unless they chain).
 
     ``run`` holds the sweep's constants (problem, model, name, options,
-    ratio, n0, reference); ``outcomes`` the traces and errors that the
+    ratio, reference); ``outcomes`` the traces and errors that the
     group's jobs have not taken yet.
     """
 
@@ -459,7 +452,7 @@ class _Group:
         error from building or advancing it is every seed's; a seed that
         failed keeps its error at the later budgets.
         """
-        problem, model, name, options, ratio, n0, reference = self.run
+        problem, model, name, options, ratio, reference = self.run
         try:
             if self.episode is None:
                 self.episode = Episode(
@@ -467,7 +460,6 @@ class _Group:
                     [make_env(problem, seed, model) for seed in self.seeds],
                     horizon,
                     checkpoint_ratio=ratio,
-                    estimation_count=n0,
                     options=options,
                     reference=reference,
                     budgets=tuple(t for t in self.budgets if t > horizon),
@@ -547,11 +539,11 @@ def check_reference(reference: tuple, name) -> tuple:
     return reference
 
 
-def check_runs(problem: DesignProblem, policies, budgets, estimation_count=None) -> None:
+def check_runs(problem: DesignProblem, policies, budgets) -> None:
     """Raise ``ConfigError`` if an episode of ``policies``, (name, options)
     pairs, at ``budgets`` could not run: the problem has no ``beta``, a
     policy rejects its options, or a budget is below the floor of its
-    presampling (``budget_floor``, under the config's ``estimation_count``)."""
+    presampling (``budget_floor``)."""
     if problem.beta is None:
         raise ConfigError("the instance has no truth vector beta, which simulation needs")
     if min(budgets) < 1:
@@ -563,7 +555,7 @@ def check_runs(problem: DesignProblem, policies, budgets, estimation_count=None)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy {name!r} options rejected: {exc}") from None
         for horizon in budgets:
-            if (floor := budget_floor(name, problem, horizon, estimation_count)) is not None:
+            if (floor := budget_floor(name, problem, horizon)) is not None:
                 raise ConfigError(
                     f"policy {name!r} cannot presample {problem.n_arms} arms within budget "
                     f"{horizon}; the smallest feasible budget at or above it is {floor}"
@@ -595,11 +587,10 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
         raise ConfigError(f"unknown output format {fmt!r}")
     problem, model = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
-    check_runs(problem, config.policies, config.budgets, config.estimation_count)
+    check_runs(problem, config.policies, config.budgets)
 
     def make_task(name, options, budgets, seeds):
-        run = (problem, model, name, options, config.checkpoint_ratio,
-               config.estimation_count, reference)
+        run = (problem, model, name, options, config.checkpoint_ratio, reference)
         group = _Group(run, budgets, seeds)
         return [(group, horizon, seed) for horizon in budgets for seed in seeds]
 

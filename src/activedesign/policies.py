@@ -38,9 +38,9 @@ On K > d one policy steps every seed of an ``Episode`` as a row of
 never read T, so at budgets of 2K or more (past thompson's warm-up and
 the first checkpoint) a shorter episode with the same seed is an exact
 prefix of a longer one, and an ``Episode`` can be advanced from one
-budget to the next.  ``gradient_ucb`` is not: its confidence level
-1/(T^2 K) and its presampling depend on T.  Nor is ``randomized``: its
-presampling does, and its draws are anchored at counts / T.
+budget to the next.  ``gradient_ucb`` is not: its presampling depends
+on T.  Nor is ``randomized``: its presampling does, and so do its
+confidence level 1/(T^2 K) and its anchor counts / T.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def default_estimation_count(horizon: int) -> int:
     return max(2, math.ceil(10.0 * math.log(2.0 * horizon)))
 
 
-def estimation_phase(k: int, horizon: int, estimation_count: int | None) -> int:
-    """K = d phase-0 samples per arm, at least 2 (``default_estimation_count``
-    by default); errors when the K arms' phase alone would exceed the budget."""
-    n0 = max(2, default_estimation_count(horizon) if estimation_count is None else estimation_count)
+def estimation_phase(k: int, horizon: int) -> int:
+    """K = d phase-0 samples per arm, ``default_estimation_count``; errors
+    when the K arms' phase alone would exceed the budget."""
+    n0 = default_estimation_count(horizon)
     if k * n0 > horizon:
         raise ValueError("estimation phase alone exceeds the budget")
     return n0
@@ -134,9 +134,7 @@ def kd_presample(k: int, horizon: int) -> int:
     return n
 
 
-def budget_floor(
-    policy_name: str, problem: DesignProblem, horizon: int, estimation_count: int | None = None
-) -> int | None:
+def budget_floor(policy_name: str, problem: DesignProblem, horizon: int) -> int | None:
     """The smallest budget from ``horizon`` up that fits ``policy_name``'s
     presampling as far as it is known before any sample (``estimation_phase``
     on K = d, ``kd_presample`` on K > d), or None if ``horizon`` does.  No
@@ -148,12 +146,12 @@ def budget_floor(
     while True:
         try:
             if square:
-                estimation_phase(k, t, estimation_count)
+                estimation_phase(k, t)
             else:
                 kd_presample(k, t)
             return None if t == horizon else t
         except ValueError:
-            t = max(t + 1, k * (estimation_count or 2) if square else k**4 + 1)
+            t = max(t + 1, 2 * k if square else k**4 + 1)
 
 
 def _finite(name: str, value) -> float:
@@ -163,7 +161,7 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale, c) -> int:
+def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, c) -> int:
     """``np.argmin`` of ``gradient_ucb``'s K = d gradient less its bonus, in one pass.
 
     With the covariates X square and invertible,
@@ -173,9 +171,9 @@ def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale, c)
     X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the
     gradient -(Gamma^-1)_kk sigma_k^2 / p_k^2 needs only the fixed
     diagonal, passed negated (``_neg_inv_gram_diag``).  Here sigma_k^2 is
-    raised to ``floor``_k, p_k = counts_k / n, and with ``scale`` > 0 the
-    bonus scale sqrt(c / counts_k) is subtracted, all in the array
-    formulas' IEEE operation order; an arm with no count runs on numpy's
+    raised to ``floor``_k, p_k = counts_k / n, and the bonus
+    2 sqrt(c / counts_k) is subtracted, all in the array formulas' IEEE
+    operation order; an arm with no count runs on numpy's
     float64, so that p = 0 divides to inf or NaN as it did there.  The
     first NaN wins, else the first least value.  ``ThompsonPolicy.select``
     scores its sampled variances by the same rules, as it draws them.
@@ -185,9 +183,7 @@ def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, scale, c)
         if not m:
             m = np.float64(m)
         p = m / n
-        g = a * (f if s < f else s) / (p * p)
-        if scale > 0.0:
-            g -= scale * math.sqrt(c / m)
+        g = a * (f if s < f else s) / (p * p) - 2.0 * math.sqrt(c / m)
         if g < low:
             best, low = k, g
         elif g != g:
@@ -356,18 +352,10 @@ class Policy:
         ``key``: the arm, or (row, arm) on K > d.  The base counts them."""
         self.counts[key] += len(ys)
 
-    def _fixed_variances(self, values):
-        """``values`` as per-arm variances, or None; each must be positive and finite."""
-        if values is not None:
-            values = self._per_arm(values)
-            if not all(0.0 < v < math.inf for v in values):
-                raise ValueError("fixed_variances must be positive and finite")
-        return values
-
-    def presample(self, feed, estimation_count: int | None) -> tuple:
+    def presample(self, feed) -> tuple:
         """Feed this policy's presampling through ``feed(arm, m)``; returns the
-        phase-0 samples per arm (``estimation_count``, None for the default)
-        and the design laid out as an array, or (0, None).  The base takes none."""
+        phase-0 samples per arm and the design laid out as an array, or
+        (0, None).  The base takes none."""
         return 0, None
 
     def presample_done(self) -> None:
@@ -384,26 +372,25 @@ class Policy:
 
 
 class _Moments:
-    """Per-arm Welford moments, plug-in variances and, if asked, their LCBs.
+    """Per-arm Welford moments and plug-in variances.
 
     Mixed into a ``Policy`` subclass, whose ``__init__`` calls
     ``_init_moments``.  The arm's count is the policy's ``counts``; the
     running mean and m2 are kept beside it.  ``sig2hat`` is the
-    population variance m2 / n, NaN until the arm has two observations;
-    with ``track_lcb`` the lower confidence bounds ``_lcb`` (at per-arm
-    failure share ``delta_arm``) are kept beside it.  Presampling: the
-    estimation phase (``estimation_phase``), then ``presample_plan`` on
-    K = d, trimmed to fit the budget; ``kd_presample`` on K > d.
+    population variance m2 / n, NaN until the arm has two observations.
+    Presampling: the estimation phase (``estimation_phase``), then
+    ``presample_plan`` on K = d, trimmed to fit the budget;
+    ``kd_presample`` on K > d.
     """
 
-    def presample(self, feed, estimation_count: int | None) -> tuple:
+    def presample(self, feed) -> tuple:
         k, horizon = self.n_arms, self.horizon
         if not self._square:
             n = kd_presample(k, horizon)
             for arm in range(k):
                 feed(arm, n)
             return 0, SimplexWeights.uniform(k).values
-        n0 = estimation_phase(k, horizon, estimation_count)
+        n0 = estimation_phase(k, horizon)
         for arm in range(k):
             feed(arm, n0)
         counts, origin = presample_plan(self.sig2hat, self.problem, horizon, n0)
@@ -411,13 +398,10 @@ class _Moments:
             feed(arm, count - n0)
         return n0, origin
 
-    def _init_moments(self, delta_arm: float, track_lcb: bool) -> None:
+    def _init_moments(self) -> None:
         self._mean = self._per_arm(0.0, rows=True)
         self._m2 = self._per_arm(0.0, rows=True)
         self.sig2hat = self._per_arm(np.nan, rows=True)
-        self._track_lcb = track_lcb
-        self._params = [ConfidenceParams(delta_arm, k2) for k2 in self.problem.noise.kappa2]
-        self._lcb = self._per_arm(np.nan, rows=True)
 
     def _update(self, key, arm: int, ys) -> None:
         """Welford over ``ys`` of ``arm``, at ``key``: the arm, or (row, arm) on K > d."""
@@ -429,10 +413,7 @@ class _Moments:
             m2 += delta * (y - mean)
         self.counts[key], self._mean[key], self._m2[key] = n, mean, m2
         if n >= 2.0:
-            var = m2 / n
-            self.sig2hat[key] = var
-            if self._track_lcb:
-                self._lcb[key] = lcb_variance(n, var, self._params[arm])
+            self.sig2hat[key] = m2 / n
 
 
 class UniformPolicy(Policy):
@@ -496,35 +477,29 @@ class RandomizedDesignPolicy(_Moments, Policy):
     observed arm's entry ``_update`` refreshes; a K > d row solves its own
     design.  Each row takes its uniforms from its own generator through
     ``_uniforms``, the values one ``rng.random()`` per draw would give:
-    nothing else reads the policy's stream.  The bounds are read only once
-    ``presample_done`` has found every arm's bound defined;
-    ``fixed_variances`` replace them.
+    nothing else reads the policy's stream.  ``_update`` keeps each arm's
+    bound ``_lcb`` beside its moments; the bounds are read only once
+    ``presample_done`` has found every arm's bound defined.
     """
 
     name = "randomized"
 
-    def __init__(
-        self,
-        problem,
-        rng,
-        horizon,
-        fixed_variances=None,
-        design_delta: float | None = None,
-    ):
+    def __init__(self, problem, rng, horizon, design_delta: float | None = None):
         super().__init__(problem, rng, horizon)
-        k = self.n_arms
         # The union-bound schedule 1/(T^2 K) is what the regret analysis
         # uses, but its radius only drops below sigma^2 after ~2600 pulls
         # per arm, far beyond what presampling provides at small budgets;
         # design_delta lets experiment configs run the confidence bound at
         # a practical level instead.
-        self.delta_arm = (
-            float(design_delta) if design_delta is not None else 1.0 / (float(horizon) ** 2 * k)
-        )
-        if not 0.0 < self.delta_arm < 1.0:
+        if design_delta is None:
+            delta = 1.0 / (float(horizon) ** 2 * self.n_arms)
+        else:
+            delta = _finite("design_delta", design_delta)
+        if not 0.0 < delta < 1.0:
             raise ValueError("design_delta must lie in (0, 1)")
-        self._init_moments(self.delta_arm, track_lcb=True)
-        self.fixed_variances = self._fixed_variances(fixed_variances)
+        self._init_moments()
+        self._params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
+        self._lcb = self._per_arm(np.nan, rows=True)
         self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0, rows=True)
         self._uniforms = [_uniforms(g) for g in ([self.rng] if self._square else self.rng)]
@@ -533,14 +508,17 @@ class RandomizedDesignPolicy(_Moments, Policy):
             if det <= 0.0 or np.any(cof <= 0.0):
                 raise ValueError("covariate set is degenerate")
             self._root_cof = np.sqrt(cof).tolist()
-            sig2 = self._lcb if self.fixed_variances is None else self.fixed_variances
-            self._weights = [math.sqrt(s) * r for s, r in zip(sig2, self._root_cof)]
+            self._weights = [math.sqrt(s) * r for s, r in zip(self._lcb, self._root_cof)]
 
     def _update(self, key, arm: int, ys) -> None:
-        """The moments, then on K = d the arm's design weight under its new bound."""
+        """The moments, then, once defined, the arm's bound and on K = d its
+        design weight under that bound."""
         super()._update(key, arm, ys)
-        if self._square and self.fixed_variances is None:
-            self._weights[arm] = math.sqrt(self._lcb[arm]) * self._root_cof[arm]
+        n = self.counts[key]
+        if n >= 2.0:
+            self._lcb[key] = lcb_variance(n, self.sig2hat[key], self._params[arm])
+            if self._square:
+                self._weights[arm] = math.sqrt(self._lcb[arm]) * self._root_cof[arm]
 
     def presample_done(self) -> None:
         if not self._square:
@@ -556,13 +534,11 @@ class RandomizedDesignPolicy(_Moments, Policy):
     def _optimistic_design(self, row: int = 0) -> tuple:
         """The optimistic design as weights and their total: sigma_k sqrt(cofactor_k)
         on K = d, the reference solver's proportions and 1.0 on K > d."""
-        sig2 = self.fixed_variances
-        if sig2 is None and not self._bounds_ready:
+        if not self._bounds_ready:
             raise ValueError("variance bounds undefined; presample every arm first")
         if self._square:
             return self._weights, _float_sum(self._weights)
-        sig2 = self._lcb[row] if sig2 is None else sig2
-        design = DesignProblem(self.problem.covariates, NoiseSpec(sig2))
+        design = DesignProblem(self.problem.covariates, NoiseSpec(self._lcb[row]))
         weights, _ = reference_optimum(design, max_iters=_DESIGN_SWEEPS)
         return weights.values.tolist(), 1.0
 
@@ -599,83 +575,48 @@ class GradientUcbPolicy(_Moments, Policy):
     """Pick the arm with the lowest bonus-adjusted gradient estimate.
 
     g_hat_k = dL/dp_k at the empirical proportions under plug-in
-    variances, minus scale * sqrt(coeff * log(t) / T_k).  Ties break to
+    variances, minus the bonus 2 sqrt(3 log(t) / T_k).  Ties break to
     the lowest index.  On square problems (K = d) the gradient is the
     closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and the whole step runs
     on Python floats with no numpy call; K > d inverts every row's
-    Omega(p) in one stacked ``marks`` call each step.
-    ``use_lcb`` swaps plug-in variances for their lower confidence
-    bounds; ``fixed_variances`` bypasses estimation entirely (testing
-    hook).
+    Omega(p) in one stacked ``marks`` call each step.  As a numerical
+    guard the plug-in variances are raised to 1e-12 kappa_k^2, so a
+    degenerate sample set cannot zero a weight.
     """
 
     name = "gradient_ucb"
 
-    def __init__(
-        self,
-        problem,
-        rng,
-        horizon,
-        bonus_scale: float = 2.0,
-        bonus_log_coeff: float = 3.0,
-        use_lcb: bool = False,
-        fixed_variances=None,
-    ):
+    def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        self.bonus_scale = _finite("bonus_scale", bonus_scale)
-        self.bonus_log_coeff = _finite("bonus_log_coeff", bonus_log_coeff)
-        if self.bonus_scale < 0.0 or self.bonus_log_coeff < 0.0:
-            raise ValueError("bonus parameters must be nonnegative")
-        if not isinstance(use_lcb, bool):
-            raise ValueError(f"use_lcb must be true or false, got {use_lcb!r}")
-        self.use_lcb = use_lcb
-        self.fixed_variances = self._fixed_variances(fixed_variances)
-        self.delta_arm = 1.0 / (float(horizon) ** 2 * self.n_arms)
-        self._init_moments(self.delta_arm, track_lcb=self.use_lcb)
+        self._init_moments()
         floor = 1e-12 * problem.noise.kappa2
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)
-            # a floor of -inf raises no fixed or LCB variance in select's loop
-            plug_in = self.fixed_variances is None and not use_lcb
-            self._var_floor = floor.tolist() if plug_in else [-math.inf] * self.n_arms
+            self._var_floor = floor.tolist()
         else:
             self._x = problem.covariates.columns
             # shared by the rows, and held as one (1, K) row so that a one-row
             # episode's (1, K) plug-ins meet it without a numpy broadcast
             self._var_floor = floor[None]
 
-    def _variances(self):
-        """The variances a step reads; on K = d, before ``_var_floor`` raises them."""
-        if self.fixed_variances is not None:
-            return self.fixed_variances
-        if self.use_lcb:
-            return self._lcb
-        if self._square:
-            return self.sig2hat
-        # numerical guard: a degenerate sample set must not zero a weight
-        return np.maximum(self.sig2hat, self._var_floor)
-
     def select(self, t: int):
-        scale = self.bonus_scale
-        c = self.bonus_log_coeff * math.log(t) if scale > 0.0 else 0.0
+        c = 3.0 * math.log(t)
         if self._square:
             # NaN, an arm below two observations, passes the floor as in np.maximum
             return _closed_form_argmin(
-                self._neg_inv_gram, self._variances(), self._var_floor, self.counts, self.round,
-                scale, c,
+                self._neg_inv_gram, self.sig2hat, self._var_floor, self.counts, self.round, c
             )
         counts, arms = self.counts, [None] * len(self.rng)
-        g = _stacked_gradients(self._x, self._variances(), counts / self.round, arms)
-        if scale > 0.0:
-            g = g - scale * np.sqrt(c / counts)
-        return _fill_argmin(g, arms)
+        sig2 = np.maximum(self.sig2hat, self._var_floor)
+        g = _stacked_gradients(self._x, sig2, counts / self.round, arms)
+        return _fill_argmin(g - 2.0 * np.sqrt(c / counts), arms)
 
 
 class ThompsonPolicy(Policy):
     """Normal-inverse-gamma posterior sampling on the noise variances.
 
-    Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters (default
-    prior (0, 1, 1, 1)); a round samples sigma~_k^2 = beta_k / Gamma(alpha_k)
+    Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters, from the
+    prior NIG(0, 1, 1, 1); a round samples sigma~_k^2 = beta_k / Gamma(alpha_k)
     from each marginal inverse-gamma, clipped to a wide band around the
     noise proxies as a numerical guard, and descends the loss gradient
     computed with the sampled variances.  On square problems that
@@ -691,21 +632,12 @@ class ThompsonPolicy(Policy):
     name = "thompson"
     horizon_free = True
 
-    def __init__(
-        self,
-        problem,
-        rng,
-        horizon,
-        prior: tuple[float, float, float, float] = (0.0, 1.0, 1.0, 1.0),
-    ):
+    def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        mu0, nu0, alpha0, beta0 = (_finite("each prior entry", v) for v in prior)
-        if nu0 <= 0.0 or alpha0 <= 0.0 or beta0 <= 0.0:
-            raise ValueError("nu, alpha, beta must be positive")
-        self.post_mu = self._per_arm(mu0, rows=True)
-        self.post_nu = self._per_arm(nu0, rows=True)
-        self.post_alpha = self._per_arm(alpha0, rows=True)
-        self.post_beta = self._per_arm(beta0, rows=True)
+        self.post_mu = self._per_arm(0.0, rows=True)
+        self.post_nu = self._per_arm(1.0, rows=True)
+        self.post_alpha = self._per_arm(1.0, rows=True)
+        self.post_beta = self._per_arm(1.0, rows=True)
         kap2 = problem.noise.kappa2
         clip_lo = 1e-8 * kap2  # a (1, K) row on K > d, as ``_var_floor``
         self._clip_lo = clip_lo.tolist() if self._square else clip_lo[None]
@@ -715,7 +647,7 @@ class ThompsonPolicy(Policy):
         else:
             self._x = problem.covariates.columns
 
-    def presample(self, feed, estimation_count: int | None) -> tuple:
+    def presample(self, feed) -> tuple:
         # two observations per arm so posteriors and proportions are sane
         for arm in range(self.n_arms):
             feed(arm, min(2, self.horizon - self.round))
@@ -900,7 +832,6 @@ class Episode:
         envs,
         horizon: int,
         checkpoint_ratio: float = 1.2,
-        estimation_count: int | None = None,
         options: dict | None = None,
         reference: tuple | None = None,
         budgets=(),
@@ -940,7 +871,7 @@ class Episode:
             ]
             rng = rngs[0] if problem.is_square else rngs
             self.policy = make_policy(policy_name, problem, rng, horizon, options)
-            n0, self.origin = self.policy.presample(self._feed, estimation_count)
+            n0, self.origin = self.policy.presample(self._feed)
             self.policy.presample_done()
         except Exception as exc:
             self._fail(exc)
@@ -1089,15 +1020,13 @@ def run_episode(
     env: Environment,
     horizon: int,
     checkpoint_ratio: float = 1.2,
-    estimation_count: int | None = None,
     options: dict | None = None,
     reference: tuple | None = None,
 ) -> RegretTrace:
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
-    ``estimation_count`` is the K = d phase-0 count that the policy's
-    ``presample`` takes.  A presampling error, such as an estimation
-    phase over the budget, is raised here.
+    A presampling error, such as an estimation phase over the budget, is
+    raised here.
     ``reference`` is an optional (optimal weights, optimal loss) pair, of
     which regret reads the loss; computed from the problem when omitted.
     ``oracle`` tracks ``reference_optimum(problem)``.  Episode randomness
@@ -1108,7 +1037,5 @@ def run_episode(
     budgets' traces from that run, and steps a K > d cell's seeds in
     lock-step.
     """
-    episode = Episode(
-        policy_name, env, horizon, checkpoint_ratio, estimation_count, options, reference
-    )
+    episode = Episode(policy_name, env, horizon, checkpoint_ratio, options, reference)
     return episode.advance(horizon)

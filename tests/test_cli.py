@@ -156,17 +156,37 @@ def test_a_budget_the_estimation_phase_cannot_fit_exits_one(tmp_path, capsys, mo
         "policies": ["randomized"],
         "budgets": [5],
         "seeds": 1,
-        "estimation_count": 10,
         "output": str(tmp_path / "results"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["sweep", str(path), "--quiet"]) == 1
-    assert cli_main(["simulate", str(path), "--policy", "gradient_ucb", "--budget", "19"]) == 1
+    assert cli_main(["simulate", str(path), "--policy", "gradient_ucb", "--budget", "107"]) == 1
     err = capsys.readouterr().err
     assert "'randomized'" in err and "budget 5;" in err and "'gradient_ucb'" in err
-    assert "budget 19;" in err and err.count("is 20") == 2
+    assert "budget 107;" in err and err.count("is 108") == 2
     assert "FAILED" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_sweep_and_simulate_reject_a_design_delta_given_as_a_string(
+    tmp_path, capsys, monkeypatch
+):
+    # "0.5" used to pass through float(), and both commands ran and exited 0
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+    cfg = {
+        "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
+        "policies": [{"name": "randomized", "design_delta": "0.5"}],
+        "budgets": [2000],
+        "seeds": 1,
+        "output": str(tmp_path / "results"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", str(path), "--quiet"]) == 1
+    assert cli_main(["simulate", str(path), "--policy", "randomized", "--budget", "2000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("design_delta must be a finite number, got '0.5'") == 2
     assert not (tmp_path / "results").exists()
 
 
@@ -207,14 +227,31 @@ def test_sweep_and_simulate_reject_an_instance_without_beta(tmp_path, capsys, mo
     assert not (tmp_path / "results").exists()
 
 
-# the oracle always tracks the problem's optimum: it has no target option
+# the oracle always tracks the problem's optimum: it has no target option;
+# gradient_ucb's bonus and plug-in variances and thompson's prior are fixed,
+# and randomized always reads its variance bounds, so even their old
+# defaults are rejected
+UNKNOWN_OPTIONS = [
+    ("gradient_ucb", "bogus", [0.2, 0.3, 0.5]),
+    ("oracle", "p_star", [0.2, 0.3, 0.5]),
+    ("gradient_ucb", "bonus_scale", 2.0),
+    ("gradient_ucb", "bonus_log_coeff", 3.0),
+    ("gradient_ucb", "use_lcb", False),
+    ("gradient_ucb", "fixed_variances", [0.2, 0.3, 0.5]),
+    ("randomized", "fixed_variances", [0.2, 0.3, 0.5]),
+    ("thompson", "prior", [0.0, 1.0, 1.0, 1.0]),
+]
+
+
 @pytest.mark.parametrize(
-    "name, option", [("gradient_ucb", "bogus"), ("oracle", "p_star")]
+    "name, option, value", UNKNOWN_OPTIONS, ids=[f"{n}-{o}" for n, o, _ in UNKNOWN_OPTIONS]
 )
-def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(tmp_path, capsys, name, option):
+def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(
+    tmp_path, capsys, name, option, value
+):
     cfg = {
         "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
-        "policies": [{"name": name, option: [0.2, 0.3, 0.5]}],
+        "policies": [{"name": name, option: value}],
         "budgets": [200],
         "output": str(tmp_path / "results"),
     }

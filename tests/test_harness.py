@@ -17,6 +17,8 @@ from activedesign.harness import (
     ExperimentConfig,
     InstanceFormatError,
     build_problem,
+    check_reference,
+    check_runs,
     fit_slope,
     load_config,
     load_instance,
@@ -218,8 +220,19 @@ def test_config_defaults():
     cfg = ExperimentConfig.from_dict(base_config_dict())
     assert cfg.seeds == tuple(range(25))
     assert cfg.checkpoint_ratio == 1.2
-    assert cfg.estimation_count is None
     assert cfg.output == "results"
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "configs").glob("*.json")), ids=lambda path: path.stem
+)
+def test_shipped_config_passes_every_check_before_a_sweep(monkeypatch, path):
+    # a config names its instance file relative to the repository root
+    monkeypatch.chdir(ROOT)
+    config = load_config(path)
+    problem, _ = build_problem(config.instance)
+    check_reference(reference_optimum(problem), config.instance)
+    check_runs(problem, config.policies, config.budgets)
 
 
 def test_config_errors_name_the_offending_key():
@@ -234,9 +247,10 @@ def test_config_errors_name_the_offending_key():
         ({**base_config_dict(), "budgets": [0]}, "'budgets' must be positive"),
         ({**base_config_dict(), "seeds": 0}, "'seeds' count must be positive"),
         ({**base_config_dict(), "seeds": [1, 1]}, "'seeds' must be distinct"),
+        ({**base_config_dict(), "seeds": []}, "'seeds' must not be empty"),
         ({**base_config_dict(), "checkpoints": {"rate": 2}}, "'checkpoints'"),
         ({**base_config_dict(), "checkpoints": {"ratio": 1.0}}, "must exceed 1"),
-        ({**base_config_dict(), "estimation_count": 1}, "'estimation_count'"),
+        ({**base_config_dict(), "estimation_count": 10}, "unknown config key 'estimation_count'"),
         ({**base_config_dict(), "instance": "hard"}, "'instance' must be an object"),
         ({**base_config_dict(), "output": 5}, "'output' must be a directory path or null"),
         ({**base_config_dict(), "output": ["a"]}, "'output'"),
@@ -269,15 +283,6 @@ def test_config_rejects_non_integer_seeds():
             ExperimentConfig.from_dict({**base_config_dict(), "seeds": seeds})
     with pytest.raises(ConfigError, match="'seeds' must be nonnegative"):
         ExperimentConfig.from_dict({**base_config_dict(), "seeds": [0, -1]})
-
-
-@pytest.mark.parametrize("value", [10.9, "abc", "10", True, [10]])
-def test_config_rejects_non_integer_estimation_count(value):
-    # 10.9 used to be truncated to 10, and "abc" raised a bare ValueError
-    with pytest.raises(ConfigError, match="'estimation_count'"):
-        ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": value})
-    cfg = ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": 10.0})
-    assert cfg.estimation_count == 10 and isinstance(cfg.estimation_count, int)
 
 
 @pytest.mark.parametrize(
@@ -585,30 +590,11 @@ def test_run_sweep_rejects_bad_policy_options(tmp_path, monkeypatch):
         run_sweep(cfg, quiet=True)
 
 
-@pytest.mark.parametrize("value", ["no", 0, 1, None])
-def test_run_sweep_rejects_a_use_lcb_that_is_not_a_bool(monkeypatch, value):
-    # "no" used to be read as bool("no"), which is True, and the sweep ran
-    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    raw = {
-        "instance": {"generator": "hard"},
-        "policies": [{"name": "gradient_ucb", "use_lcb": value}],
-        "budgets": [100],
-        "seeds": 1,
-        "output": None,
-    }
-    cfg = ExperimentConfig.from_dict(raw)
-    with pytest.raises(ConfigError, match="options rejected: use_lcb must be true or false"):
-        run_sweep(cfg, quiet=True)
-
-
 @pytest.mark.parametrize(
     "policy, match",
     [
-        ({"name": "gradient_ucb", "bonus_scale": math.nan}, "bonus_scale must be a finite"),
-        ({"name": "gradient_ucb", "bonus_log_coeff": math.inf}, "bonus_log_coeff must be a finite"),
-        ({"name": "gradient_ucb", "bonus_scale": True}, "bonus_scale must be a finite"),
-        ({"name": "thompson", "prior": [0.0, math.nan, 1.0, 1.0]}, "prior entry must be a finite"),
-        ({"name": "thompson", "prior": [0.0, 1.0, math.inf, 1.0]}, "prior entry must be a finite"),
+        ({"name": "randomized", "design_delta": math.nan}, "design_delta must be a finite"),
+        ({"name": "randomized", "design_delta": True}, "design_delta must be a finite"),
     ],
 )
 def test_run_sweep_rejects_non_finite_policy_options(monkeypatch, policy, match):
@@ -625,43 +611,18 @@ def test_run_sweep_rejects_non_finite_policy_options(monkeypatch, policy, match)
         run_sweep(cfg, quiet=True)
 
 
-@pytest.mark.parametrize(
-    "bad", [[0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0]]
-)
-@pytest.mark.parametrize("name", ["gradient_ucb", "randomized"])
-def test_run_sweep_rejects_fixed_variances_that_are_not_positive_and_finite(
-    monkeypatch, name, bad
-):
-    # gradient_ucb used to accept these and run the sweep, where randomized rejected them
-    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    raw = {
-        "instance": {"generator": "random", "d": 3, "K": 3, "seed": 4},
-        "policies": [{"name": name, "fixed_variances": bad}],
-        "budgets": [500],
-        "seeds": 1,
-        "output": None,
-    }
-    cfg = ExperimentConfig.from_dict(raw)
-    with pytest.raises(ConfigError, match="options rejected: fixed_variances must be positive"):
-        run_sweep(cfg, quiet=True)
-
-
 def test_run_sweep_excludes_warm_smallest_budget(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    cfg = sweep_config(
-        tmp_path,
-        policies=["randomized"],
-        budgets=[25, 200, 400, 800],
-        seeds=2,
-        estimation_count=10,
-    )
+    # at T = 110 each of the 2 arms takes n0 = 54 phase-0 samples, so some
+    # arm ends below 2 n0
+    cfg = sweep_config(tmp_path, policies=["randomized"], budgets=[110, 400, 800, 1600], seeds=2)
     with caplog.at_level(logging.WARNING, logger="activedesign.harness"):
         result = run_sweep(cfg, quiet=True)
     assert not result.failures
     assert any("warm budget" in r.message for r in caplog.records)
     assert result.slopes["randomized"].n_points == 3
     # the summary still reports all four budgets
-    assert [row[0] for row in result.summaries["randomized"]] == [25, 200, 400, 800]
+    assert [row[0] for row in result.summaries["randomized"]] == [110, 400, 800, 1600]
 
 
 def test_thread_cap_env_validation(tmp_path, monkeypatch):
@@ -738,18 +699,16 @@ def test_run_sweep_rejects_kd_budgets_that_presampling_cannot_fit(monkeypatch):
 
 
 def test_run_sweep_rejects_square_budgets_the_estimation_phase_cannot_fit(tmp_path):
-    # 2 arms at 10 phase-0 samples each need T >= 20; at the default count
-    # max(2, ceil(10 log(2T))) the smallest budget is 108
+    # 2 arms at max(2, ceil(10 log(2T))) phase-0 samples each: the smallest
+    # budget is 108
     problem, _ = build_problem(sweep_config(tmp_path).instance)
-    assert budget_floor("randomized", problem, 5, 10) == 20
-    assert budget_floor("gradient_ucb", problem, 20, 10) is None
+    assert budget_floor("randomized", problem, 5) == 108
+    assert budget_floor("gradient_ucb", problem, 108) is None
     assert budget_floor("gradient_ucb", problem, 5) == 108
     assert budget_floor("gradient_ucb", problem, 107) == 108
-    assert budget_floor("thompson", problem, 5, 10) is None
-    cfg = sweep_config(
-        tmp_path, policies=["uniform", "randomized"], budgets=[5, 40], estimation_count=10
-    )
-    with pytest.raises(ConfigError, match="'randomized' .* budget 5; .* is 20"):
+    assert budget_floor("thompson", problem, 5) is None
+    cfg = sweep_config(tmp_path, policies=["uniform", "randomized"], budgets=[5, 200])
+    with pytest.raises(ConfigError, match="'randomized' .* budget 5; .* is 108"):
         run_sweep(cfg, quiet=True)
     assert not (tmp_path / "results").exists()
 

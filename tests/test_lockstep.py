@@ -55,10 +55,10 @@ def _problem(instance: str, noise: str):
 
 
 @functools.lru_cache(maxsize=None)
-def _alone(instance: str, noise: str, name: str, seed: int, horizon: int, options=()):
+def _alone(instance: str, noise: str, name: str, seed: int, horizon: int):
     problem, model, ref = _problem(instance, noise)
     env = make_env(problem, seed, model)
-    return run_episode(name, env, horizon, options=dict(options), reference=ref)
+    return run_episode(name, env, horizon, reference=ref)
 
 
 def _fields(trace) -> dict:
@@ -110,16 +110,6 @@ def test_kd_group_makes_one_select_call_per_step(monkeypatch):
         envs = [make_env(problem, s, model) for s in SEEDS[:size]]
         Episode("thompson", envs, 300, reference=ref).advance_all(300)
         assert calls == [size] * (300 - 10)
-
-
-@pytest.mark.parametrize("options", [(("use_lcb", True),), (("bonus_scale", 0.0),)])
-def test_lockstep_gradient_ucb_options(options):
-    problem, model, ref = _problem("redundant", "gaussian")
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
-    got = Episode("gradient_ucb", envs, 1000, options=dict(options), reference=ref)
-    for seed, trace in zip(SEEDS, got.advance_all(1000)):
-        want = _alone("redundant", "gaussian", "gradient_ucb", seed, 1000, options)
-        assert _fields(trace) == _fields(want)
 
 
 def test_lockstep_chain_advances_through_budgets_as_separate_runs():
@@ -296,11 +286,11 @@ def test_thompson_row_updates_equal_the_scalar_formulas():
 
 
 def test_moment_row_updates_equal_the_scalar_formulas():
-    # K > d gradient_ucb with its bounds: per-row Welford moments,
-    # plug-in variances and LCBs against the scalar formulas
+    # K > d randomized: per-row Welford moments, plug-in variances and
+    # LCBs against the scalar formulas
     problem, _, _ = _problem("random3x5", "gaussian")
     s, k, horizon = 3, problem.n_arms, 2000
-    policy = policies.GradientUcbPolicy(problem, [None] * s, horizon, use_lcb=True)
+    policy = policies.RandomizedDesignPolicy(problem, [None] * s, horizon)
     delta = 1.0 / (float(horizon) ** 2 * k)
     params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
     state = [[[0.0, 0.0, 0.0, math.nan, math.nan] for _ in range(k)] for _ in range(s)]

@@ -39,8 +39,6 @@ CANONICAL = {"generator": "random", "d": 3, "K": 3, "seed": 4, "canonical": True
 # K >= 8 reaches the pairwise branch of ``_float_sum``
 RANDOM_9 = {"generator": "random", "d": 9, "K": 9, "seed": 1}
 NOISE_MODELS = ("gaussian", "uniform", "rademacher")
-# stands for the instance's true variances in ``fixed_variances`` options
-TRUE_SIGMA2 = "sigma2"
 
 
 # --------------------------------------------------------------------
@@ -84,7 +82,6 @@ _ARRAYS = (
     "post_alpha",
     "post_beta",
     "p_star",
-    "fixed_variances",
     "_anchor",
 )
 
@@ -108,7 +105,7 @@ class _ArrayMoments(_ArrayState):
     def _variances_changed(self, arm, s):
         if s.count >= 2:
             self.sig2hat[arm] = s.m2 / s.count
-            if self._track_lcb:
+            if isinstance(self, RandomizedDesignPolicy):
                 self._lcb[arm] = lcb_variance(s.count, s.variance, self._params[arm])
 
     def observe(self, arm, y):
@@ -129,15 +126,9 @@ class _ArrayMoments(_ArrayState):
 
 class NumpyGradientUcb(_ArrayMoments, GradientUcbPolicy):
     def select(self, t):
-        if self.fixed_variances is not None:
-            sig2 = self.fixed_variances
-        elif self.use_lcb:
-            sig2 = self._lcb
-        else:
-            sig2 = np.maximum(self.sig2hat, 1e-12 * self.problem.noise.kappa2)
+        sig2 = np.maximum(self.sig2hat, 1e-12 * self.problem.noise.kappa2)
         g = _numpy_square_gradient(self.problem, sig2, self.counts / self.round)
-        if self.bonus_scale > 0.0:
-            g = g - self.bonus_scale * np.sqrt(self.bonus_log_coeff * math.log(t) / self.counts)
+        g = g - 2.0 * np.sqrt(3.0 * math.log(t) / self.counts)
         return int(g.argmin())
 
 
@@ -145,7 +136,7 @@ class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # variances the design is solved under: None until defined
-        self._design_variances = self.fixed_variances
+        self._design_variances = None
 
     def presample_done(self):
         self._anchor = self.counts / self.horizon
@@ -214,7 +205,7 @@ def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, co
         arms.append(arm)
         return arm
 
-    def presample(self, feed, estimation_count):
+    def presample(self, feed):
         for arm, count in enumerate(counts):
             feed(arm, count)
         return 0, None
@@ -264,20 +255,10 @@ def _assert_same_episode(monkeypatch, name, problem, model, options, **kw):
 
 VARIANTS = [
     ("gradient_ucb", {}),
-    ("gradient_ucb", {"use_lcb": True}),
-    ("gradient_ucb", {"fixed_variances": TRUE_SIGMA2}),
-    ("gradient_ucb", {"bonus_scale": 0.0}),
     ("randomized", {"design_delta": 0.5}),
-    ("randomized", {"fixed_variances": TRUE_SIGMA2}),
-    ("thompson", {"prior": (0.5, 2.0, 3.0, 0.5)}),
+    ("thompson", {}),
     ("oracle", {}),
 ]
-
-
-def _options(options, problem):
-    if options.get("fixed_variances") is TRUE_SIGMA2:
-        return dict(options, fixed_variances=problem.noise.sigma2)
-    return options
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
@@ -289,7 +270,7 @@ def _options(options, problem):
 @pytest.mark.parametrize("name, options", VARIANTS, ids=[f"{n}-{o}" for n, o in VARIANTS])
 def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance, model):
     problem, _ = build_problem(dict(instance, noise=model))
-    arms = _assert_same_episode(monkeypatch, name, problem, model, _options(options, problem))
+    arms = _assert_same_episode(monkeypatch, name, problem, model, options)
     assert len(set(arms)) >= 2
 
 
@@ -299,28 +280,19 @@ def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, in
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "name, options, counts",
+    "name, counts",
     [
         # arm 1 has one observation (NaN variance), arm 2 none
-        ("gradient_ucb", {}, [5, 1, 0]),
-        ("gradient_ucb", {"use_lcb": True}, [4, 0, 1]),
-        # p_k = 0 under a finite variance: -inf, then the bonus's +inf
-        ("gradient_ucb", {"fixed_variances": TRUE_SIGMA2}, [5, 0, 5]),
-        ("gradient_ucb", {"fixed_variances": TRUE_SIGMA2, "bonus_scale": 0.0}, [3, 3, 0]),
+        ("gradient_ucb", [5, 1, 0]),
+        ("thompson", [0, 2, 3]),
         # no observations at all: p = 0 / 0
-        ("gradient_ucb", {"fixed_variances": TRUE_SIGMA2}, [0, 0, 0]),
-        ("thompson", {}, [0, 2, 3]),
-        ("thompson", {}, [0, 0, 0]),
-        ("randomized", {"fixed_variances": TRUE_SIGMA2}, [0, 0, 0]),
-        ("oracle", {}, [0, 0, 0]),
+        ("thompson", [0, 0, 0]),
+        ("oracle", [0, 0, 0]),
     ],
 )
-def test_unobserved_arms_pick_what_numpy_picked(monkeypatch, name, options, counts):
+def test_unobserved_arms_pick_what_numpy_picked(monkeypatch, name, counts):
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    _assert_same_episode(
-        monkeypatch, name, problem, "gaussian", _options(options, problem), horizon=300,
-        counts=counts,
-    )
+    _assert_same_episode(monkeypatch, name, problem, "gaussian", {}, horizon=300, counts=counts)
 
 
 def thompson_states(n: int = 1000):
@@ -441,7 +413,7 @@ def test_argmin_is_numpy_argmin():
     for k in range(1, 5):
         ones, no_floor = [1.0] * k, [-math.inf] * k
         for v in itertools.product(values, repeat=k):
-            got = _closed_form_argmin(ones, list(v), no_floor, ones, 1, 0.0, 0.0)
+            got = _closed_form_argmin(ones, list(v), no_floor, ones, 1, 0.0)
             assert got == int(np.argmin(v)), v
 
 
