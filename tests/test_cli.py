@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from activedesign.cli import cli_main
 from activedesign.core import CovariateSet, DesignProblem, NoiseSpec
 from activedesign.environment import make_random_instance
 from activedesign.harness import write_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -166,6 +169,37 @@ def test_a_budget_the_estimation_phase_cannot_fit_exits_one(tmp_path, capsys, mo
     assert "'randomized'" in err and "budget 5;" in err and "'gradient_ucb'" in err
     assert "budget 107;" in err and err.count("is 108") == 2
     assert "FAILED" not in err
+    assert not (tmp_path / "results").exists()
+
+
+# "seeds": [] used to pass: on redundant_arm at 2 workers the sweep exited 2
+# with a ZeroDivisionError, at 1 worker it wrote empty summaries
+CONFIG_ERRORS = [
+    ("empty_seeds", {"seeds": []}, "'seeds' must not be empty"),
+    ("estimation_count", {"estimation_count": 10}, "unknown config key 'estimation_count'"),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "change, message", [c[1:] for c in CONFIG_ERRORS], ids=[c[0] for c in CONFIG_ERRORS]
+)
+def test_a_config_error_exits_one_before_any_episode(
+    tmp_path, capsys, monkeypatch, command, change, message
+):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "2")
+    cfg = {
+        "instance": {"file": str(ROOT / "instances" / "redundant_arm.txt")},
+        "policies": ["gradient_ucb"],
+        "budgets": [2000],
+        "output": str(tmp_path / "results"),
+        **change,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    args = ["--quiet"] if command == "sweep" else ["--policy", "gradient_ucb", "--budget", "2000"]
+    assert cli_main([command, str(path), *args]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 

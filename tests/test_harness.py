@@ -285,6 +285,14 @@ def test_config_rejects_non_integer_seeds():
         ExperimentConfig.from_dict({**base_config_dict(), "seeds": [0, -1]})
 
 
+@pytest.mark.parametrize("value", [10.9, "abc", "10", True, [10], None, 10, 10.0])
+def test_config_rejects_estimation_count_at_any_value(value):
+    # default_estimation_count(T) is the only phase-0 count, so the key is
+    # unknown whatever its value, even one it used to accept
+    with pytest.raises(ConfigError, match="unknown config key 'estimation_count'"):
+        ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": value})
+
+
 @pytest.mark.parametrize(
     "ratio", [math.nan, math.inf, -math.inf, [2], "2", True, None, {"r": 2}, 1.0, 0.5]
 )
@@ -609,6 +617,35 @@ def test_run_sweep_rejects_non_finite_policy_options(monkeypatch, policy, match)
     cfg = ExperimentConfig.from_dict(raw)
     with pytest.raises(ConfigError, match=f"options rejected: .*{match}"):
         run_sweep(cfg, quiet=True)
+
+
+REMOVED_OPTIONS = [
+    ("gradient_ucb", "bonus_scale", 2.0),
+    ("gradient_ucb", "bonus_log_coeff", 3.0),
+    ("gradient_ucb", "use_lcb", False),
+    ("gradient_ucb", "fixed_variances", [1.0, 4.0]),
+    ("randomized", "fixed_variances", [1.0, 4.0]),
+    ("thompson", "prior", [0.0, 1.0, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key, value", REMOVED_OPTIONS, ids=[f"{n}-{k}" for n, k, _ in REMOVED_OPTIONS]
+)
+def test_run_sweep_rejects_a_removed_option_before_any_episode(
+    tmp_path, monkeypatch, name, key, value
+):
+    # each option, even at its old default, is now a constant of its policy
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+
+    def no_episode(args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "_episode_task", no_episode)
+    cfg = sweep_config(tmp_path, policies=["uniform", {"name": name, key: value}], budgets=[200])
+    with pytest.raises(ConfigError, match=f"policy {name!r} options rejected: .*'{key}'"):
+        run_sweep(cfg, quiet=True)
+    assert not (tmp_path / "results").exists()
 
 
 def test_run_sweep_excludes_warm_smallest_budget(tmp_path, monkeypatch, caplog):

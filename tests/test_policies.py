@@ -16,6 +16,7 @@ from activedesign.core import (
     marks,
 )
 from activedesign.environment import NOISE_CHUNK, make_env, make_hard_instance, make_random_instance
+from activedesign.estimation import ConfidenceParams, lcb_variance
 from activedesign.harness import load_instance
 from activedesign.policies import (
     Episode,
@@ -25,6 +26,7 @@ from activedesign.policies import (
     ThompsonPolicy,
     UniformPolicy,
     _ROW_STATE,
+    POLICY_NAMES,
     _closed_form_argmin,
     _neg_inv_gram_diag,
     checkpoint_schedule,
@@ -273,6 +275,41 @@ def test_randomized_option_validation():
         RandomizedDesignPolicy(problem, rng, 100, design_delta=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.5"])
+def test_randomized_rejects_non_finite_and_bool_design_delta(value):
+    # "0.5" used to pass through float() and run, and true would read as 1.0
+    problem = canonical([1.0, 4.0])
+    with pytest.raises(ValueError, match="design_delta must be a finite number"):
+        make_policy("randomized", problem, np.random.default_rng(0), 100, {"design_delta": value})
+
+
+@pytest.mark.parametrize("design_delta", [None, 0.5])
+def test_randomized_square_bounds_and_weights_follow_each_observation(design_delta):
+    # on K = d, _update keeps each arm's bound and its design weight
+    # sqrt(bound) sqrt(cofactor_k) current after every observation
+    problem = make_random_instance(3, 3, seed=2)
+    horizon, k = 1000, problem.n_arms
+    policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), horizon, design_delta)
+    delta = 1.0 / (float(horizon) ** 2 * k) if design_delta is None else design_delta
+    params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
+    _, cof = gram_cofactors(problem.covariates.gram())
+    rng = np.random.default_rng(9)
+    ys = [[] for _ in range(k)]
+    for arm in rng.integers(0, k, 60).tolist():
+        y = float(rng.normal(1.0, 2.0))
+        policy.observe(arm, y)
+        ys[arm].append(y)
+        n = len(ys[arm])
+        if n < 2:
+            assert math.isnan(policy._lcb[arm])
+            continue
+        want = lcb_variance(n, float(np.var(ys[arm])), params[arm])
+        assert policy._lcb[arm] == pytest.approx(want, rel=1e-12)
+        assert policy._weights[arm] == pytest.approx(
+            math.sqrt(want) * math.sqrt(cof[arm]), rel=1e-12
+        )
+
+
 def test_randomized_design_matches_closed_form_under_true_variances():
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(0), 100, [1.0, 4.0])
@@ -474,6 +511,32 @@ def test_square_closed_form_gradient_matches_the_solve(d):
         )
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_closed_form_argmin_subtracts_the_bonus(d):
+    # the bonus 2 sqrt(c / counts_k) against the solve route's gradient;
+    # variances within a factor 3 of sigma_k^2 proportional to p_k^2 / (Gamma^-1)_kk make
+    # the gradient nearly flat and as large as the bonus, which then
+    # decides many of the picks
+    problem = make_random_instance(d, d, seed=d)
+    neg_diag = _neg_inv_gram_diag(problem)
+    x = problem.covariates.columns
+    no_floor = [-math.inf] * d
+    rng = np.random.default_rng(200 + d)
+    flips = 0
+    for _ in range(50):
+        counts = rng.integers(1, 40, d).astype(np.float64)
+        n = int(counts.sum())
+        p = counts / n
+        c = 3.0 * math.log(n + 1)
+        bonus = 2.0 * np.sqrt(c / counts)
+        sig2 = np.median(bonus) * rng.uniform(0.5, 1.5, d) * p**2 / -np.array(neg_diag)
+        g = -marks(x, sig2, p)
+        arm = _closed_form_argmin(neg_diag, sig2.tolist(), no_floor, counts.tolist(), n, c)
+        assert arm == int(np.argmin(g - bonus))
+        flips += arm != int(np.argmin(g))
+    assert flips >= 5
+
+
 def test_gradient_ucb_square_select_matches_the_solve_route():
     problem = make_random_instance(3, 3, seed=4)
     sig2 = problem.noise.sigma2
@@ -490,8 +553,33 @@ def test_gradient_ucb_square_select_matches_the_solve_route():
         assert policy.select(t) == int(np.argmin(g))
 
 
+def test_gradient_ucb_episode_tracks_the_optimum():
+    # at its fixed bonus and plug-in variances the policy still converges
+    # on the optimal design
+    problem = make_random_instance(3, 3, seed=4)
+    ref = reference_optimum(problem)
+    trace = run_episode("gradient_ucb", make_env(problem, seed=0), 3000, reference=ref)
+    assert trace.rows[-1].loss_gap < 1e-3
+    dev = np.max(np.abs(np.array(trace.final_counts) / 3000 - np.asarray(ref[0])))
+    assert dev < 0.01
+
+
 # --------------------------------------------------------------------
 # thompson policy
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["square", "redundant_S3"])
+def test_thompson_starts_every_arm_at_the_prior(rows):
+    # the prior is fixed at NIG(0, 1, 1, 1), in every arm of every row
+    if rows is None:
+        problem, rng = make_random_instance(3, 3, seed=2), np.random.default_rng(0)
+    else:
+        problem = load_instance(REDUNDANT_ARM)
+        rng = [np.random.default_rng(s) for s in range(rows)]
+    policy = ThompsonPolicy(problem, rng, 100)
+    shape = (problem.n_arms,) if rows is None else (rows, problem.n_arms)
+    for name, value in [("post_mu", 0.0), ("post_nu", 1.0), ("post_alpha", 1.0), ("post_beta", 1.0)]:
+        np.testing.assert_array_equal(np.asarray(getattr(policy, name)), np.full(shape, value))
 
 
 def test_thompson_conjugate_update_recurrence():
@@ -547,6 +635,26 @@ def test_make_policy_rejects_unknown_names():
     problem = canonical([1.0, 1.0])
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("greedy", problem, None, 10, {})
+
+
+# settings policies used to take, each at its old default: every one now
+# runs as a constant, so no policy accepts even that value
+REMOVED_SETTINGS = {
+    "bonus_scale": 2.0,
+    "bonus_log_coeff": 3.0,
+    "use_lcb": False,
+    "fixed_variances": [1.0, 4.0],
+    "prior": (0.0, 1.0, 1.0, 1.0),
+    "estimation_count": 10,
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_SETTINGS)
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_make_policy_rejects_every_removed_setting(name, key):
+    problem = canonical([1.0, 4.0])
+    with pytest.raises(TypeError, match=f"'{key}'"):
+        make_policy(name, problem, np.random.default_rng(0), 1000, {key: REMOVED_SETTINGS[key]})
 
 
 def test_checkpoint_schedule_contract():

@@ -255,6 +255,7 @@ def _assert_same_episode(monkeypatch, name, problem, model, options, **kw):
 
 VARIANTS = [
     ("gradient_ucb", {}),
+    ("randomized", {}),
     ("randomized", {"design_delta": 0.5}),
     ("thompson", {}),
     ("oracle", {}),
@@ -282,10 +283,15 @@ def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, in
 @pytest.mark.parametrize(
     "name, counts",
     [
-        # arm 1 has one observation (NaN variance), arm 2 none
+        # an arm below two observations has a NaN variance, and one with
+        # none also p_k = 0 and an infinite bonus
         ("gradient_ucb", [5, 1, 0]),
+        ("gradient_ucb", [4, 0, 1]),
+        ("gradient_ucb", [5, 0, 5]),
+        ("gradient_ucb", [3, 3, 0]),
         ("thompson", [0, 2, 3]),
         # no observations at all: p = 0 / 0
+        ("gradient_ucb", [0, 0, 0]),
         ("thompson", [0, 0, 0]),
         ("oracle", [0, 0, 0]),
     ],
