@@ -158,6 +158,8 @@ def _cmd_simulate(args) -> int:
     problem, model = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, [(args.policy, options)], [args.budget])
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigError(f"--out {args.out!r}: not a file in an existing directory")
     env = make_env(problem, args.seed, model)
     trace = run_episode(
         args.policy,

@@ -588,6 +588,12 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     problem, model = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, config.policies, config.budgets)
+    if config.output is not None:
+        # made with its parents, so the nearest of them that exists must be a directory
+        path = Path(config.output)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output {config.output!r}: {existing} is not a directory")
 
     def make_task(name, options, budgets, seeds):
         run = (problem, model, name, options, config.checkpoint_ratio, reference)

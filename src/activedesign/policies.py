@@ -19,28 +19,26 @@ take, on square problems, a short estimation phase (enough samples per
 arm to define variances), then half the budget at the plug-in optimal
 proportions, which keeps every later information matrix invertible and
 floors the empirical proportions, and otherwise ceil(T^(3/4)) per arm;
-``thompson`` two per arm; ``uniform`` and ``oracle`` none.  Every
-observation, presampled or not, enters through ``Policy.observe`` or
-``observe_block`` and reaches the class's one ``_update`` hook.  The
-runner executes the presampling, drives the policy loop, and records
-regret checkpoints.
+``thompson`` two per arm; ``uniform`` and ``oracle`` none.  The runner
+executes the presampling, calls ``Policy.run`` from one regret
+checkpoint to the next, and records them.
 
 On square problems (K = d) an episode is one seed, its per-arm state
-(counts, moments, posteriors) is kept in lists of Python floats, and a
-step -- ``select`` and ``observe`` -- runs on those floats with no numpy
-call except a draw from the random generator (``randomized`` draws its
-uniforms ``NOISE_CHUNK`` at a time).  It does the IEEE operations of the
-array formulas in the same order, so its choices are bit-for-bit theirs.
-On K > d one policy steps every seed of an ``Episode`` as a row of
-(S, K) arrays, as the README's lock-step paragraph describes.
+(counts, moments, posteriors) is kept in lists of Python floats, and
+the class's ``run`` steps it in one loop -- choice, query, update --
+with no numpy call except a draw from the random generator
+(``randomized`` draws its uniforms ``NOISE_CHUNK`` at a time).  It does
+the IEEE operations of the array formulas in the same order, so its
+choices are bit-for-bit theirs.  On K > d one policy steps every seed
+of an ``Episode`` as a row of (S, K) arrays, as the README's lock-step
+paragraph describes; there, and in presampling, each observation
+reaches the class's one ``_update`` hook.
 
-``uniform``, ``oracle`` and ``thompson`` are horizon-free: their choices
-never read T, so at budgets of 2K or more (past thompson's warm-up and
-the first checkpoint) a shorter episode with the same seed is an exact
-prefix of a longer one, and an ``Episode`` can be advanced from one
-budget to the next.  ``gradient_ucb`` is not: its presampling depends
-on T.  Nor is ``randomized``: its presampling does, and so do its
-confidence level 1/(T^2 K) and its anchor counts / T.
+``uniform``, ``oracle`` and ``thompson`` are horizon-free (see
+``extends_past``): an ``Episode`` can be advanced from one budget to the
+next.  ``gradient_ucb`` is not: its presampling depends on T.  Nor is
+``randomized``: its presampling does, and so do its confidence level
+1/(T^2 K) and its anchor counts / T.
 """
 
 from __future__ import annotations
@@ -161,37 +159,6 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
-def _closed_form_argmin(neg_diag: list, sigma2, floor, counts, n: int, c) -> int:
-    """``np.argmin`` of ``gradient_ucb``'s K = d gradient less its bonus, in one pass.
-
-    With the covariates X square and invertible,
-    Omega(p) = X diag(p / sigma^2) X^T, so
-    Omega^-1 X_k = X^-T diag(sigma^2 / p) X^-1 X_k = X^-T e_k sigma_k^2 / p_k
-    and ||Omega^-1 X_k||^2 = (X^-1 X^-T)_kk sigma_k^4 / p_k^2.  Since
-    X^-1 X^-T = (X^T X)^-1 is the inverse Gram matrix Gamma^-1, the
-    gradient -(Gamma^-1)_kk sigma_k^2 / p_k^2 needs only the fixed
-    diagonal, passed negated (``_neg_inv_gram_diag``).  Here sigma_k^2 is
-    raised to ``floor``_k, p_k = counts_k / n, and the bonus
-    2 sqrt(c / counts_k) is subtracted, all in the array formulas' IEEE
-    operation order; an arm with no count runs on numpy's
-    float64, so that p = 0 divides to inf or NaN as it did there.  The
-    first NaN wins, else the first least value.  ``ThompsonPolicy.select``
-    scores its sampled variances by the same rules, as it draws them.
-    """
-    best, low, k = 0, math.inf, 0
-    for a, s, f, m in zip(neg_diag, sigma2, floor, counts):
-        if not m:
-            m = np.float64(m)
-        p = m / n
-        g = a * (f if s < f else s) / (p * p) - 2.0 * math.sqrt(c / m)
-        if g < low:
-            best, low = k, g
-        elif g != g:
-            return k
-        k += 1
-    return best
-
-
 def _uniforms(rng):
     """Successive ``rng.random()`` values, drawn ``NOISE_CHUNK`` at a time:
     ``rng.random(n)`` gives the n values, and leaves the generator in the
@@ -200,8 +167,27 @@ def _uniforms(rng):
         yield from rng.random(NOISE_CHUNK).tolist()
 
 
+def _residual_arm(weights: list, total: float, anchor: list, u: float) -> int:
+    """The arm the uniform ``u`` draws from the residual weights / total -
+    anchor, clamped at 0, or from the weights when no residual mass is
+    left: the first arm whose cumulative share exceeds ``u``, else the
+    last.  On Python floats, with sums in numpy's order."""
+    residual = [0.0 if (r := w / total - a) < 0.0 else r for w, a in zip(weights, anchor)]
+    mass = _float_sum(residual)
+    if not mass > 0.0:
+        residual, mass = weights, total
+    cum = 0.0
+    for arm, r in enumerate(residual):
+        cum += r / mass
+        if u < cum:
+            return arm
+    return len(residual) - 1
+
+
 def _neg_inv_gram_diag(problem: DesignProblem) -> list:
-    """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient."""
+    """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient:
+    with X square, Omega^-1 X_k = X^-T e_k sigma_k^2 / p_k and X^-1 X^-T = Gamma^-1,
+    so the gradient -||Omega^-1 X_k||^2 / sigma_k^2 is -(Gamma^-1)_kk sigma_k^2 / p_k^2."""
     return (-np.diag(np.linalg.inv(problem.covariates.gram()))).tolist()
 
 
@@ -276,25 +262,26 @@ _ROW_STATE = (
 _ROW_STREAMS = ("rng", "_uniforms")
 
 
+class _Chosen(Exception):
+    """Carries the arm at which a K = d ``select`` stops ``run``."""
+
+
 class Policy:
     """Shared bookkeeping: the round and the per-arm counts.
 
-    ``round`` is the number of observations so far.  On square problems
-    per-arm state is a list of Python floats, ``select(t)`` returns one
-    arm and ``observe(arm, y)`` takes one observation.  On K > d the
-    policy owns S rows, one per seed: ``rng`` is a list of S generators
-    (a single generator, or None, is one row), per-row state is an (S, K) array,
-    per-problem values are arrays every row shares, ``select(t)``
-    returns S entries (an arm, or the exception that row raised) and
+    ``round`` is the number of observations so far; ``run`` takes steps.
+    On square problems per-arm state is a list of Python floats,
+    ``select(t)`` returns one arm and ``observe(arm, y)`` takes one
+    observation.  On K > d the policy owns S rows, one per seed: ``rng``
+    is a list of S generators (a single generator, or None, is one row),
+    per-row state is an (S, K) array, per-problem values are arrays
+    every row shares, ``select(t)`` returns S entries (an arm, or the
+    exception that row raised) from the class's ``_select_rows``, and
     ``observe`` takes one arm and response per row.  ``observe`` and
-    ``observe_block`` hold the only dispatch on the shape: both hand each
-    arm's responses to ``_update``, which a subclass overrides to keep
-    its own state.  Only
-    ``gradient_ucb`` and ``randomized`` read variance estimates, so only
-    they keep per-arm moments and plug-in variances (``sig2hat``);
-    thompson keeps its posteriors.  ``horizon_free`` marks a policy
-    whose choices never read the horizon T; ``presample`` runs the
-    policy's own presampling, which by default takes no samples.
+    ``observe_block`` hand each arm's responses to ``_update``, which a
+    subclass overrides to keep its own state.  ``horizon_free`` marks a
+    policy whose choices never read the horizon T; ``presample`` runs
+    the policy's own presampling, which by default takes no samples.
     """
 
     name = "?"
@@ -325,7 +312,32 @@ class Policy:
         return values.tolist() if self._square else values
 
     def select(self, t: int):
-        raise NotImplementedError
+        """The choice at step t: the rows' on K > d; on K = d the arm ``run``
+        takes, stopped at that step's query, so only the choice's draws move."""
+        if not self._square:
+            return self._select_rows(t)
+
+        def stop(arm):
+            raise _Chosen(arm)
+
+        try:
+            self.run(t - 1, t, stop)
+        except _Chosen as chosen:
+            return chosen.args[0]
+
+    def run(self, t: int, stop: int, query) -> None:
+        """Steps t + 1 through ``stop``: each selects, queries ``query(arm)``
+        and observes.  K > d rows step here.  Each class overrides it on
+        K = d with one loop on its state lists, held in locals, that makes
+        the choice, applies the observation with ``_update``'s IEEE
+        operations in their order, and writes ``round`` back at the end.
+        The update is inline since calling ``_update`` per step halved the
+        measured gain (perfbench ``square`` ``sweep_s`` -7.7% with the
+        call, -15.5% without)."""
+        select, observe = self.select, self.observe
+        for t in range(t + 1, stop + 1):
+            arm = select(t)
+            observe(arm, query(arm))
 
     def observe(self, arm, y) -> None:
         if self._square:
@@ -420,9 +432,22 @@ class UniformPolicy(Policy):
     name = "uniform"
     horizon_free = True
 
-    def select(self, t: int):
-        arm = self.round % self.n_arms
-        return arm if self._square else [arm] * len(self.rng)
+    def _select_rows(self, t: int) -> list:
+        return [self.round % self.n_arms] * len(self.rng)
+
+    def run(self, t: int, stop: int, query) -> None:
+        """Arm round % K each step; on K = d one loop (``Policy.run``)."""
+        if not self._square:
+            return super().run(t, stop, query)
+        k, counts, n = self.n_arms, self.counts, self.round
+        try:
+            for _ in range(stop - t):
+                arm = n % k
+                query(arm)
+                counts[arm] += 1.0
+                n += 1
+        finally:
+            self.round = n
 
 
 class OracleTrackingPolicy(Policy):
@@ -438,24 +463,35 @@ class OracleTrackingPolicy(Policy):
         p_star = self._per_arm(p_star)  # a (1, K) row on K > d, as ``_var_floor``
         self.p_star = p_star if self._square else p_star[None]
 
-    def select(self, t: int):
-        n = self.round
+    def _select_rows(self, t: int) -> list:
+        if self.round == 0:
+            return [int(self.p_star.argmax())] * len(self.rng)
+        return (self.p_star - self.counts / self.round).argmax(axis=1).tolist()
+
+    def run(self, t: int, stop: int, query) -> None:
+        """The largest deficit p*_k - counts_k / n each step; on K = d one
+        loop (``Policy.run``)."""
         if not self._square:
-            if n == 0:
-                return [int(self.p_star.argmax())] * len(self.rng)
-            return (self.p_star - self.counts / n).argmax(axis=1).tolist()
-        # the largest deficit p*_k - counts_k / n is the first smallest
-        # counts_k / n - p*_k (IEEE subtraction is exactly antisymmetric),
-        # found in one pass as ``_closed_form_argmin`` finds its least arm
-        best, low, k = 0, math.inf, 0
-        for c, p in zip(self.counts, self.p_star):
-            v = c / n - p if n else -p
-            if v < low:
-                best, low = k, v
-            elif v != v:
-                return k
-            k += 1
-        return best
+            return super().run(t, stop, query)
+        counts, p_star, n = self.counts, self.p_star, self.round
+        try:
+            for _ in range(stop - t):
+                # the first smallest counts_k / n - p*_k (IEEE subtraction is exactly
+                # antisymmetric): the first NaN wins, else the first least, as np.argmin
+                best, low, k = 0, math.inf, 0
+                for c, p in zip(counts, p_star):
+                    v = c / n - p if n else -p
+                    if v < low:
+                        best, low = k, v
+                    elif v != v:
+                        best = k
+                        break
+                    k += 1
+                query(best)
+                counts[best] += 1.0
+                n += 1
+        finally:
+            self.round = n
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -467,19 +503,16 @@ class RandomizedDesignPolicy(_Moments, Policy):
     sigma_k sqrt(cofactor_k), and otherwise ``reference_optimum`` under
     the bounds, capped at ``_DESIGN_SWEEPS`` fixed-point sweeps (the
     latter is extension behavior beyond the square-case guarantees and
-    is logged as such).  After presampling, draws target
-    the residual between the optimistic design and the mass already laid
-    out, so the final proportions converge to the design rather than to
-    a mixture with the presampling origin; without presampling this
-    reduces to drawing from the design itself.  The residual and the
-    draw run on Python floats, with sums in numpy's order.  On square
-    problems the design weights sigma_k sqrt(cofactor_k) are a list whose
-    observed arm's entry ``_update`` refreshes; a K > d row solves its own
-    design.  Each row takes its uniforms from its own generator through
-    ``_uniforms``, the values one ``rng.random()`` per draw would give:
-    nothing else reads the policy's stream.  ``_update`` keeps each arm's
-    bound ``_lcb`` beside its moments; the bounds are read only once
-    ``presample_done`` has found every arm's bound defined.
+    is logged as such).  After presampling, draws target the residual
+    between the design and the mass already laid out (``_residual_arm``),
+    so the final proportions converge to the design rather than to a
+    mixture with the presampling origin.  On square problems the design
+    weights sigma_k sqrt(cofactor_k) are a list whose observed arm's
+    entry each update refreshes.  Each row takes its uniforms from its
+    own generator through ``_uniforms``, the values one ``rng.random()``
+    per draw would give.  Each update keeps the arm's bound ``_lcb``
+    beside its moments; the bounds are read only once ``presample_done``
+    has found every arm's bound defined.
     """
 
     name = "randomized"
@@ -531,44 +564,50 @@ class RandomizedDesignPolicy(_Moments, Policy):
         # covers every later round
         self._bounds_ready = not np.any(np.isnan(self._lcb))
 
-    def _optimistic_design(self, row: int = 0) -> tuple:
-        """The optimistic design as weights and their total: sigma_k sqrt(cofactor_k)
-        on K = d, the reference solver's proportions and 1.0 on K > d."""
+    def _optimistic_design(self, row: int) -> list:
+        """A K > d row's design: ``reference_optimum`` under its bounds, at
+        most ``_DESIGN_SWEEPS`` sweeps."""
         if not self._bounds_ready:
             raise ValueError("variance bounds undefined; presample every arm first")
-        if self._square:
-            return self._weights, _float_sum(self._weights)
         design = DesignProblem(self.problem.covariates, NoiseSpec(self._lcb[row]))
         weights, _ = reference_optimum(design, max_iters=_DESIGN_SWEEPS)
-        return weights.values.tolist(), 1.0
+        return weights.values.tolist()
 
-    def _draw(self, row: int, uniforms) -> int:
-        """An arm of ``row`` from the design's residual over the anchor, else from the design."""
-        weights, total = self._optimistic_design(row)
-        anchor = self._anchor if self._square else self._anchor[row].tolist()
-        residual = [0.0 if (r := w / total - a) < 0.0 else r for w, a in zip(weights, anchor)]
-        mass = _float_sum(residual)
-        if not mass > 0.0:
-            residual, mass = weights, total
-        u = next(uniforms)
-        # the first arm whose cumulative mass exceeds u
-        cum = 0.0
-        for arm, r in enumerate(residual):
-            cum += r / mass
-            if u < cum:
-                return arm
-        return self.n_arms - 1
-
-    def select(self, t: int):
-        if self._square:
-            return self._draw(0, self._uniforms[0])
+    def _select_rows(self, t: int) -> list:
         arms = []
         for row, uniforms in enumerate(self._uniforms):
             try:
-                arms.append(self._draw(row, uniforms))
+                weights = self._optimistic_design(row)
+                arms.append(_residual_arm(weights, 1.0, self._anchor[row].tolist(), next(uniforms)))
             except Exception as exc:
                 arms.append(exc)
         return arms
+
+    def run(self, t: int, stop: int, query) -> None:
+        """A draw from the residual design each step; on K = d one loop
+        (``Policy.run``)."""
+        if not self._square:
+            return super().run(t, stop, query)
+        if not self._bounds_ready:
+            raise ValueError("variance bounds undefined; presample every arm first")
+        counts, mean, m2, sig2hat, lcb = self.counts, self._mean, self._m2, self.sig2hat, self._lcb
+        weights, root_cof, params, anchor = self._weights, self._root_cof, self._params, self._anchor
+        uniform, bound, sqrt, n = self._uniforms[0].__next__, lcb_variance, math.sqrt, self.round
+        try:
+            for _ in range(stop - t):
+                arm = _residual_arm(weights, _float_sum(weights), anchor, uniform())
+                y = query(arm)
+                m, mu = counts[arm] + 1.0, mean[arm]
+                delta = y - mu
+                mu += delta / m
+                counts[arm], mean[arm], m2[arm] = m, mu, m2[arm] + delta * (y - mu)
+                if m >= 2.0:
+                    s2 = sig2hat[arm] = m2[arm] / m
+                    b = lcb[arm] = bound(m, s2, params[arm])
+                    weights[arm] = sqrt(b) * root_cof[arm]
+                n += 1
+        finally:
+            self.round = n
 
 
 class GradientUcbPolicy(_Moments, Policy):
@@ -577,8 +616,12 @@ class GradientUcbPolicy(_Moments, Policy):
     g_hat_k = dL/dp_k at the empirical proportions under plug-in
     variances, minus the bonus 2 sqrt(3 log(t) / T_k).  Ties break to
     the lowest index.  On square problems (K = d) the gradient is the
-    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and the whole step runs
-    on Python floats with no numpy call; K > d inverts every row's
+    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and one pass over the
+    arms scores them on Python floats in the array formulas' IEEE
+    operation order: a NaN variance (below two observations) passes the
+    floor as in np.maximum, an arm with no count runs on numpy's float64
+    so that p = 0 divides to inf or NaN as it did there, and the first
+    NaN wins, else the first least value.  K > d inverts every row's
     Omega(p) in one stacked ``marks`` call each step.  As a numerical
     guard the plug-in variances are raised to 1e-12 kappa_k^2, so a
     degenerate sample set cannot zero a weight.
@@ -599,17 +642,45 @@ class GradientUcbPolicy(_Moments, Policy):
             # episode's (1, K) plug-ins meet it without a numpy broadcast
             self._var_floor = floor[None]
 
-    def select(self, t: int):
-        c = 3.0 * math.log(t)
-        if self._square:
-            # NaN, an arm below two observations, passes the floor as in np.maximum
-            return _closed_form_argmin(
-                self._neg_inv_gram, self.sig2hat, self._var_floor, self.counts, self.round, c
-            )
-        counts, arms = self.counts, [None] * len(self.rng)
+    def _select_rows(self, t: int) -> list:
+        c, counts, arms = 3.0 * math.log(t), self.counts, [None] * len(self.rng)
         sig2 = np.maximum(self.sig2hat, self._var_floor)
         g = _stacked_gradients(self._x, sig2, counts / self.round, arms)
         return _fill_argmin(g - 2.0 * np.sqrt(c / counts), arms)
+
+    def run(self, t: int, stop: int, query) -> None:
+        """The least gradient less its bonus each step; on K = d one loop
+        (``Policy.run``)."""
+        if not self._square:
+            return super().run(t, stop, query)
+        counts, mean, m2, sig2hat = self.counts, self._mean, self._m2, self.sig2hat
+        neg_diag, floor, n = self._neg_inv_gram, self._var_floor, self.round
+        log, sqrt = math.log, math.sqrt
+        try:
+            for t in range(t + 1, stop + 1):
+                c = 3.0 * log(t)
+                best, low, k = 0, math.inf, 0
+                for a, s, f, m in zip(neg_diag, sig2hat, floor, counts):
+                    if not m:
+                        m = np.float64(m)
+                    p = m / n
+                    g = a * (f if s < f else s) / (p * p) - 2.0 * sqrt(c / m)
+                    if g < low:
+                        best, low = k, g
+                    elif g != g:
+                        best = k
+                        break
+                    k += 1
+                y = query(best)
+                m, mu = counts[best] + 1.0, mean[best]
+                delta = y - mu
+                mu += delta / m
+                counts[best], mean[best], m2[best] = m, mu, m2[best] + delta * (y - mu)
+                if m >= 2.0:
+                    sig2hat[best] = m2[best] / m
+                n += 1
+        finally:
+            self.round = n
 
 
 class ThompsonPolicy(Policy):
@@ -621,8 +692,7 @@ class ThompsonPolicy(Policy):
     noise proxies as a numerical guard, and descends the loss gradient
     computed with the sampled variances.  On square problems that
     gradient is the closed form -(Gamma^-1)_kk sigma~_k^2 / p_k^2, and one
-    pass over the arms draws, clips and scores each in turn
-    (``_closed_form_argmin``'s rules, without its bonus); its K scalar
+    pass over the arms draws, clips and scores each in turn; its K scalar
     ``gamma`` calls give the values, and leave the generator in the state,
     of one ``standard_gamma`` call on the alpha array, which is how a
     K > d row draws on its own generator before the rows' Omega(p) are
@@ -663,25 +733,7 @@ class ThompsonPolicy(Policy):
             self.post_alpha[key] += 0.5
             self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
-    def select(self, t: int):
-        if self._square:
-            gamma, hi, n = self.rng.gamma, self._clip_hi, self.round
-            best, low, first_nan = 0, math.inf, -1
-            state = (self.post_alpha, self.post_beta, self._clip_lo, self._neg_inv_gram, self.counts)
-            for k, (a, b, lo, neg, m) in enumerate(zip(*state)):
-                g = gamma(a)
-                # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
-                s = b / g if g else np.float64(b) / g
-                s = lo if s < lo else hi if s > hi else s
-                if not m:
-                    m = np.float64(m)
-                p = m / n
-                v = neg * s / (p * p)
-                if v < low:
-                    best, low = k, v
-                elif v != v and first_nan < 0:
-                    first_nan = k
-            return best if first_nan < 0 else first_nan
+    def _select_rows(self, t: int) -> list:
         arms = [None] * len(self.rng)
         gamma = np.ones_like(self.post_alpha)
         for i, rng in enumerate(self.rng):
@@ -694,6 +746,43 @@ class ThompsonPolicy(Policy):
         sig2 = np.minimum(np.maximum(self.post_beta / gamma, self._clip_lo), self._clip_hi)
         g = _stacked_gradients(self._x, sig2, self.counts / self.round, arms)
         return _fill_argmin(g, arms)
+
+    def run(self, t: int, stop: int, query) -> None:
+        """The least sampled gradient each step; on K = d one loop
+        (``Policy.run``) that scores by ``gradient_ucb``'s rules without
+        the bonus, except that every arm is drawn after a NaN."""
+        if not self._square:
+            return super().run(t, stop, query)
+        counts, post_mu, post_nu = self.counts, self.post_mu, self.post_nu
+        alpha, beta, clip_lo, neg_diag = self.post_alpha, self.post_beta, self._clip_lo, self._neg_inv_gram
+        gamma, hi, n = self.rng.gamma, self._clip_hi, self.round
+        try:
+            for _ in range(stop - t):
+                best, low, first_nan = 0, math.inf, -1
+                for k, (a, b, lo, neg, m) in enumerate(zip(alpha, beta, clip_lo, neg_diag, counts)):
+                    g = gamma(a)
+                    # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
+                    s = b / g if g else np.float64(b) / g
+                    s = lo if s < lo else hi if s > hi else s
+                    if not m:
+                        m = np.float64(m)
+                    p = m / n
+                    v = neg * s / (p * p)
+                    if v < low:
+                        best, low = k, v
+                    elif v != v and first_nan < 0:
+                        first_nan = k
+                arm = best if first_nan < 0 else first_nan
+                y = query(arm)
+                counts[arm] += 1.0
+                mu, nu = post_mu[arm], post_nu[arm]
+                post_nu[arm] = nu + 1.0
+                post_mu[arm] = (nu * mu + y) / (nu + 1.0)
+                alpha[arm] += 0.5
+                beta[arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
+                n += 1
+        finally:
+            self.round = n
 
 
 _POLICY_CLASSES = {
@@ -808,16 +897,15 @@ class Episode:
     (seed), on one problem; on K = d an episode has one member.
     Construction builds the policy for ``horizon`` (on K > d one row per
     member, see ``Policy``) and runs its ``presample``, the only source of
-    presampled samples; ``advance_all(T)`` continues the step loop to T
-    and returns each member's T-step trace, and ``advance(T)`` does so
-    for a one-member episode.  Every per-member call (a presampling
-    query, a K > d step's query, a checkpoint) runs through ``_each``: a
-    member whose call raises, or whose ``select`` entry is an exception,
-    loses its row and keeps its error; the others run on, their streams
-    untouched, so each member's trace is the one it records alone.  An
-    error no row owns (from building the policy or its presampling, such
-    as an estimation phase over the budget, or from ``observe``, which
-    updates every row) is every running member's.
+    presampled samples; ``advance_all(T)`` calls ``policy.run`` up to each
+    pending checkpoint through T, records it, and returns each member's
+    T-step trace; ``advance(T)`` does so for a one-member episode.  Every
+    per-member call (a presampling query, a K > d step's query, a
+    checkpoint) runs through ``_each``: a member whose call raises, or
+    whose ``select`` entry is an exception, loses its row and keeps its
+    error; the others run on, their streams untouched.  An error no row
+    owns (from building the policy, its presampling or ``observe``) is
+    every running member's.
 
     ``budgets`` names the later horizons the episode may be advanced to;
     that needs a horizon-free policy (see ``extends_past``), whose T-step
@@ -966,16 +1054,14 @@ class Episode:
         start = self._setup_start if self._setup_start is not None else time.perf_counter()
         self._setup_start = None
         if self._live:
-            select, observe = self.policy.select, self.policy.observe
+            run, t = self.policy.run, self.t
             query = self._live[0].env.query if self._problem.is_square else self._query_rows
-            pending, t = self._pending, self.t
             try:
-                while t < horizon:
-                    t += 1
-                    arm = select(t)
-                    observe(arm, query(arm))
-                    if t in pending:
-                        self._record(t)
+                # the schedules all end at their horizons, so the last stop is ``horizon``
+                for stop in sorted(s for s in self._pending if t < s <= horizon):
+                    run(t, stop, query)
+                    self._record(stop)
+                    t = stop
             except Exception as exc:
                 # a member that raised alone has lost its row already; this
                 # error is every remaining member's, or the last one's
@@ -1026,16 +1112,12 @@ def run_episode(
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
     A presampling error, such as an estimation phase over the budget, is
-    raised here.
-    ``reference`` is an optional (optimal weights, optimal loss) pair, of
+    raised here.  ``reference`` is an optional (optimal weights, optimal loss) pair, of
     which regret reads the loss; computed from the problem when omitted.
     ``oracle`` tracks ``reference_optimum(problem)``.  Episode randomness
     comes from two streams of the environment seed: the environment
     itself (spawn key 0) and the policy (spawn key 1).  This is a
-    one-member, one-horizon ``Episode``; a sweep runs a horizon-free
-    policy's seed once, to its largest budget, and cuts the smaller
-    budgets' traces from that run, and steps a K > d cell's seeds in
-    lock-step.
+    one-member, one-horizon ``Episode``.
     """
     episode = Episode(policy_name, env, horizon, checkpoint_ratio, options, reference)
     return episode.advance(horizon)

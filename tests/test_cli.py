@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from activedesign import cli, harness
 from activedesign.cli import cli_main
 from activedesign.core import CovariateSet, DesignProblem, NoiseSpec
 from activedesign.environment import make_random_instance
@@ -295,6 +296,39 @@ def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(
     assert cli_main(["sweep", str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.count(f"'{name}' options rejected") == 2 and option in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_an_unwritable_output_path_exits_one_before_any_episode(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "_chain_task", no_episode)
+    monkeypatch.setattr(cli, "run_episode", no_episode)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    cfg = {
+        "instance": {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0], "beta": [1.0, -1.0]},
+        "policies": ["uniform"],
+        "budgets": [40],
+        "output": str(blocker),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    missing = tmp_path / "missing" / "trace.csv"
+    if command == "sweep":
+        args = ["--quiet"]
+    else:
+        args = ["--policy", "uniform", "--budget", "40", "--out", str(missing)]
+    assert cli_main([command, str(path), *args]) == 1
+    err = capsys.readouterr().err
+    assert (str(blocker) if command == "sweep" else str(missing)) in err
+    assert blocker.read_text() == "kept\n"
+    assert not missing.parent.exists()
 
 
 def test_sweep_with_a_fractional_seed_count_exits_one(sweep_config_path, capsys):

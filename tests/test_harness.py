@@ -584,6 +584,23 @@ def test_run_sweep_collects_per_episode_failures(tmp_path, monkeypatch, fail_ran
     assert (result.output_dir / "failures.csv").exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+def test_run_sweep_checks_its_output_directory_before_any_episode(tmp_path, monkeypatch, below):
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
+
+    def no_episode(task):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "_chain_task", no_episode)
+    blocker = tmp_path / "results"
+    blocker.write_text("kept\n")
+    output = blocker / "sweep" if below else blocker
+    with pytest.raises(ConfigError) as raised:
+        run_sweep(sweep_config(tmp_path, output=str(output)), quiet=True)
+    assert str(raised.value).endswith(f"{blocker} is not a directory")
+    assert blocker.read_text() == "kept\n"
+
+
 def test_run_sweep_rejects_bad_policy_options(tmp_path, monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     raw = {
@@ -851,11 +868,14 @@ def test_chained_sweep_runs_each_step_once(monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     calls = {"thompson": 0, "uniform": 0}
     for cls in (ThompsonPolicy, UniformPolicy):
-        def counted(self, t, _select=cls.select):
-            calls[self.name] += 1
-            return _select(self, t)
+        def counted(self, t, stop, query, _run=cls.run):
+            def counted_query(arm):
+                calls[self.name] += 1
+                return query(arm)
 
-        monkeypatch.setattr(cls, "select", counted)
+            return _run(self, t, stop, counted_query)
+
+        monkeypatch.setattr(cls, "run", counted)
     cfg = ExperimentConfig.from_dict(
         {
             "instance": CHAIN_INSTANCES["square"],
@@ -867,7 +887,7 @@ def test_chained_sweep_runs_each_step_once(monkeypatch):
     )
     result = run_sweep(cfg, quiet=True)
     assert not result.failures
-    # thompson's warm-up takes 2 of each arm's samples without select
+    # thompson's warm-up takes 2 of each arm's samples without a step
     assert calls == {"thompson": 2 * (50_000 - 6), "uniform": 2 * 50_000}
 
 
@@ -879,12 +899,18 @@ def test_chain_failure_matches_separate_episodes(tmp_path, monkeypatch, threads)
 
     # keyed to the policy's own round, so an episode reused after the
     # failure would stop at a different step
-    def failing(self, t, _select=UniformPolicy.select):
-        if self.round >= 1500:
-            raise RuntimeError(f"stopped at step {t}")
-        return _select(self, t)
+    def failing(self, t, stop, query, _run=UniformPolicy.run):
+        steps = iter(range(self.round + 1, stop + 1))
 
-    monkeypatch.setattr(UniformPolicy, "select", failing)
+        def failing_query(arm):
+            step = next(steps)
+            if step > 1500:
+                raise RuntimeError(f"stopped at step {step}")
+            return query(arm)
+
+        return _run(self, t, stop, failing_query)
+
+    monkeypatch.setattr(UniformPolicy, "run", failing)
     raw = {
         "instance": CHAIN_INSTANCES["square"],
         "policies": ["uniform", "oracle"],

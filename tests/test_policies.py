@@ -27,7 +27,7 @@ from activedesign.policies import (
     UniformPolicy,
     _ROW_STATE,
     POLICY_NAMES,
-    _closed_form_argmin,
+    _float_sum,
     _neg_inv_gram_diag,
     checkpoint_schedule,
     default_estimation_count,
@@ -38,7 +38,7 @@ from activedesign.policies import (
     run_episode,
 )
 from activedesign.solver import reference_optimum
-from test_square_path import assert_thompson_selects_as_numpy
+from test_square_path import assert_thompson_selects_as_numpy, gradient_ucb_pick
 
 REDUNDANT_ARM = Path(__file__).resolve().parents[1] / "instances" / "redundant_arm.txt"
 
@@ -248,9 +248,12 @@ def test_oracle_episode_regret_is_tiny():
 
 
 def design(policy):
-    """The randomized policy's optimistic design, its weights over their total."""
-    weights, total = policy._optimistic_design()
-    return [w / total for w in weights]
+    """The randomized policy's optimistic design: on K = d its weights over
+    their total, on K > d the first row's solved design."""
+    if not policy._square:
+        return policy._optimistic_design(0)
+    total = _float_sum(policy._weights)
+    return [w / total for w in policy._weights]
 
 
 def pinned(problem, rng, horizon, sig2):
@@ -478,7 +481,7 @@ def test_gradient_ucb_bonus_can_override_the_gradient():
 
 
 def _closed_form_gradient(neg_diag, sig2, p):
-    """-(Gamma^-1)_kk sigma_k^2 / p_k^2, the K = d gradient ``_closed_form_argmin`` scores."""
+    """-(Gamma^-1)_kk sigma_k^2 / p_k^2, the K = d gradient ``gradient_ucb`` scores."""
     return [a * s / (q * q) for a, s, q in zip(neg_diag, sig2, p)]
 
 
@@ -499,8 +502,8 @@ def test_square_closed_form_gradient_matches_the_solve(d):
                 rtol=1e-12,
                 atol=0,
             )
-            # c = 0 zeroes the bonus
-            arm = _closed_form_argmin(neg_diag, sig2.tolist(), no_floor, p.tolist(), 1, 0.0)
+            # t = 1 zeroes the bonus
+            arm = gradient_ucb_pick(neg_diag, sig2.tolist(), no_floor, p.tolist(), 1, 1)
             assert arm == int(np.argmin(-marks(x, sig2, p)))
         p = rng.dirichlet(np.ones(d))
         np.testing.assert_allclose(
@@ -512,7 +515,7 @@ def test_square_closed_form_gradient_matches_the_solve(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_closed_form_argmin_subtracts_the_bonus(d):
+def test_square_gradient_ucb_select_subtracts_the_bonus(d):
     # the bonus 2 sqrt(c / counts_k) against the solve route's gradient;
     # variances within a factor 3 of sigma_k^2 proportional to p_k^2 / (Gamma^-1)_kk make
     # the gradient nearly flat and as large as the bonus, which then
@@ -531,7 +534,7 @@ def test_closed_form_argmin_subtracts_the_bonus(d):
         bonus = 2.0 * np.sqrt(c / counts)
         sig2 = np.median(bonus) * rng.uniform(0.5, 1.5, d) * p**2 / -np.array(neg_diag)
         g = -marks(x, sig2, p)
-        arm = _closed_form_argmin(neg_diag, sig2.tolist(), no_floor, counts.tolist(), n, c)
+        arm = gradient_ucb_pick(neg_diag, sig2.tolist(), no_floor, counts.tolist(), n, n + 1)
         assert arm == int(np.argmin(g - bonus))
         flips += arm != int(np.argmin(g))
     assert flips >= 5

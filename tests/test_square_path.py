@@ -1,10 +1,12 @@
 """The K = d step path on Python floats against the numpy formulas it replaced.
 
-Square problems run ``select`` and ``observe`` on lists of Python
-floats.  The reference policies below hold the per-arm state in arrays
-and step it with the array formulas the package used before, kept here
-(not in the package) as the oracle: whole episodes must choose the same
-arms, end with bit-equal counts, moments and variances, and leave the
+Square problems step through each policy's ``run`` loop on lists of
+Python floats.  The reference policies below hold the per-arm state in
+arrays and step it, through the base ``Policy.run`` and their own
+``select`` and ``observe``, with the array formulas the package used
+before, kept here (not in the package) as the oracle: whole episodes
+must query the same arms, end with bit-equal counts, moments and
+variances, and leave the
 policy's generator in the same state (for ``randomized``, which draws
 its uniforms ahead in chunks, serve the same next uniforms).  The
 edge cases pin numpy's IEEE semantics where Python floats differ:
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from activedesign import policies
-from activedesign.core import gram_cofactors
+from activedesign.core import CovariateSet, DesignProblem, NoiseSpec, gram_cofactors
 from activedesign.environment import NOISE_CHUNK, make_env
 from activedesign.harness import build_problem
 from activedesign.estimation import lcb_variance
@@ -30,7 +32,6 @@ from activedesign.policies import (
     OracleTrackingPolicy,
     RandomizedDesignPolicy,
     ThompsonPolicy,
-    _closed_form_argmin,
     _float_sum,
 )
 
@@ -87,7 +88,10 @@ _ARRAYS = (
 
 
 class _ArrayState:
-    """Holds the per-arm state in float arrays, the moments in ``_Welford``."""
+    """Holds the per-arm state in float arrays, the moments in ``_Welford``,
+    and steps through the base ``Policy.run``: its own ``select`` and ``observe``."""
+
+    run = policies.Policy.run
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -195,27 +199,28 @@ NUMPY_POLICY = {
 
 
 def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, counts=None):
-    """One episode; returns (arms chosen, final policy).  With ``counts``
-    the policy presamples each arm that many times instead of its own way."""
+    """One episode; returns (arms queried by its steps, final policy).  With
+    ``counts`` the policy presamples each arm that many times instead of its
+    own way."""
     base = NUMPY_POLICY[name] if reference else policies.policy_class(name)
-    arms = []
-
-    def recording_select(self, t):
-        arm = base.select(self, t)
-        arms.append(arm)
-        return arm
 
     def presample(self, feed):
         for arm, count in enumerate(counts):
             feed(arm, count)
         return 0, None
 
-    members = {"select": recording_select}
     if counts is not None:
-        members["presample"] = presample
-    cls = type(base.__name__, (base,), members)
-    monkeypatch.setitem(policies._POLICY_CLASSES, name, cls)
+        base = type(base.__name__, (base,), {"presample": presample})
+    monkeypatch.setitem(policies._POLICY_CLASSES, name, base)
     env = make_env(problem, 3, model)
+    # a step queries one arm; presampling queries blocks
+    arms, query = [], env.query
+
+    def recording_query(arm):
+        arms.append(arm)
+        return query(arm)
+
+    env.query = recording_query
     episode = Episode(name, env, horizon, options=options)
     episode.advance(horizon)
     return arms, episode.policy
@@ -412,6 +417,20 @@ def test_square_thompson_draws_one_gamma_per_arm_and_step(monkeypatch):
     assert calls == {"gamma": 3 * (episode.t - episode.presample_end)}
 
 
+def gradient_ucb_pick(neg_diag, sigma2, floor, counts, n, t) -> int:
+    """``GradientUcbPolicy.select(t)`` on a K = d policy whose fixed factors
+    -(Gamma^-1)_kk are ``neg_diag``, with plug-in variances ``sigma2``,
+    variance floors ``floor``, per-arm ``counts`` and ``n`` rounds: the
+    arm of least neg_diag_k max(sigma2_k, floor_k) / p_k^2
+    - 2 sqrt(3 log(t) / counts_k), p = counts / n.  At t = 1 the bonus is 0."""
+    k = len(neg_diag)
+    problem = DesignProblem(CovariateSet(np.eye(k)), NoiseSpec(np.ones(k)), beta=np.zeros(k))
+    policy = GradientUcbPolicy(problem, None, 100)
+    policy._neg_inv_gram, policy._var_floor = list(neg_diag), list(floor)
+    policy.sig2hat, policy.counts, policy.round = list(sigma2), list(counts), n
+    return policy.select(t)
+
+
 def test_argmin_is_numpy_argmin():
     # first NaN wins, else the first smallest value: ties to the lowest index;
     # unit factors, counts and no floor score each arm at its sigma2 entry
@@ -419,7 +438,7 @@ def test_argmin_is_numpy_argmin():
     for k in range(1, 5):
         ones, no_floor = [1.0] * k, [-math.inf] * k
         for v in itertools.product(values, repeat=k):
-            got = _closed_form_argmin(ones, list(v), no_floor, ones, 1, 0.0)
+            got = gradient_ucb_pick(ones, list(v), no_floor, ones, 1, 1)
             assert got == int(np.argmin(v)), v
 
 
@@ -429,3 +448,96 @@ def test_float_sum_is_numpy_sum():
         for _ in range(5):
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
             assert _float_sum(x.tolist()) == float(x.sum()), n
+
+
+# --------------------------------------------------------------------
+# the K = d ``run`` loop: cut anywhere, and ``select`` as its next choice
+
+
+# the state fields each policy must keep, besides ``counts`` and ``round``
+STATE_FIELDS = {
+    "uniform": set(),
+    "oracle": {"p_star"},
+    "gradient_ucb": {"_mean", "_m2", "sig2hat"},
+    "randomized": {"_mean", "_m2", "sig2hat", "_lcb", "_anchor", "_weights"},
+    "thompson": {"post_mu", "post_nu", "post_alpha", "post_beta"},
+}
+
+
+def _presampled(name: str, model: str, horizon: int = 600):
+    """A K = d ``name`` episode past its presampling, and its environment."""
+    problem, _ = build_problem(dict(SQUARE_REPLICATION, noise=model))
+    env = make_env(problem, 5, model)
+    episode = Episode(name, env, horizon)
+    assert episode.t < horizon - 100
+    return episode.policy, env
+
+
+def _fields(policy) -> dict:
+    """Every numeric field of ``policy`` (scalars and lists of floats), bit for bit."""
+    fields = {}
+    for key, value in vars(policy).items():
+        if isinstance(value, (bool, int, float)) or (
+            isinstance(value, list) and all(isinstance(v, float) for v in value)
+        ):
+            fields[key] = (type(value), np.array(value, dtype=np.float64).tobytes())
+    assert {"counts", "round"} | STATE_FIELDS[policy.name] <= set(fields)
+    return fields
+
+
+def _stream(policy):
+    """The state of the policy's generator; for ``randomized``, which draws
+    its uniforms ahead in chunks, the next uniforms it serves (consumed)."""
+    if isinstance(policy, RandomizedDesignPolicy):
+        return [next(policy._uniforms[0]) for _ in range(NOISE_CHUNK + 1)]
+    return policy.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+@pytest.mark.parametrize("name", policies.POLICY_NAMES)
+def test_square_run_in_one_call_equals_run_in_pieces(name, model):
+    horizon = 600
+    whole, env = _presampled(name, model, horizon)
+    t0 = whole.round
+    whole.run(t0, horizon, env.query)
+    assert whole.round == horizon
+    want = (_fields(whole), env.draws, _stream(whole))
+    rng = np.random.default_rng(len(name))
+    steps = range(t0 + 1, horizon)
+    cuts = [
+        list(steps),  # every step alone
+        sorted(rng.choice(steps, 5, replace=False).tolist()),
+        sorted(rng.choice(steps, 40, replace=True).tolist()),  # repeats: empty pieces
+    ]
+    for stops in cuts:
+        pieces, env = _presampled(name, model, horizon)
+        t = t0
+        for stop in [*stops, horizon]:
+            pieces.run(t, stop, env.query)
+            t = stop
+        assert (_fields(pieces), env.draws, _stream(pieces)) == want
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+@pytest.mark.parametrize("name", policies.POLICY_NAMES)
+def test_square_select_is_the_next_arm_run_takes(name, model):
+    for steps in (0, 1, 37, 150):
+        chosen, env = _presampled(name, model)
+        taker, taker_env = _presampled(name, model)
+        t = chosen.round
+        chosen.run(t, t + steps, env.query)
+        taker.run(t, t + steps, taker_env.query)
+        t += steps
+        before = _fields(chosen), env.draws
+        arm = chosen.select(t + 1)
+        assert (_fields(chosen), env.draws) == before
+        taken = []
+
+        def query(a):
+            taken.append(a)
+            return taker_env.query(a)
+
+        taker.run(t, t + 1, query)
+        assert taken == [arm]
+        # the choice's draws, and no others
+        assert _stream(chosen) == _stream(taker)
