@@ -10,9 +10,9 @@ eps drawn from one of three centered noise families:
 * ``rademacher``: +/- sigma_k with equal probability, proxy sigma_k^2.
 
 Raw noise (standard normals, unit uniforms or fair bits) is drawn ahead
-from the generator in fixed chunks and served in order, to single and
-block queries alike.  The n-th observation is therefore the same value it
-would be if each query drew its own noise, the arm queried only picks the
+from the generator in fixed chunks and served in order, to single queries,
+one arm's blocks and arm sequences alike.  The n-th observation is the value
+it would be if each query drew its own noise, the arm queried only picks the
 mean and scale applied to it, and a (seed, query sequence) pair fully
 determines every observation.  ``draws`` counts the observations served.
 """
@@ -49,7 +49,8 @@ class Environment:
     z standard normal), mean + sigma * (2 b_n - 1) (rademacher, b a fair
     bit) or mean + (-a + (a - (-a)) u_n) (uniform, u on [0, 1); the
     arithmetic of ``Generator.uniform(-a, a)``), with the raw draws taken
-    from the stream in order.
+    from the stream in order: ``query`` serves one arm, ``query_block``
+    n of one arm and ``query_arms`` a sequence of arms, one draw each.
     """
 
     def __init__(self, problem: DesignProblem, seed: int, model: str = "gaussian"):
@@ -97,6 +98,26 @@ class Environment:
         if self._low is None:
             return self._means[arm] + self._scale[arm] * self._buffer[i]
         return self._means[arm] + (self._low[arm] + self._scale[arm] * self._buffer[i])
+
+    def query_arms(self, arms) -> np.ndarray:
+        """One observation of each of ``arms``, in order, as successive
+        ``query`` calls give them and leaving ``draws``, the buffer and the
+        generator as they would; an arm out of range raises before any draw."""
+        arms = np.asarray(arms, dtype=np.intp)
+        bad = arms[(arms < 0) | (arms >= self.n_arms)]
+        if bad.size:
+            raise ValueError(f"arm {bad[0]} out of range [0, {self.n_arms})")
+        n, i = arms.size, self._next
+        raw, self._next = self._buffer[i : i + n], i + n
+        for short in range(n - len(raw), 0, -NOISE_CHUNK):
+            self._buffer = self._raw(NOISE_CHUNK).tolist()
+            raw += self._buffer[:short]
+            self._next = short
+        self.draws += n
+        eps = np.array(self._scale)[arms] * np.array(raw, dtype=np.float64)
+        if self._low is not None:
+            eps = np.array(self._low)[arms] + eps
+        return np.array(self._means)[arms] + eps
 
     def query_block(self, arm: int, n: int) -> np.ndarray:
         """n observations of one arm, equal to n single queries.

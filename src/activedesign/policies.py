@@ -14,31 +14,20 @@ Five ways to spend a budget of T arm queries:
   deficit; a lower-bound reference, not a learner.
 
 Each policy class declares its presampling (``Policy.presample``), the
-only source of presampled samples.  ``gradient_ucb`` and ``randomized``
-take, on square problems, a short estimation phase (enough samples per
-arm to define variances), then half the budget at the plug-in optimal
-proportions, which keeps every later information matrix invertible and
-floors the empirical proportions, and otherwise ceil(T^(3/4)) per arm;
-``thompson`` two per arm; ``uniform`` and ``oracle`` none.  The runner
-executes the presampling, calls ``Policy.run`` from one regret
-checkpoint to the next, and records them.
-
-On square problems (K = d) an episode is one seed, its per-arm state
-(counts, moments, posteriors) is kept in lists of Python floats, and
-the class's ``run`` steps it in one loop -- choice, query, update --
-with no numpy call except a draw from the random generator
-(``randomized`` draws its uniforms ``NOISE_CHUNK`` at a time).  It does
-the IEEE operations of the array formulas in the same order, so its
-choices are bit-for-bit theirs.  On K > d one policy steps every seed
-of an ``Episode`` as a row of (S, K) arrays, as the README's lock-step
-paragraph describes; there, and in presampling, each observation
-reaches the class's one ``_update`` hook.
+only source of presampled samples (see the README).  The runner executes
+it, calls ``Policy.run`` from one regret checkpoint to the next, and
+records them.  ``uniform`` and ``oracle`` never read a response: their
+``run`` plans a segment's arms, queries them as one block and counts
+them once (``_OpenLoop``).  The other three step on square problems
+(K = d) in one loop per class on lists of Python floats, with the IEEE
+operations of the array formulas in their order, and on K > d every seed
+of an ``Episode`` as a row of (S, K) arrays (the README's lock-step
+paragraph); there, and in presampling, observations reach ``_update``.
 
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free (see
 ``extends_past``): an ``Episode`` can be advanced from one budget to the
-next.  ``gradient_ucb`` is not: its presampling depends on T.  Nor is
-``randomized``: its presampling does, and so do its confidence level
-1/(T^2 K) and its anchor counts / T.
+next.  ``gradient_ucb`` and ``randomized`` are not: their presampling,
+and ``randomized``'s confidence level 1/(T^2 K) and anchor, depend on T.
 """
 
 from __future__ import annotations
@@ -267,32 +256,24 @@ class _Chosen(Exception):
 
 
 class Policy:
-    """Shared bookkeeping: the round and the per-arm counts.
+    """Shared bookkeeping: the round (observations so far) and the counts.
 
-    ``round`` is the number of observations so far; ``run`` takes steps.
     On square problems per-arm state is a list of Python floats,
-    ``select(t)`` returns one arm and ``observe(arm, y)`` takes one
-    observation.  On K > d the policy owns S rows, one per seed: ``rng``
-    is a list of S generators (a single generator, or None, is one row),
-    per-row state is an (S, K) array, per-problem values are arrays
-    every row shares, ``select(t)`` returns S entries (an arm, or the
-    exception that row raised) from the class's ``_select_rows``, and
-    ``observe`` takes one arm and response per row.  ``observe`` and
-    ``observe_block`` hand each arm's responses to ``_update``, which a
-    subclass overrides to keep its own state.  ``horizon_free`` marks a
-    policy whose choices never read the horizon T; ``presample`` runs
-    the policy's own presampling, which by default takes no samples.
+    ``select(t)`` returns one arm and ``observe(arm, y)`` takes one.  On
+    K > d the policy owns S rows, one per seed: ``rng`` is a list of S
+    generators (one generator, or None, is one row), per-row state is an
+    (S, K) array, ``select(t)`` returns S entries (an arm, or the row's
+    exception) and ``observe`` takes one arm and response per row.
+    ``observe`` and ``observe_block`` reach the class's ``_update`` hook.
+    ``horizon_free`` marks a policy whose choices never read T, and
+    ``open_loop`` one whose ``run`` queries a segment as one block.
     """
 
     name = "?"
     horizon_free = False
+    open_loop = False
 
-    def __init__(
-        self,
-        problem: DesignProblem,
-        rng: np.random.Generator | list | None,
-        horizon: int,
-    ):
+    def __init__(self, problem: DesignProblem, rng: np.random.Generator | list | None, horizon: int):
         self.problem = problem
         self.horizon = int(horizon)
         self.n_arms = problem.n_arms
@@ -327,11 +308,10 @@ class Policy:
 
     def run(self, t: int, stop: int, query) -> None:
         """Steps t + 1 through ``stop``: each selects, queries ``query(arm)``
-        and observes.  K > d rows step here.  Each class overrides it on
-        K = d with one loop on its state lists, held in locals, that makes
-        the choice, applies the observation with ``_update``'s IEEE
-        operations in their order, and writes ``round`` back at the end.
-        The update is inline since calling ``_update`` per step halved the
+        and observes; closed-loop K > d rows step here.  Those classes
+        override it on K = d with one loop on their state lists, held in
+        locals, that applies each observation with ``_update``'s IEEE
+        operations in their order: calling ``_update`` per step halved the
         measured gain (perfbench ``square`` ``sweep_s`` -7.7% with the
         call, -15.5% without)."""
         select, observe = self.select, self.observe
@@ -428,29 +408,40 @@ class _Moments:
             self.sig2hat[key] = m2 / n
 
 
-class UniformPolicy(Policy):
+class _OpenLoop:
+    """Mixed into a ``Policy`` whose arms never read a response, so every
+    lock-step row holds the same counts: ``plan(m)`` gives the next m arms
+    without changing the policy, ``select`` its first in every row, and
+    ``run`` queries a segment as one block, ``query(arms)``, and counts it."""
+
+    open_loop = True
+
+    def select(self, t: int):
+        (arm,) = self.plan(1)
+        return arm if self._square else [arm] * len(self.rng)
+
+    def run(self, t: int, stop: int, query) -> None:
+        arms = self.plan(stop - t)
+        query(arms)
+        added = np.bincount(np.array(arms, dtype=np.intp), minlength=self.n_arms)
+        if self._square:
+            self.counts = [c + a for c, a in zip(self.counts, added.tolist())]
+        else:
+            self.counts += added
+        self.round += len(arms)
+
+
+class UniformPolicy(_OpenLoop, Policy):
     name = "uniform"
     horizon_free = True
 
-    def _select_rows(self, t: int) -> list:
-        return [self.round % self.n_arms] * len(self.rng)
-
-    def run(self, t: int, stop: int, query) -> None:
-        """Arm round % K each step; on K = d one loop (``Policy.run``)."""
-        if not self._square:
-            return super().run(t, stop, query)
-        k, counts, n = self.n_arms, self.counts, self.round
-        try:
-            for _ in range(stop - t):
-                arm = n % k
-                query(arm)
-                counts[arm] += 1.0
-                n += 1
-        finally:
-            self.round = n
+    def plan(self, m: int) -> list:
+        """Arm round % K each step."""
+        n, k = self.round, self.n_arms
+        return [(n + i) % k for i in range(m)]
 
 
-class OracleTrackingPolicy(Policy):
+class OracleTrackingPolicy(_OpenLoop, Policy):
     """Largest-deficit tracking of the optimal design, ``reference_optimum(problem)``
     (cached on the problem)."""
 
@@ -459,39 +450,31 @@ class OracleTrackingPolicy(Policy):
 
     def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        p_star, _ = reference_optimum(problem)
-        p_star = self._per_arm(p_star)  # a (1, K) row on K > d, as ``_var_floor``
-        self.p_star = p_star if self._square else p_star[None]
+        p_star = reference_optimum(problem)[0].values
+        if not np.all(np.isfinite(p_star)):
+            raise ValueError("the optimal design is not finite")
+        self.p_star = p_star.tolist()
 
-    def _select_rows(self, t: int) -> list:
-        if self.round == 0:
-            return [int(self.p_star.argmax())] * len(self.rng)
-        return (self.p_star - self.counts / self.round).argmax(axis=1).tolist()
-
-    def run(self, t: int, stop: int, query) -> None:
-        """The largest deficit p*_k - counts_k / n each step; on K = d one
-        loop (``Policy.run``)."""
-        if not self._square:
-            return super().run(t, stop, query)
-        counts, p_star, n = self.counts, self.p_star, self.round
-        try:
-            for _ in range(stop - t):
-                # the first smallest counts_k / n - p*_k (IEEE subtraction is exactly
-                # antisymmetric): the first NaN wins, else the first least, as np.argmin
+    def plan(self, m: int) -> list:
+        """The largest deficit p*_k - counts_k / n each step, the first of
+        equals as np.argmax (the first largest p*_k at n = 0); found as the
+        first least counts_k / n - p*_k, since IEEE subtraction is exactly
+        antisymmetric.  p* is finite, so no deficit is NaN."""
+        counts = list(self.counts if self._square else self.counts[0].tolist())
+        p_star, arms = self.p_star, []
+        for n in range(self.round, self.round + m):
+            if not n:
+                best = p_star.index(max(p_star))
+            else:
                 best, low, k = 0, math.inf, 0
                 for c, p in zip(counts, p_star):
-                    v = c / n - p if n else -p
+                    v = c / n - p
                     if v < low:
                         best, low = k, v
-                    elif v != v:
-                        best = k
-                        break
                     k += 1
-                query(best)
-                counts[best] += 1.0
-                n += 1
-        finally:
-            self.round = n
+            arms.append(best)
+            counts[best] += 1.0
+        return arms
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
@@ -828,10 +811,8 @@ class CheckpointRow:
 class RegretTrace:
     """Per-episode record: checkpoint rows plus the presampling that preceded them.
 
-    ``elapsed`` is the wall time spent on this budget: an ``Episode``
-    advanced through several budgets charges each one its increment, and
-    a lock-step group's time for a budget (set-up included on the first)
-    is split evenly across the members whose traces it returns.
+    ``elapsed`` is the wall time spent on this budget, set-up included on
+    the first, split evenly over a lock-step group's returned traces.
     """
 
     policy: str
@@ -869,12 +850,9 @@ def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[in
 
 
 def extends_past(policy_name: str, n_arms: int, horizon: int) -> bool:
-    """Whether a ``horizon``-step episode is the prefix of every longer one.
-
-    True for horizon-free policies once ``horizon`` reaches 2K: below
-    that, thompson's 2-per-arm warm-up and the start of the checkpoint
-    schedule, min(max(t, 2K, 1), T), still depend on T.
-    """
+    """Whether a ``horizon``-step episode is the prefix of every longer one:
+    for horizon-free policies once ``horizon`` reaches 2K, below which
+    thompson's warm-up and the checkpoint start min(max(t, 2K, 1), T) do."""
     return policy_class(policy_name).horizon_free and horizon >= 2 * n_arms
 
 
@@ -893,25 +871,21 @@ class _Member:
 class Episode:
     """Seeded episodes of one policy, run budget by budget in lock-step.
 
-    ``envs`` is one ``Environment`` or a list of them, one per member
-    (seed), on one problem; on K = d an episode has one member.
-    Construction builds the policy for ``horizon`` (on K > d one row per
-    member, see ``Policy``) and runs its ``presample``, the only source of
-    presampled samples; ``advance_all(T)`` calls ``policy.run`` up to each
-    pending checkpoint through T, records it, and returns each member's
-    T-step trace; ``advance(T)`` does so for a one-member episode.  Every
-    per-member call (a presampling query, a K > d step's query, a
-    checkpoint) runs through ``_each``: a member whose call raises, or
-    whose ``select`` entry is an exception, loses its row and keeps its
-    error; the others run on, their streams untouched.  An error no row
-    owns (from building the policy, its presampling or ``observe``) is
-    every running member's.
+    ``envs`` is one ``Environment`` or a list, one per member (seed), on
+    one problem; on K = d an episode has one member.  Construction builds
+    the policy (on K > d one row per member) and runs its ``presample``;
+    ``advance_all(T)`` calls ``policy.run`` up to each pending checkpoint
+    through T, records it, and returns each member's T-step trace.  Every
+    per-member call (a presampling query, a K > d step's query, an
+    open-loop segment's ``query_arms``, a checkpoint) runs through
+    ``_each``: a member whose call raises, or whose ``select`` entry is an
+    exception, loses its row and keeps its error; the others run on.  An
+    error no row owns (building the policy, ``observe``) is every member's.
 
-    ``budgets`` names the later horizons the episode may be advanced to;
-    that needs a horizon-free policy (see ``extends_past``), whose T-step
-    episode is a prefix of every longer one.  Checkpoints are recorded on
-    the union of the horizons' schedules, and each trace keeps the rows
-    of its own schedule.  Other arguments are those of ``run_episode``.
+    ``budgets`` names later horizons the episode may be advanced to, for a
+    horizon-free policy (``extends_past``).  Checkpoints are recorded on
+    the union of the horizons' schedules; each trace keeps its own.
+    Other arguments are those of ``run_episode``.
     """
 
     def __init__(
@@ -991,9 +965,8 @@ class Episode:
 
         Returns the running members' results.  A member whose entry is an
         exception, or whose call raises, keeps that error and loses its
-        row, here in ``entries`` and in the policy; when no member is left
-        the last one's error is raised, which ends the set-up or the step
-        loop.
+        row, in ``entries`` and in the policy; when no member is left the
+        last one's error is raised.
         """
         results, failed = [], []
         for i, (member, entry) in enumerate(zip(self._live, entries)):
@@ -1025,6 +998,10 @@ class Episode:
         """The K > d step's responses to ``arms``, one per running row."""
         return self._each(lambda member, arm: member.env.query(arm), arms)
 
+    def _query_arms(self, arms: list) -> list:
+        """An open-loop segment: each running member's responses to ``arms``."""
+        return self._each(lambda member, _: member.env.query_arms(arms), [arms] * len(self._live))
+
     def _record(self, now: int) -> None:
         """Record checkpoint ``now`` of every running member."""
 
@@ -1055,7 +1032,10 @@ class Episode:
         self._setup_start = None
         if self._live:
             run, t = self.policy.run, self.t
-            query = self._live[0].env.query if self._problem.is_square else self._query_rows
+            if self.policy.open_loop:
+                query = self._query_arms
+            else:
+                query = self._live[0].env.query if self._problem.is_square else self._query_rows
             try:
                 # the schedules all end at their horizons, so the last stop is ``horizon``
                 for stop in sorted(s for s in self._pending if t < s <= horizon):
@@ -1089,10 +1069,8 @@ class Episode:
         )
 
     def advance(self, horizon: int) -> RegretTrace:
-        """``advance_all`` for a one-member episode: its trace, or its error raised.
-
-        An episode whose ``advance`` raised must be discarded.
-        """
+        """``advance_all`` for a one-member episode: its trace, or its error
+        raised, after which the episode must be discarded."""
         if len(self._members) != 1:
             raise ValueError("advance runs a one-member episode; use advance_all")
         (outcome,) = self.advance_all(horizon)
@@ -1111,13 +1089,11 @@ def run_episode(
 ) -> RegretTrace:
     """Run one policy for ``horizon`` queries and record regret checkpoints.
 
-    A presampling error, such as an estimation phase over the budget, is
-    raised here.  ``reference`` is an optional (optimal weights, optimal loss) pair, of
-    which regret reads the loss; computed from the problem when omitted.
-    ``oracle`` tracks ``reference_optimum(problem)``.  Episode randomness
-    comes from two streams of the environment seed: the environment
-    itself (spawn key 0) and the policy (spawn key 1).  This is a
-    one-member, one-horizon ``Episode``.
+    A presampling error is raised here.  ``reference`` is an optional
+    (p*, L*) pair, of which regret reads L*; computed when omitted.
+    Randomness comes from two streams of the environment seed: the
+    environment's (spawn key 0) and the policy's (spawn key 1).  This is
+    a one-member, one-horizon ``Episode``.
     """
     episode = Episode(policy_name, env, horizon, checkpoint_ratio, options, reference)
     return episode.advance(horizon)

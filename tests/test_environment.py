@@ -178,6 +178,40 @@ def test_block_then_single_continues_the_stream():
     assert a.query(1) == b.query(1)
 
 
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_query_arms_equals_successive_queries(model):
+    # blocks from the start, mid-buffer, across one and several refills,
+    # ending on a chunk's last draw, and empty; the next single query after
+    # each block must be the one successive queries lead to
+    problem = make_random_instance(2, 3, seed=8)
+    rng = np.random.default_rng(1)
+    sizes = [5, 40, 0, NOISE_CHUNK - 45, NOISE_CHUNK + 7, 3 * NOISE_CHUNK + 2, 1, 0]
+    sizes += [NOISE_CHUNK - 9, 2 * NOISE_CHUNK, 17]
+    one = make_env(problem, seed=21, model=model)
+    blk = make_env(problem, seed=21, model=model)
+    for size in sizes:
+        arms = rng.integers(0, 3, size).tolist()
+        got = blk.query_arms(arms)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert got.tolist() == [one.query(a) for a in arms], size
+        assert blk.draws == one.draws
+        assert blk.query(size % 3) == one.query(size % 3)
+    assert one.draws > 8 * NOISE_CHUNK
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 3], [2, -1]])
+def test_query_arms_checks_every_arm_before_a_draw(bad):
+    # a new environment has no noise drawn ahead, so any served arm draws
+    problem = make_random_instance(2, 3, seed=1)
+    env, fresh = make_env(problem, seed=0), make_env(problem, seed=0)
+    state = env.rng.bit_generator.state
+    with pytest.raises(ValueError, match="out of range"):
+        env.query_arms(bad)
+    assert env.query_arms([]).size == 0
+    assert env.draws == 0 and env.rng.bit_generator.state == state
+    assert env.query(1) == fresh.query(1)
+
+
 def test_draw_counter_tracks_observations():
     env = make_env(make_random_instance(2, 2, seed=5), seed=0)
     env.query(0)

@@ -508,6 +508,14 @@ def test_square_policies_sweep_reproduces_the_committed_results(tmp_path, monkey
     _assert_sweep_reproduces(tmp_path, "square_policies")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_kd_baselines_sweep_reproduces_the_committed_results(tmp_path, monkeypatch, threads):
+    # K > d uniform and oracle on redundant_arm: the golden guard on the
+    # open-loop K > d path, 3-row groups in process, smaller in the pool
+    monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
+    _assert_sweep_reproduces(tmp_path, "kd_baselines")
+
+
 def test_two_point_configs_are_the_hard_instance_in_both_orientations():
     names = ("two_point.json", "two_point_swapped.json")
     configs = [load_config(ROOT / "configs" / name) for name in names]
@@ -869,8 +877,9 @@ def test_chained_sweep_runs_each_step_once(monkeypatch):
     calls = {"thompson": 0, "uniform": 0}
     for cls in (ThompsonPolicy, UniformPolicy):
         def counted(self, t, stop, query, _run=cls.run):
+            # uniform's run queries the segment's arms as one block
             def counted_query(arm):
-                calls[self.name] += 1
+                calls[self.name] += len(arm) if self.open_loop else 1
                 return query(arm)
 
             return _run(self, t, stop, counted_query)
@@ -898,15 +907,15 @@ def test_chain_failure_matches_separate_episodes(tmp_path, monkeypatch, threads)
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
 
     # keyed to the policy's own round, so an episode reused after the
-    # failure would stop at a different step
+    # failure would stop at a different step; uniform's run queries the
+    # segment's steps round + 1 .. stop as one block
     def failing(self, t, stop, query, _run=UniformPolicy.run):
-        steps = iter(range(self.round + 1, stop + 1))
+        first = self.round + 1
 
-        def failing_query(arm):
-            step = next(steps)
-            if step > 1500:
-                raise RuntimeError(f"stopped at step {step}")
-            return query(arm)
+        def failing_query(arms):
+            if stop > 1500:
+                raise RuntimeError(f"stopped at step {max(first, 1501)}")
+            return query(arms)
 
         return _run(self, t, stop, failing_query)
 

@@ -93,6 +93,50 @@ def test_lockstep_members_record_their_separate_traces(instance, name, noise, si
         assert _fields(got) == _fields(_alone(instance, noise, name, seed, horizon))
 
 
+OPEN_LOOP = [(instance, name) for instance in ("redundant", "random3x5") for name in ("uniform", "oracle")]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("instance,name", OPEN_LOOP)
+def test_open_loop_groups_query_each_segment_once(monkeypatch, instance, name, size):
+    # every member answers a checkpoint segment with one query_arms call,
+    # and the group's traces are the ones its members record alone
+    blocks = []
+
+    def counted(self, arms, _query_arms=Environment.query_arms):
+        blocks.append((self.seed, len(arms)))
+        return _query_arms(self, arms)
+
+    monkeypatch.setattr(Environment, "query", None)
+    monkeypatch.setattr(Environment, "query_arms", counted)
+    problem, model, ref = _problem(instance, "gaussian")
+    horizon, seeds = INSTANCES[instance][2], SEEDS[:size]
+    episode = Episode(name, [make_env(problem, s, model) for s in seeds], horizon, reference=ref)
+    outcomes = episode.advance_all(horizon)
+    schedule = [episode.presample_end, *(row.t for row in outcomes[0].rows)]
+    segments = [b - a for a, b in zip(schedule, schedule[1:])]
+    assert blocks == [(s, m) for m in segments for s in seeds]
+    monkeypatch.undo()
+    for seed, got in zip(seeds, outcomes):
+        assert _fields(got) == _fields(_alone(instance, "gaussian", name, seed, horizon))
+
+
+@pytest.mark.parametrize("instance,name", OPEN_LOOP)
+def test_open_loop_member_whose_block_raises_fails_alone(monkeypatch, instance, name):
+    horizon = INSTANCES[instance][2]
+    want = [_alone(instance, "gaussian", name, s, horizon) for s in SEEDS[:3]]
+    problem, model, ref = _problem(instance, "gaussian")
+    _stop_after(monkeypatch, SEEDS[1], horizon // 2)
+    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    outcomes = Episode(name, envs, horizon, reference=ref).advance_all(horizon)
+    with pytest.raises(RuntimeError) as alone:
+        run_episode(name, make_env(problem, SEEDS[1], model), horizon, reference=ref)
+    assert str(alone.value) == f"stopped after {horizon // 2} draws"
+    assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == str(alone.value)
+    for i in (0, 2):
+        assert _fields(outcomes[i]) == _fields(want[i])
+
+
 def test_kd_group_makes_one_select_call_per_step(monkeypatch):
     # every member is a row of the one policy: a K > d step is one select
     # call with one entry per row, whatever the group's size
@@ -340,6 +384,25 @@ def test_seed_groups_are_contiguous_and_capped():
     assert harness._seed_groups(seeds[:2], False, 4) == [(0,), (1,)]
 
 
+def _stop_after(monkeypatch, seed: int, limit: int) -> None:
+    """Seed ``seed``'s environment raises at its first query once it has
+    served ``limit`` draws: a single query, or an open-loop block that
+    would pass ``limit``, with the message that query would give."""
+
+    def query(self, arm, _query=Environment.query):
+        if self.seed == seed and self.draws >= limit:
+            raise RuntimeError(f"stopped after {self.draws} draws")
+        return _query(self, arm)
+
+    def query_arms(self, arms, _query_arms=Environment.query_arms):
+        if self.seed == seed and self.draws + len(arms) > limit:
+            raise RuntimeError(f"stopped after {max(self.draws, limit)} draws")
+        return _query_arms(self, arms)
+
+    monkeypatch.setattr(Environment, "query", query)
+    monkeypatch.setattr(Environment, "query_arms", query_arms)
+
+
 def _sweep_raw(output=None, **changes):
     raw = {
         "instance": REDUNDANT,
@@ -387,12 +450,7 @@ def test_failing_member_matches_separate_episodes(monkeypatch, threads):
 
     # keyed to the environment's own draws, so a member that went on
     # after the failure would stop elsewhere or not at all
-    def failing(self, arm, _query=Environment.query):
-        if self.seed == 2 and self.draws >= 1500:
-            raise RuntimeError(f"stopped after {self.draws} draws")
-        return _query(self, arm)
-
-    monkeypatch.setattr(Environment, "query", failing)
+    _stop_after(monkeypatch, 2, 1500)
     raw = _sweep_raw(budgets=[1000, 2000, 3000])
     result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
     traces, failures = _outcomes_alone(raw)
@@ -413,18 +471,13 @@ def test_first_member_failing_before_a_later_budget(monkeypatch, threads):
         pytest.skip("pool workers see the patched environment only when forked")
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", threads)
 
-    def failing(self, arm, _query=Environment.query):
-        if self.seed == 0 and self.draws >= 500:
-            raise RuntimeError(f"stopped after {self.draws} draws")
-        return _query(self, arm)
-
     calls, advance = [], harness._Group.advance
 
     def counted(self, horizon):
         calls.append((self.run[2], horizon))
         advance(self, horizon)
 
-    monkeypatch.setattr(Environment, "query", failing)
+    _stop_after(monkeypatch, 0, 500)
     monkeypatch.setattr(harness._Group, "advance", counted)
     raw = _sweep_raw(budgets=[1000, 2000, 3000])
     result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)
@@ -448,11 +501,6 @@ def test_member_failing_its_first_budget_keeps_the_error(monkeypatch):
     # carries that error to the later budgets, with no second episode
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
 
-    def failing(self, arm, _query=Environment.query):
-        if self.seed == 1 and self.draws >= 700:
-            raise RuntimeError(f"stopped after {self.draws} draws")
-        return _query(self, arm)
-
     built = []
 
     class Counted(Episode):
@@ -460,7 +508,7 @@ def test_member_failing_its_first_budget_keeps_the_error(monkeypatch):
             built.append(args[0])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(Environment, "query", failing)
+    _stop_after(monkeypatch, 1, 700)
     monkeypatch.setattr(harness, "Episode", Counted)
     raw = _sweep_raw(policies=["uniform", "thompson"], budgets=[1000, 2000, 3000])
     result = run_sweep(ExperimentConfig.from_dict(raw), quiet=True)

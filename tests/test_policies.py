@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from activedesign import policies
 from activedesign.core import (
     CovariateSet,
     DesignProblem,
     NoiseSpec,
+    SimplexWeights,
     gradient,
     gram_cofactors,
     marks,
@@ -226,6 +228,59 @@ def test_oracle_uniform_target_round_robins():
         picks.append(arm)
         policy.observe(arm, 0.0)
     assert picks == [0, 1, 2, 0, 1, 2]
+
+
+def _next_arm_by_the_array_formula(policy) -> int:
+    """uniform's round % K, or oracle's np.argmax of p* - counts / n (of p*
+    at n = 0), on row 0 of a K > d policy."""
+    if isinstance(policy, UniformPolicy):
+        return policy.round % policy.n_arms
+    p_star = np.array(policy.p_star)
+    if policy.round == 0:
+        return int(p_star.argmax())
+    counts = np.array(policy.counts if policy._square else policy.counts[0])
+    return int((p_star - counts / policy.round).argmax())
+
+
+@pytest.mark.parametrize("name", ["uniform", "oracle"])
+@pytest.mark.parametrize(
+    "problem, rows",
+    [
+        (make_random_instance(3, 3, seed=4), None),
+        (load_instance(REDUNDANT_ARM), 3),
+        (make_random_instance(3, 5, seed=11), 1),
+    ],
+    ids=["square", "redundant_S3", "random3x5_S1"],
+)
+def test_plan_is_the_arms_of_successive_steps(name, problem, rows):
+    # from lopsided counts, plan(m) leaves the policy as it was and gives
+    # the m arms the array formula picks step by step; select is its first
+    rng = np.random.default_rng(3)
+    policy = make_policy(name, problem, None if rows is None else [None] * rows, 1000)
+
+    def observe(arm):
+        policy.observe(arm if rows is None else [arm] * rows, rng.standard_normal(rows))
+
+    for observed in (0, 7, 60):
+        for arm in rng.integers(0, problem.n_arms, observed).tolist():
+            observe(arm)
+        before = _row_state(policy)
+        arms = policy.plan(150)
+        assert _row_state(policy) == before
+        first = policy.select(policy.round + 1)
+        assert first == (arms[0] if rows is None else [arms[0]] * rows)
+        for arm in arms:
+            assert arm == _next_arm_by_the_array_formula(policy)
+            observe(arm)
+
+
+def test_oracle_rejects_a_design_that_is_not_finite(monkeypatch):
+    # its plan reads no deficit as NaN, so a NaN optimum must not reach it
+    problem = make_random_instance(3, 3, seed=4)
+    nan = SimplexWeights(np.full(3, np.nan))
+    monkeypatch.setattr(policies, "reference_optimum", lambda problem: (nan, np.nan))
+    with pytest.raises(ValueError, match="optimal design is not finite"):
+        OracleTrackingPolicy(problem, None, 100)
 
 
 def test_oracle_tracking_error_bound():

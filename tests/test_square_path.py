@@ -92,6 +92,7 @@ class _ArrayState:
     and steps through the base ``Policy.run``: its own ``select`` and ``observe``."""
 
     run = policies.Policy.run
+    open_loop = False  # the reference oracle queries one arm per step
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -198,6 +199,31 @@ NUMPY_POLICY = {
 }
 
 
+def _logged_query(env, open_loop: bool, log: list):
+    """``env``'s query for a policy's ``run`` (``query_arms`` if ``open_loop``),
+    appending each arm it is asked to ``log``."""
+    if open_loop:
+        query_arms = env.query_arms
+
+        def query(arms):
+            log.extend(arms)
+            return query_arms(arms)
+
+        return query
+    query = env.query
+
+    def query_one(arm):
+        log.append(arm)
+        return query(arm)
+
+    return query_one
+
+
+def _query(env, policy):
+    """The query ``policy.run`` takes from ``env``."""
+    return env.query_arms if policy.open_loop else env.query
+
+
 def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, counts=None):
     """One episode; returns (arms queried by its steps, final policy).  With
     ``counts`` the policy presamples each arm that many times instead of its
@@ -213,14 +239,11 @@ def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, co
         base = type(base.__name__, (base,), {"presample": presample})
     monkeypatch.setitem(policies._POLICY_CLASSES, name, base)
     env = make_env(problem, 3, model)
-    # a step queries one arm; presampling queries blocks
-    arms, query = [], env.query
-
-    def recording_query(arm):
-        arms.append(arm)
-        return query(arm)
-
-    env.query = recording_query
+    # a step queries one arm, or an open-loop segment its arms at once;
+    # presampling queries blocks
+    arms = []
+    env.query = _logged_query(env, False, arms)
+    env.query_arms = _logged_query(env, True, arms)
     episode = Episode(name, env, horizon, options=options)
     episode.advance(horizon)
     return arms, episode.policy
@@ -499,7 +522,7 @@ def test_square_run_in_one_call_equals_run_in_pieces(name, model):
     horizon = 600
     whole, env = _presampled(name, model, horizon)
     t0 = whole.round
-    whole.run(t0, horizon, env.query)
+    whole.run(t0, horizon, _query(env, whole))
     assert whole.round == horizon
     want = (_fields(whole), env.draws, _stream(whole))
     rng = np.random.default_rng(len(name))
@@ -513,7 +536,7 @@ def test_square_run_in_one_call_equals_run_in_pieces(name, model):
         pieces, env = _presampled(name, model, horizon)
         t = t0
         for stop in [*stops, horizon]:
-            pieces.run(t, stop, env.query)
+            pieces.run(t, stop, _query(env, pieces))
             t = stop
         assert (_fields(pieces), env.draws, _stream(pieces)) == want
 
@@ -525,19 +548,14 @@ def test_square_select_is_the_next_arm_run_takes(name, model):
         chosen, env = _presampled(name, model)
         taker, taker_env = _presampled(name, model)
         t = chosen.round
-        chosen.run(t, t + steps, env.query)
-        taker.run(t, t + steps, taker_env.query)
+        chosen.run(t, t + steps, _query(env, chosen))
+        taker.run(t, t + steps, _query(taker_env, taker))
         t += steps
         before = _fields(chosen), env.draws
         arm = chosen.select(t + 1)
         assert (_fields(chosen), env.draws) == before
         taken = []
-
-        def query(a):
-            taken.append(a)
-            return taker_env.query(a)
-
-        taker.run(t, t + 1, query)
+        taker.run(t, t + 1, _logged_query(taker_env, taker.open_loop, taken))
         assert taken == [arm]
         # the choice's draws, and no others
         assert _stream(chosen) == _stream(taker)
