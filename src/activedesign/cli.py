@@ -161,14 +161,7 @@ def _cmd_simulate(args) -> int:
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise ConfigError(f"--out {args.out!r}: not a file in an existing directory")
     env = make_env(problem, args.seed, model)
-    trace = run_episode(
-        args.policy,
-        env,
-        args.budget,
-        checkpoint_ratio=config.checkpoint_ratio,
-        options=options,
-        reference=reference,
-    )
+    trace = run_episode(args.policy, env, args.budget, options=options, reference=reference)
     rows = trace_records(trace)
     payload = {
         "policy": trace.policy,

@@ -195,6 +195,8 @@ class SimplexWeights:
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if v.shape[0] < 1:
             raise ValueError("weights must be non-empty")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("weights must be finite")
         if np.any(v < -_NEG_TOL):
             raise ValueError("weights must be nonnegative")
         v = np.maximum(v, 0.0)
@@ -386,29 +388,20 @@ def problem_constants(problem: DesignProblem) -> ProblemConstants:
     )
 
 
-def regret(problem: DesignProblem, weights, horizon: int, reference) -> float:
-    """Per-round excess loss (L(p_T) - L(p*)) / T against a reference optimum.
+def regret(value: float, horizon: int, ref_loss: float) -> float:
+    """Per-round excess loss (L(p_T) - L*) / T of a design whose loss is ``value``.
 
-    ``reference`` may be the optimal weights or a precomputed optimal
-    loss value.  Negative gaps larger than -1e-9 (rounding on a
-    well-solved instance) are clamped to zero and counted; anything more
-    negative means the reference is not an optimum and raises.
-    """
-    ref_loss = float(reference) if np.isscalar(reference) else loss(problem, reference)
-    return regret_from_loss(loss(problem, weights), horizon, ref_loss)
-
-
-def regret_from_loss(value: float, horizon: int, ref_loss: float) -> float:
-    """``regret`` of a design whose loss L(p_T) is already known: ``value``.
-
-    (value - ref_loss) / T, with ``regret``'s clamp and its count.
+    Negative gaps larger than -1e-9 (rounding on a well-solved instance)
+    are clamped to zero and counted.  A more negative gap (``ref_loss``
+    is not an optimum) or a NaN one (a NaN loss, or inf - inf) raises.
     """
     global _negative_regret_clamps
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     gap = value - ref_loss
-    if gap < -1e-9:
-        raise ValueError(f"loss gap {gap} is negative beyond tolerance; bad reference")
+    # written so that a NaN gap fails
+    if not gap >= -1e-9:
+        raise ValueError(f"loss gap {gap} is negative beyond tolerance or NaN; bad reference")
     if gap < 0.0:
         _negative_regret_clamps += 1
         logger.debug("clamped negative loss gap %.3e to zero", gap)

@@ -18,17 +18,23 @@ import numpy as np
 
 from .core import DesignProblem, _weights_array, info_matrix, marks, singular
 
+# Weights at or below ACTIVE_THRESHOLD count as boundary zeros; KKT_TOL is
+# the certificate's relative tolerance and DUAL_TOL the dual constraints'.
+ACTIVE_THRESHOLD = 1e-6
+KKT_TOL = 1e-5
+DUAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class EllipsoidCertificate:
     """KKT report at a candidate design.
 
     ``marks`` are the m_k values, ``level`` the largest mark over active
-    arms (weight above ``active_threshold``), ``slacks`` the per-arm
+    arms (weight above ``ACTIVE_THRESHOLD``), ``slacks`` the per-arm
     level - m_k.  ``certified`` means: active marks agree with the level
-    to ``tol`` relative, inactive marks do not exceed it beyond the same
-    tolerance, and complementary slackness p_k * slack_k <= tol * level
-    holds arm by arm.
+    to ``KKT_TOL`` relative, inactive marks do not exceed it beyond the
+    same tolerance, and complementary slackness
+    p_k * slack_k <= KKT_TOL * level holds arm by arm.
     """
 
     weights: np.ndarray
@@ -36,8 +42,6 @@ class EllipsoidCertificate:
     level: float
     slacks: np.ndarray
     active: np.ndarray
-    active_threshold: float
-    tol: float
     certified: bool
 
 
@@ -51,15 +55,10 @@ class DualReport:
     duality_gap: float
 
 
-def kkt_certificate(
-    problem: DesignProblem,
-    weights,
-    active_threshold: float = 1e-6,
-    tol: float = 1e-5,
-) -> EllipsoidCertificate:
+def kkt_certificate(problem: DesignProblem, weights) -> EllipsoidCertificate:
     """Evaluate the simplex KKT conditions at ``weights``.
 
-    Weights below ``active_threshold`` are treated as boundary zeros (and
+    Weights below ``ACTIVE_THRESHOLD`` are treated as boundary zeros (and
     reported as exact zeros in the certificate view; the caller's vector
     is not modified).
     """
@@ -70,14 +69,14 @@ def kkt_certificate(
         )
     m = marks(problem.covariates.columns, problem.noise.sigma2, p)
 
-    active = p > active_threshold
+    active = p > ACTIVE_THRESHOLD
     if not np.any(active):
         raise ValueError("no active arms above the threshold")
     level = float(np.max(m[active]))
     slacks = level - m
 
     view = np.where(active, p, 0.0)
-    scale = tol * level
+    scale = KKT_TOL * level
     ok_active = bool(np.all(np.abs(m[active] - level) <= scale))
     ok_inactive = bool(np.all(m[~active] <= level + scale))
     ok_slack = bool(np.all(view * slacks <= scale))
@@ -87,22 +86,16 @@ def kkt_certificate(
         level=level,
         slacks=slacks,
         active=active,
-        active_threshold=active_threshold,
-        tol=tol,
         certified=ok_active and ok_inactive and ok_slack,
     )
 
 
-def dual_feasibility(
-    problem: DesignProblem,
-    certificate: EllipsoidCertificate,
-    tol: float = 1e-6,
-) -> DualReport:
+def dual_feasibility(problem: DesignProblem, certificate: EllipsoidCertificate) -> DualReport:
     """Check the dual ellipsoid induced by a KKT certificate.
 
     W = Omega(p)^-2 / level must be positive definite with every
     rescaled covariate satisfying (X_k / sigma_k)^T W (X_k / sigma_k)
-    <= 1 + tol; the dual objective trace(sqrt(W))^2 then lower-bounds the
+    <= 1 + DUAL_TOL; the dual objective trace(sqrt(W))^2 then lower-bounds the
     primal loss, with equality at the optimum.
     """
     p = certificate.weights
@@ -123,7 +116,7 @@ def dual_feasibility(
     return DualReport(
         positive_definite=pd,
         max_constraint=max_c,
-        feasible=pd and max_c <= 1.0 + tol,
+        feasible=pd and max_c <= 1.0 + DUAL_TOL,
         dual_value=dual,
         primal_value=primal,
         duality_gap=primal - dual,

@@ -16,9 +16,9 @@ proxies are ``noise_proxy`` of the noise model, as for an inline instance.
 
 A sweep config is a JSON object with keys ``instance``, ``policies``,
 ``budgets`` and optionally ``seeds`` (count or explicit list, default
-25), ``checkpoints`` ({"ratio": r}, default 1.2) and ``output``
-(directory, default "results").  Outputs are one trace
-file per episode (columns t, regret, loss_gap, p_min), one summary per
+25) and ``output`` (directory, default "results").  Outputs are one
+trace file per episode (columns t, regret, loss_gap, p_min, at the
+checkpoints of ``policies.checkpoint_schedule``), one summary per
 policy (T, mean_regret, stderr, n_seeds), and a slope table (policy,
 slope, intercept, r_squared, n_points), all written by ``table_text``;
 identical configs produce byte-identical files.  As JSON a trace is
@@ -228,19 +228,11 @@ class ExperimentConfig:
     policies: tuple
     budgets: tuple
     seeds: tuple
-    checkpoint_ratio: float = 1.2
     output: str | None = "results"
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        known = {
-            "instance",
-            "policies",
-            "budgets",
-            "seeds",
-            "checkpoints",
-            "output",
-        }
+        known = {"instance", "policies", "budgets", "seeds", "output"}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -294,15 +286,6 @@ class ExperimentConfig:
             if len(set(seeds)) != len(seeds):
                 raise ConfigError("'seeds' must be distinct")
 
-        ratio = 1.2
-        if "checkpoints" in raw:
-            cp = raw["checkpoints"]
-            if not isinstance(cp, dict) or set(cp) - {"ratio"}:
-                raise ConfigError("'checkpoints' must be an object with key 'ratio'")
-            ratio = _real("checkpoints.ratio", cp.get("ratio", 1.2))
-            if ratio <= 1.0:
-                raise ConfigError(f"'checkpoints.ratio' must exceed 1, got {ratio!r}")
-
         output = raw.get("output", "results")
         if output is not None and not isinstance(output, str):
             raise ConfigError(f"'output' must be a directory path or null, got {output!r}")
@@ -312,7 +295,6 @@ class ExperimentConfig:
             policies=tuple(policies),
             budgets=budgets,
             seeds=seeds,
-            checkpoint_ratio=ratio,
             output=output,
         )
 
@@ -434,7 +416,7 @@ class _Group:
     through ``budgets`` (ascending; one budget unless they chain).
 
     ``run`` holds the sweep's constants (problem, model, name, options,
-    ratio, reference); ``outcomes`` the traces and errors that the
+    reference); ``outcomes`` the traces and errors that the
     group's jobs have not taken yet.
     """
 
@@ -452,14 +434,13 @@ class _Group:
         error from building or advancing it is every seed's; a seed that
         failed keeps its error at the later budgets.
         """
-        problem, model, name, options, ratio, reference = self.run
+        problem, model, name, options, reference = self.run
         try:
             if self.episode is None:
                 self.episode = Episode(
                     name,
                     [make_env(problem, seed, model) for seed in self.seeds],
                     horizon,
-                    checkpoint_ratio=ratio,
                     options=options,
                     reference=reference,
                     budgets=tuple(t for t in self.budgets if t > horizon),
@@ -596,7 +577,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
             raise ConfigError(f"output {config.output!r}: {existing} is not a directory")
 
     def make_task(name, options, budgets, seeds):
-        run = (problem, model, name, options, config.checkpoint_ratio, reference)
+        run = (problem, model, name, options, reference)
         group = _Group(run, budgets, seeds)
         return [(group, horizon, seed) for horizon in budgets for seed in seeds]
 

@@ -48,9 +48,8 @@ from .core import (
     loss,
     marks,
     optimal_weights_closed_form,
+    regret,
 )
-# a checkpoint's two core calls, under the names perfbench's layer probes patch
-from .core import regret_from_loss as regret
 from .environment import NOISE_CHUNK, Environment
 from .estimation import ConfidenceParams, lcb_variance
 from .solver import reference_optimum
@@ -63,6 +62,9 @@ logger = logging.getLogger(__name__)
 # fixed-point sweeps of randomized's K > d design solve, at most; under
 # floored bounds many solves certify only at the cap, so it stays small
 _DESIGN_SWEEPS = 200
+
+# successive regret checkpoints are this factor apart, rounded to steps
+CHECKPOINT_RATIO = 1.2
 
 
 def default_estimation_count(horizon: int) -> int:
@@ -450,16 +452,13 @@ class OracleTrackingPolicy(_OpenLoop, Policy):
 
     def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        p_star = reference_optimum(problem)[0].values
-        if not np.all(np.isfinite(p_star)):
-            raise ValueError("the optimal design is not finite")
-        self.p_star = p_star.tolist()
+        self.p_star = reference_optimum(problem)[0].values.tolist()
 
     def plan(self, m: int) -> list:
         """The largest deficit p*_k - counts_k / n each step, the first of
         equals as np.argmax (the first largest p*_k at n = 0); found as the
         first least counts_k / n - p*_k, since IEEE subtraction is exactly
-        antisymmetric.  p* is finite, so no deficit is NaN."""
+        antisymmetric.  p* is a ``SimplexWeights``, finite, so no deficit is NaN."""
         counts = list(self.counts if self._square else self.counts[0].tolist())
         p_star, arms = self.p_star, []
         for n in range(self.round, self.round + m):
@@ -831,21 +830,17 @@ class RegretTrace:
         return self.rows[-1].regret
 
 
-def checkpoint_schedule(start: int, horizon: int, ratio: float = 1.2) -> list[int]:
-    """Geometric checkpoint times from ``start`` to ``horizon`` inclusive."""
-    if ratio <= 1.0:
-        raise ValueError("checkpoint ratio must exceed 1")
+def checkpoint_schedule(start: int, horizon: int) -> list[int]:
+    """Geometric checkpoint times, ``CHECKPOINT_RATIO`` apart, from ``start``
+    to ``horizon`` inclusive."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     start = max(int(start), 1)
-    if horizon * (ratio - 1.0) < 1.0:
-        # v then grows by under 1 a step, so round() skips no integer
-        return list(range(start, horizon + 1))
     ts = {horizon}
     v = float(start)
     while v < horizon:
         ts.add(int(round(v)))
-        v *= ratio
+        v *= CHECKPOINT_RATIO
     return sorted(t for t in ts if start <= t <= horizon)
 
 
@@ -893,7 +888,6 @@ class Episode:
         policy_name: str,
         envs,
         horizon: int,
-        checkpoint_ratio: float = 1.2,
         options: dict | None = None,
         reference: tuple | None = None,
         budgets=(),
@@ -943,10 +937,7 @@ class Episode:
         self.t = t
         self.presample_end = t
         self.estimation_count = n0
-        self._schedules = {
-            h: checkpoint_schedule(min(max(t, 2 * k, 1), h), h, checkpoint_ratio)
-            for h in horizons
-        }
+        self._schedules = {h: checkpoint_schedule(min(max(t, 2 * k, 1), h), h) for h in horizons}
         self._pending = set().union(*self._schedules.values())
         if t in self._pending:
             try:
@@ -1003,17 +994,22 @@ class Episode:
         return self._each(lambda member, _: member.env.query_arms(arms), [arms] * len(self._live))
 
     def _record(self, now: int) -> None:
-        """Record checkpoint ``now`` of every running member."""
+        """Record checkpoint ``now`` of every running member, scoring each
+        distinct count vector once (a K > d open-loop group's rows all agree)."""
+        scored = {}  # counts -> (loss, p_min)
 
         def checkpoint(member, counts):
-            p = np.asarray(counts) / now
-            value = loss(self._problem, p)
+            key = tuple(int(c) for c in counts)
+            if key not in scored:
+                p = np.asarray(counts) / now
+                scored[key] = loss(self._problem, p), float(p.min())
+            value, p_min = scored[key]
             member.rows[now] = CheckpointRow(
                 t=now,
                 regret=regret(value, now, self._loss_star),
                 loss_gap=value - self._loss_star,
-                p_min=float(p.min()),
-                counts=tuple(int(c) for c in counts),
+                p_min=p_min,
+                counts=key,
             )
 
         counts = self.policy.counts
@@ -1083,7 +1079,6 @@ def run_episode(
     policy_name: str,
     env: Environment,
     horizon: int,
-    checkpoint_ratio: float = 1.2,
     options: dict | None = None,
     reference: tuple | None = None,
 ) -> RegretTrace:
@@ -1095,5 +1090,5 @@ def run_episode(
     environment's (spawn key 0) and the policy's (spawn key 1).  This is
     a one-member, one-horizon ``Episode``.
     """
-    episode = Episode(policy_name, env, horizon, checkpoint_ratio, options, reference)
+    episode = Episode(policy_name, env, horizon, options, reference)
     return episode.advance(horizon)

@@ -39,6 +39,12 @@ logger = logging.getLogger(__name__)
 # Steps of one support Newton solve, at most.
 _NEWTON_STEPS = 50
 
+# The fixed point's relative gap test max_k m_k - L <= _REL_TOL L, which
+# a support Newton answer must pass too, and the relative tolerance on
+# the inactive marks of an active-set polish's restriction.
+_REL_TOL = 1e-12
+_POLISH_TOL = 1e-9
+
 # ``minimize``'s Frank-Wolfe gap tolerance, interior floor, Armijo
 # constant, backtracking factor and smallest step
 _GAP_TOL = 1e-9
@@ -138,9 +144,7 @@ def _certify_subset(
     return SimplexWeights(full), value
 
 
-def active_set_polish(
-    problem: DesignProblem, weights, tol: float = 1e-9
-) -> tuple[SimplexWeights, float] | None:
+def active_set_polish(problem: DesignProblem, weights) -> tuple[SimplexWeights, float] | None:
     """Try to turn an approximate design into an exact boundary optimum.
 
     When the optimum puts mass on exactly d of the K arms, restricting
@@ -161,15 +165,13 @@ def active_set_polish(
     # ties go to the lowest arm index, so exact clones keep a stable order
     pool = np.argsort(-w, kind="stable")[: d + 3]
     for subset in itertools.combinations(pool.tolist(), d):
-        hit = _certify_subset(problem, np.sort(subset), tol)
+        hit = _certify_subset(problem, np.sort(subset), _POLISH_TOL)
         if hit is not None:
             return hit
     return None
 
 
-def _support_newton(
-    problem: DesignProblem, weights, rel_tol: float = 1e-12
-) -> tuple[SimplexWeights, float] | None:
+def _support_newton(problem: DesignProblem, weights) -> tuple[SimplexWeights, float] | None:
     """Newton's method on the heaviest arms of ``weights``, kept only if it certifies.
 
     With a_k = X_k / sigma_k, M = sum_S w_k a_k a_k^T and B = M^-1 A_S,
@@ -183,7 +185,7 @@ def _support_newton(
     A step that would empty an arm stops where the first one empties,
     and that arm leaves for good (dropping every arm the full step
     empties lost a true arm on one random instance in five).  The answer
-    must pass the fixed point's own test, max_k m_k - L <= rel_tol L
+    must pass the fixed point's own test, max_k m_k - L <= _REL_TOL L
     over all K arms (a merged clone's mark is its twin's); d arms give
     their closed form via ``_certify_subset``, and a singular system or
     fewer than d arms give None.
@@ -204,7 +206,7 @@ def _support_newton(
         for _ in range(_NEWTON_STEPS):
             n = len(support)
             if n <= d:
-                return _certify_subset(problem, support, rel_tol) if n == d else None
+                return _certify_subset(problem, support, _REL_TOL) if n == d else None
             a_s = a[:, support]
             b = np.linalg.solve((a_s * w) @ a_s.T, a_s)
             h = 2.0 * (a_s.T @ b) * (b.T @ b)
@@ -218,7 +220,7 @@ def _support_newton(
                 w[j] = 0.0
             keep = w > 0.0
             support, w = support[keep], w[keep] / np.sum(w[keep])
-            if np.all(keep) and np.max(np.abs(step)) <= rel_tol:
+            if np.all(keep) and np.max(np.abs(step)) <= _REL_TOL:
                 break
         full = np.zeros(problem.n_arms)
         full[support] = w
@@ -227,7 +229,7 @@ def _support_newton(
         return None
     value = float(full @ m)
     # written so that a NaN mark fails
-    if not np.max(m) - value <= rel_tol * value:
+    if not np.max(m) - value <= _REL_TOL * value:
         return None
     return SimplexWeights(full), value
 
@@ -236,7 +238,7 @@ def _multiplicative_refine(
     problem: DesignProblem,
     weights,
     max_iters: int = 20_000,
-    rel_tol: float = 1e-12,
+    rel_tol: float = _REL_TOL,
     certify=None,
 ) -> tuple[SimplexWeights, float]:
     """Sharpen a design with the classical multiplicative fixed point.

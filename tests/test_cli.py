@@ -178,6 +178,7 @@ def test_a_budget_the_estimation_phase_cannot_fit_exits_one(tmp_path, capsys, mo
 CONFIG_ERRORS = [
     ("empty_seeds", {"seeds": []}, "'seeds' must not be empty"),
     ("estimation_count", {"estimation_count": 10}, "unknown config key 'estimation_count'"),
+    ("checkpoints", {"checkpoints": {"ratio": 1.2}}, "unknown config key 'checkpoints'"),
 ]
 
 

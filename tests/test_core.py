@@ -117,6 +117,10 @@ def test_simplex_weights_clamp_and_renormalize():
         SimplexWeights(np.array([1.1, -0.1]))
     with pytest.raises(ValueError, match="sum"):
         SimplexWeights(np.array([0.6, 0.6]))
+    # NaN used to construct: both the sign and the sum test are False for it
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimplexWeights(np.full(3, bad))
 
 
 def test_simplex_uniform():
@@ -407,31 +411,37 @@ def test_regret_hard_instance_pin():
     prob = make_hard_instance(1.0)
     # L(p) = 2 / (1 + p1), optimum puts everything on arm 0
     assert loss(prob, [0.5, 0.5]) == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert regret(prob, [0.5, 0.5], 100, 1.0) == pytest.approx(1.0 / 300.0, rel=1e-12)
+    assert regret(loss(prob, [0.5, 0.5]), 100, 1.0) == pytest.approx(1.0 / 300.0, rel=1e-12)
 
 
 def test_regret_validates_inputs():
     prob = make_hard_instance(1.0)
+    value = loss(prob, [0.5, 0.5])
     with pytest.raises(ValueError, match="horizon"):
-        regret(prob, [0.5, 0.5], 0, 1.0)
+        regret(value, 0, 1.0)
     with pytest.raises(ValueError, match="negative"):
-        regret(prob, [1.0 - 1e-9, 1e-9], 10, 2.0)  # reference above the true loss
+        regret(loss(prob, [1.0 - 1e-9, 1e-9]), 10, 2.0)  # reference above the true loss
+    # a NaN loss used to give a NaN regret without a warning
+    for bad in ((math.nan, 1.0), (value, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="NaN"):
+            regret(bad[0], 10, bad[1])
+    assert regret(math.inf, 10, 1.0) == math.inf  # a singular design's loss
 
 
 def test_regret_clamps_tiny_negative_gap():
     prob = make_hard_instance(1.0)
     before = negative_regret_clamps()
-    value = regret(prob, [1.0 - 1e-12, 1e-12], 10, loss(prob, [1.0 - 1e-12, 1e-12]) + 1e-10)
-    assert value == 0.0
+    value = loss(prob, [1.0 - 1e-12, 1e-12])
+    assert regret(value, 10, value + 1e-10) == 0.0
     assert negative_regret_clamps() == before + 1
 
 
-def test_regret_accepts_weight_reference():
+def test_regret_is_the_loss_gap_per_round():
     prob = canonical_problem([1.0, 4.0])
-    p_star = optimal_weights_closed_form(prob)
-    val = regret(prob, [0.5, 0.5], 10, p_star)
-    want = (loss(prob, [0.5, 0.5]) - 9.0) / 10.0
-    assert val == pytest.approx(want, rel=1e-12)
+    ref_loss = loss(prob, optimal_weights_closed_form(prob))
+    assert ref_loss == pytest.approx(9.0, rel=1e-12)
+    val = regret(loss(prob, [0.5, 0.5]), 10, ref_loss)
+    assert val == (loss(prob, [0.5, 0.5]) - ref_loss) / 10.0
 
 
 def test_ols_noiseless_recovery():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from activedesign import geometry
 from activedesign.core import (
     CovariateSet,
     DesignProblem,
@@ -86,7 +87,7 @@ def test_zero_weight_arms_are_reported_as_exact_zeros():
     problem = make_random_instance(2, 3, seed=3)
     cert = kkt_certificate(problem, np.array([0.5, 0.5 - 1e-9, 1e-9]))
     assert cert.weights[2] == 0.0
-    assert cert.active_threshold == 1e-6
+    assert geometry.ACTIVE_THRESHOLD == 1e-6
 
 
 def test_certificate_rejects_degenerate_inputs():

@@ -219,7 +219,6 @@ def base_config_dict():
 def test_config_defaults():
     cfg = ExperimentConfig.from_dict(base_config_dict())
     assert cfg.seeds == tuple(range(25))
-    assert cfg.checkpoint_ratio == 1.2
     assert cfg.output == "results"
 
 
@@ -248,8 +247,7 @@ def test_config_errors_name_the_offending_key():
         ({**base_config_dict(), "seeds": 0}, "'seeds' count must be positive"),
         ({**base_config_dict(), "seeds": [1, 1]}, "'seeds' must be distinct"),
         ({**base_config_dict(), "seeds": []}, "'seeds' must not be empty"),
-        ({**base_config_dict(), "checkpoints": {"rate": 2}}, "'checkpoints'"),
-        ({**base_config_dict(), "checkpoints": {"ratio": 1.0}}, "must exceed 1"),
+        ({**base_config_dict(), "checkpoints": {"ratio": 1.2}}, "unknown config key 'checkpoints'"),
         ({**base_config_dict(), "estimation_count": 10}, "unknown config key 'estimation_count'"),
         ({**base_config_dict(), "instance": "hard"}, "'instance' must be an object"),
         ({**base_config_dict(), "output": 5}, "'output' must be a directory path or null"),
@@ -291,26 +289,6 @@ def test_config_rejects_estimation_count_at_any_value(value):
     # unknown whatever its value, even one it used to accept
     with pytest.raises(ConfigError, match="unknown config key 'estimation_count'"):
         ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": value})
-
-
-@pytest.mark.parametrize(
-    "ratio", [math.nan, math.inf, -math.inf, [2], "2", True, None, {"r": 2}, 1.0, 0.5]
-)
-def test_config_rejects_a_checkpoint_ratio_that_is_not_a_finite_number_above_1(ratio):
-    # a NaN ratio used to collapse the checkpoint schedule to {start, T},
-    # and [2] raised a bare TypeError
-    with pytest.raises(ConfigError, match="'checkpoints.ratio'"):
-        ExperimentConfig.from_dict({**base_config_dict(), "checkpoints": {"ratio": ratio}})
-
-
-def test_config_reads_a_nan_ratio_from_json_as_an_error(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**base_config_dict(), "checkpoints": {"ratio": math.nan}}))
-    assert "NaN" in path.read_text()
-    with pytest.raises(ConfigError, match="must be finite"):
-        load_config(path)
-    ok = {**base_config_dict(), "checkpoints": {"ratio": 2}}
-    assert ExperimentConfig.from_dict(ok).checkpoint_ratio == 2.0
 
 
 @pytest.mark.parametrize("policies", ["uniform", 5, {"name": "uniform"}, None])

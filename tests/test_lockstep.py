@@ -585,17 +585,3 @@ def test_checkpoint_computes_the_loss_once(monkeypatch):
     assert len(calls) == len(got.rows)
     assert _fields(got) == _fields(want)
 
-
-def test_regret_from_loss_is_regret():
-    problem, _, (p_star, value) = _problem("redundant", "gaussian")
-    p = np.full(problem.n_arms, 1.0 / problem.n_arms)
-    assert core.regret_from_loss(core.loss(problem, p), 50, value) == core.regret(
-        problem, p, 50, value
-    )
-    before = core.negative_regret_clamps()
-    assert core.regret_from_loss(value - 1e-12, 50, value) == 0.0
-    assert core.negative_regret_clamps() == before + 1
-    with pytest.raises(ValueError, match="negative beyond tolerance"):
-        core.regret_from_loss(value - 1e-6, 50, value)
-    with pytest.raises(ValueError, match="horizon must be positive"):
-        core.regret_from_loss(value, 0, value)
