@@ -28,6 +28,7 @@ from activedesign.harness import (
     write_instance,
 )
 from activedesign.policies import (
+    CHECKPOINT_RATIO,
     OracleTrackingPolicy,
     ThompsonPolicy,
     UniformPolicy,
@@ -289,6 +290,28 @@ def test_config_rejects_estimation_count_at_any_value(value):
     # unknown whatever its value, even one it used to accept
     with pytest.raises(ConfigError, match="unknown config key 'estimation_count'"):
         ExperimentConfig.from_dict({**base_config_dict(), "estimation_count": value})
+
+
+@pytest.mark.parametrize(
+    "ratio", [math.nan, math.inf, -math.inf, [2], "2", True, None, {"r": 2}, 1.0, 0.5]
+)
+def test_config_rejects_a_checkpoint_ratio_that_is_not_a_finite_number_above_1(ratio):
+    # the grid ratio is policies.CHECKPOINT_RATIO, so 'checkpoints' is an
+    # unknown key; a NaN ratio once collapsed the schedule to {start, T}
+    with pytest.raises(ConfigError, match="unknown config key 'checkpoints'"):
+        ExperimentConfig.from_dict({**base_config_dict(), "checkpoints": {"ratio": ratio}})
+
+
+def test_config_reads_a_nan_ratio_from_json_as_an_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base_config_dict(), "checkpoints": {"ratio": math.nan}}))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ConfigError, match="unknown config key 'checkpoints'"):
+        load_config(path)
+    # the fixed ratio itself is refused too: no config sets the grid
+    path.write_text(json.dumps({**base_config_dict(), "checkpoints": {"ratio": CHECKPOINT_RATIO}}))
+    with pytest.raises(ConfigError, match="unknown config key 'checkpoints'"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("policies", ["uniform", 5, {"name": "uniform"}, None])
