@@ -9,12 +9,13 @@ eps drawn from one of three centered noise families:
   kappa_k^2 = a_k^2 (bounded-range sub-Gaussian parameter);
 * ``rademacher``: +/- sigma_k with equal probability, proxy sigma_k^2.
 
-Raw noise (standard normals, unit uniforms or fair bits) is drawn ahead
-from the generator in fixed chunks and served in order, to single queries,
-one arm's blocks and arm sequences alike.  The n-th observation is the value
-it would be if each query drew its own noise, the arm queried only picks the
-mean and scale applied to it, and a (seed, query sequence) pair fully
-determines every observation.  ``draws`` counts the observations served.
+Raw noise (standard normals, unit uniforms or fair bits) is drawn from the
+generator in fixed chunks into one buffer, and served from it in order to
+single queries, one arm's blocks and arm sequences alike.  The n-th
+observation is the value it would be if each query drew its own noise, the
+arm queried only picks the mean and scale applied to it, and a (seed, query
+sequence) pair fully determines every observation.  ``draws`` counts the
+observations served.
 """
 
 from __future__ import annotations
@@ -108,41 +109,28 @@ class Environment:
         if bad.size:
             raise ValueError(f"arm {bad[0]} out of range [0, {self.n_arms})")
         n, i = arms.size, self._next
-        raw, self._next = self._buffer[i : i + n], i + n
-        for short in range(n - len(raw), 0, -NOISE_CHUNK):
-            self._buffer = self._raw(NOISE_CHUNK).tolist()
-            raw += self._buffer[:short]
-            self._next = short
+        raw = np.array(self._buffer[i : i + n], dtype=np.float64)
+        self._next = i + n
+        short = n - raw.size
+        if short > 0:
+            # the chunks successive refills would draw, in one call; the last
+            # becomes the buffer
+            chunks = -(-short // NOISE_CHUNK)
+            fresh = self._raw(chunks * NOISE_CHUNK)
+            self._buffer = fresh[-NOISE_CHUNK:].tolist()
+            self._next = short - (chunks - 1) * NOISE_CHUNK
+            raw = np.concatenate((raw, fresh[:short]))
         self.draws += n
-        eps = np.array(self._scale)[arms] * np.array(raw, dtype=np.float64)
+        eps = np.array(self._scale)[arms] * raw
         if self._low is not None:
             eps = np.array(self._low)[arms] + eps
         return np.array(self._means)[arms] + eps
 
     def query_block(self, arm: int, n: int) -> np.ndarray:
-        """n observations of one arm, equal to n single queries.
-
-        The rest of the buffer is served first; the remainder is drawn
-        directly, leaving the buffer empty.
-        """
-        if not 0 <= arm < self.n_arms:
-            raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
+        """n observations of one arm: ``query_arms`` of n copies of ``arm``."""
         if n < 0:
             raise ValueError("block size must be nonnegative")
-        if n == 0:
-            return np.empty(0)
-        self.draws += n
-        i = self._next
-        j = min(i + n, len(self._buffer))
-        raw = np.array(self._buffer[i:j], dtype=np.float64)
-        self._next = j
-        if j - i < n:
-            raw = np.concatenate((raw, self._raw(n - (j - i))))
-        if self._low is None:
-            eps = self._scale[arm] * raw
-        else:
-            eps = self._low[arm] + self._scale[arm] * raw
-        return self._means[arm] + eps
+        return self.query_arms(np.full(n, arm, dtype=np.intp))
 
 
 def make_env(problem: DesignProblem, seed: int, model: str = "gaussian") -> Environment:
@@ -165,38 +153,22 @@ def make_hard_instance(delta: float, model: str = "gaussian") -> DesignProblem:
     return DesignProblem(covs, noise, beta=np.array([1.0]))
 
 
-def make_random_instance(
-    d: int,
-    k: int,
-    seed: int,
-    sigma2_range: tuple[float, float] = (0.5, 2.0),
-    model: str = "gaussian",
-    canonical: bool = False,
-) -> DesignProblem:
-    """Random unit covariates with iid variances and a Gaussian truth.
+def make_random_instance(d: int, k: int, seed: int, model: str = "gaussian") -> DesignProblem:
+    """Random unit covariates with iid U(0.5, 2) variances and a Gaussian truth.
 
     Covariate columns are drawn uniformly on the sphere and the whole set
     is redrawn until its smallest singular value clears 0.1, so generated
-    instances are uniformly well conditioned.  ``canonical`` swaps the
-    random directions for the standard basis (requires k = d).
+    instances are uniformly well conditioned.
     """
     if d < 1 or k < d:
         raise ValueError("need k >= d >= 1 to span R^d")
-    lo, hi = sigma2_range
-    if not 0.0 < lo <= hi:
-        raise ValueError("sigma2_range must be positive and ordered")
     rng = np.random.default_rng(seed)
-    if canonical:
-        if k != d:
-            raise ValueError("canonical instances require k = d")
-        cols = np.eye(d)
-    else:
-        while True:
-            cols = rng.standard_normal((d, k))
-            cols /= np.linalg.norm(cols, axis=0)
-            if np.linalg.svd(cols, compute_uv=False)[-1] > 0.1:
-                break
-    sigma2 = rng.uniform(lo, hi, k)
+    while True:
+        cols = rng.standard_normal((d, k))
+        cols /= np.linalg.norm(cols, axis=0)
+        if np.linalg.svd(cols, compute_uv=False)[-1] > 0.1:
+            break
+    sigma2 = rng.uniform(0.5, 2.0, k)
     beta = rng.standard_normal(d)
     noise = NoiseSpec(sigma2=sigma2, kappa2=noise_proxy(model, sigma2))
     return DesignProblem(CovariateSet(cols), noise, beta=beta)

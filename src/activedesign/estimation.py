@@ -33,8 +33,8 @@ class ConfidenceParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.kappa2 <= 0.0:
-            raise ValueError("kappa2 must be positive")
+        if not 0.0 < self.kappa2 < math.inf:
+            raise ValueError("kappa2 must be positive and finite")
 
 
 def variance_radius(n: int, kappa2: float, delta: float) -> float:

@@ -90,18 +90,6 @@ def _real(key: str, value) -> float:
     return float(value)
 
 
-def _boolean(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _real_pair(key: str, values) -> tuple[float, float]:
-    if not isinstance(values, (list, tuple)) or len(values) != 2:
-        raise ConfigError(f"{key!r} must be a list of two numbers, got {values!r}")
-    return _real(key, values[0]), _real(key, values[1])
-
-
 # --------------------------------------------------------------------
 # instance files
 
@@ -330,7 +318,7 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
                 raise ConfigError("hard instance takes only 'delta'")
             return make_hard_instance(_real("delta", instance.get("delta", 1.0)), model), model
         if kind == "random":
-            allowed = {"generator", "d", "K", "seed", "sigma2_range", "canonical"}
+            allowed = {"generator", "d", "K", "seed"}
             if keys - allowed:
                 raise ConfigError(f"random instance keys must be in {sorted(allowed)}")
             return (
@@ -338,9 +326,7 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
                     _integer("d", instance.get("d", 3)),
                     _integer("K", instance.get("K", instance.get("d", 3))),
                     _integer("seed", instance.get("seed", 0)),
-                    _real_pair("sigma2_range", instance.get("sigma2_range", (0.5, 2.0))),
                     model,
-                    _boolean("canonical", instance.get("canonical", False)),
                 ),
                 model,
             )

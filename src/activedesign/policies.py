@@ -253,22 +253,18 @@ _ROW_STATE = (
 _ROW_STREAMS = ("rng", "_uniforms")
 
 
-class _Chosen(Exception):
-    """Carries the arm at which a K = d ``select`` stops ``run``."""
-
-
 class Policy:
     """Shared bookkeeping: the round (observations so far) and the counts.
 
-    On square problems per-arm state is a list of Python floats,
-    ``select(t)`` returns one arm and ``observe(arm, y)`` takes one.  On
-    K > d the policy owns S rows, one per seed: ``rng`` is a list of S
-    generators (one generator, or None, is one row), per-row state is an
-    (S, K) array, ``select(t)`` returns S entries (an arm, or the row's
-    exception) and ``observe`` takes one arm and response per row.
-    ``observe`` and ``observe_block`` reach the class's ``_update`` hook.
-    ``horizon_free`` marks a policy whose choices never read T, and
-    ``open_loop`` one whose ``run`` queries a segment as one block.
+    A policy steps only through ``run``.  On square problems per-arm state
+    is a list of Python floats.  On K > d the policy owns S rows, one per
+    seed: ``rng`` is a list of S generators (one generator, or None, is
+    one row), per-row state is an (S, K) array, and the base ``run`` steps
+    the rows through ``select`` and ``observe``.  ``observe`` and
+    ``observe_block`` (presampling, on both shapes) reach the class's
+    ``_update`` hook.  ``horizon_free`` marks a policy whose choices never
+    read T, and ``open_loop`` one whose ``run`` queries a segment as one
+    block.
     """
 
     name = "?"
@@ -294,43 +290,29 @@ class Policy:
         values = np.full(shape, values, dtype=np.float64)
         return values.tolist() if self._square else values
 
-    def select(self, t: int):
-        """The choice at step t: the rows' on K > d; on K = d the arm ``run``
-        takes, stopped at that step's query, so only the choice's draws move."""
-        if not self._square:
-            return self._select_rows(t)
-
-        def stop(arm):
-            raise _Chosen(arm)
-
-        try:
-            self.run(t - 1, t, stop)
-        except _Chosen as chosen:
-            return chosen.args[0]
+    def select(self, t: int) -> list:
+        """The K > d rows' choices at step t: an arm, or the row's exception."""
+        return self._select_rows(t)
 
     def run(self, t: int, stop: int, query) -> None:
-        """Steps t + 1 through ``stop``: each selects, queries ``query(arm)``
+        """Steps t + 1 through ``stop``: each selects, queries ``query(arms)``
         and observes; closed-loop K > d rows step here.  Those classes
         override it on K = d with one loop on their state lists, held in
         locals, that applies each observation with ``_update``'s IEEE
-        operations in their order: calling ``_update`` per step halved the
-        measured gain (perfbench ``square`` ``sweep_s`` -7.7% with the
-        call, -15.5% without)."""
+        operations in their order."""
         select, observe = self.select, self.observe
         for t in range(t + 1, stop + 1):
-            arm = select(t)
-            observe(arm, query(arm))
+            arms = select(t)
+            observe(arms, query(arms))
 
-    def observe(self, arm, y) -> None:
-        if self._square:
-            self._update(arm, arm, (y,))
-        else:
-            for i, a in enumerate(arm):
-                self._update((i, a), a, (y[i],))
+    def observe(self, arms: list, ys) -> None:
+        """The K > d step's response ``ys[i]`` to ``arms[i]`` in each row i."""
+        for i, a in enumerate(arms):
+            self._update((i, a), a, (ys[i],))
         self.round += 1
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
-        """Observations ``ys`` of one arm, in order; same as observing each.
+        """Observations ``ys`` of one arm, taken in order one at a time.
 
         On K > d ``ys`` is (S, m): every row observes ``arm`` m times.
         """
@@ -413,14 +395,10 @@ class _Moments:
 class _OpenLoop:
     """Mixed into a ``Policy`` whose arms never read a response, so every
     lock-step row holds the same counts: ``plan(m)`` gives the next m arms
-    without changing the policy, ``select`` its first in every row, and
-    ``run`` queries a segment as one block, ``query(arms)``, and counts it."""
+    without changing the policy, and ``run`` queries a segment as one
+    block, ``query(arms)``, and counts it."""
 
     open_loop = True
-
-    def select(self, t: int):
-        (arm,) = self.plan(1)
-        return arm if self._square else [arm] * len(self.rng)
 
     def run(self, t: int, stop: int, query) -> None:
         arms = self.plan(stop - t)

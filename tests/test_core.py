@@ -26,6 +26,7 @@ from activedesign.core import (
     singular,
 )
 from activedesign.environment import make_hard_instance, make_random_instance
+from activedesign.estimation import ConfidenceParams
 from activedesign.geometry import kkt_certificate
 
 
@@ -107,6 +108,26 @@ def test_problem_beta_dimension():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="beta must be finite"):
             canonical_problem([1.0, 1.0], beta=np.array([1.0, bad]))
+
+
+# each seam that takes floats from outside a policy, fed one value
+NON_FINITE_SEAMS = {
+    "noise_sigma2": lambda v: NoiseSpec(np.array([1.0, v]), np.array([2.0, 2.0])),
+    "noise_kappa2": lambda v: NoiseSpec(np.array([1.0, 1.0]), np.array([1.0, v])),
+    "covariates": lambda v: CovariateSet(np.array([[1.0, 0.0], [v, 1.0]])),
+    "beta": lambda v: canonical_problem([1.0, 1.0], beta=np.array([1.0, v])),
+    "confidence_delta": lambda v: ConfidenceParams(v, 1.0),
+    "confidence_kappa2": lambda v: ConfidenceParams(0.1, v),
+    "hard_instance_delta": lambda v: make_hard_instance(v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("seam", NON_FINITE_SEAMS)
+def test_non_finite_inputs_raise(seam, value):
+    # a NaN or +inf kappa^2 used to build ConfidenceParams
+    with pytest.raises(ValueError):
+        NON_FINITE_SEAMS[seam](value)
 
 
 def test_simplex_weights_clamp_and_renormalize():

@@ -111,14 +111,19 @@ def test_env_stream_is_spawn_key_zero():
 
 
 def test_block_matches_sequential_queries():
+    # within the first chunk, and spanning several chunks from a fresh
+    # environment and from mid-buffer
     problem = make_random_instance(2, 3, seed=5)
     for model in NOISE_MODELS:
-        one = make_env(problem, seed=9, model=model)
-        blk = make_env(problem, seed=9, model=model)
-        singles = np.array([one.query(1) for _ in range(64)])
-        block = blk.query_block(1, 64)
-        np.testing.assert_array_equal(block, singles)
-        assert one.draws == blk.draws == 64
+        for sizes in ([64], [3 * NOISE_CHUNK + 5], [7, 2 * NOISE_CHUNK, NOISE_CHUNK + 1]):
+            one = make_env(problem, seed=9, model=model)
+            blk = make_env(problem, seed=9, model=model)
+            for size in sizes:
+                singles = np.array([one.query(1) for _ in range(size)])
+                block = blk.query_block(1, size)
+                np.testing.assert_array_equal(block, singles)
+                assert one.draws == blk.draws
+            assert blk.draws == sum(sizes)
 
 
 def _scalar_replay(problem, seed, model):
@@ -169,13 +174,19 @@ def test_chunked_noise_matches_scalar_draws_across_refills():
 
 
 def test_block_then_single_continues_the_stream():
+    # after short blocks, blocks ending on a chunk's last draw and blocks
+    # spanning several chunks
     problem = make_random_instance(2, 2, seed=5)
-    a = make_env(problem, seed=13)
-    b = make_env(problem, seed=13)
-    a.query_block(0, 10)
-    for _ in range(10):
-        b.query(0)
-    assert a.query(1) == b.query(1)
+    for model in NOISE_MODELS:
+        for size in (10, NOISE_CHUNK, 2 * NOISE_CHUNK + 10, 4 * NOISE_CHUNK - 10):
+            a = make_env(problem, seed=13, model=model)
+            b = make_env(problem, seed=13, model=model)
+            a.query_block(0, size)
+            for _ in range(size):
+                b.query(0)
+            assert [a.query(1) for _ in range(NOISE_CHUNK + 2)] == [
+                b.query(1) for _ in range(NOISE_CHUNK + 2)
+            ], (model, size)
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
@@ -303,15 +314,6 @@ def test_random_instance_is_seed_deterministic():
     np.testing.assert_array_equal(a.beta, b.beta)
 
 
-def test_random_instance_canonical_basis():
-    problem = make_random_instance(3, 3, seed=0, canonical=True)
-    np.testing.assert_array_equal(problem.covariates.columns, np.eye(3))
-    with pytest.raises(ValueError, match="k = d"):
-        make_random_instance(2, 3, seed=0, canonical=True)
-
-
 def test_random_instance_validation():
     with pytest.raises(ValueError, match="k >= d"):
         make_random_instance(3, 2, seed=0)
-    with pytest.raises(ValueError, match="positive and ordered"):
-        make_random_instance(2, 2, seed=0, sigma2_range=(2.0, 1.0))

@@ -32,6 +32,7 @@ from activedesign.policies import (
     POLICY_NAMES,
     _float_sum,
     _neg_inv_gram_diag,
+    _residual_arm,
     checkpoint_schedule,
     default_estimation_count,
     extends_past,
@@ -41,7 +42,7 @@ from activedesign.policies import (
     run_episode,
 )
 from activedesign.solver import reference_optimum
-from test_square_path import assert_thompson_selects_as_numpy, gradient_ucb_pick
+from test_square_path import assert_thompson_selects_as_numpy, gradient_ucb_pick, square_choice
 
 REDUNDANT_ARM = Path(__file__).resolve().parents[1] / "instances" / "redundant_arm.txt"
 
@@ -55,8 +56,9 @@ def canonical(sigma2, beta=None):
 
 
 def feed(policy, pairs):
+    """A K = d policy takes each (arm, y) as a one-sample block."""
     for arm, y in pairs:
-        policy.observe(arm, y)
+        policy.observe_block(arm, np.array([y]))
 
 
 # --------------------------------------------------------------------
@@ -176,7 +178,7 @@ def test_observe_block_equals_per_sample_observe(name, rows):
         if rows is None:
             ys = rng.normal(3.0, 2.0, n)
             for y in ys.tolist():
-                one.observe(arm, y)
+                one.observe_block(arm, np.array([y]))
         else:
             ys = rng.normal(3.0, 2.0, (rows, n))
             for column in ys.T.tolist():
@@ -195,12 +197,7 @@ def test_observe_block_equals_per_sample_observe(name, rows):
 
 def test_uniform_round_robin_sequence():
     policy = UniformPolicy(make_random_instance(3, 3, seed=0), None, horizon=10)
-    picks = []
-    for _ in range(6):
-        arm = policy.select(0)
-        picks.append(arm)
-        policy.observe(arm, 0.0)
-    assert picks == [0, 1, 2, 0, 1, 2]
+    assert policy.plan(6) == [0, 1, 2, 0, 1, 2]
 
 
 def test_uniform_episode_counts_within_one():
@@ -212,23 +209,13 @@ def test_uniform_episode_counts_within_one():
 def test_oracle_deficit_sequence():
     # the optimum of canonical sigma^2 = (1, 4) is (1/3, 2/3)
     policy = OracleTrackingPolicy(canonical([1.0, 4.0]), None, horizon=3)
-    picks = []
-    for _ in range(3):
-        arm = policy.select(0)
-        picks.append(arm)
-        policy.observe(arm, 0.0)
-    assert picks == [1, 0, 1]
+    assert policy.plan(3) == [1, 0, 1]
 
 
 def test_oracle_uniform_target_round_robins():
     # equal variances on the canonical instance: the optimum is uniform
     policy = OracleTrackingPolicy(canonical([1.0, 1.0, 1.0]), None, horizon=6)
-    picks = []
-    for _ in range(6):
-        arm = policy.select(0)
-        picks.append(arm)
-        policy.observe(arm, 0.0)
-    assert picks == [0, 1, 2, 0, 1, 2]
+    assert policy.plan(6) == [0, 1, 2, 0, 1, 2]
 
 
 def _next_arm_by_the_array_formula(policy) -> int:
@@ -255,12 +242,16 @@ def _next_arm_by_the_array_formula(policy) -> int:
 )
 def test_plan_is_the_arms_of_successive_steps(name, problem, rows):
     # from lopsided counts, plan(m) leaves the policy as it was and gives
-    # the m arms the array formula picks step by step; select is its first
+    # the m arms the array formula picks step by step
     rng = np.random.default_rng(3)
     policy = make_policy(name, problem, None if rows is None else [None] * rows, 1000)
 
     def observe(arm):
-        policy.observe(arm if rows is None else [arm] * rows, rng.standard_normal(rows))
+        ys = rng.standard_normal(rows)
+        if rows is None:
+            policy.observe_block(arm, np.array([ys]))
+        else:
+            policy.observe([arm] * rows, ys)
 
     for observed in (0, 7, 60):
         for arm in rng.integers(0, problem.n_arms, observed).tolist():
@@ -268,8 +259,6 @@ def test_plan_is_the_arms_of_successive_steps(name, problem, rows):
         before = _row_state(policy)
         arms = policy.plan(150)
         assert _row_state(policy) == before
-        first = policy.select(policy.round + 1)
-        assert first == (arms[0] if rows is None else [arms[0]] * rows)
         for arm in arms:
             assert arm == _next_arm_by_the_array_formula(policy)
             observe(arm)
@@ -360,7 +349,7 @@ def test_randomized_square_bounds_and_weights_follow_each_observation(design_del
     ys = [[] for _ in range(k)]
     for arm in rng.integers(0, k, 60).tolist():
         y = float(rng.normal(1.0, 2.0))
-        policy.observe(arm, y)
+        policy.observe_block(arm, np.array([y]))
         ys[arm].append(y)
         n = len(ys[arm])
         if n < 2:
@@ -383,7 +372,7 @@ def test_randomized_requires_defined_variance_bounds():
     problem = canonical([1.0, 4.0])
     policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100)
     with pytest.raises(ValueError, match="presample"):
-        policy.select(1)
+        square_choice(policy, 1)
 
 
 def test_randomized_reads_live_bounds_once_presampling_defines_them():
@@ -392,7 +381,7 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
     feed(policy, [(0, 1.0), (0, 3.0), (1, 0.0)])
     policy.presample_done()  # arm 1 has no bound yet
     with pytest.raises(ValueError, match="presample"):
-        policy.select(4)
+        square_choice(policy, 4)
     feed(policy, [(1, 4.0)])
     policy.presample_done()
     before = design(policy)
@@ -403,11 +392,19 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
     np.testing.assert_array_equal(after, root / root.sum())
 
 
+def residual_draws(policy, n: int) -> np.ndarray:
+    """n arms drawn as a K = d ``randomized`` step draws one, from its design
+    weights, its anchor and its own uniforms, with the policy held fixed."""
+    weights, uniforms = policy._weights, policy._uniforms[0]
+    total = _float_sum(weights)
+    return np.array([_residual_arm(weights, total, policy._anchor, next(uniforms)) for _ in range(n)])
+
+
 def test_randomized_without_anchor_draws_the_design():
     # no presample anchor: the draw distribution is the design itself
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(7), 100, [1.0, 4.0])
-    picks = np.array([policy.select(1) for _ in range(20_000)])
+    picks = residual_draws(policy, 20_000)
     f = picks.mean()
     se = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / 20_000)
     assert abs(f - 2.0 / 3.0) <= 3.0 * se
@@ -421,7 +418,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
     policy.counts = np.array([50.0, 10.0])
     policy.round = 60
     policy.presample_done()
-    picks = np.array([policy.select(61) for _ in range(2000)])
+    picks = residual_draws(policy, 2000)
     assert np.all(picks == 1)
 
 
@@ -433,7 +430,7 @@ def test_randomized_residual_frequencies():
     policy.presample_done()
     q = np.maximum(np.array([1.0 / 3.0, 2.0 / 3.0]) - 0.1, 0.0)
     q /= q.sum()
-    picks = np.array([policy.select(21) for _ in range(20_000)])
+    picks = residual_draws(policy, 20_000)
     f = picks.mean()
     se = math.sqrt(q[1] * (1.0 - q[1]) / 20_000)
     assert abs(f - q[1]) <= 3.0 * se
@@ -522,7 +519,7 @@ def test_gradient_ucb_breaks_ties_to_the_lowest_index():
     policy.sig2hat = [1.0, 1.0]
     policy.counts = np.array([5.0, 5.0])
     policy.round = 10
-    assert policy.select(11) == 0
+    assert square_choice(policy, 11) == 0
 
 
 def test_gradient_ucb_bonus_can_override_the_gradient():
@@ -537,7 +534,7 @@ def test_gradient_ucb_bonus_can_override_the_gradient():
     p = [c / 1000 for c in policy.counts]
     gradient_alone = _closed_form_gradient(_neg_inv_gram_diag(problem), policy.sig2hat, p)
     assert int(np.argmin(gradient_alone)) == 0
-    assert policy.select(1001) == 1
+    assert square_choice(policy, 1001) == 1
 
 
 def _closed_form_gradient(neg_diag, sig2, p):
@@ -606,14 +603,15 @@ def test_gradient_ucb_square_select_matches_the_solve_route():
     x = problem.covariates.columns
     rng = np.random.default_rng(7)
     policy = GradientUcbPolicy(problem, None, 1000)
-    policy.sig2hat = sig2.tolist()
     for _ in range(200):
+        # a step updates the observed arm's plug-in variance: reset it
+        policy.sig2hat = sig2.tolist()
         policy.counts = rng.integers(1, 300, 3).astype(np.float64)
         policy.round = int(policy.counts.sum())
         t = policy.round + 1
         bonus = 2.0 * np.sqrt(3.0 * math.log(t) / policy.counts)
         g = -marks(x, sig2, policy.counts / policy.round) - bonus
-        assert policy.select(t) == int(np.argmin(g))
+        assert square_choice(policy, t) == int(np.argmin(g))
 
 
 def test_gradient_ucb_episode_tracks_the_optimum():
@@ -649,14 +647,14 @@ def test_thompson_conjugate_update_recurrence():
     problem = canonical([1.0, 1.0])
     policy = ThompsonPolicy(problem, np.random.default_rng(0), 100)
     y1, y2 = 2.0, -1.0
-    policy.observe(0, y1)
+    policy.observe_block(0, np.array([y1]))
     # from (mu, nu, alpha, beta) = (0, 1, 1, 1)
     assert policy.post_nu[0] == 2.0
     assert policy.post_mu[0] == y1 / 2.0
     assert policy.post_alpha[0] == 1.5
     assert policy.post_beta[0] == 1.0 + 1.0 * y1**2 / 4.0
     mu, nu, a, b = policy.post_mu[0], policy.post_nu[0], policy.post_alpha[0], policy.post_beta[0]
-    policy.observe(0, y2)
+    policy.observe_block(0, np.array([y2]))
     assert policy.post_nu[0] == nu + 1.0
     assert policy.post_mu[0] == (nu * mu + y2) / (nu + 1.0)
     assert policy.post_alpha[0] == a + 0.5
@@ -664,11 +662,19 @@ def test_thompson_conjugate_update_recurrence():
 
 
 def test_thompson_symmetry_between_identical_arms():
-    problem = make_random_instance(2, 2, seed=0, canonical=True, sigma2_range=(1.0, 1.0))
+    # the standard basis at sigma^2 = (1, 1); beta as seed 0 of the random
+    # generator drew it after the two variances
+    beta_rng = np.random.default_rng(0)
+    beta_rng.random(2)
+    problem = canonical([1.0, 1.0], beta=beta_rng.standard_normal(2))
     policy = ThompsonPolicy(problem, np.random.default_rng(0), 100)
-    policy.counts = np.array([1.0, 1.0])
-    policy.round = 2
-    picks = np.array([policy.select(3) for _ in range(10_000)])
+    picks = []
+    for _ in range(10_000):
+        # a step updates the arm it takes: start each one from the prior
+        policy.post_alpha, policy.post_beta = [1.0, 1.0], [1.0, 1.0]
+        policy.counts, policy.round = [1.0, 1.0], 2
+        picks.append(square_choice(policy, 3))
+    picks = np.array(picks)
     f = picks.mean()
     se = math.sqrt(0.25 / 10_000)
     assert abs(f - 0.5) <= 3.0 * se
