@@ -24,13 +24,7 @@ from .core import (
     problem_constants,
     regret,
 )
-from .environment import (
-    Environment,
-    make_env,
-    make_hard_instance,
-    make_random_instance,
-    noise_proxy,
-)
+from .environment import Environment, make_env, make_hard_instance, make_random_instance
 from .estimation import (
     ConfidenceParams,
     halving_sample_count,
@@ -99,7 +93,6 @@ __all__ = [
     "make_policy",
     "make_random_instance",
     "minimize",
-    "noise_proxy",
     "ols_fit",
     "optimal_weights_closed_form",
     "presample_plan",

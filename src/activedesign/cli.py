@@ -5,10 +5,12 @@
     active-design simulate CONFIG --policy NAME --budget T [--seed S]
                            [--format csv|json] [--out FILE]
     active-design sweep CONFIG [--format csv|json] [--quiet]
-    active-design verify [--trials N] [--horizon T] [--noise MODEL] ...
+    active-design verify [--trials N] [--horizon T] [--seed S]
+                         [--format csv|json] [--out FILE]
 
 Exit code 0 on success, 1 on usage or validation errors (bad flags,
-malformed files, unknown names), 2 when a run fails at execution time.
+malformed files, unknown names, an ``--out`` that is not a file in an
+existing directory), 2 when a run fails at execution time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import problem_constants
-from .environment import NOISE_MODELS, make_env
+from .environment import make_env
 from .geometry import dual_feasibility, kkt_certificate
 from .harness import (
     CONCENTRATION_COLUMNS,
@@ -82,8 +84,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="Monte Carlo check of the variance confidence radius")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--noise", choices=NOISE_MODELS, default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -155,12 +155,10 @@ def _cmd_geometry(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     options = dict(next((o for n, o in config.policies if n == args.policy), {}))
-    problem, model = build_problem(config.instance)
+    problem, _ = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, [(args.policy, options)], [args.budget])
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        raise ConfigError(f"--out {args.out!r}: not a file in an existing directory")
-    env = make_env(problem, args.seed, model)
+    env = make_env(problem, args.seed)
     trace = run_episode(args.policy, env, args.budget, options=options, reference=reference)
     rows = trace_records(trace)
     payload = {
@@ -192,13 +190,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = verify_concentration(
-        trials=args.trials,
-        horizon=args.horizon,
-        sigma2=args.sigma2,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    rows = verify_concentration(trials=args.trials, horizon=args.horizon, seed=args.seed)
     ok = all(r["violation_rate"] <= r["bound"] + 3.0 * r["binom_se"] for r in rows)
     _emit(table_text(args.format, CONCENTRATION_COLUMNS, rows), args.out)
     print("coverage ok" if ok else "coverage VIOLATED", file=sys.stderr)
@@ -221,6 +213,9 @@ def cli_main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"--out {out!r}: not a file in an existing directory")
         return handlers[args.command](args)
     except (ConfigError, InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

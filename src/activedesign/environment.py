@@ -2,20 +2,15 @@
 
 An environment owns a design problem with a known truth vector beta and a
 seeded random generator.  Querying arm k returns <X_k, beta> + eps with
-eps drawn from one of three centered noise families:
+Gaussian noise eps ~ N(0, sigma_k^2); the policies see only the problem's
+proxies kappa_k^2, which default to sigma_k^2 (``NoiseSpec``).
 
-* ``gaussian``: N(0, sigma_k^2), proxy kappa_k^2 = sigma_k^2;
-* ``uniform``: uniform on [-a_k, a_k] with a_k = sqrt(3) sigma_k, proxy
-  kappa_k^2 = a_k^2 (bounded-range sub-Gaussian parameter);
-* ``rademacher``: +/- sigma_k with equal probability, proxy sigma_k^2.
-
-Raw noise (standard normals, unit uniforms or fair bits) is drawn from the
-generator in fixed chunks into one buffer, and served from it in order to
-single queries, one arm's blocks and arm sequences alike.  The n-th
-observation is the value it would be if each query drew its own noise, the
-arm queried only picks the mean and scale applied to it, and a (seed, query
-sequence) pair fully determines every observation.  ``draws`` counts the
-observations served.
+Standard normals are drawn from the generator in fixed chunks into one
+buffer, and served from it in order to single queries, one arm's blocks
+and arm sequences alike.  The n-th observation is the value it would be if
+each query drew its own noise, the arm queried only picks the mean and
+scale applied to it, and a (seed, query sequence) pair fully determines
+every observation.  ``draws`` counts the observations served.
 """
 
 from __future__ import annotations
@@ -24,20 +19,7 @@ import numpy as np
 
 from .core import CovariateSet, DesignProblem, NoiseSpec
 
-NOISE_MODELS = ("gaussian", "uniform", "rademacher")
-
-
-def noise_proxy(model: str, sigma2) -> np.ndarray:
-    """Sub-Gaussian proxy kappa^2 implied by a noise model at variance sigma^2."""
-    s2 = np.asarray(sigma2, dtype=np.float64)
-    if model == "gaussian" or model == "rademacher":
-        return s2.copy()
-    if model == "uniform":
-        return 3.0 * s2
-    raise ValueError(f"unknown noise model {model!r}")
-
-
-# Raw draws taken from the generator per refill of the query buffer.
+# Standard normals taken from the generator per refill of the query buffer.
 NOISE_CHUNK = 1024
 
 
@@ -46,45 +28,24 @@ class Environment:
 
     The generator is seeded from ``seed`` on a dedicated stream
     (spawn key 0), leaving sibling streams of the same seed free for
-    policy randomness.  Observation n is mean + sigma * z_n (gaussian,
-    z standard normal), mean + sigma * (2 b_n - 1) (rademacher, b a fair
-    bit) or mean + (-a + (a - (-a)) u_n) (uniform, u on [0, 1); the
-    arithmetic of ``Generator.uniform(-a, a)``), with the raw draws taken
-    from the stream in order: ``query`` serves one arm, ``query_block``
-    n of one arm and ``query_arms`` a sequence of arms, one draw each.
+    policy randomness.  Observation n is mean + sigma * z_n, with the
+    standard normals z taken from the stream in order: ``query`` serves
+    one arm, ``query_block`` n of one arm and ``query_arms`` a sequence
+    of arms, one draw each.
     """
 
-    def __init__(self, problem: DesignProblem, seed: int, model: str = "gaussian"):
-        if model not in NOISE_MODELS:
-            raise ValueError(f"unknown noise model {model!r}")
+    def __init__(self, problem: DesignProblem, seed: int):
         if problem.beta is None:
             raise ValueError("environment needs a problem with a truth vector beta")
         self.problem = problem
-        self.model = model
         self.seed = int(seed)
         self.rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
         self.draws = 0
         self.n_arms = problem.n_arms
         self._means = (problem.covariates.columns.T @ problem.beta).tolist()
-        sigma = problem.noise.sigma
-        if model == "uniform":
-            # half-range with matching variance: a = sqrt(3) sigma
-            a = np.sqrt(3.0) * sigma
-            self._low = (-a).tolist()
-            self._scale = (a - -a).tolist()
-        else:
-            self._low = None
-            self._scale = sigma.tolist()
+        self._scale = problem.noise.sigma.tolist()
         self._buffer: list = []
         self._next = 0
-
-    def _raw(self, n: int) -> np.ndarray:
-        """The next n raw draws straight from the generator."""
-        if self.model == "gaussian":
-            return self.rng.standard_normal(n)
-        if self.model == "uniform":
-            return self.rng.random(n)
-        return 2.0 * self.rng.integers(0, 2, n) - 1.0
 
     def query(self, arm: int) -> float:
         """One observation of arm ``arm``."""
@@ -92,13 +53,11 @@ class Environment:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         i = self._next
         if i == len(self._buffer):
-            self._buffer = self._raw(NOISE_CHUNK).tolist()
+            self._buffer = self.rng.standard_normal(NOISE_CHUNK).tolist()
             i = 0
         self._next = i + 1
         self.draws += 1
-        if self._low is None:
-            return self._means[arm] + self._scale[arm] * self._buffer[i]
-        return self._means[arm] + (self._low[arm] + self._scale[arm] * self._buffer[i])
+        return self._means[arm] + self._scale[arm] * self._buffer[i]
 
     def query_arms(self, arms) -> np.ndarray:
         """One observation of each of ``arms``, in order, as successive
@@ -116,15 +75,12 @@ class Environment:
             # the chunks successive refills would draw, in one call; the last
             # becomes the buffer
             chunks = -(-short // NOISE_CHUNK)
-            fresh = self._raw(chunks * NOISE_CHUNK)
+            fresh = self.rng.standard_normal(chunks * NOISE_CHUNK)
             self._buffer = fresh[-NOISE_CHUNK:].tolist()
             self._next = short - (chunks - 1) * NOISE_CHUNK
             raw = np.concatenate((raw, fresh[:short]))
         self.draws += n
-        eps = np.array(self._scale)[arms] * raw
-        if self._low is not None:
-            eps = np.array(self._low)[arms] + eps
-        return np.array(self._means)[arms] + eps
+        return np.array(self._means)[arms] + np.array(self._scale)[arms] * raw
 
     def query_block(self, arm: int, n: int) -> np.ndarray:
         """n observations of one arm: ``query_arms`` of n copies of ``arm``."""
@@ -133,11 +89,11 @@ class Environment:
         return self.query_arms(np.full(n, arm, dtype=np.intp))
 
 
-def make_env(problem: DesignProblem, seed: int, model: str = "gaussian") -> Environment:
-    return Environment(problem, seed, model)
+def make_env(problem: DesignProblem, seed: int) -> Environment:
+    return Environment(problem, seed)
 
 
-def make_hard_instance(delta: float, model: str = "gaussian") -> DesignProblem:
+def make_hard_instance(delta: float) -> DesignProblem:
     """Two identical scalar arms split only by noise: sigma^2 = (1, 1 + delta).
 
     The loss reduces to L(p) = (1 + delta) / (1 + delta p_1) with optimum
@@ -148,12 +104,11 @@ def make_hard_instance(delta: float, model: str = "gaussian") -> DesignProblem:
     if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
     covs = CovariateSet(np.array([[1.0, 1.0]]))
-    sigma2 = np.array([1.0, 1.0 + delta])
-    noise = NoiseSpec(sigma2=sigma2, kappa2=noise_proxy(model, sigma2))
+    noise = NoiseSpec(sigma2=np.array([1.0, 1.0 + delta]))
     return DesignProblem(covs, noise, beta=np.array([1.0]))
 
 
-def make_random_instance(d: int, k: int, seed: int, model: str = "gaussian") -> DesignProblem:
+def make_random_instance(d: int, k: int, seed: int) -> DesignProblem:
     """Random unit covariates with iid U(0.5, 2) variances and a Gaussian truth.
 
     Covariate columns are drawn uniformly on the sphere and the whole set
@@ -170,5 +125,4 @@ def make_random_instance(d: int, k: int, seed: int, model: str = "gaussian") -> 
             break
     sigma2 = rng.uniform(0.5, 2.0, k)
     beta = rng.standard_normal(d)
-    noise = NoiseSpec(sigma2=sigma2, kappa2=noise_proxy(model, sigma2))
-    return DesignProblem(CovariateSet(cols), noise, beta=beta)
+    return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2=sigma2), beta=beta)

@@ -12,7 +12,7 @@ separated numbers with ``#`` comments:
 When only one optional row is present it is told apart by length; for
 square instances (K = d) that is ambiguous and the row is read as the
 proxies, so write both rows to pin beta.  Without a proxy row the
-proxies are ``noise_proxy`` of the noise model, as for an inline instance.
+proxies equal the variances, as for an inline instance without ``kappa2``.
 
 A sweep config is a JSON object with keys ``instance``, ``policies``,
 ``budgets`` and optionally ``seeds`` (count or explicit list, default
@@ -46,13 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CovariateSet, DesignProblem, NoiseSpec
-from .environment import (
-    NOISE_MODELS,
-    make_env,
-    make_hard_instance,
-    make_random_instance,
-    noise_proxy,
-)
+from .environment import make_env, make_hard_instance, make_random_instance
 from .estimation import halving_sample_count, variance_radius
 from .policies import POLICY_NAMES, Episode, RegretTrace, budget_floor, extends_past, make_policy
 from .solver import reference_optimum
@@ -106,9 +100,9 @@ def _parse_floats(path: Path, tokens: list[str], lineno: int) -> list[float]:
     return out
 
 
-def load_instance(path, model: str = "gaussian") -> DesignProblem:
+def load_instance(path) -> DesignProblem:
     """Read a design problem from a text instance file; without a proxy row
-    the proxies are ``noise_proxy(model, sigma2)``."""
+    the proxies are the variances."""
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
     try:
@@ -185,8 +179,6 @@ def load_instance(path, model: str = "gaussian") -> DesignProblem:
                 f"{path}: line {ln}: optional row has {len(tokens)} entries, expected {k} or {d}"
             )
 
-    if kappa2 is None:
-        kappa2 = noise_proxy(model, sigma2)
     try:
         return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2, kappa2), beta=beta)
     except ValueError as exc:
@@ -300,35 +292,33 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_problem(instance: dict) -> tuple[DesignProblem, str]:
-    """Materialize (problem, noise model) from a config's instance object."""
-    model = instance.get("noise", "gaussian")
-    if model not in NOISE_MODELS:
-        raise ConfigError(f"unknown noise model {model!r}; expected one of {NOISE_MODELS}")
-    keys = set(instance) - {"noise"}
+    """Materialize the problem of a config's instance object, paired with
+    "gaussian", the only noise, for callers that unpack a pair."""
+    return _problem(instance), "gaussian"
+
+
+def _problem(instance: dict) -> DesignProblem:
+    keys = set(instance)
 
     if "file" in instance:
         if keys - {"file"}:
             raise ConfigError("instance with 'file' takes no other keys")
-        return load_instance(instance["file"], model), model
+        return load_instance(instance["file"])
 
     if "generator" in instance:
         kind = instance["generator"]
         if kind == "hard":
             if keys - {"generator", "delta"}:
                 raise ConfigError("hard instance takes only 'delta'")
-            return make_hard_instance(_real("delta", instance.get("delta", 1.0)), model), model
+            return make_hard_instance(_real("delta", instance.get("delta", 1.0)))
         if kind == "random":
             allowed = {"generator", "d", "K", "seed"}
             if keys - allowed:
                 raise ConfigError(f"random instance keys must be in {sorted(allowed)}")
-            return (
-                make_random_instance(
-                    _integer("d", instance.get("d", 3)),
-                    _integer("K", instance.get("K", instance.get("d", 3))),
-                    _integer("seed", instance.get("seed", 0)),
-                    model,
-                ),
-                model,
+            return make_random_instance(
+                _integer("d", instance.get("d", 3)),
+                _integer("K", instance.get("K", instance.get("d", 3))),
+                _integer("seed", instance.get("seed", 0)),
             )
         raise ConfigError(f"unknown generator {kind!r}; expected 'random' or 'hard'")
 
@@ -340,13 +330,9 @@ def build_problem(instance: dict) -> tuple[DesignProblem, str]:
             raise ConfigError("inline instance needs 'variances'")
         cols = np.asarray(instance["covariates"], dtype=np.float64).T
         sigma2 = np.asarray(instance["variances"], dtype=np.float64)
-        kappa2 = (
-            np.asarray(instance["kappa2"], dtype=np.float64)
-            if "kappa2" in instance
-            else noise_proxy(model, sigma2)
-        )
+        kappa2 = np.asarray(instance["kappa2"], dtype=np.float64) if "kappa2" in instance else None
         beta = np.asarray(instance["beta"], dtype=np.float64) if "beta" in instance else None
-        return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2, kappa2), beta=beta), model
+        return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2, kappa2), beta=beta)
 
     raise ConfigError("instance needs one of 'file', 'generator', or 'covariates'")
 
@@ -401,7 +387,7 @@ class _Group:
     """The seeds of one policy that run as one lock-step ``Episode``
     through ``budgets`` (ascending; one budget unless they chain).
 
-    ``run`` holds the sweep's constants (problem, model, name, options,
+    ``run`` holds the sweep's constants (problem, name, options,
     reference); ``outcomes`` the traces and errors that the
     group's jobs have not taken yet.
     """
@@ -420,12 +406,12 @@ class _Group:
         error from building or advancing it is every seed's; a seed that
         failed keeps its error at the later budgets.
         """
-        problem, model, name, options, reference = self.run
+        problem, name, options, reference = self.run
         try:
             if self.episode is None:
                 self.episode = Episode(
                     name,
-                    [make_env(problem, seed, model) for seed in self.seeds],
+                    [make_env(problem, seed) for seed in self.seeds],
                     horizon,
                     options=options,
                     reference=reference,
@@ -452,7 +438,7 @@ def _episode_task(args) -> tuple:
     outcome = group.outcomes.pop((horizon, seed))
     if isinstance(outcome, Exception):
         raise outcome
-    return group.run[2], horizon, seed, outcome
+    return group.run[1], horizon, seed, outcome
 
 
 def _chain_task(jobs: list) -> list:
@@ -552,7 +538,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    problem, model = build_problem(config.instance)
+    problem, _ = build_problem(config.instance)
     reference = check_reference(reference_optimum(problem), config.instance)
     check_runs(problem, config.policies, config.budgets)
     if config.output is not None:
@@ -563,7 +549,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
             raise ConfigError(f"output {config.output!r}: {existing} is not a directory")
 
     def make_task(name, options, budgets, seeds):
-        run = (problem, model, name, options, reference)
+        run = (problem, name, options, reference)
         group = _Group(run, budgets, seeds)
         return [(group, horizon, seed) for horizon in budgets for seed in seeds]
 
@@ -601,7 +587,7 @@ def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -
     else:
         done = [_chain_task(task) for task in tasks]
     outcomes = {
-        (group.run[2], horizon, seed): outcome
+        (group.run[1], horizon, seed): outcome
         for task, results in zip(tasks, done)
         for (group, horizon, seed), outcome in zip(task, results)
     }
@@ -744,46 +730,33 @@ def verify_concentration(
     trials: int = 1000,
     pairs: tuple = ((50, 0.05), (200, 0.01)),
     horizon: int = 100,
-    sigma2: float = 1.0,
-    noise: str = "gaussian",
     seed: int = 0,
 ) -> list[dict]:
     """Monte Carlo check of the variance deviation radius and halving count.
 
-    For each (n, delta) pair, draws ``trials`` batches of n noise samples
-    and measures how often the population variance estimate misses the
-    truth by more than the radius; the rate must stay below delta (plus
-    binomial noise).  The halving row does the same for the sample count
-    that promises a factor-two estimate with probability 1 - 1/T^2.
+    For each (n, delta) pair, draws ``trials`` batches of n standard normal
+    samples and measures how often the population variance estimate misses
+    the truth 1 by more than the radius at proxy 1; the rate must stay
+    below delta (plus binomial noise).  The halving row does the same for
+    the sample count that promises a factor-two estimate with probability
+    1 - 1/T^2.  Scaling the noise to any sigma^2 scales the estimates, the
+    radius and the threshold alike, so unit variance checks them all.
     """
-    if noise not in NOISE_MODELS:
-        raise ConfigError(f"unknown noise model {noise!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials!r}")
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise ConfigError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    kappa2 = float(noise_proxy(noise, np.array([sigma2]))[0])
     rng = np.random.default_rng(seed)
 
-    def draw(n: int) -> np.ndarray:
-        if noise == "gaussian":
-            return math.sqrt(sigma2) * rng.standard_normal((trials, n))
-        if noise == "uniform":
-            a = math.sqrt(3.0 * sigma2)
-            return rng.uniform(-a, a, (trials, n))
-        return math.sqrt(sigma2) * (2.0 * rng.integers(0, 2, (trials, n)) - 1.0)
-
     def row(kind: str, n: int, delta: float, threshold: float) -> dict:
-        """How often n samples' variance misses sigma2 by over ``threshold``."""
-        var_hat = draw(n).var(axis=1)  # population convention
-        rate = float(np.mean(np.abs(var_hat - sigma2) > threshold))
+        """How often n samples' variance misses 1 by over ``threshold``."""
+        var_hat = rng.standard_normal((trials, n)).var(axis=1)  # population convention
+        rate = float(np.mean(np.abs(var_hat - 1.0) > threshold))
         se = math.sqrt(delta * (1.0 - delta) / trials)
         return dict(zip(CONCENTRATION_COLUMNS, (kind, n, delta, trials, rate, delta, se)))
 
     rows = [
-        row("radius", int(n), float(delta), variance_radius(int(n), kappa2, float(delta)))
+        row("radius", int(n), float(delta), variance_radius(int(n), 1.0, float(delta)))
         for n, delta in pairs
     ]
-    n_half = halving_sample_count(kappa2, sigma2, horizon)
-    rows.append(row("halving", n_half, 1.0 / horizon**2, sigma2 / 2.0))
+    n_half = halving_sample_count(1.0, 1.0, horizon)
+    rows.append(row("halving", n_half, 1.0 / horizon**2, 0.5))
     return rows

@@ -795,7 +795,6 @@ class RegretTrace:
     policy: str
     seed: int
     horizon: int
-    noise: str
     rows: tuple[CheckpointRow, ...]
     origin: np.ndarray | None
     presample_end: int
@@ -1033,7 +1032,6 @@ class Episode:
             policy=self.policy_name,
             seed=member.env.seed,
             horizon=horizon,
-            noise=member.env.model,
             rows=rows,
             origin=self.origin,
             presample_end=self.presample_end,
@@ -1041,16 +1039,6 @@ class Episode:
             final_counts=rows[-1].counts,
             elapsed=elapsed,
         )
-
-    def advance(self, horizon: int) -> RegretTrace:
-        """``advance_all`` for a one-member episode: its trace, or its error
-        raised, after which the episode must be discarded."""
-        if len(self._members) != 1:
-            raise ValueError("advance runs a one-member episode; use advance_all")
-        (outcome,) = self.advance_all(horizon)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
 
 def run_episode(
@@ -1068,5 +1056,7 @@ def run_episode(
     environment's (spawn key 0) and the policy's (spawn key 1).  This is
     a one-member, one-horizon ``Episode``.
     """
-    episode = Episode(policy_name, env, horizon, options, reference)
-    return episode.advance(horizon)
+    (outcome,) = Episode(policy_name, env, horizon, options, reference).advance_all(horizon)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -1,4 +1,4 @@
-"""Accepts => finishes, over a grid of shapes, budgets, policies and noise models.
+"""Accepts => finishes, over a grid of shapes, budgets and policies.
 
 Each case is loaded as ``sweep`` and ``simulate`` load a config:
 ``build_problem``, ``check_reference`` on the reference optimum, then
@@ -22,7 +22,6 @@ from activedesign.harness import build_problem, check_reference, check_runs
 from activedesign.policies import POLICY_NAMES, Episode, budget_floor
 from activedesign.solver import reference_optimum
 
-NOISE_MODELS = ("gaussian", "uniform", "rademacher")
 BUDGETS = (1, 7, 40, 300)
 SEEDS = (0, 1)
 
@@ -77,14 +76,14 @@ MUST_REJECT = {"near_singular_3x3", "parallel_2x3"}
 
 
 def _load(instance: dict, name: str, horizon: int):
-    """The problem, model and reference of a case, or the load error."""
+    """The problem and reference of a case, or the load error."""
     try:
-        problem, model = build_problem(instance)
+        problem, _ = build_problem(instance)
         reference = check_reference(reference_optimum(problem), instance)
         check_runs(problem, [(name, {})], [horizon])
     except ValueError as exc:
         return exc
-    return problem, model, reference
+    return problem, reference
 
 
 def _budgets(instance: dict, name: str) -> list:
@@ -99,10 +98,9 @@ def _budgets(instance: dict, name: str) -> list:
     return sorted(set(BUDGETS) | (set() if floor is None else {floor - 1, floor}))
 
 
-@pytest.mark.parametrize("noise", NOISE_MODELS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_accepted_config_finishes_and_every_other_is_rejected_at_load(shape, noise):
-    instance = dict(SHAPES[shape], noise=noise)
+def test_every_accepted_config_finishes_and_every_other_is_rejected_at_load(shape):
+    instance = SHAPES[shape]
     accepted = 0
     for name in POLICY_NAMES:
         for horizon in _budgets(instance, name):
@@ -111,8 +109,8 @@ def test_every_accepted_config_finishes_and_every_other_is_rejected_at_load(shap
                 continue
             assert shape not in MUST_REJECT
             accepted += 1
-            problem, model, reference = loaded
-            envs = [make_env(problem, seed, model) for seed in SEEDS]
+            problem, reference = loaded
+            envs = [make_env(problem, seed) for seed in SEEDS]
             groups = [[env] for env in envs] if problem.is_square else [envs]
             for group in groups:
                 outcomes = Episode(name, group, horizon, reference=reference).advance_all(horizon)

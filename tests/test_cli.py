@@ -179,6 +179,12 @@ CONFIG_ERRORS = [
     ("empty_seeds", {"seeds": []}, "'seeds' must not be empty"),
     ("estimation_count", {"estimation_count": 10}, "unknown config key 'estimation_count'"),
     ("checkpoints", {"checkpoints": {"ratio": 1.2}}, "unknown config key 'checkpoints'"),
+    # the noise is Gaussian, not a setting
+    (
+        "noise",
+        {"instance": {"file": str(ROOT / "instances" / "redundant_arm.txt"), "noise": "gaussian"}},
+        "instance with 'file' takes no other keys",
+    ),
 ]
 
 
@@ -299,17 +305,19 @@ def test_simulate_rejects_an_unknown_policy_option_as_sweep_does(
     assert err.count(f"'{name}' options rejected") == 2 and option in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("command", ["sweep", "simulate", "solve", "geometry", "verify"])
 def test_an_unwritable_output_path_exits_one_before_any_episode(
     tmp_path, capsys, monkeypatch, command
 ):
+    # solve, geometry and verify used to compute their report, then exit 2
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
 
-    def no_episode(*args, **kwargs):
-        raise AssertionError("an episode ran")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
 
-    monkeypatch.setattr(harness, "_chain_task", no_episode)
-    monkeypatch.setattr(cli, "run_episode", no_episode)
+    monkeypatch.setattr(harness, "_chain_task", no_work)
+    for name in ("run_episode", "load_instance", "verify_concentration"):
+        monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "taken"
     blocker.write_text("kept\n")
     cfg = {
@@ -320,12 +328,16 @@ def test_an_unwritable_output_path_exits_one_before_any_episode(
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    missing = tmp_path / "missing" / "trace.csv"
-    if command == "sweep":
-        args = ["--quiet"]
-    else:
-        args = ["--policy", "uniform", "--budget", "40", "--out", str(missing)]
-    assert cli_main([command, str(path), *args]) == 1
+    missing = tmp_path / "missing" / "out.csv"
+    instance = str(ROOT / "instances" / "redundant_arm.txt")
+    args = {
+        "sweep": [str(path), "--quiet"],
+        "simulate": [str(path), "--policy", "uniform", "--budget", "40", "--out", str(missing)],
+        "solve": [instance, "--out", str(missing)],
+        "geometry": [instance, "--out", str(missing)],
+        "verify": ["--out", str(missing)],
+    }[command]
+    assert cli_main([command, *args]) == 1
     err = capsys.readouterr().err
     assert (str(blocker) if command == "sweep" else str(missing)) in err
     assert blocker.read_text() == "kept\n"
@@ -350,8 +362,8 @@ def test_verify_coverage(capsys, tmp_path):
     out = tmp_path / "conc.json"
     assert (
         cli_main(
-            ["verify", "--trials", "200", "--horizon", "50", "--noise", "rademacher",
-             "--format", "json", "--out", str(out)]
+            ["verify", "--trials", "200", "--horizon", "50", "--format", "json",
+             "--out", str(out)]
         )
         == 0
     )
@@ -363,14 +375,19 @@ def test_verify_coverage(capsys, tmp_path):
     [
         (["--trials", "0"], "got 0"),
         (["--trials", "-5"], "got -5"),
-        (["--sigma2", "-1"], "got -1.0"),
-        (["--sigma2", "nan"], "got nan"),
     ],
 )
 def test_verify_bad_numbers_exit_one_naming_the_value(capsys, flags, shown):
     assert cli_main(["verify", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and shown in err
+
+
+@pytest.mark.parametrize("flags", [["--noise", "gaussian"], ["--sigma2", "1"]])
+def test_verify_takes_no_noise_settings(capsys, flags):
+    # the noise is Gaussian, and the rows do not depend on its variance
+    assert cli_main(["verify", *flags]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):

@@ -6,40 +6,11 @@ import pytest
 from activedesign.core import loss
 from activedesign.environment import (
     NOISE_CHUNK,
-    NOISE_MODELS,
     Environment,
     make_env,
     make_hard_instance,
     make_random_instance,
-    noise_proxy,
 )
-
-# --------------------------------------------------------------------
-# noise proxies
-
-
-def test_proxy_gaussian_and_rademacher_equal_variance():
-    s2 = np.array([0.5, 2.0, 9.0])
-    np.testing.assert_array_equal(noise_proxy("gaussian", s2), s2)
-    np.testing.assert_array_equal(noise_proxy("rademacher", s2), s2)
-
-
-def test_proxy_uniform_is_range_squared():
-    # half-range a = sqrt(3) sigma, so the bounded proxy a^2 = 3 sigma^2
-    s2 = np.array([1.0, 4.0])
-    np.testing.assert_allclose(noise_proxy("uniform", s2), 3.0 * s2, rtol=1e-15)
-
-
-def test_proxy_rejects_unknown_model():
-    with pytest.raises(ValueError, match="unknown noise model"):
-        noise_proxy("cauchy", np.array([1.0]))
-
-
-def test_proxy_dominates_variance_for_every_model():
-    s2 = np.array([0.3, 1.7])
-    for model in NOISE_MODELS:
-        assert np.all(noise_proxy(model, s2) >= s2)
-
 
 # --------------------------------------------------------------------
 # construction and validation
@@ -50,12 +21,6 @@ def test_environment_requires_beta():
     stripped = type(problem)(problem.covariates, problem.noise)
     with pytest.raises(ValueError, match="beta"):
         Environment(stripped, seed=0)
-
-
-def test_environment_rejects_unknown_model():
-    problem = make_random_instance(2, 2, seed=0)
-    with pytest.raises(ValueError, match="unknown noise model"):
-        Environment(problem, seed=0, model="laplace")
 
 
 def test_query_checks_arm_range():
@@ -80,13 +45,12 @@ def test_block_size_validation():
 
 def test_same_seed_reproduces_observations():
     problem = make_random_instance(3, 3, seed=7)
-    for model in NOISE_MODELS:
-        a = make_env(problem, seed=11, model=model)
-        b = make_env(problem, seed=11, model=model)
-        arms = [0, 2, 1, 1, 0, 2, 2, 0]
-        ya = [a.query(k) for k in arms]
-        yb = [b.query(k) for k in arms]
-        assert ya == yb
+    a = make_env(problem, seed=11)
+    b = make_env(problem, seed=11)
+    arms = [0, 2, 1, 1, 0, 2, 2, 0]
+    ya = [a.query(k) for k in arms]
+    yb = [b.query(k) for k in arms]
+    assert ya == yb
 
 
 def test_different_seeds_differ():
@@ -99,7 +63,7 @@ def test_different_seeds_differ():
 def test_env_stream_is_spawn_key_zero():
     # The documented contract: observations come from the dedicated
     # child stream SeedSequence(seed, spawn_key=(0,)).  Replaying that
-    # stream by hand must predict gaussian queries exactly.
+    # stream by hand must predict queries exactly.
     problem = make_random_instance(2, 2, seed=3)
     env = make_env(problem, seed=42)
     mirror = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,)))
@@ -114,33 +78,25 @@ def test_block_matches_sequential_queries():
     # within the first chunk, and spanning several chunks from a fresh
     # environment and from mid-buffer
     problem = make_random_instance(2, 3, seed=5)
-    for model in NOISE_MODELS:
-        for sizes in ([64], [3 * NOISE_CHUNK + 5], [7, 2 * NOISE_CHUNK, NOISE_CHUNK + 1]):
-            one = make_env(problem, seed=9, model=model)
-            blk = make_env(problem, seed=9, model=model)
-            for size in sizes:
-                singles = np.array([one.query(1) for _ in range(size)])
-                block = blk.query_block(1, size)
-                np.testing.assert_array_equal(block, singles)
-                assert one.draws == blk.draws
-            assert blk.draws == sum(sizes)
+    for sizes in ([64], [3 * NOISE_CHUNK + 5], [7, 2 * NOISE_CHUNK, NOISE_CHUNK + 1]):
+        one = make_env(problem, seed=9)
+        blk = make_env(problem, seed=9)
+        for size in sizes:
+            singles = np.array([one.query(1) for _ in range(size)])
+            block = blk.query_block(1, size)
+            np.testing.assert_array_equal(block, singles)
+            assert one.draws == blk.draws
+        assert blk.draws == sum(sizes)
 
 
-def _scalar_replay(problem, seed, model):
-    """One observation per call through the scalar generator formulas."""
+def _scalar_replay(problem, seed):
+    """One observation per call through the scalar generator formula."""
     mirror = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     means = problem.covariates.columns.T @ problem.beta
     sigma = problem.noise.sigma
-    half_range = np.sqrt(3.0) * sigma
 
     def draw(arm):
-        if model == "gaussian":
-            eps = sigma[arm] * mirror.standard_normal()
-        elif model == "uniform":
-            eps = mirror.uniform(-half_range[arm], half_range[arm])
-        else:
-            eps = sigma[arm] * (2.0 * mirror.integers(0, 2) - 1.0)
-        return float(means[arm] + eps)
+        return float(means[arm] + sigma[arm] * mirror.standard_normal())
 
     return draw
 
@@ -154,43 +110,40 @@ def test_chunked_noise_matches_scalar_draws_across_refills():
     plan += [("b", 3)] + [("q", 2)] * 20 + [("b", 3 * NOISE_CHUNK)] + [("q", 0)] * 10
     plan += [("b", NOISE_CHUNK - 10)] + [("b", 25)] + [("q", 1)] * (2 * NOISE_CHUNK + 3)
     plan = [(kind, n if kind == "b" else n % 3) for kind, n in plan]
-    for model in NOISE_MODELS:
-        env = make_env(problem, seed=21, model=model)
-        draw = _scalar_replay(problem, 21, model)
-        served = 0
-        for step, (kind, n) in enumerate(plan):
-            if kind == "q":
-                arm = n
-                assert env.query(arm) == draw(arm), (model, step)
-                served += 1
-            else:
-                arm = step % 3
-                got = env.query_block(arm, n)
-                assert got.dtype == np.float64 and got.shape == (n,)
-                assert got.tolist() == [draw(arm) for _ in range(n)], (model, step)
-                served += n
-            assert env.draws == served
-        assert served > 5 * NOISE_CHUNK
+    env = make_env(problem, seed=21)
+    draw = _scalar_replay(problem, 21)
+    served = 0
+    for step, (kind, n) in enumerate(plan):
+        if kind == "q":
+            arm = n
+            assert env.query(arm) == draw(arm), step
+            served += 1
+        else:
+            arm = step % 3
+            got = env.query_block(arm, n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tolist() == [draw(arm) for _ in range(n)], step
+            served += n
+        assert env.draws == served
+    assert served > 5 * NOISE_CHUNK
 
 
 def test_block_then_single_continues_the_stream():
     # after short blocks, blocks ending on a chunk's last draw and blocks
     # spanning several chunks
     problem = make_random_instance(2, 2, seed=5)
-    for model in NOISE_MODELS:
-        for size in (10, NOISE_CHUNK, 2 * NOISE_CHUNK + 10, 4 * NOISE_CHUNK - 10):
-            a = make_env(problem, seed=13, model=model)
-            b = make_env(problem, seed=13, model=model)
-            a.query_block(0, size)
-            for _ in range(size):
-                b.query(0)
-            assert [a.query(1) for _ in range(NOISE_CHUNK + 2)] == [
-                b.query(1) for _ in range(NOISE_CHUNK + 2)
-            ], (model, size)
+    for size in (10, NOISE_CHUNK, 2 * NOISE_CHUNK + 10, 4 * NOISE_CHUNK - 10):
+        a = make_env(problem, seed=13)
+        b = make_env(problem, seed=13)
+        a.query_block(0, size)
+        for _ in range(size):
+            b.query(0)
+        assert [a.query(1) for _ in range(NOISE_CHUNK + 2)] == [
+            b.query(1) for _ in range(NOISE_CHUNK + 2)
+        ], size
 
 
-@pytest.mark.parametrize("model", NOISE_MODELS)
-def test_query_arms_equals_successive_queries(model):
+def test_query_arms_equals_successive_queries():
     # blocks from the start, mid-buffer, across one and several refills,
     # ending on a chunk's last draw, and empty; the next single query after
     # each block must be the one successive queries lead to
@@ -198,8 +151,8 @@ def test_query_arms_equals_successive_queries(model):
     rng = np.random.default_rng(1)
     sizes = [5, 40, 0, NOISE_CHUNK - 45, NOISE_CHUNK + 7, 3 * NOISE_CHUNK + 2, 1, 0]
     sizes += [NOISE_CHUNK - 9, 2 * NOISE_CHUNK, 17]
-    one = make_env(problem, seed=21, model=model)
-    blk = make_env(problem, seed=21, model=model)
+    one = make_env(problem, seed=21)
+    blk = make_env(problem, seed=21)
     for size in sizes:
         arms = rng.integers(0, 3, size).tolist()
         got = blk.query_arms(arms)
@@ -231,42 +184,19 @@ def test_draw_counter_tracks_observations():
 
 
 # --------------------------------------------------------------------
-# noise moments, per model
-
-
-def _moments(model, n=40_000, seed=17):
-    problem = make_random_instance(2, 2, seed=2)
-    env = make_env(problem, seed=seed, model=model)
-    means = problem.covariates.columns.T @ problem.beta
-    rows = []
-    for arm in range(2):
-        y = env.query_block(arm, n)
-        rows.append((y - means[arm], problem.noise.sigma2[arm]))
-    return rows
+# noise moments
 
 
 def test_gaussian_moments():
     n = 40_000
-    for eps, s2 in _moments("gaussian"):
+    problem = make_random_instance(2, 2, seed=2)
+    env = make_env(problem, seed=17)
+    means = problem.covariates.columns.T @ problem.beta
+    for arm in range(2):
+        eps, s2 = env.query_block(arm, n) - means[arm], problem.noise.sigma2[arm]
         # SE(mean) = sigma/sqrt(n); SE(var) = sigma^2 sqrt(2/n)
         assert abs(eps.mean()) < 5.0 * np.sqrt(s2 / n)
         assert abs(eps.var() - s2) < 5.0 * s2 * np.sqrt(2.0 / n)
-
-
-def test_uniform_moments_and_support():
-    n = 40_000
-    for eps, s2 in _moments("uniform"):
-        half = np.sqrt(3.0 * s2)
-        assert np.max(np.abs(eps)) <= half
-        assert abs(eps.mean()) < 5.0 * np.sqrt(s2 / n)
-        # var of the sample variance for U(-a, a) is (4/45) a^4 / n
-        assert abs(eps.var() - s2) < 5.0 * np.sqrt((4.0 / 45.0) * (3.0 * s2) ** 2 / n)
-
-
-def test_rademacher_support_is_two_points():
-    for eps, s2 in _moments("rademacher"):
-        np.testing.assert_allclose(np.abs(eps), np.sqrt(s2), rtol=1e-12)
-        assert abs(eps.mean()) < 5.0 * np.sqrt(s2 / len(eps))
 
 
 # --------------------------------------------------------------------
@@ -289,11 +219,6 @@ def test_hard_instance_validation():
             make_hard_instance(delta)
 
 
-def test_hard_instance_proxies_follow_model():
-    problem = make_hard_instance(0.5, model="uniform")
-    np.testing.assert_allclose(problem.noise.kappa2, 3.0 * problem.noise.sigma2)
-
-
 def test_random_instance_shape_and_conditioning():
     for seed in range(8):
         problem = make_random_instance(3, 5, seed=seed)
@@ -303,6 +228,7 @@ def test_random_instance_shape_and_conditioning():
         assert np.linalg.svd(cols, compute_uv=False)[-1] > 0.1
         assert np.all(problem.noise.sigma2 >= 0.5)
         assert np.all(problem.noise.sigma2 <= 2.0)
+        np.testing.assert_array_equal(problem.noise.kappa2, problem.noise.sigma2)
         assert problem.beta.shape == (3,)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from activedesign.core import DesignProblem, NoiseSpec
 from activedesign.environment import make_env, make_random_instance
 from activedesign import harness
 from activedesign.harness import (
@@ -46,7 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_instance_round_trip_is_exact(tmp_path):
-    problem = make_random_instance(3, 5, seed=7, model="uniform")
+    # proxies above the variances, so the proxy row is written and read back
+    base = make_random_instance(3, 5, seed=7)
+    noise = NoiseSpec(base.noise.sigma2, 3.0 * base.noise.sigma2)
+    problem = DesignProblem(base.covariates, noise, beta=base.beta)
     path = tmp_path / "inst.txt"
     write_instance(problem, path)
     back = load_instance(path)
@@ -74,18 +78,13 @@ def test_instance_comments_and_blank_lines(tmp_path):
     assert problem.beta is None
 
 
-def test_a_file_instance_without_proxies_takes_its_noise_models_proxy(tmp_path):
-    # as an inline instance does; solve and geometry, which have no noise
-    # model, read the Gaussian proxies (the test above)
+def test_a_file_instance_without_proxies_takes_the_variances_as_an_inline_one_does(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("2 2\n1 0\n0 1\n1.0 4.0\n")
-    for model, kappa2 in (("uniform", [3.0, 12.0]), ("rademacher", [1.0, 4.0])):
-        from_file, _ = build_problem({"file": str(path), "noise": model})
-        inline, _ = build_problem(
-            {"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0], "noise": model}
-        )
-        np.testing.assert_array_equal(from_file.noise.kappa2, kappa2)
-        np.testing.assert_array_equal(inline.noise.kappa2, kappa2)
+    from_file, _ = build_problem({"file": str(path)})
+    inline, _ = build_problem({"covariates": [[1.0, 0.0], [0.0, 1.0]], "variances": [1.0, 4.0]})
+    np.testing.assert_array_equal(from_file.noise.kappa2, [1.0, 4.0])
+    np.testing.assert_array_equal(inline.noise.kappa2, [1.0, 4.0])
 
 
 def test_instance_square_single_extra_row_reads_as_proxies(tmp_path):
@@ -347,11 +346,9 @@ def test_build_problem_variants(tmp_path):
     np.testing.assert_allclose(hard.noise.sigma2, [1.0, 1.5])
     assert model == "gaussian"
 
-    rand, model = build_problem(
-        {"generator": "random", "d": 2, "K": 4, "seed": 1, "noise": "uniform"}
-    )
+    rand, model = build_problem({"generator": "random", "d": 2, "K": 4, "seed": 1})
     assert rand.n_arms == 4
-    assert model == "uniform"
+    assert model == "gaussian"
     again, _ = build_problem({"generator": "random", "d": 2, "K": 4, "seed": 1})
     np.testing.assert_array_equal(rand.covariates.columns, again.covariates.columns)
 
@@ -393,7 +390,8 @@ def test_build_problem_errors(tmp_path):
         ({"generator": "hard", "delta": math.inf}, "'delta'"),
         ({"file": "x", "d": 2}, "takes no other keys"),
         ({"covariates": [[1, 0], [0, 1]]}, "needs 'variances'"),
-        ({"generator": "hard", "noise": "cauchy"}, "unknown noise model"),
+        # the noise is Gaussian, not a setting
+        ({"generator": "hard", "noise": "gaussian"}, "hard instance takes only 'delta'"),
         ({}, "needs one of"),
     ]
     for instance, fragment in cases:
@@ -716,20 +714,11 @@ def test_verify_concentration_rows(tmp_path):
     assert parsed[0]["kind"] == "radius"
 
 
-def test_verify_concentration_rejects_unknown_noise():
-    with pytest.raises(ConfigError, match="unknown noise model"):
-        verify_concentration(trials=10, noise="cauchy")
-
-
 @pytest.mark.parametrize(
     "kwargs, match",
     [
         ({"trials": 0}, "trials must be at least 1, got 0"),
         ({"trials": -5}, "trials must be at least 1, got -5"),
-        ({"sigma2": -1.0}, "sigma2 must be positive and finite, got -1.0"),
-        ({"sigma2": 0.0}, "sigma2 must be positive and finite, got 0.0"),
-        ({"sigma2": math.nan}, "sigma2 must be positive and finite, got nan"),
-        ({"sigma2": math.inf}, "sigma2 must be positive and finite, got inf"),
     ],
 )
 def test_verify_concentration_rejects_bad_trials_and_variances(kwargs, match):
@@ -803,12 +792,11 @@ CHAIN_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("noise", ["gaussian", "uniform", "rademacher"])
 @pytest.mark.parametrize("instance", sorted(CHAIN_INSTANCES))
-def test_chained_traces_equal_separate_episodes(monkeypatch, instance, noise):
+def test_chained_traces_equal_separate_episodes(monkeypatch, instance):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
-    spec = {**CHAIN_INSTANCES[instance], "noise": noise}
-    problem, model = build_problem(spec)
+    spec = CHAIN_INSTANCES[instance]
+    problem, _ = build_problem(spec)
     k = problem.n_arms
     # out of order, one budget off the checkpoint grid, and one below 2K
     # (thompson's warm-up and the first checkpoint depend on it there)
@@ -831,10 +819,10 @@ def test_chained_traces_equal_separate_episodes(monkeypatch, instance, noise):
             for seed in (0, 3):
                 got = result.traces[(name, horizon, seed)]
                 want = run_episode(
-                    name, make_env(problem, seed, model), horizon, reference=reference
+                    name, make_env(problem, seed), horizon, reference=reference
                 )
                 for field in (
-                    "policy", "seed", "horizon", "noise", "rows", "final_counts",
+                    "policy", "seed", "horizon", "rows", "final_counts",
                     "origin", "presample_end", "estimation_count",
                 ):
                     assert getattr(got, field) == getattr(want, field), (name, horizon, field)

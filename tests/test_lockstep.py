@@ -44,20 +44,19 @@ INSTANCES = {
         250,
     ),
 }
-NOISE_MODELS = ("gaussian", "uniform", "rademacher")
 SEEDS = (3, 4, 5, 6, 7)
 
 
 @functools.lru_cache(maxsize=None)
-def _problem(instance: str, noise: str):
-    problem, model = build_problem({**INSTANCES[instance][0], "noise": noise})
-    return problem, model, reference_optimum(problem)
+def _problem(instance: str):
+    problem, _ = build_problem(INSTANCES[instance][0])
+    return problem, reference_optimum(problem)
 
 
 @functools.lru_cache(maxsize=None)
-def _alone(instance: str, noise: str, name: str, seed: int, horizon: int):
-    problem, model, ref = _problem(instance, noise)
-    env = make_env(problem, seed, model)
+def _alone(instance: str, name: str, seed: int, horizon: int):
+    problem, ref = _problem(instance)
+    env = make_env(problem, seed)
     return run_episode(name, env, horizon, reference=ref)
 
 
@@ -72,25 +71,20 @@ def _fields(trace) -> dict:
     return out
 
 
-CASES = [
-    (instance, name, noise)
-    for instance, (_, names, _) in INSTANCES.items()
-    for name in names
-    for noise in NOISE_MODELS
-]
+CASES = [(instance, name) for instance, (_, names, _) in INSTANCES.items() for name in names]
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])
-@pytest.mark.parametrize("instance,name,noise", CASES)
-def test_lockstep_members_record_their_separate_traces(instance, name, noise, size):
-    problem, model, ref = _problem(instance, noise)
+@pytest.mark.parametrize("instance,name", CASES)
+def test_lockstep_members_record_their_separate_traces(instance, name, size):
+    problem, ref = _problem(instance)
     horizon = INSTANCES[instance][2]
     seeds = SEEDS[:size]
-    episode = Episode(name, [make_env(problem, s, model) for s in seeds], horizon, reference=ref)
+    episode = Episode(name, [make_env(problem, s) for s in seeds], horizon, reference=ref)
     outcomes = episode.advance_all(horizon)
     assert len(outcomes) == size
     for seed, got in zip(seeds, outcomes):
-        assert _fields(got) == _fields(_alone(instance, noise, name, seed, horizon))
+        assert _fields(got) == _fields(_alone(instance, name, seed, horizon))
 
 
 OPEN_LOOP = [(instance, name) for instance in ("redundant", "random3x5") for name in ("uniform", "oracle")]
@@ -109,28 +103,28 @@ def test_open_loop_groups_query_each_segment_once(monkeypatch, instance, name, s
 
     monkeypatch.setattr(Environment, "query", None)
     monkeypatch.setattr(Environment, "query_arms", counted)
-    problem, model, ref = _problem(instance, "gaussian")
+    problem, ref = _problem(instance)
     horizon, seeds = INSTANCES[instance][2], SEEDS[:size]
-    episode = Episode(name, [make_env(problem, s, model) for s in seeds], horizon, reference=ref)
+    episode = Episode(name, [make_env(problem, s) for s in seeds], horizon, reference=ref)
     outcomes = episode.advance_all(horizon)
     schedule = [episode.presample_end, *(row.t for row in outcomes[0].rows)]
     segments = [b - a for a, b in zip(schedule, schedule[1:])]
     assert blocks == [(s, m) for m in segments for s in seeds]
     monkeypatch.undo()
     for seed, got in zip(seeds, outcomes):
-        assert _fields(got) == _fields(_alone(instance, "gaussian", name, seed, horizon))
+        assert _fields(got) == _fields(_alone(instance, name, seed, horizon))
 
 
 @pytest.mark.parametrize("instance,name", OPEN_LOOP)
 def test_open_loop_member_whose_block_raises_fails_alone(monkeypatch, instance, name):
     horizon = INSTANCES[instance][2]
-    want = [_alone(instance, "gaussian", name, s, horizon) for s in SEEDS[:3]]
-    problem, model, ref = _problem(instance, "gaussian")
+    want = [_alone(instance, name, s, horizon) for s in SEEDS[:3]]
+    problem, ref = _problem(instance)
     _stop_after(monkeypatch, SEEDS[1], horizon // 2)
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     outcomes = Episode(name, envs, horizon, reference=ref).advance_all(horizon)
     with pytest.raises(RuntimeError) as alone:
-        run_episode(name, make_env(problem, SEEDS[1], model), horizon, reference=ref)
+        run_episode(name, make_env(problem, SEEDS[1]), horizon, reference=ref)
     assert str(alone.value) == f"stopped after {horizon // 2} draws"
     assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == str(alone.value)
     for i in (0, 2):
@@ -148,29 +142,29 @@ def test_kd_group_makes_one_select_call_per_step(monkeypatch):
         return arms
 
     monkeypatch.setattr(policies.ThompsonPolicy, "select", counting)
-    problem, model, ref = _problem("random3x5", "gaussian")
+    problem, ref = _problem("random3x5")
     for size in (1, 3):
         calls.clear()
-        envs = [make_env(problem, s, model) for s in SEEDS[:size]]
+        envs = [make_env(problem, s) for s in SEEDS[:size]]
         Episode("thompson", envs, 300, reference=ref).advance_all(300)
         assert calls == [size] * (300 - 10)
 
 
 def test_lockstep_chain_advances_through_budgets_as_separate_runs():
-    problem, model, ref = _problem("random3x5", "uniform")
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    problem, ref = _problem("random3x5")
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     episode = Episode("thompson", envs, 400, reference=ref, budgets=(900, 650))
     for horizon in (400, 650, 900):
         for seed, got in zip(SEEDS, episode.advance_all(horizon)):
-            want = _alone("random3x5", "uniform", "thompson", seed, horizon)
+            want = _alone("random3x5", "thompson", seed, horizon)
             assert _fields(got) == _fields(want)
 
 
 @pytest.mark.parametrize("name", ["thompson", "gradient_ucb"])
 def test_stacked_singular_solve_fails_only_its_own_member(name):
-    problem, model, ref = _problem("random3x5", "gaussian")
+    problem, ref = _problem("random3x5")
     horizon = 2000
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     episode = Episode(name, envs, horizon, reference=ref)
     # no mass on any arm: Omega(p) = 0, whose inverse raises for this
     # row alone (checked on a copy, so the group's generators stay unused)
@@ -181,7 +175,7 @@ def test_stacked_singular_solve_fails_only_its_own_member(name):
         outcomes = episode.advance_all(horizon)
     assert isinstance(outcomes[1], np.linalg.LinAlgError)
     for i in (0, 2):
-        want = _alone("random3x5", "gaussian", name, SEEDS[i], horizon)
+        want = _alone("random3x5", name, SEEDS[i], horizon)
         assert _fields(outcomes[i]) == _fields(want)
 
 
@@ -200,7 +194,7 @@ def test_member_failing_a_checkpoint_fails_alone(monkeypatch, instance, name, ho
     # the middle row's checkpoint raises at one checkpoint time: the
     # middle row drops out, and the rows around it record the traces
     # they record alone
-    want = [_alone(instance, "gaussian", name, s, horizon) for s in SEEDS[:3]]
+    want = [_alone(instance, name, s, horizon) for s in SEEDS[:3]]
     fail_at = want[1].rows[len(want[1].rows) // 2].t
     calls = []
 
@@ -210,9 +204,9 @@ def test_member_failing_a_checkpoint_fails_alone(monkeypatch, instance, name, ho
             raise RuntimeError(f"checkpoint {now} failed")
         return _regret(value, now, loss_star)
 
-    problem, model, ref = _problem(instance, "gaussian")
+    problem, ref = _problem(instance)
     monkeypatch.setattr(policies, "regret", failing)
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     outcomes = Episode(name, envs, horizon, reference=ref).advance_all(horizon)
     assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == f"checkpoint {fail_at} failed"
     assert calls.count(fail_at) == 3 and calls[-1] == horizon
@@ -221,8 +215,8 @@ def test_member_failing_a_checkpoint_fails_alone(monkeypatch, instance, name, ho
 
 
 def test_dropped_member_keeps_its_error():
-    problem, model, ref = _problem("random3x5", "gaussian")
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    problem, ref = _problem("random3x5")
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     episode = Episode("thompson", envs, 300, reference=ref, budgets=(600,))
     episode.policy.counts[2] = 0.0
     first = episode.advance_all(300)
@@ -230,14 +224,14 @@ def test_dropped_member_keeps_its_error():
     second = episode.advance_all(600)
     assert second[2] is first[2]
     for seed, got in zip(SEEDS, second[:2]):
-        assert _fields(got) == _fields(_alone("random3x5", "gaussian", "thompson", seed, 600))
+        assert _fields(got) == _fields(_alone("random3x5", "thompson", seed, 600))
 
 
 def test_set_up_failure_is_the_members_outcome():
     # K = 5 presampling at T^(3/4) per arm needs T > 625: every member
     # fails in set-up, with the error a separate episode raises
-    problem, model, ref = _problem("random3x5", "gaussian")
-    envs = [make_env(problem, s, model) for s in SEEDS[:2]]
+    problem, ref = _problem("random3x5")
+    envs = [make_env(problem, s) for s in SEEDS[:2]]
     outcomes = Episode("gradient_ucb", envs, 600, reference=ref).advance_all(600)
     with pytest.raises(ValueError) as alone:
         run_episode("gradient_ucb", envs[0], 600, reference=ref)
@@ -245,18 +239,16 @@ def test_set_up_failure_is_the_members_outcome():
 
 
 def test_members_share_one_problem_and_square_runs_one_seed():
-    problem, model, ref = _problem("random3x5", "gaussian")
-    other, _, _ = _problem("random3x5", "uniform")
+    problem, ref = _problem("random3x5")
+    other, _ = build_problem(INSTANCES["random3x5"][0])  # equal, but not the same object
     with pytest.raises(ValueError, match="share one problem"):
-        Episode("uniform", [make_env(problem, 0, model), make_env(other, 1, model)], 100)
+        Episode("uniform", [make_env(problem, 0), make_env(other, 1)], 100)
     with pytest.raises(ValueError, match="at least one"):
         Episode("uniform", [], 100)
     # a K = d episode steps one seed on Python floats; its seeds run apart
-    square, square_model = build_problem({"generator": "random", "d": 3, "K": 3, "seed": 4})
+    square, _ = build_problem({"generator": "random", "d": 3, "K": 3, "seed": 4})
     with pytest.raises(ValueError, match="one seed"):
-        Episode("gradient_ucb", [make_env(square, s, square_model) for s in (0, 1)], 2000)
-    with pytest.raises(ValueError, match="one-member"):
-        Episode("uniform", [make_env(problem, s, model) for s in (0, 1)], 100).advance(100)
+        Episode("gradient_ucb", [make_env(square, s) for s in (0, 1)], 2000)
 
 
 def test_member_failing_in_presampling_fails_alone(monkeypatch):
@@ -268,13 +260,13 @@ def test_member_failing_in_presampling_fails_alone(monkeypatch):
             raise RuntimeError(f"seed {self.seed} stopped at arm {arm}")
         return _block(self, arm, n)
 
-    problem, model, ref = _problem("redundant", "gaussian")
-    want = [_alone("redundant", "gaussian", "gradient_ucb", s, 1000) for s in SEEDS[:3]]
+    problem, ref = _problem("redundant")
+    want = [_alone("redundant", "gradient_ucb", s, 1000) for s in SEEDS[:3]]
     monkeypatch.setattr(Environment, "query_block", failing)
-    envs = [make_env(problem, s, model) for s in SEEDS[:3]]
+    envs = [make_env(problem, s) for s in SEEDS[:3]]
     outcomes = Episode("gradient_ucb", envs, 1000, reference=ref).advance_all(1000)
     with pytest.raises(RuntimeError) as alone:
-        run_episode("gradient_ucb", make_env(problem, SEEDS[1], model), 1000, reference=ref)
+        run_episode("gradient_ucb", make_env(problem, SEEDS[1]), 1000, reference=ref)
     assert type(outcomes[1]) is RuntimeError and str(outcomes[1]) == str(alone.value)
     for i in (0, 2):
         assert _fields(outcomes[i]) == _fields(want[i])
@@ -296,7 +288,7 @@ def _pow_hazard(rng, mu: float) -> float:
 def test_thompson_row_updates_equal_the_scalar_formulas():
     # K > d, three rows: y - mu is picked where the scalar update's pow
     # and an array ``** 2`` (a product) round differently
-    problem, _, _ = _problem("random3x5", "gaussian")
+    problem, _ = _problem("random3x5")
     s, k = 3, problem.n_arms
     policy = policies.ThompsonPolicy(problem, [None] * s, 100)
     state = [[[0.0, 1.0, 1.0, 1.0] for _ in range(k)] for _ in range(s)]  # mu, nu, alpha, beta
@@ -332,7 +324,7 @@ def test_thompson_row_updates_equal_the_scalar_formulas():
 def test_moment_row_updates_equal_the_scalar_formulas():
     # K > d randomized: per-row Welford moments, plug-in variances and
     # LCBs against the scalar formulas
-    problem, _, _ = _problem("random3x5", "gaussian")
+    problem, _ = _problem("random3x5")
     s, k, horizon = 3, problem.n_arms, 2000
     policy = policies.RandomizedDesignPolicy(problem, [None] * s, horizon)
     delta = 1.0 / (float(horizon) ** 2 * k)
@@ -418,23 +410,23 @@ def test_lockstep_sweep_traces_equal_separate_episodes(monkeypatch):
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     result = run_sweep(ExperimentConfig.from_dict(_sweep_raw()), quiet=True)
     assert not result.failures
-    problem, model = build_problem(REDUNDANT)
+    problem, _ = build_problem(REDUNDANT)
     ref = reference_optimum(problem)
     assert len(result.traces) == 4 * 3 * 4
     for (name, horizon, seed), got in result.traces.items():
-        want = run_episode(name, make_env(problem, seed, model), horizon, reference=ref)
+        want = run_episode(name, make_env(problem, seed), horizon, reference=ref)
         assert _fields(got) == _fields(want), (name, horizon, seed)
 
 
 def _outcomes_alone(raw) -> tuple[dict, list]:
     """Every (policy, budget, seed) of a sweep run as its own episode."""
-    problem, model = build_problem(raw["instance"])
+    problem, _ = build_problem(raw["instance"])
     ref = reference_optimum(problem)
     traces, failures = {}, []
     for name in raw["policies"]:
         for horizon in raw["budgets"]:
             for seed in range(raw["seeds"]):
-                env = make_env(problem, seed, model)
+                env = make_env(problem, seed)
                 try:
                     traces[name, horizon, seed] = run_episode(name, env, horizon, reference=ref)
                 except Exception as exc:
@@ -474,7 +466,7 @@ def test_first_member_failing_before_a_later_budget(monkeypatch, threads):
     calls, advance = [], harness._Group.advance
 
     def counted(self, horizon):
-        calls.append((self.run[2], horizon))
+        calls.append((self.run[1], horizon))
         advance(self, horizon)
 
     _stop_after(monkeypatch, 0, 500)
@@ -577,11 +569,11 @@ def test_checkpoint_computes_the_loss_once(monkeypatch):
     def unused(*args):
         raise AssertionError("core.loss called on the checkpoint path")
 
-    problem, model, ref = _problem("redundant", "gaussian")
-    want = _alone("redundant", "gaussian", "thompson", 3, 1000)
+    problem, ref = _problem("redundant")
+    want = _alone("redundant", "thompson", 3, 1000)
     monkeypatch.setattr(policies, "loss", counted)
     monkeypatch.setattr(core, "loss", unused)
-    got = run_episode("thompson", make_env(problem, 3, model), 1000, reference=ref)
+    got = run_episode("thompson", make_env(problem, 3), 1000, reference=ref)
     assert len(calls) == len(got.rows)
     assert _fields(got) == _fields(want)
 

@@ -752,8 +752,9 @@ def test_episode_rejects_budgets_below_the_estimation_phase():
         run_episode("randomized", make_env(problem, seed=0), 5)
     # the policy's own presampling raises it, so the built episode holds it
     episode = Episode("gradient_ucb", make_env(problem, seed=0), 5)
-    with pytest.raises(ValueError, match="estimation phase alone exceeds the budget"):
-        episode.advance(5)
+    (outcome,) = episode.advance_all(5)
+    assert isinstance(outcome, ValueError)
+    assert "estimation phase alone exceeds the budget" in str(outcome)
 
 
 @pytest.mark.parametrize("name", ["gradient_ucb", "randomized"])
@@ -792,11 +793,10 @@ def test_wide_episode_uses_the_power_schedule():
 
 def test_trace_metadata_round_trip():
     problem = make_random_instance(2, 2, seed=3)
-    trace = run_episode("uniform", make_env(problem, seed=12, model="uniform"), 64)
+    trace = run_episode("uniform", make_env(problem, seed=12), 64)
     assert trace.policy == "uniform"
     assert trace.seed == 12
     assert trace.horizon == 64
-    assert trace.noise == "uniform"
     assert sum(trace.final_counts) == 64
     assert trace.rows[-1].t == 64
     assert trace.rows[-1].counts == trace.final_counts
@@ -821,10 +821,10 @@ def test_episode_advances_through_its_budgets_as_separate_runs():
     problem = make_random_instance(3, 3, 4)
     episode = Episode("thompson", make_env(problem, 2), 100, budgets=(1000, 350))
     for horizon in (100, 350, 1000):
-        got = episode.advance(horizon)
+        (got,) = episode.advance_all(horizon)
         want = run_episode("thompson", make_env(problem, 2), horizon)
         assert got.rows == want.rows
         assert got.final_counts == want.final_counts
         assert got.presample_end == want.presample_end == 6
     with pytest.raises(ValueError, match="cannot be advanced to 350"):
-        episode.advance(350)
+        episode.advance_all(350)

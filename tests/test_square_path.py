@@ -46,7 +46,6 @@ CANONICAL = {
 }
 # K >= 8 reaches the pairwise branch of ``_float_sum``
 RANDOM_9 = {"generator": "random", "d": 9, "K": 9, "seed": 1}
-NOISE_MODELS = ("gaussian", "uniform", "rademacher")
 
 
 # --------------------------------------------------------------------
@@ -235,7 +234,7 @@ def _query(env, policy):
     return env.query_arms if policy.open_loop else env.query
 
 
-def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, counts=None):
+def _run(monkeypatch, name, problem, options, reference, horizon=2000, counts=None):
     """One episode; returns (arms queried by its steps, final policy).  With
     ``counts`` the policy presamples each arm that many times instead of its
     own way."""
@@ -249,14 +248,15 @@ def _run(monkeypatch, name, problem, model, options, reference, horizon=2000, co
     if counts is not None:
         base = type(base.__name__, (base,), {"presample": presample})
     monkeypatch.setitem(policies._POLICY_CLASSES, name, base)
-    env = make_env(problem, 3, model)
+    env = make_env(problem, 3)
     # a step queries one arm, or an open-loop segment its arms at once;
     # presampling queries blocks
     arms = []
     env.query = _logged_query(env, False, arms)
     env.query_arms = _logged_query(env, True, arms)
     episode = Episode(name, env, horizon, options=options)
-    episode.advance(horizon)
+    (outcome,) = episode.advance_all(horizon)
+    assert not isinstance(outcome, Exception), outcome
     return arms, episode.policy
 
 
@@ -283,9 +283,9 @@ def _state(policy):
     return state
 
 
-def _assert_same_episode(monkeypatch, name, problem, model, options, **kw):
-    arms, policy = _run(monkeypatch, name, problem, model, options, False, **kw)
-    ref_arms, ref = _run(monkeypatch, name, problem, model, options, True, **kw)
+def _assert_same_episode(monkeypatch, name, problem, options, **kw):
+    arms, policy = _run(monkeypatch, name, problem, options, False, **kw)
+    ref_arms, ref = _run(monkeypatch, name, problem, options, True, **kw)
     assert isinstance(policy.counts, list) and isinstance(ref.counts, np.ndarray)
     assert arms == ref_arms
     assert _state(policy) == _state(ref)
@@ -301,16 +301,15 @@ VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("model", NOISE_MODELS)
 @pytest.mark.parametrize(
     "instance",
     [SQUARE_REPLICATION, CANONICAL, RANDOM_9],
     ids=["replication", "canonical", "random9"],
 )
 @pytest.mark.parametrize("name, options", VARIANTS, ids=[f"{n}-{o}" for n, o in VARIANTS])
-def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance, model):
-    problem, _ = build_problem(dict(instance, noise=model))
-    arms = _assert_same_episode(monkeypatch, name, problem, model, options)
+def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance):
+    problem, _ = build_problem(instance)
+    arms = _assert_same_episode(monkeypatch, name, problem, options)
     assert len(set(arms)) >= 2
 
 
@@ -337,7 +336,7 @@ def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, in
 )
 def test_unobserved_arms_pick_what_numpy_picked(monkeypatch, name, counts):
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    _assert_same_episode(monkeypatch, name, problem, "gaussian", {}, horizon=300, counts=counts)
+    _assert_same_episode(monkeypatch, name, problem, {}, horizon=300, counts=counts)
 
 
 def thompson_states(n: int = 1000):
@@ -437,7 +436,7 @@ def _counted_episode(monkeypatch, name: str, horizon: int):
     """A square episode run to ``horizon`` on a counting policy generator:
     the episode and the generator's call counts."""
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    env = make_env(problem, 3, "gaussian")
+    env = make_env(problem, 3)
     made = []
 
     def default_rng(seed, _make=np.random.default_rng):
@@ -447,7 +446,8 @@ def _counted_episode(monkeypatch, name: str, horizon: int):
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", default_rng)
         episode = Episode(name, env, horizon)
-    episode.advance(horizon)
+    (outcome,) = episode.advance_all(horizon)
+    assert not isinstance(outcome, Exception), outcome
     (rng,) = made
     return episode, rng.calls
 
@@ -511,10 +511,10 @@ STATE_FIELDS = {
 }
 
 
-def _presampled(name: str, model: str, horizon: int = 600):
+def _presampled(name: str, horizon: int = 600):
     """A K = d ``name`` episode past its presampling, and its environment."""
-    problem, _ = build_problem(dict(SQUARE_REPLICATION, noise=model))
-    env = make_env(problem, 5, model)
+    problem, _ = build_problem(SQUARE_REPLICATION)
+    env = make_env(problem, 5)
     episode = Episode(name, env, horizon)
     assert episode.t < horizon - 100
     return episode.policy, env
@@ -540,11 +540,10 @@ def _stream(policy):
     return policy.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("model", NOISE_MODELS)
 @pytest.mark.parametrize("name", policies.POLICY_NAMES)
-def test_square_run_in_one_call_equals_run_in_pieces(name, model):
+def test_square_run_in_one_call_equals_run_in_pieces(name):
     horizon = 600
-    whole, env = _presampled(name, model, horizon)
+    whole, env = _presampled(name, horizon)
     t0 = whole.round
     whole.run(t0, horizon, _query(env, whole))
     assert whole.round == horizon
@@ -557,7 +556,7 @@ def test_square_run_in_one_call_equals_run_in_pieces(name, model):
         sorted(rng.choice(steps, 40, replace=True).tolist()),  # repeats: empty pieces
     ]
     for stops in cuts:
-        pieces, env = _presampled(name, model, horizon)
+        pieces, env = _presampled(name, horizon)
         t = t0
         for stop in [*stops, horizon]:
             pieces.run(t, stop, _query(env, pieces))
