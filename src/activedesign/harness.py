@@ -744,6 +744,8 @@ def verify_concentration(
     """
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials!r}")
+    if horizon < 2:
+        raise ConfigError(f"horizon must be at least 2, got {horizon!r}")
     rng = np.random.default_rng(seed)
 
     def row(kind: str, n: int, delta: float, threshold: float) -> dict:

@@ -1,4 +1,4 @@
-"""Accepts => finishes, over a grid of shapes, budgets and policies.
+"""Accepts => finishes, over a grid of shapes, budgets, policies and proxies.
 
 Each case is loaded as ``sweep`` and ``simulate`` load a config:
 ``build_problem``, ``check_reference`` on the reference optimum, then
@@ -9,14 +9,17 @@ The shapes have d <= K <= 8, plus the near-degenerate instances of the
 instance-file rule: near clones of an arm, variances spread over 1e+-8
 or 1e-12 apart, a design singular at the uniform weights, and two that
 must not load.  K > d ``randomized`` re-solves its design every round,
-so it runs only at small K and at its budget floor.
+so it runs only at small K and at its budget floor.  Each shape also
+runs with some of its sub-Gaussian proxies above its variances.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from activedesign.core import NoiseSpec
 from activedesign.environment import make_env, make_random_instance
 from activedesign.harness import build_problem, check_reference, check_runs
 from activedesign.policies import POLICY_NAMES, Episode, budget_floor
@@ -24,6 +27,8 @@ from activedesign.solver import reference_optimum
 
 BUDGETS = (1, 7, 40, 300)
 SEEDS = (0, 1)
+# proxy factors: the instance's own proxies (1), and looser bounds
+PROXY_FACTORS = (1.0, 3.0, 10.0)
 
 
 def _inline(x, sigma2, beta=None) -> dict:
@@ -75,10 +80,18 @@ SHAPES = {
 MUST_REJECT = {"near_singular_3x3", "parallel_2x3"}
 
 
-def _load(instance: dict, name: str, horizon: int):
+def _with_proxy(problem, factor: float):
+    """``problem`` with every second arm's sub-Gaussian proxy raised by ``factor``:
+    known bounds above the variances, looser on some arms than on others."""
+    raise_by = factor ** (np.arange(problem.n_arms) % 2)
+    noise = NoiseSpec(problem.noise.sigma2, raise_by * problem.noise.kappa2)
+    return dataclasses.replace(problem, noise=noise)
+
+
+def _load(instance: dict, proxy: float, name: str, horizon: int):
     """The problem and reference of a case, or the load error."""
     try:
-        problem, _ = build_problem(instance)
+        problem = _with_proxy(build_problem(instance)[0], proxy)
         reference = check_reference(reference_optimum(problem), instance)
         check_runs(problem, [(name, {})], [horizon])
     except ValueError as exc:
@@ -86,10 +99,10 @@ def _load(instance: dict, name: str, horizon: int):
     return problem, reference
 
 
-def _budgets(instance: dict, name: str) -> list:
+def _budgets(instance: dict, proxy: float, name: str) -> list:
     """The grid budgets of a case, and its presampling floor and the budget below."""
     try:
-        problem, _ = build_problem(instance)
+        problem = _with_proxy(build_problem(instance)[0], proxy)
     except ValueError:
         return list(BUDGETS)
     floor = budget_floor(name, problem, 1)
@@ -98,13 +111,14 @@ def _budgets(instance: dict, name: str) -> list:
     return sorted(set(BUDGETS) | (set() if floor is None else {floor - 1, floor}))
 
 
+@pytest.mark.parametrize("proxy", PROXY_FACTORS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_accepted_config_finishes_and_every_other_is_rejected_at_load(shape):
+def test_every_accepted_config_finishes_and_every_other_is_rejected_at_load(shape, proxy):
     instance = SHAPES[shape]
     accepted = 0
     for name in POLICY_NAMES:
-        for horizon in _budgets(instance, name):
-            loaded = _load(instance, name, horizon)
+        for horizon in _budgets(instance, proxy, name):
+            loaded = _load(instance, proxy, name, horizon)
             if isinstance(loaded, ValueError):
                 continue
             assert shape not in MUST_REJECT

@@ -375,6 +375,9 @@ def test_verify_coverage(capsys, tmp_path):
     [
         (["--trials", "0"], "got 0"),
         (["--trials", "-5"], "got -5"),
+        (["--horizon", "1"], "got 1"),
+        (["--horizon", "0"], "got 0"),
+        (["--horizon", "-3"], "got -3"),
     ],
 )
 def test_verify_bad_numbers_exit_one_naming_the_value(capsys, flags, shown):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from activedesign.core import loss
+from activedesign.core import CovariateSet, DesignProblem, NoiseSpec, loss
 from activedesign.environment import (
     NOISE_CHUNK,
     Environment,
@@ -143,23 +143,24 @@ def test_block_then_single_continues_the_stream():
         ], size
 
 
-def test_query_arms_equals_successive_queries():
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_query_arms_equals_successive_queries(k):
     # blocks from the start, mid-buffer, across one and several refills,
     # ending on a chunk's last draw, and empty; the next single query after
     # each block must be the one successive queries lead to
-    problem = make_random_instance(2, 3, seed=8)
+    problem = make_random_instance(min(k, 2), k, seed=8)
     rng = np.random.default_rng(1)
     sizes = [5, 40, 0, NOISE_CHUNK - 45, NOISE_CHUNK + 7, 3 * NOISE_CHUNK + 2, 1, 0]
     sizes += [NOISE_CHUNK - 9, 2 * NOISE_CHUNK, 17]
     one = make_env(problem, seed=21)
     blk = make_env(problem, seed=21)
     for size in sizes:
-        arms = rng.integers(0, 3, size).tolist()
+        arms = rng.integers(0, k, size).tolist()
         got = blk.query_arms(arms)
         assert got.dtype == np.float64 and got.shape == (size,)
         assert got.tolist() == [one.query(a) for a in arms], size
         assert blk.draws == one.draws
-        assert blk.query(size % 3) == one.query(size % 3)
+        assert blk.query(size % k) == one.query(size % k)
     assert one.draws > 8 * NOISE_CHUNK
 
 
@@ -187,12 +188,22 @@ def test_draw_counter_tracks_observations():
 # noise moments
 
 
-def test_gaussian_moments():
+MOMENT_INSTANCES = {
+    "random": make_random_instance(2, 2, seed=2),
+    "variances_1e-8_1e8": DesignProblem(
+        CovariateSet(np.eye(2)), NoiseSpec(np.array([1e-8, 1e8])), beta=np.array([3.0, -2.0])
+    ),
+    "hard": make_hard_instance(0.5),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(MOMENT_INSTANCES))
+def test_gaussian_moments(instance):
     n = 40_000
-    problem = make_random_instance(2, 2, seed=2)
+    problem = MOMENT_INSTANCES[instance]
     env = make_env(problem, seed=17)
     means = problem.covariates.columns.T @ problem.beta
-    for arm in range(2):
+    for arm in range(problem.n_arms):
         eps, s2 = env.query_block(arm, n) - means[arm], problem.noise.sigma2[arm]
         # SE(mean) = sigma/sqrt(n); SE(var) = sigma^2 sqrt(2/n)
         assert abs(eps.mean()) < 5.0 * np.sqrt(s2 / n)

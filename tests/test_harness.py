@@ -719,9 +719,12 @@ def test_verify_concentration_rows(tmp_path):
     [
         ({"trials": 0}, "trials must be at least 1, got 0"),
         ({"trials": -5}, "trials must be at least 1, got -5"),
+        ({"horizon": 1}, "horizon must be at least 2, got 1"),
+        ({"horizon": 0}, "horizon must be at least 2, got 0"),
+        ({"horizon": -3}, "horizon must be at least 2, got -3"),
     ],
 )
-def test_verify_concentration_rejects_bad_trials_and_variances(kwargs, match):
+def test_verify_concentration_rejects_bad_trials_and_horizons(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         verify_concentration(**kwargs)
 
@@ -792,11 +795,19 @@ CHAIN_INSTANCES = {
 }
 
 
+@pytest.mark.parametrize("proxy", [1.0, 3.0, 10.0])
 @pytest.mark.parametrize("instance", sorted(CHAIN_INSTANCES))
-def test_chained_traces_equal_separate_episodes(monkeypatch, instance):
+def test_chained_traces_equal_separate_episodes(monkeypatch, tmp_path, instance, proxy):
+    # above factor 1 every second arm's proxy is raised, through a file's proxy row
     monkeypatch.setenv("ACTIVE_DESIGN_THREADS", "1")
     spec = CHAIN_INSTANCES[instance]
     problem, _ = build_problem(spec)
+    if proxy != 1.0:
+        raise_by = proxy ** (np.arange(problem.n_arms) % 2)
+        noise = NoiseSpec(problem.noise.sigma2, raise_by * problem.noise.kappa2)
+        problem = dataclasses.replace(problem, noise=noise)
+        spec = {"file": str(tmp_path / "loose.txt")}
+        write_instance(problem, spec["file"])
     k = problem.n_arms
     # out of order, one budget off the checkpoint grid, and one below 2K
     # (thompson's warm-up and the first checkpoint depend on it there)

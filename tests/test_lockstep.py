@@ -45,17 +45,27 @@ INSTANCES = {
     ),
 }
 SEEDS = (3, 4, 5, 6, 7)
+# proxy factors: the instance's own proxies (1), and looser bounds
+PROXY_FACTORS = (1.0, 3.0, 10.0)
+
+
+def _with_proxy(problem, factor: float):
+    """``problem`` with every second arm's sub-Gaussian proxy raised by ``factor``:
+    known bounds above the variances, looser on some arms than on others."""
+    raise_by = factor ** (np.arange(problem.n_arms) % 2)
+    noise = core.NoiseSpec(problem.noise.sigma2, raise_by * problem.noise.kappa2)
+    return dataclasses.replace(problem, noise=noise)
 
 
 @functools.lru_cache(maxsize=None)
-def _problem(instance: str):
-    problem, _ = build_problem(INSTANCES[instance][0])
+def _problem(instance: str, proxy: float = 1.0):
+    problem = _with_proxy(build_problem(INSTANCES[instance][0])[0], proxy)
     return problem, reference_optimum(problem)
 
 
 @functools.lru_cache(maxsize=None)
-def _alone(instance: str, name: str, seed: int, horizon: int):
-    problem, ref = _problem(instance)
+def _alone(instance: str, name: str, seed: int, horizon: int, proxy: float = 1.0):
+    problem, ref = _problem(instance, proxy)
     env = make_env(problem, seed)
     return run_episode(name, env, horizon, reference=ref)
 
@@ -74,17 +84,18 @@ def _fields(trace) -> dict:
 CASES = [(instance, name) for instance, (_, names, _) in INSTANCES.items() for name in names]
 
 
+@pytest.mark.parametrize("proxy", PROXY_FACTORS)
 @pytest.mark.parametrize("size", [1, 2, 5])
 @pytest.mark.parametrize("instance,name", CASES)
-def test_lockstep_members_record_their_separate_traces(instance, name, size):
-    problem, ref = _problem(instance)
+def test_lockstep_members_record_their_separate_traces(instance, name, size, proxy):
+    problem, ref = _problem(instance, proxy)
     horizon = INSTANCES[instance][2]
     seeds = SEEDS[:size]
     episode = Episode(name, [make_env(problem, s) for s in seeds], horizon, reference=ref)
     outcomes = episode.advance_all(horizon)
     assert len(outcomes) == size
     for seed, got in zip(seeds, outcomes):
-        assert _fields(got) == _fields(_alone(instance, name, seed, horizon))
+        assert _fields(got) == _fields(_alone(instance, name, seed, horizon, proxy))
 
 
 OPEN_LOOP = [(instance, name) for instance in ("redundant", "random3x5") for name in ("uniform", "oracle")]

@@ -14,6 +14,7 @@ division by zero, NaN in an argmin, ties.
 """
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -46,6 +47,16 @@ CANONICAL = {
 }
 # K >= 8 reaches the pairwise branch of ``_float_sum``
 RANDOM_9 = {"generator": "random", "d": 9, "K": 9, "seed": 1}
+# proxy factors: the instance's own proxies (1), and looser bounds
+PROXY_FACTORS = (1.0, 3.0, 10.0)
+
+
+def _with_proxy(problem, factor: float):
+    """``problem`` with every second arm's sub-Gaussian proxy raised by ``factor``:
+    known bounds above the variances, looser on some arms than on others."""
+    raise_by = factor ** (np.arange(problem.n_arms) % 2)
+    noise = NoiseSpec(problem.noise.sigma2, raise_by * problem.noise.kappa2)
+    return dataclasses.replace(problem, noise=noise)
 
 
 # --------------------------------------------------------------------
@@ -301,14 +312,15 @@ VARIANTS = [
 ]
 
 
+@pytest.mark.parametrize("proxy", PROXY_FACTORS)
 @pytest.mark.parametrize(
     "instance",
     [SQUARE_REPLICATION, CANONICAL, RANDOM_9],
     ids=["replication", "canonical", "random9"],
 )
 @pytest.mark.parametrize("name, options", VARIANTS, ids=[f"{n}-{o}" for n, o in VARIANTS])
-def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance):
-    problem, _ = build_problem(instance)
+def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, instance, proxy):
+    problem = _with_proxy(build_problem(instance)[0], proxy)
     arms = _assert_same_episode(monkeypatch, name, problem, options)
     assert len(set(arms)) >= 2
 
@@ -511,9 +523,9 @@ STATE_FIELDS = {
 }
 
 
-def _presampled(name: str, horizon: int = 600):
+def _presampled(name: str, proxy: float, horizon: int = 600):
     """A K = d ``name`` episode past its presampling, and its environment."""
-    problem, _ = build_problem(SQUARE_REPLICATION)
+    problem = _with_proxy(build_problem(SQUARE_REPLICATION)[0], proxy)
     env = make_env(problem, 5)
     episode = Episode(name, env, horizon)
     assert episode.t < horizon - 100
@@ -540,10 +552,11 @@ def _stream(policy):
     return policy.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("proxy", PROXY_FACTORS)
 @pytest.mark.parametrize("name", policies.POLICY_NAMES)
-def test_square_run_in_one_call_equals_run_in_pieces(name):
+def test_square_run_in_one_call_equals_run_in_pieces(name, proxy):
     horizon = 600
-    whole, env = _presampled(name, horizon)
+    whole, env = _presampled(name, proxy, horizon)
     t0 = whole.round
     whole.run(t0, horizon, _query(env, whole))
     assert whole.round == horizon
@@ -556,7 +569,7 @@ def test_square_run_in_one_call_equals_run_in_pieces(name):
         sorted(rng.choice(steps, 40, replace=True).tolist()),  # repeats: empty pieces
     ]
     for stops in cuts:
-        pieces, env = _presampled(name, horizon)
+        pieces, env = _presampled(name, proxy, horizon)
         t = t0
         for stop in [*stops, horizon]:
             pieces.run(t, stop, _query(env, pieces))
