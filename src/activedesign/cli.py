@@ -216,6 +216,8 @@ def cli_main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
             raise ConfigError(f"--out {out!r}: not a file in an existing directory")
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return handlers[args.command](args)
     except (ConfigError, InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,12 @@ from .core import CovariateSet, DesignProblem, NoiseSpec
 # Standard normals taken from the generator per refill of the query buffer.
 NOISE_CHUNK = 1024
 
+# ``make_random_instance`` redraws a covariate set until its smallest
+# singular value exceeds RANDOM_SIGMA_MIN, at most RANDOM_DRAWS times; no
+# shape up to d = K = 12 needs more than 16 draws (seeds 0-39).
+RANDOM_SIGMA_MIN = 0.1
+RANDOM_DRAWS = 1000
+
 
 class Environment:
     """Stateful sampling oracle for a design problem.
@@ -112,17 +118,23 @@ def make_random_instance(d: int, k: int, seed: int) -> DesignProblem:
     """Random unit covariates with iid U(0.5, 2) variances and a Gaussian truth.
 
     Covariate columns are drawn uniformly on the sphere and the whole set
-    is redrawn until its smallest singular value clears 0.1, so generated
-    instances are uniformly well conditioned.
+    is redrawn until its smallest singular value clears ``RANDOM_SIGMA_MIN``,
+    so generated instances are uniformly well conditioned; a shape and
+    seed that no ``RANDOM_DRAWS`` draws clear raise ``ValueError``.
     """
     if d < 1 or k < d:
         raise ValueError("need k >= d >= 1 to span R^d")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(RANDOM_DRAWS):
         cols = rng.standard_normal((d, k))
         cols /= np.linalg.norm(cols, axis=0)
-        if np.linalg.svd(cols, compute_uv=False)[-1] > 0.1:
+        if np.linalg.svd(cols, compute_uv=False)[-1] > RANDOM_SIGMA_MIN:
             break
+    else:
+        raise ValueError(
+            f"no random d={d}, K={k} covariate set of seed {seed} has its smallest "
+            f"singular value above {RANDOM_SIGMA_MIN} within {RANDOM_DRAWS} draws"
+        )
     sigma2 = rng.uniform(0.5, 2.0, k)
     beta = rng.standard_normal(d)
     return DesignProblem(CovariateSet(cols), NoiseSpec(sigma2=sigma2), beta=beta)

@@ -315,11 +315,12 @@ def _problem(instance: dict) -> DesignProblem:
             allowed = {"generator", "d", "K", "seed"}
             if keys - allowed:
                 raise ConfigError(f"random instance keys must be in {sorted(allowed)}")
-            return make_random_instance(
-                _integer("d", instance.get("d", 3)),
-                _integer("K", instance.get("K", instance.get("d", 3))),
-                _integer("seed", instance.get("seed", 0)),
-            )
+            d = _integer("d", instance.get("d", 3))
+            k = _integer("K", instance.get("K", instance.get("d", 3)))
+            seed = _integer("seed", instance.get("seed", 0))
+            if seed < 0:
+                raise ConfigError(f"'seed' must be nonnegative, got {seed}")
+            return make_random_instance(d, k, seed)
         raise ConfigError(f"unknown generator {kind!r}; expected 'random' or 'hard'")
 
     if "covariates" in instance:

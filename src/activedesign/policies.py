@@ -18,11 +18,12 @@ only source of presampled samples (see the README).  The runner executes
 it, calls ``Policy.run`` from one regret checkpoint to the next, and
 records them.  ``uniform`` and ``oracle`` never read a response: their
 ``run`` plans a segment's arms, queries them as one block and counts
-them once (``_OpenLoop``).  The other three step on square problems
-(K = d) in one loop per class on lists of Python floats, with the IEEE
-operations of the array formulas in their order, and on K > d every seed
-of an ``Episode`` as a row of (S, K) arrays (the README's lock-step
-paragraph); there, and in presampling, observations reach ``_update``.
+them once (``_OpenLoop``).  Every per-arm state is an (S, K) float64
+array, one row per seed of an ``Episode`` (the README's lock-step
+paragraph); a square problem (K = d) has one seed, so S = 1.  On K > d,
+and in presampling, observations reach ``_update``; on K = d the other
+three step in one loop per class on Python floats unpacked from row 0,
+with the IEEE operations of the array formulas in their order.
 
 ``uniform``, ``oracle`` and ``thompson`` are horizon-free (see
 ``extends_past``): an ``Episode`` can be advanced from one budget to the
@@ -215,17 +216,16 @@ def _pairwise_sum(a: list) -> float:
 
 
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
-    """The gradients -``marks`` for the S rows of ``p`` at once.
+    """The gradients -``marks`` for the S rows of ``p`` and of ``sigma2`` at once.
 
     If the stacked inverse raises ``LinAlgError``, the rows are redone one
     by one on the same inputs, and a row whose own inverse raises gets that
     error in ``arms``; rows whose entry in ``arms`` is already set are
-    skipped.  ``sigma2`` is (S, K), or (K,) shared by every row.
+    skipped.
     """
     try:
         return -marks(x, sigma2, p)
     except np.linalg.LinAlgError:
-        sigma2 = np.broadcast_to(sigma2, p.shape)
         g = np.zeros(p.shape)
         for i, arm in enumerate(arms):
             if arm is None:
@@ -244,7 +244,7 @@ def _fill_argmin(g: np.ndarray, arms: list) -> list:
     return [b if arm is None else arm for arm, b in zip(arms, best)]
 
 
-# the per-row state a K > d policy may hold, deleted with a row that fails:
+# the per-row state a policy may hold, deleted with a row that fails:
 # (S, K) arrays, and lists of S random streams
 _ROW_STATE = (
     "counts", "_mean", "_m2", "sig2hat", "_lcb", "_anchor",
@@ -256,15 +256,14 @@ _ROW_STREAMS = ("rng", "_uniforms")
 class Policy:
     """Shared bookkeeping: the round (observations so far) and the counts.
 
-    A policy steps only through ``run``.  On square problems per-arm state
-    is a list of Python floats.  On K > d the policy owns S rows, one per
-    seed: ``rng`` is a list of S generators (one generator, or None, is
-    one row), per-row state is an (S, K) array, and the base ``run`` steps
-    the rows through ``select`` and ``observe``.  ``observe`` and
-    ``observe_block`` (presampling, on both shapes) reach the class's
-    ``_update`` hook.  ``horizon_free`` marks a policy whose choices never
-    read T, and ``open_loop`` one whose ``run`` queries a segment as one
-    block.
+    A policy steps only through ``run``.  It owns S rows, one per seed:
+    ``rng`` is a list of S generators (one generator, or None, is one
+    row), and every per-arm state is an (S, K) float64 array, with S = 1
+    on square problems.  On K > d the base ``run`` steps the rows through
+    ``select`` and ``observe``.  ``observe`` and ``observe_block``
+    (presampling, on both shapes) reach the class's ``_update`` hook.
+    ``horizon_free`` marks a policy whose choices never read T, and
+    ``open_loop`` one whose ``run`` queries a segment as one block.
     """
 
     name = "?"
@@ -276,19 +275,13 @@ class Policy:
         self.horizon = int(horizon)
         self.n_arms = problem.n_arms
         self._square = problem.is_square
-        self.rng = rng if self._square or isinstance(rng, list) else [rng]
-        self.counts = self._per_arm(0.0, rows=True)
+        self.rng = rng if isinstance(rng, list) else [rng]
+        self.counts = self._per_arm(0.0)
         self.round = 0
 
-    def _per_arm(self, values, rows: bool = False):
-        """Per-arm values (a scalar or K of them) in this policy's container.
-
-        A list of floats on square problems; otherwise a (K,) array, or
-        with ``rows`` an (S, K) array holding them in every row.
-        """
-        shape = (len(self.rng), self.n_arms) if rows and not self._square else self.n_arms
-        values = np.full(shape, values, dtype=np.float64)
-        return values.tolist() if self._square else values
+    def _per_arm(self, values) -> np.ndarray:
+        """Per-arm values (a scalar or K of them) in every row of an (S, K) array."""
+        return np.full((len(self.rng), self.n_arms), values, dtype=np.float64)
 
     def select(self, t: int) -> list:
         """The K > d rows' choices at step t: an arm, or the row's exception."""
@@ -297,9 +290,9 @@ class Policy:
     def run(self, t: int, stop: int, query) -> None:
         """Steps t + 1 through ``stop``: each selects, queries ``query(arms)``
         and observes; closed-loop K > d rows step here.  Those classes
-        override it on K = d with one loop on their state lists, held in
-        locals, that applies each observation with ``_update``'s IEEE
-        operations in their order."""
+        override it on K = d with one loop on row 0 unpacked into lists,
+        held in locals and written back when it ends, that applies each
+        observation with ``_update``'s IEEE operations in their order."""
         select, observe = self.select, self.observe
         for t in range(t + 1, stop + 1):
             arms = select(t)
@@ -312,20 +305,15 @@ class Policy:
         self.round += 1
 
     def observe_block(self, arm: int, ys: np.ndarray) -> None:
-        """Observations ``ys`` of one arm, taken in order one at a time.
-
-        On K > d ``ys`` is (S, m): every row observes ``arm`` m times.
-        """
-        if self._square:
-            self._update(arm, arm, ys.tolist())
-        else:
-            for i, row in enumerate(ys.tolist()):
-                self._update((i, arm), arm, row)
+        """Observations ``ys`` of one arm, (S, m): every row observes ``arm``
+        m times, taken in order one at a time."""
+        for i, row in enumerate(ys.tolist()):
+            self._update((i, arm), arm, row)
         self.round += ys.shape[-1]
 
     def _update(self, key, arm: int, ys) -> None:
         """Take observations ``ys`` of ``arm``, in order, into the state at
-        ``key``: the arm, or (row, arm) on K > d.  The base counts them."""
+        ``key``, (row, arm).  The base counts them."""
         self.counts[key] += len(ys)
 
     def presample(self, feed) -> tuple:
@@ -338,7 +326,7 @@ class Policy:
         """Hook called once after the presampling has executed."""
 
     def drop(self, rows: list) -> None:
-        """Delete the K > d ``rows`` from the per-row state and the generators."""
+        """Delete ``rows`` from the per-row state and the generators."""
         for name in _ROW_STATE:
             if name in vars(self):
                 setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
@@ -369,19 +357,19 @@ class _Moments:
         n0 = estimation_phase(k, horizon)
         for arm in range(k):
             feed(arm, n0)
-        counts, origin = presample_plan(self.sig2hat, self.problem, horizon, n0)
+        counts, origin = presample_plan(self.sig2hat[0], self.problem, horizon, n0)
         for arm, count in enumerate(counts.tolist()):
             feed(arm, count - n0)
         return n0, origin
 
     def _init_moments(self) -> None:
-        self._mean = self._per_arm(0.0, rows=True)
-        self._m2 = self._per_arm(0.0, rows=True)
-        self.sig2hat = self._per_arm(np.nan, rows=True)
+        self._mean = self._per_arm(0.0)
+        self._m2 = self._per_arm(0.0)
+        self.sig2hat = self._per_arm(np.nan)
 
     def _update(self, key, arm: int, ys) -> None:
-        """Welford over ``ys`` of ``arm``, at ``key``: the arm, or (row, arm) on K > d."""
-        n, mean, m2 = self.counts[key], self._mean[key], self._m2[key]
+        """Welford over ``ys`` of ``arm``, at ``key``, (row, arm), on Python floats."""
+        n, mean, m2 = float(self.counts[key]), float(self._mean[key]), float(self._m2[key])
         for y in ys:
             n += 1.0
             delta = y - mean
@@ -403,11 +391,7 @@ class _OpenLoop:
     def run(self, t: int, stop: int, query) -> None:
         arms = self.plan(stop - t)
         query(arms)
-        added = np.bincount(np.array(arms, dtype=np.intp), minlength=self.n_arms)
-        if self._square:
-            self.counts = [c + a for c, a in zip(self.counts, added.tolist())]
-        else:
-            self.counts += added
+        self.counts += np.bincount(np.array(arms, dtype=np.intp), minlength=self.n_arms)
         self.round += len(arms)
 
 
@@ -437,7 +421,7 @@ class OracleTrackingPolicy(_OpenLoop, Policy):
         equals as np.argmax (the first largest p*_k at n = 0); found as the
         first least counts_k / n - p*_k, since IEEE subtraction is exactly
         antisymmetric.  p* is a ``SimplexWeights``, finite, so no deficit is NaN."""
-        counts = list(self.counts if self._square else self.counts[0].tolist())
+        counts = self.counts[0].tolist()
         p_star, arms = self.p_star, []
         for n in range(self.round, self.round + m):
             if not n:
@@ -466,13 +450,11 @@ class RandomizedDesignPolicy(_Moments, Policy):
     is logged as such).  After presampling, draws target the residual
     between the design and the mass already laid out (``_residual_arm``),
     so the final proportions converge to the design rather than to a
-    mixture with the presampling origin.  On square problems the design
-    weights sigma_k sqrt(cofactor_k) are a list whose observed arm's
-    entry each update refreshes.  Each row takes its uniforms from its
-    own generator through ``_uniforms``, the values one ``rng.random()``
-    per draw would give.  Each update keeps the arm's bound ``_lcb``
-    beside its moments; the bounds are read only once ``presample_done``
-    has found every arm's bound defined.
+    mixture with the presampling origin.  Each row takes its uniforms from
+    its own generator through ``_uniforms``, the values one
+    ``rng.random()`` per draw would give.  Each update keeps the arm's
+    bound ``_lcb`` beside its moments; the bounds are read only once
+    ``presample_done`` has found every arm's bound defined.
     """
 
     name = "randomized"
@@ -492,26 +474,22 @@ class RandomizedDesignPolicy(_Moments, Policy):
             raise ValueError("design_delta must lie in (0, 1)")
         self._init_moments()
         self._params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
-        self._lcb = self._per_arm(np.nan, rows=True)
+        self._lcb = self._per_arm(np.nan)
         self._bounds_ready = False  # whether every arm's bound is defined
-        self._anchor = self._per_arm(0.0, rows=True)
-        self._uniforms = [_uniforms(g) for g in ([self.rng] if self._square else self.rng)]
+        self._anchor = self._per_arm(0.0)
+        self._uniforms = [_uniforms(g) for g in self.rng]
         if self._square:
             det, cof = gram_cofactors(problem.covariates.gram())
             if det <= 0.0 or np.any(cof <= 0.0):
                 raise ValueError("covariate set is degenerate")
             self._root_cof = np.sqrt(cof).tolist()
-            self._weights = [math.sqrt(s) * r for s, r in zip(self._lcb, self._root_cof)]
 
     def _update(self, key, arm: int, ys) -> None:
-        """The moments, then, once defined, the arm's bound and on K = d its
-        design weight under that bound."""
+        """The moments, then, once defined, the arm's bound."""
         super()._update(key, arm, ys)
         n = self.counts[key]
         if n >= 2.0:
             self._lcb[key] = lcb_variance(n, self.sig2hat[key], self._params[arm])
-            if self._square:
-                self._weights[arm] = math.sqrt(self._lcb[arm]) * self._root_cof[arm]
 
     def presample_done(self) -> None:
         if not self._square:
@@ -519,7 +497,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
                 "randomized policy with K > d is extension behavior; "
                 "re-solving the design by the reference solver every round"
             )
-        self._anchor = self._per_arm(np.asarray(self.counts) / self.horizon, rows=True)
+        self._anchor = self.counts / self.horizon
         # the bounds only ever go from NaN to defined, so one scan here
         # covers every later round
         self._bounds_ready = not np.any(np.isnan(self._lcb))
@@ -545,14 +523,17 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
     def run(self, t: int, stop: int, query) -> None:
         """A draw from the residual design each step; on K = d one loop
-        (``Policy.run``)."""
+        (``Policy.run``) whose design weights sqrt(bound_k) sqrt(cofactor_k)
+        follow each observation."""
         if not self._square:
             return super().run(t, stop, query)
         if not self._bounds_ready:
             raise ValueError("variance bounds undefined; presample every arm first")
-        counts, mean, m2, sig2hat, lcb = self.counts, self._mean, self._m2, self.sig2hat, self._lcb
-        weights, root_cof, params, anchor = self._weights, self._root_cof, self._params, self._anchor
+        state = (self.counts, self._mean, self._m2, self.sig2hat, self._lcb)
+        counts, mean, m2, sig2hat, lcb = (a[0].tolist() for a in state)
+        root_cof, params, anchor = self._root_cof, self._params, self._anchor[0].tolist()
         uniform, bound, sqrt, n = self._uniforms[0].__next__, lcb_variance, math.sqrt, self.round
+        weights = [sqrt(b) * r for b, r in zip(lcb, root_cof)]
         try:
             for _ in range(stop - t):
                 arm = _residual_arm(weights, _float_sum(weights), anchor, uniform())
@@ -568,6 +549,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
                 n += 1
         finally:
             self.round = n
+            for a, values in zip(state, (counts, mean, m2, sig2hat, lcb)):
+                a[0] = values
 
 
 class GradientUcbPolicy(_Moments, Policy):
@@ -592,15 +575,13 @@ class GradientUcbPolicy(_Moments, Policy):
     def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
         self._init_moments()
-        floor = 1e-12 * problem.noise.kappa2
+        # shared by the rows, and held as one (1, K) row so that a one-row
+        # episode's (1, K) plug-ins meet it without a numpy broadcast
+        self._var_floor = 1e-12 * problem.noise.kappa2[None]
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)
-            self._var_floor = floor.tolist()
         else:
             self._x = problem.covariates.columns
-            # shared by the rows, and held as one (1, K) row so that a one-row
-            # episode's (1, K) plug-ins meet it without a numpy broadcast
-            self._var_floor = floor[None]
 
     def _select_rows(self, t: int) -> list:
         c, counts, arms = 3.0 * math.log(t), self.counts, [None] * len(self.rng)
@@ -613,8 +594,9 @@ class GradientUcbPolicy(_Moments, Policy):
         (``Policy.run``)."""
         if not self._square:
             return super().run(t, stop, query)
-        counts, mean, m2, sig2hat = self.counts, self._mean, self._m2, self.sig2hat
-        neg_diag, floor, n = self._neg_inv_gram, self._var_floor, self.round
+        state = (self.counts, self._mean, self._m2, self.sig2hat)
+        counts, mean, m2, sig2hat = (a[0].tolist() for a in state)
+        neg_diag, floor, n = self._neg_inv_gram, self._var_floor[0].tolist(), self.round
         log, sqrt = math.log, math.sqrt
         try:
             for t in range(t + 1, stop + 1):
@@ -641,6 +623,8 @@ class GradientUcbPolicy(_Moments, Policy):
                 n += 1
         finally:
             self.round = n
+            for a, values in zip(state, (counts, mean, m2, sig2hat)):
+                a[0] = values
 
 
 class ThompsonPolicy(Policy):
@@ -664,13 +648,12 @@ class ThompsonPolicy(Policy):
 
     def __init__(self, problem, rng, horizon):
         super().__init__(problem, rng, horizon)
-        self.post_mu = self._per_arm(0.0, rows=True)
-        self.post_nu = self._per_arm(1.0, rows=True)
-        self.post_alpha = self._per_arm(1.0, rows=True)
-        self.post_beta = self._per_arm(1.0, rows=True)
+        self.post_mu = self._per_arm(0.0)
+        self.post_nu = self._per_arm(1.0)
+        self.post_alpha = self._per_arm(1.0)
+        self.post_beta = self._per_arm(1.0)
         kap2 = problem.noise.kappa2
-        clip_lo = 1e-8 * kap2  # a (1, K) row on K > d, as ``_var_floor``
-        self._clip_lo = clip_lo.tolist() if self._square else clip_lo[None]
+        self._clip_lo = 1e-8 * kap2[None]  # a (1, K) row, as ``_var_floor``
         self._clip_hi = 1e8 * float(kap2.max())
         if self._square:
             self._neg_inv_gram = _neg_inv_gram_diag(problem)
@@ -713,9 +696,10 @@ class ThompsonPolicy(Policy):
         the bonus, except that every arm is drawn after a NaN."""
         if not self._square:
             return super().run(t, stop, query)
-        counts, post_mu, post_nu = self.counts, self.post_mu, self.post_nu
-        alpha, beta, clip_lo, neg_diag = self.post_alpha, self.post_beta, self._clip_lo, self._neg_inv_gram
-        gamma, hi, n = self.rng.gamma, self._clip_hi, self.round
+        state = (self.counts, self.post_mu, self.post_nu, self.post_alpha, self.post_beta)
+        counts, post_mu, post_nu, alpha, beta = (a[0].tolist() for a in state)
+        clip_lo, neg_diag = self._clip_lo[0].tolist(), self._neg_inv_gram
+        gamma, hi, n = self.rng[0].gamma, self._clip_hi, self.round
         try:
             for _ in range(stop - t):
                 best, low, first_nan = 0, math.inf, -1
@@ -743,6 +727,8 @@ class ThompsonPolicy(Policy):
                 n += 1
         finally:
             self.round = n
+            for a, values in zip(state, (counts, post_mu, post_nu, alpha, beta)):
+                a[0] = values
 
 
 _POLICY_CLASSES = {
@@ -845,7 +831,7 @@ class Episode:
 
     ``envs`` is one ``Environment`` or a list, one per member (seed), on
     one problem; on K = d an episode has one member.  Construction builds
-    the policy (on K > d one row per member) and runs its ``presample``;
+    the policy, one row per member, and runs its ``presample``;
     ``advance_all(T)`` calls ``policy.run`` up to each pending checkpoint
     through T, records it, and returns each member's T-step trace.  Every
     per-member call (a presampling query, a K > d step's query, an
@@ -902,8 +888,7 @@ class Episode:
                 np.random.default_rng(np.random.SeedSequence(env.seed, spawn_key=(1,)))
                 for env in envs
             ]
-            rng = rngs[0] if problem.is_square else rngs
-            self.policy = make_policy(policy_name, problem, rng, horizon, options)
+            self.policy = make_policy(policy_name, problem, rngs, horizon, options)
             n0, self.origin = self.policy.presample(self._feed)
             self.policy.presample_done()
         except Exception as exc:
@@ -946,8 +931,7 @@ class Episode:
                 member.error = exc
                 failed.append(i)
         if failed:
-            if not self._problem.is_square:
-                self.policy.drop(failed)
+            self.policy.drop(failed)
             for i in reversed(failed):
                 del entries[i]
             last = self._live[failed[-1]]
@@ -960,7 +944,7 @@ class Episode:
         """Presample: every member observes ``arm`` m times from its environment."""
         if m > 0:
             ys = self._each(lambda member, a: member.env.query_block(a, m), [arm] * len(self._live))
-            self.policy.observe_block(arm, ys[0] if self._problem.is_square else np.array(ys))
+            self.policy.observe_block(arm, np.array(ys))
 
     def _query_rows(self, arms: list) -> list:
         """The K > d step's responses to ``arms``, one per running row."""
@@ -989,8 +973,7 @@ class Episode:
                 counts=key,
             )
 
-        counts = self.policy.counts
-        self._each(checkpoint, [counts] if self._problem.is_square else list(counts))
+        self._each(checkpoint, list(self.policy.counts))
 
     def advance_all(self, horizon: int) -> list:
         """Run every member on to ``horizon`` queries; one outcome per member.

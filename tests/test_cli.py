@@ -185,6 +185,18 @@ CONFIG_ERRORS = [
         {"instance": {"file": str(ROOT / "instances" / "redundant_arm.txt"), "noise": "gaussian"}},
         "instance with 'file' takes no other keys",
     ),
+    # numpy's own message would name neither the key nor the value
+    (
+        "negative_seed",
+        {"instance": {"generator": "random", "seed": -1}},
+        "'seed' must be nonnegative, got -1",
+    ),
+    # no 60x60 draw of seed 0 is well conditioned: the redraws stop at their cap
+    (
+        "random_60x60",
+        {"instance": {"generator": "random", "d": 60, "K": 60}},
+        "no random d=60, K=60 covariate set of seed 0",
+    ),
 ]
 
 
@@ -378,12 +390,20 @@ def test_verify_coverage(capsys, tmp_path):
         (["--horizon", "1"], "got 1"),
         (["--horizon", "0"], "got 0"),
         (["--horizon", "-3"], "got -3"),
+        (["--seed", "-1"], "--seed must be nonnegative, got -1"),
     ],
 )
 def test_verify_bad_numbers_exit_one_naming_the_value(capsys, flags, shown):
     assert cli_main(["verify", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and shown in err
+
+
+def test_simulate_with_a_negative_seed_exits_one_naming_the_flag(sweep_config_path, capsys):
+    args = ["simulate", sweep_config_path, "--policy", "uniform", "--budget", "100", "--seed", "-1"]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed must be nonnegative, got -1" in err
 
 
 @pytest.mark.parametrize("flags", [["--noise", "gaussian"], ["--sigma2", "1"]])

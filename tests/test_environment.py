@@ -1,5 +1,7 @@
 """Sampling oracles: seeding contract, stream identity, noise moments."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,14 @@ def test_random_instance_is_seed_deterministic():
 def test_random_instance_validation():
     with pytest.raises(ValueError, match="k >= d"):
         make_random_instance(3, 2, seed=0)
+
+
+def test_random_instance_gives_up_after_a_bounded_number_of_draws():
+    # no 60x60 draw of seed 0 clears the conditioning bar, so the redraws
+    # must stop at RANDOM_DRAWS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"d=60, K=60 .* seed 0 .* above 0\.1 within 1000 draws"):
+        make_random_instance(60, 60, seed=0)
+    assert time.perf_counter() - start < 20.0
+    # 12x12 seed 23 takes 16 draws, the most of any shape up to d = K = 12
+    assert make_random_instance(12, 12, seed=23).covariates.columns.shape == (12, 12)

@@ -56,9 +56,9 @@ def canonical(sigma2, beta=None):
 
 
 def feed(policy, pairs):
-    """A K = d policy takes each (arm, y) as a one-sample block."""
+    """A K = d policy takes each (arm, y) as a one-sample block of its one row."""
     for arm, y in pairs:
-        policy.observe_block(arm, np.array([y]))
+        policy.observe_block(arm, np.array([[y]]))
 
 
 # --------------------------------------------------------------------
@@ -148,8 +148,8 @@ def test_counts_track_observations():
 def test_plugin_variance_is_population_form():
     policy = GradientUcbPolicy(make_random_instance(2, 2, seed=0), None, horizon=10)
     feed(policy, [(0, 1.0), (0, 3.0)])
-    assert policy.sig2hat[0] == 1.0
-    assert np.isnan(policy.sig2hat[1])
+    assert policy.sig2hat[0, 0] == 1.0
+    assert np.isnan(policy.sig2hat[0, 1])
 
 
 def _row_state(policy):
@@ -176,9 +176,9 @@ def test_observe_block_equals_per_sample_observe(name, rows):
     blk = make_policy(name, problem, rng_arg, 1000)
     for arm, n in blocks:
         if rows is None:
-            ys = rng.normal(3.0, 2.0, n)
-            for y in ys.tolist():
-                one.observe_block(arm, np.array([y]))
+            ys = rng.normal(3.0, 2.0, (1, n))
+            for y in ys[0].tolist():
+                one.observe_block(arm, np.array([[y]]))
         else:
             ys = rng.normal(3.0, 2.0, (rows, n))
             for column in ys.T.tolist():
@@ -189,6 +189,64 @@ def test_observe_block_equals_per_sample_observe(name, rows):
         assert not np.any(np.isnan(blk.sig2hat))
     if name == "randomized":
         assert not np.any(np.isnan(blk._lcb))
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _assert_one_layout(policy, rows: int) -> None:
+    """Every per-arm state of ``policy`` is an (S, K) float64 array, S = ``rows``
+    (the shared floors one (1, K) row), and each row's counts sum to the round."""
+    shape = (rows, policy.n_arms)
+    held = [name for name in (*_ROW_STATE, "_var_floor", "_clip_lo") if name in vars(policy)]
+    assert "counts" in held
+    for name in held:
+        value = getattr(policy, name)
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64, name
+        assert value.shape == ((1, policy.n_arms) if name in ("_var_floor", "_clip_lo") else shape), name
+    assert len(policy.rng) == rows
+    np.testing.assert_array_equal(policy.counts.sum(axis=1), np.full(rows, float(policy.round)))
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["square", "redundant_S3"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_every_per_arm_state_is_an_s_by_k_float_array(name, rows):
+    # one layout on both shapes: after presampling, after a run stretch and
+    # after a stretch whose query raises midway, which a K = d loop must
+    # write back to row 0 with the round it reached
+    if rows is None:
+        problem = make_random_instance(3, 3, seed=4)
+        envs = [make_env(problem, seed=0)]
+    else:
+        problem = load_instance(REDUNDANT_ARM)
+        envs = [make_env(problem, seed=s) for s in range(rows)]
+    episode = Episode(name, envs, 1000)
+    policy, s = episode.policy, len(envs)
+    _assert_one_layout(policy, s)
+    if policy.open_loop:
+        query = episode._query_arms
+    else:
+        query = envs[0].query if problem.is_square else episode._query_rows
+    t = policy.round
+    policy.run(t, t + 40, query)
+    assert policy.round == t + 40
+    _assert_one_layout(policy, s)
+
+    fail_at = 1 if policy.open_loop else 8
+    calls = []
+
+    def interrupted(arms):
+        calls.append(arms)
+        if len(calls) == fail_at:
+            raise _Interrupted
+        return query(arms)
+
+    t = policy.round
+    with pytest.raises(_Interrupted):
+        policy.run(t, t + 40, interrupted)
+    assert policy.round == t + fail_at - 1
+    _assert_one_layout(policy, s)
 
 
 # --------------------------------------------------------------------
@@ -226,8 +284,7 @@ def _next_arm_by_the_array_formula(policy) -> int:
     p_star = np.array(policy.p_star)
     if policy.round == 0:
         return int(p_star.argmax())
-    counts = np.array(policy.counts if policy._square else policy.counts[0])
-    return int((p_star - counts / policy.round).argmax())
+    return int((p_star - policy.counts[0] / policy.round).argmax())
 
 
 @pytest.mark.parametrize("name", ["uniform", "oracle"])
@@ -249,7 +306,7 @@ def test_plan_is_the_arms_of_successive_steps(name, problem, rows):
     def observe(arm):
         ys = rng.standard_normal(rows)
         if rows is None:
-            policy.observe_block(arm, np.array([ys]))
+            policy.observe_block(arm, np.array([[ys]]))
         else:
             policy.observe([arm] * rows, ys)
 
@@ -296,24 +353,26 @@ def test_oracle_episode_regret_is_tiny():
 # randomized design policy
 
 
+def square_weights(policy) -> list:
+    """A K = d randomized policy's design weights sqrt(bound_k) sqrt(cofactor_k),
+    as its ``run`` builds them from row 0's bounds."""
+    return [math.sqrt(s) * r for s, r in zip(policy._lcb[0].tolist(), policy._root_cof)]
+
+
 def design(policy):
     """The randomized policy's optimistic design: on K = d its weights over
     their total, on K > d the first row's solved design."""
     if not policy._square:
         return policy._optimistic_design(0)
-    total = _float_sum(policy._weights)
-    return [w / total for w in policy._weights]
+    weights = square_weights(policy)
+    total = _float_sum(weights)
+    return [w / total for w in weights]
 
 
 def pinned(problem, rng, horizon, sig2):
-    """A randomized policy whose variance bounds are ``sig2`` in every row,
-    with the design weights its ``_update`` would keep under them."""
+    """A randomized policy whose variance bounds are ``sig2`` in every row."""
     policy = RandomizedDesignPolicy(problem, rng, horizon)
-    if policy._square:
-        policy._lcb = list(sig2)
-        policy._weights = [math.sqrt(s) * r for s, r in zip(sig2, policy._root_cof)]
-    else:
-        policy._lcb[:] = sig2
+    policy._lcb[:] = sig2
     policy._bounds_ready = True
     return policy
 
@@ -337,8 +396,8 @@ def test_randomized_rejects_non_finite_and_bool_design_delta(value):
 
 @pytest.mark.parametrize("design_delta", [None, 0.5])
 def test_randomized_square_bounds_and_weights_follow_each_observation(design_delta):
-    # on K = d, _update keeps each arm's bound and its design weight
-    # sqrt(bound) sqrt(cofactor_k) current after every observation
+    # on K = d, _update keeps each arm's bound current after every
+    # observation, and with it the design weight sqrt(bound) sqrt(cofactor_k)
     problem = make_random_instance(3, 3, seed=2)
     horizon, k = 1000, problem.n_arms
     policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), horizon, design_delta)
@@ -349,15 +408,15 @@ def test_randomized_square_bounds_and_weights_follow_each_observation(design_del
     ys = [[] for _ in range(k)]
     for arm in rng.integers(0, k, 60).tolist():
         y = float(rng.normal(1.0, 2.0))
-        policy.observe_block(arm, np.array([y]))
+        policy.observe_block(arm, np.array([[y]]))
         ys[arm].append(y)
         n = len(ys[arm])
         if n < 2:
-            assert math.isnan(policy._lcb[arm])
+            assert math.isnan(policy._lcb[0, arm])
             continue
         want = lcb_variance(n, float(np.var(ys[arm])), params[arm])
-        assert policy._lcb[arm] == pytest.approx(want, rel=1e-12)
-        assert policy._weights[arm] == pytest.approx(
+        assert policy._lcb[0, arm] == pytest.approx(want, rel=1e-12)
+        assert square_weights(policy)[arm] == pytest.approx(
             math.sqrt(want) * math.sqrt(cof[arm]), rel=1e-12
         )
 
@@ -388,16 +447,16 @@ def test_randomized_reads_live_bounds_once_presampling_defines_them():
     feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
     after = design(policy)
     assert after[1] > before[1]
-    root = np.sqrt(policy._lcb) * np.sqrt(gram_cofactors(problem.covariates.gram())[1])
+    root = np.sqrt(policy._lcb[0]) * np.sqrt(gram_cofactors(problem.covariates.gram())[1])
     np.testing.assert_array_equal(after, root / root.sum())
 
 
 def residual_draws(policy, n: int) -> np.ndarray:
     """n arms drawn as a K = d ``randomized`` step draws one, from its design
     weights, its anchor and its own uniforms, with the policy held fixed."""
-    weights, uniforms = policy._weights, policy._uniforms[0]
+    weights, anchor, uniforms = square_weights(policy), policy._anchor[0].tolist(), policy._uniforms[0]
     total = _float_sum(weights)
-    return np.array([_residual_arm(weights, total, policy._anchor, next(uniforms)) for _ in range(n)])
+    return np.array([_residual_arm(weights, total, anchor, next(uniforms)) for _ in range(n)])
 
 
 def test_randomized_without_anchor_draws_the_design():
@@ -415,7 +474,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
     # residual draw must go to arm 1
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(1), 100, [1.0, 4.0])
-    policy.counts = np.array([50.0, 10.0])
+    policy.counts = np.array([[50.0, 10.0]])
     policy.round = 60
     policy.presample_done()
     picks = residual_draws(policy, 2000)
@@ -425,7 +484,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
 def test_randomized_residual_frequencies():
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(2), 100, [1.0, 4.0])
-    policy.counts = np.array([10.0, 10.0])
+    policy.counts = np.array([[10.0, 10.0]])
     policy.round = 20
     policy.presample_done()
     q = np.maximum(np.array([1.0 / 3.0, 2.0 / 3.0]) - 0.1, 0.0)
@@ -516,8 +575,8 @@ def test_randomized_episode_tracks_the_optimum():
 def test_gradient_ucb_breaks_ties_to_the_lowest_index():
     problem = canonical([1.0, 1.0])
     policy = GradientUcbPolicy(problem, None, 100)
-    policy.sig2hat = [1.0, 1.0]
-    policy.counts = np.array([5.0, 5.0])
+    policy.sig2hat = np.array([[1.0, 1.0]])
+    policy.counts = np.array([[5.0, 5.0]])
     policy.round = 10
     assert square_choice(policy, 11) == 0
 
@@ -528,11 +587,11 @@ def test_gradient_ucb_bonus_can_override_the_gradient():
     # arm 1, which holds fewer raw samples
     problem = canonical([100.0, 1.0])
     policy = GradientUcbPolicy(problem, None, 2000)
-    policy.sig2hat = [100.0, 1.0]
-    policy.counts = [909.0, 91.0]
+    policy.sig2hat = np.array([[100.0, 1.0]])
+    policy.counts = np.array([[909.0, 91.0]])
     policy.round = 1000
-    p = [c / 1000 for c in policy.counts]
-    gradient_alone = _closed_form_gradient(_neg_inv_gram_diag(problem), policy.sig2hat, p)
+    p = [c / 1000 for c in policy.counts[0].tolist()]
+    gradient_alone = _closed_form_gradient(_neg_inv_gram_diag(problem), policy.sig2hat[0], p)
     assert int(np.argmin(gradient_alone)) == 0
     assert square_choice(policy, 1001) == 1
 
@@ -605,12 +664,13 @@ def test_gradient_ucb_square_select_matches_the_solve_route():
     policy = GradientUcbPolicy(problem, None, 1000)
     for _ in range(200):
         # a step updates the observed arm's plug-in variance: reset it
-        policy.sig2hat = sig2.tolist()
-        policy.counts = rng.integers(1, 300, 3).astype(np.float64)
-        policy.round = int(policy.counts.sum())
+        policy.sig2hat = sig2[None].copy()
+        counts = rng.integers(1, 300, 3).astype(np.float64)
+        policy.counts = counts[None].copy()
+        policy.round = int(counts.sum())
         t = policy.round + 1
-        bonus = 2.0 * np.sqrt(3.0 * math.log(t) / policy.counts)
-        g = -marks(x, sig2, policy.counts / policy.round) - bonus
+        bonus = 2.0 * np.sqrt(3.0 * math.log(t) / counts)
+        g = -marks(x, sig2, counts / policy.round) - bonus
         assert square_choice(policy, t) == int(np.argmin(g))
 
 
@@ -638,7 +698,7 @@ def test_thompson_starts_every_arm_at_the_prior(rows):
         problem = load_instance(REDUNDANT_ARM)
         rng = [np.random.default_rng(s) for s in range(rows)]
     policy = ThompsonPolicy(problem, rng, 100)
-    shape = (problem.n_arms,) if rows is None else (rows, problem.n_arms)
+    shape = (1 if rows is None else rows, problem.n_arms)
     for name, value in [("post_mu", 0.0), ("post_nu", 1.0), ("post_alpha", 1.0), ("post_beta", 1.0)]:
         np.testing.assert_array_equal(np.asarray(getattr(policy, name)), np.full(shape, value))
 
@@ -647,18 +707,20 @@ def test_thompson_conjugate_update_recurrence():
     problem = canonical([1.0, 1.0])
     policy = ThompsonPolicy(problem, np.random.default_rng(0), 100)
     y1, y2 = 2.0, -1.0
-    policy.observe_block(0, np.array([y1]))
+    policy.observe_block(0, np.array([[y1]]))
     # from (mu, nu, alpha, beta) = (0, 1, 1, 1)
-    assert policy.post_nu[0] == 2.0
-    assert policy.post_mu[0] == y1 / 2.0
-    assert policy.post_alpha[0] == 1.5
-    assert policy.post_beta[0] == 1.0 + 1.0 * y1**2 / 4.0
-    mu, nu, a, b = policy.post_mu[0], policy.post_nu[0], policy.post_alpha[0], policy.post_beta[0]
-    policy.observe_block(0, np.array([y2]))
-    assert policy.post_nu[0] == nu + 1.0
-    assert policy.post_mu[0] == (nu * mu + y2) / (nu + 1.0)
-    assert policy.post_alpha[0] == a + 0.5
-    assert policy.post_beta[0] == b + nu * (y2 - mu) ** 2 / (2.0 * (nu + 1.0))
+    key = (0, 0)  # row 0, arm 0
+    assert policy.post_nu[key] == 2.0
+    assert policy.post_mu[key] == y1 / 2.0
+    assert policy.post_alpha[key] == 1.5
+    assert policy.post_beta[key] == 1.0 + 1.0 * y1**2 / 4.0
+    mu, nu = policy.post_mu[key], policy.post_nu[key]
+    a, b = policy.post_alpha[key], policy.post_beta[key]
+    policy.observe_block(0, np.array([[y2]]))
+    assert policy.post_nu[key] == nu + 1.0
+    assert policy.post_mu[key] == (nu * mu + y2) / (nu + 1.0)
+    assert policy.post_alpha[key] == a + 0.5
+    assert policy.post_beta[key] == b + nu * (y2 - mu) ** 2 / (2.0 * (nu + 1.0))
 
 
 def test_thompson_symmetry_between_identical_arms():
@@ -671,8 +733,8 @@ def test_thompson_symmetry_between_identical_arms():
     picks = []
     for _ in range(10_000):
         # a step updates the arm it takes: start each one from the prior
-        policy.post_alpha, policy.post_beta = [1.0, 1.0], [1.0, 1.0]
-        policy.counts, policy.round = [1.0, 1.0], 2
+        policy.post_alpha, policy.post_beta = np.ones((1, 2)), np.ones((1, 2))
+        policy.counts, policy.round = np.ones((1, 2)), 2
         picks.append(square_choice(policy, 3))
     picks = np.array(picks)
     f = picks.mean()

@@ -1,8 +1,8 @@
 """The K = d step path on Python floats against the numpy formulas it replaced.
 
-Square problems step through each policy's ``run`` loop on lists of
-Python floats.  The reference policies below hold the per-arm state in
-arrays and step it, through the base ``Policy.run`` and their own
+Square problems step through each policy's ``run`` loop on Python floats
+unpacked from row 0 of its (1, K) state arrays.  The reference policies
+below step the same arrays, through the base ``Policy.run`` and their own
 ``select`` and ``observe``, with the array formulas the package used
 before, kept here (not in the package) as the oracle: whole episodes
 must query the same arms, end with bit-equal counts, moments and
@@ -91,56 +91,40 @@ def _numpy_square_gradient(problem, sigma2, p):
     return -inv_gram_diag * sigma2 / (p * p)
 
 
-_ARRAYS = (
-    "counts",
-    "sig2hat",
-    "_lcb",
-    "post_mu",
-    "post_nu",
-    "post_alpha",
-    "post_beta",
-    "p_star",
-    "_anchor",
-)
-
-
 class _ArrayState:
-    """Holds the per-arm state in float arrays, the moments in ``_Welford``,
-    and steps through the base ``Policy.run``: its own ``select`` and ``observe``."""
+    """Steps the (1, K) per-arm state arrays with whole-array formulas, holds
+    the moments in ``_Welford`` and ``p_star`` as an array, and steps
+    through the base ``Policy.run``: its own ``select`` and ``observe``."""
 
     run = policies.Policy.run
     open_loop = False  # the reference oracle queries one arm per step
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for name in _ARRAYS:
-            value = getattr(self, name, None)
-            if isinstance(value, list):
-                setattr(self, name, np.array(value))
+        if hasattr(self, "p_star"):
+            self.p_star = np.array(self.p_star)
         if hasattr(self, "_mean"):
             self.stats = [_Welford() for _ in range(self.n_arms)]
-
-
 
 
 class _ArrayMoments(_ArrayState):
     def _variances_changed(self, arm, s):
         if s.count >= 2:
-            self.sig2hat[arm] = s.m2 / s.count
+            self.sig2hat[0, arm] = s.m2 / s.count
             if isinstance(self, RandomizedDesignPolicy):
-                self._lcb[arm] = lcb_variance(s.count, s.variance, self._params[arm])
+                self._lcb[0, arm] = lcb_variance(s.count, s.variance, self._params[arm])
 
     def observe(self, arm, y):
         self.round += 1
-        self.counts[arm] += 1.0
+        self.counts[0, arm] += 1.0
         s = self.stats[arm]
         s.update(y)
         self._variances_changed(arm, s)
 
     def observe_block(self, arm, ys):
-        n = len(ys)
+        n = ys.shape[-1]
         self.round += n
-        self.counts[arm] += n
+        self.counts[0, arm] += n
         s = self.stats[arm]
         s.update_many(ys)
         self._variances_changed(arm, s)
@@ -174,28 +158,28 @@ class NumpyRandomized(_ArrayMoments, RandomizedDesignPolicy):
         residual = np.maximum(design - self._anchor, 0.0)
         total = residual.sum()
         q = residual / total if total > 0.0 else design
-        u = self.rng.random()
+        u = self.rng[0].random()
         arm = int(np.cumsum(q).searchsorted(u, side="right"))
         return min(arm, self.n_arms - 1)
 
 
 class NumpyThompson(_ArrayState, ThompsonPolicy):
     def observe_block(self, arm, ys):
-        for y in ys.tolist():
+        for y in ys[0].tolist():
             self.observe(arm, y)
 
     def observe(self, arm, y):
         self.round += 1
-        self.counts[arm] += 1.0
-        mu, nu = self.post_mu[arm], self.post_nu[arm]
-        self.post_nu[arm] = nu + 1.0
-        self.post_mu[arm] = (nu * mu + y) / (nu + 1.0)
-        self.post_alpha[arm] += 0.5
-        self.post_beta[arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
+        self.counts[0, arm] += 1.0
+        mu, nu = self.post_mu[0, arm], self.post_nu[0, arm]
+        self.post_nu[0, arm] = nu + 1.0
+        self.post_mu[0, arm] = (nu * mu + y) / (nu + 1.0)
+        self.post_alpha[0, arm] += 0.5
+        self.post_beta[0, arm] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
     def select(self, t):
         kap2 = self.problem.noise.kappa2
-        draws = self.post_beta / self.rng.standard_gamma(self.post_alpha)
+        draws = self.post_beta / self.rng[0].standard_gamma(self.post_alpha)
         sig2 = np.minimum(np.maximum(draws, 1e-8 * kap2), 1e8 * float(kap2.max()))
         g = _numpy_square_gradient(self.problem, sig2, self.counts / self.round)
         return int(g.argmin())
@@ -204,7 +188,7 @@ class NumpyThompson(_ArrayState, ThompsonPolicy):
 class NumpyOracle(_ArrayState, OracleTrackingPolicy):
     def observe(self, arm, y):
         self.round += 1
-        self.counts[arm] += 1.0
+        self.counts[0, arm] += 1.0
 
     def select(self, t):
         if self.round == 0:
@@ -279,15 +263,15 @@ def _state(policy):
     if hasattr(policy, "stats"):
         state["moments"] = np.array([(s.mean, s.m2) for s in policy.stats]).tobytes()
     elif hasattr(policy, "_mean"):
-        state["moments"] = np.array(list(zip(policy._mean, policy._m2))).tobytes()
+        state["moments"] = np.array(list(zip(policy._mean[0], policy._m2[0]))).tobytes()
     if not isinstance(policy, RandomizedDesignPolicy):
-        state["rng"] = policy.rng.bit_generator.state
+        state["rng"] = policy.rng[0].bit_generator.state
         return state
     # the package draws its uniforms NOISE_CHUNK at a time, so its generator
     # runs ahead of the reference's: compare the next uniforms each serves,
     # past the package's next refill, instead
     if isinstance(policy, _ArrayState):
-        draw = policy.rng.random
+        draw = policy.rng[0].random
     else:
         draw = functools.partial(next, policy._uniforms[0])
     state["uniforms"] = [draw() for _ in range(NOISE_CHUNK + 1)]
@@ -297,7 +281,7 @@ def _state(policy):
 def _assert_same_episode(monkeypatch, name, problem, options, **kw):
     arms, policy = _run(monkeypatch, name, problem, options, False, **kw)
     ref_arms, ref = _run(monkeypatch, name, problem, options, True, **kw)
-    assert isinstance(policy.counts, list) and isinstance(ref.counts, np.ndarray)
+    assert policy.counts.shape == ref.counts.shape == (1, problem.n_arms)
     assert arms == ref_arms
     assert _state(policy) == _state(ref)
     return arms
@@ -384,11 +368,12 @@ def assert_thompson_selects_as_numpy(problem, make_rng, alpha=None, beta=None) -
     reference = NumpyThompson(problem, make_rng(), 100)
     for a, b, counts in thompson_states():
         a, b = (a if alpha is None else alpha(a)), (b if beta is None else beta(b))
-        policy.post_alpha, policy.post_beta, policy.counts = a.tolist(), b.tolist(), counts.tolist()
-        reference.post_alpha, reference.post_beta, reference.counts = a, b, counts
+        # a step writes its arm's update back, so each policy holds its own rows
+        policy.post_alpha, policy.post_beta, policy.counts = np.array([a]), np.array([b]), np.array([counts])
+        reference.post_alpha, reference.post_beta, reference.counts = a[None], b[None], counts[None]
         policy.round = reference.round = int(counts.sum())
         assert square_choice(policy, policy.round + 1) == reference.select(policy.round + 1)
-        assert _generator_state(policy.rng) == _generator_state(reference.rng)
+        assert _generator_state(policy.rng[0]) == _generator_state(reference.rng[0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -485,8 +470,9 @@ def gradient_ucb_pick(neg_diag, sigma2, floor, counts, n, t) -> int:
     k = len(neg_diag)
     problem = DesignProblem(CovariateSet(np.eye(k)), NoiseSpec(np.ones(k)), beta=np.zeros(k))
     policy = GradientUcbPolicy(problem, None, 100)
-    policy._neg_inv_gram, policy._var_floor = list(neg_diag), list(floor)
-    policy.sig2hat, policy.counts, policy.round = list(sigma2), list(counts), n
+    policy._neg_inv_gram, policy._var_floor = list(neg_diag), np.array([floor], dtype=np.float64)
+    policy.sig2hat = np.array([sigma2], dtype=np.float64)
+    policy.counts, policy.round = np.array([counts], dtype=np.float64), n
     return square_choice(policy, t)
 
 
@@ -518,7 +504,7 @@ STATE_FIELDS = {
     "uniform": set(),
     "oracle": {"p_star"},
     "gradient_ucb": {"_mean", "_m2", "sig2hat"},
-    "randomized": {"_mean", "_m2", "sig2hat", "_lcb", "_anchor", "_weights"},
+    "randomized": {"_mean", "_m2", "sig2hat", "_lcb", "_anchor"},
     "thompson": {"post_mu", "post_nu", "post_alpha", "post_beta"},
 }
 
@@ -533,10 +519,11 @@ def _presampled(name: str, proxy: float, horizon: int = 600):
 
 
 def _fields(policy) -> dict:
-    """Every numeric field of ``policy`` (scalars and lists of floats), bit for bit."""
+    """Every numeric field of ``policy`` (scalars, lists of floats and float
+    arrays), bit for bit."""
     fields = {}
     for key, value in vars(policy).items():
-        if isinstance(value, (bool, int, float)) or (
+        if isinstance(value, (bool, int, float, np.ndarray)) or (
             isinstance(value, list) and all(isinstance(v, float) for v in value)
         ):
             fields[key] = (type(value), np.array(value, dtype=np.float64).tobytes())
@@ -549,7 +536,7 @@ def _stream(policy):
     its uniforms ahead in chunks, the next uniforms it serves (consumed)."""
     if isinstance(policy, RandomizedDesignPolicy):
         return [next(policy._uniforms[0]) for _ in range(NOISE_CHUNK + 1)]
-    return policy.rng.bit_generator.state
+    return policy.rng[0].bit_generator.state
 
 
 @pytest.mark.parametrize("proxy", PROXY_FACTORS)
