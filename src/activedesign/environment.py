@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CovariateSet, DesignProblem, NoiseSpec
+from .core import MAX_DIMENSION, CovariateSet, DesignProblem, NoiseSpec
 
 # Standard normals taken from the generator per refill of the query buffer.
 NOISE_CHUNK = 1024
@@ -124,6 +124,8 @@ def make_random_instance(d: int, k: int, seed: int) -> DesignProblem:
     """
     if d < 1 or k < d:
         raise ValueError("need k >= d >= 1 to span R^d")
+    if d > MAX_DIMENSION:  # before any draw: each costs an SVD of the d x K set
+        raise ValueError(f"dimension {d} exceeds the supported cap {MAX_DIMENSION}")
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_DRAWS):
         cols = rng.standard_normal((d, k))

@@ -303,7 +303,9 @@ def _problem(instance: dict) -> DesignProblem:
     if "file" in instance:
         if keys - {"file"}:
             raise ConfigError("instance with 'file' takes no other keys")
-        return load_instance(instance["file"])
+        if not isinstance(path := instance["file"], str):
+            raise ConfigError(f"'file' must be a path string, got {path!r}")
+        return load_instance(path)
 
     if "generator" in instance:
         kind = instance["generator"]

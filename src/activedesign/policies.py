@@ -215,25 +215,24 @@ def _pairwise_sum(a: list) -> float:
     return _pairwise_sum(a[:n2]) + _pairwise_sum(a[n2:])
 
 
-def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray, arms: list):
-    """The gradients -``marks`` for the S rows of ``p`` and of ``sigma2`` at once.
+def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> tuple:
+    """The gradients -``marks`` for the S rows of ``p`` and of ``sigma2`` at
+    once, and per row None or the error of its own inverse.
 
     If the stacked inverse raises ``LinAlgError``, the rows are redone one
-    by one on the same inputs, and a row whose own inverse raises gets that
-    error in ``arms``; rows whose entry in ``arms`` is already set are
-    skipped.
+    by one on the same inputs.
     """
+    errors = [None] * p.shape[0]
     try:
-        return -marks(x, sigma2, p)
+        return -marks(x, sigma2, p), errors
     except np.linalg.LinAlgError:
         g = np.zeros(p.shape)
-        for i, arm in enumerate(arms):
-            if arm is None:
-                try:
-                    g[i] = -marks(x, sigma2[i], p[i])
-                except np.linalg.LinAlgError as exc:
-                    arms[i] = exc
-        return g
+        for i in range(p.shape[0]):
+            try:
+                g[i] = -marks(x, sigma2[i], p[i])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = exc
+        return g, errors
 
 
 def _fill_argmin(g: np.ndarray, arms: list) -> list:
@@ -319,11 +318,11 @@ class Policy:
     def presample(self, feed) -> tuple:
         """Feed this policy's presampling through ``feed(arm, m)``; returns the
         phase-0 samples per arm and the design laid out as an array, or
-        (0, None).  The base takes none."""
+        (0, None).  The base takes none; a learner's leaves every arm of
+        every row two observations or more (``thompson``'s from T = 2K,
+        below which it takes the whole budget), so no step meets a zero
+        count or a NaN variance."""
         return 0, None
-
-    def presample_done(self) -> None:
-        """Hook called once after the presampling has executed."""
 
     def drop(self, rows: list) -> None:
         """Delete ``rows`` from the per-row state and the generators."""
@@ -453,8 +452,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
     mixture with the presampling origin.  Each row takes its uniforms from
     its own generator through ``_uniforms``, the values one
     ``rng.random()`` per draw would give.  Each update keeps the arm's
-    bound ``_lcb`` beside its moments; the bounds are read only once
-    ``presample_done`` has found every arm's bound defined.
+    bound ``_lcb`` beside its moments; presampling defines every bound
+    before the first step reads them.
     """
 
     name = "randomized"
@@ -475,7 +474,6 @@ class RandomizedDesignPolicy(_Moments, Policy):
         self._init_moments()
         self._params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
         self._lcb = self._per_arm(np.nan)
-        self._bounds_ready = False  # whether every arm's bound is defined
         self._anchor = self._per_arm(0.0)
         self._uniforms = [_uniforms(g) for g in self.rng]
         if self._square:
@@ -491,22 +489,20 @@ class RandomizedDesignPolicy(_Moments, Policy):
         if n >= 2.0:
             self._lcb[key] = lcb_variance(n, self.sig2hat[key], self._params[arm])
 
-    def presample_done(self) -> None:
+    def presample(self, feed) -> tuple:
+        """``_Moments``' presampling; its mass laid out, counts / T, is the anchor."""
+        presampled = super().presample(feed)
         if not self._square:
             logger.warning(
                 "randomized policy with K > d is extension behavior; "
                 "re-solving the design by the reference solver every round"
             )
         self._anchor = self.counts / self.horizon
-        # the bounds only ever go from NaN to defined, so one scan here
-        # covers every later round
-        self._bounds_ready = not np.any(np.isnan(self._lcb))
+        return presampled
 
     def _optimistic_design(self, row: int) -> list:
         """A K > d row's design: ``reference_optimum`` under its bounds, at
         most ``_DESIGN_SWEEPS`` sweeps."""
-        if not self._bounds_ready:
-            raise ValueError("variance bounds undefined; presample every arm first")
         design = DesignProblem(self.problem.covariates, NoiseSpec(self._lcb[row]))
         weights, _ = reference_optimum(design, max_iters=_DESIGN_SWEEPS)
         return weights.values.tolist()
@@ -527,8 +523,6 @@ class RandomizedDesignPolicy(_Moments, Policy):
         follow each observation."""
         if not self._square:
             return super().run(t, stop, query)
-        if not self._bounds_ready:
-            raise ValueError("variance bounds undefined; presample every arm first")
         state = (self.counts, self._mean, self._m2, self.sig2hat, self._lcb)
         counts, mean, m2, sig2hat, lcb = (a[0].tolist() for a in state)
         root_cof, params, anchor = self._root_cof, self._params, self._anchor[0].tolist()
@@ -542,10 +536,9 @@ class RandomizedDesignPolicy(_Moments, Policy):
                 delta = y - mu
                 mu += delta / m
                 counts[arm], mean[arm], m2[arm] = m, mu, m2[arm] + delta * (y - mu)
-                if m >= 2.0:
-                    s2 = sig2hat[arm] = m2[arm] / m
-                    b = lcb[arm] = bound(m, s2, params[arm])
-                    weights[arm] = sqrt(b) * root_cof[arm]
+                s2 = sig2hat[arm] = m2[arm] / m
+                b = lcb[arm] = bound(m, s2, params[arm])
+                weights[arm] = sqrt(b) * root_cof[arm]
                 n += 1
         finally:
             self.round = n
@@ -561,10 +554,8 @@ class GradientUcbPolicy(_Moments, Policy):
     the lowest index.  On square problems (K = d) the gradient is the
     closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and one pass over the
     arms scores them on Python floats in the array formulas' IEEE
-    operation order: a NaN variance (below two observations) passes the
-    floor as in np.maximum, an arm with no count runs on numpy's float64
-    so that p = 0 divides to inf or NaN as it did there, and the first
-    NaN wins, else the first least value.  K > d inverts every row's
+    operation order and takes the first least value; presampling gives
+    every arm a count and a variance first.  K > d inverts every row's
     Omega(p) in one stacked ``marks`` call each step.  As a numerical
     guard the plug-in variances are raised to 1e-12 kappa_k^2, so a
     degenerate sample set cannot zero a weight.
@@ -584,9 +575,9 @@ class GradientUcbPolicy(_Moments, Policy):
             self._x = problem.covariates.columns
 
     def _select_rows(self, t: int) -> list:
-        c, counts, arms = 3.0 * math.log(t), self.counts, [None] * len(self.rng)
+        c, counts = 3.0 * math.log(t), self.counts
         sig2 = np.maximum(self.sig2hat, self._var_floor)
-        g = _stacked_gradients(self._x, sig2, counts / self.round, arms)
+        g, arms = _stacked_gradients(self._x, sig2, counts / self.round)
         return _fill_argmin(g - 2.0 * np.sqrt(c / counts), arms)
 
     def run(self, t: int, stop: int, query) -> None:
@@ -603,23 +594,17 @@ class GradientUcbPolicy(_Moments, Policy):
                 c = 3.0 * log(t)
                 best, low, k = 0, math.inf, 0
                 for a, s, f, m in zip(neg_diag, sig2hat, floor, counts):
-                    if not m:
-                        m = np.float64(m)
                     p = m / n
                     g = a * (f if s < f else s) / (p * p) - 2.0 * sqrt(c / m)
                     if g < low:
                         best, low = k, g
-                    elif g != g:
-                        best = k
-                        break
                     k += 1
                 y = query(best)
                 m, mu = counts[best] + 1.0, mean[best]
                 delta = y - mu
                 mu += delta / m
                 counts[best], mean[best], m2[best] = m, mu, m2[best] + delta * (y - mu)
-                if m >= 2.0:
-                    sig2hat[best] = m2[best] / m
+                sig2hat[best] = m2[best] / m
                 n += 1
         finally:
             self.round = n
@@ -677,23 +662,18 @@ class ThompsonPolicy(Policy):
             self.post_beta[key] += nu * (y - mu) ** 2 / (2.0 * (nu + 1.0))
 
     def _select_rows(self, t: int) -> list:
-        arms = [None] * len(self.rng)
-        gamma = np.ones_like(self.post_alpha)
-        for i, rng in enumerate(self.rng):
-            # each row draws from its own generator, in row order
-            try:
-                gamma[i] = rng.standard_gamma(self.post_alpha[i])
-            except Exception as exc:
-                arms[i] = exc
+        # each row draws from its own generator, in row order
+        gamma = np.array([rng.standard_gamma(a) for rng, a in zip(self.rng, self.post_alpha)])
         # np.minimum and np.maximum: np.clip's values, without its wrapper cost
         sig2 = np.minimum(np.maximum(self.post_beta / gamma, self._clip_lo), self._clip_hi)
-        g = _stacked_gradients(self._x, sig2, self.counts / self.round, arms)
+        g, arms = _stacked_gradients(self._x, sig2, self.counts / self.round)
         return _fill_argmin(g, arms)
 
     def run(self, t: int, stop: int, query) -> None:
         """The least sampled gradient each step; on K = d one loop
         (``Policy.run``) that scores by ``gradient_ucb``'s rules without
-        the bonus, except that every arm is drawn after a NaN."""
+        the bonus.  Every shape alpha is at least 2 after the warm-up, and
+        numpy's gamma sampler never returns 0.0 at shape 1 or more."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self.post_mu, self.post_nu, self.post_alpha, self.post_beta)
@@ -702,21 +682,14 @@ class ThompsonPolicy(Policy):
         gamma, hi, n = self.rng[0].gamma, self._clip_hi, self.round
         try:
             for _ in range(stop - t):
-                best, low, first_nan = 0, math.inf, -1
+                arm, low = 0, math.inf
                 for k, (a, b, lo, neg, m) in enumerate(zip(alpha, beta, clip_lo, neg_diag, counts)):
-                    g = gamma(a)
-                    # a zero draw divides as in numpy: beta / 0 is inf, clipped to hi
-                    s = b / g if g else np.float64(b) / g
+                    s = b / gamma(a)
                     s = lo if s < lo else hi if s > hi else s
-                    if not m:
-                        m = np.float64(m)
                     p = m / n
                     v = neg * s / (p * p)
                     if v < low:
-                        best, low = k, v
-                    elif v != v and first_nan < 0:
-                        first_nan = k
-                arm = best if first_nan < 0 else first_nan
+                        arm, low = k, v
                 y = query(arm)
                 counts[arm] += 1.0
                 mu, nu = post_mu[arm], post_nu[arm]
@@ -890,7 +863,6 @@ class Episode:
             ]
             self.policy = make_policy(policy_name, problem, rngs, horizon, options)
             n0, self.origin = self.policy.presample(self._feed)
-            self.policy.presample_done()
         except Exception as exc:
             self._fail(exc)
         t = self.policy.round if self._live else 0

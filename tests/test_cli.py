@@ -197,6 +197,9 @@ CONFIG_ERRORS = [
         {"instance": {"generator": "random", "d": 60, "K": 60}},
         "no random d=60, K=60 covariate set of seed 0",
     ),
+    # a path that is not a string used to exit 2 with a TypeError
+    ("file_number", {"instance": {"file": 5}}, "'file' must be a path string, got 5"),
+    ("file_null", {"instance": {"file": None}}, "'file' must be a path string, got None"),
 ]
 
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from activedesign.core import CovariateSet, DesignProblem, NoiseSpec, loss
+from activedesign.core import MAX_DIMENSION, CovariateSet, DesignProblem, NoiseSpec, loss
 from activedesign.environment import (
     NOISE_CHUNK,
     Environment,
@@ -267,3 +267,12 @@ def test_random_instance_gives_up_after_a_bounded_number_of_draws():
     assert time.perf_counter() - start < 20.0
     # 12x12 seed 23 takes 16 draws, the most of any shape up to d = K = 12
     assert make_random_instance(12, 12, seed=23).covariates.columns.shape == (12, 12)
+
+
+def test_random_instance_above_the_dimension_cap_is_rejected_before_any_draw():
+    # d = K = 600 used to spend its 1000 draws, over a minute, and then
+    # name the singular-value bar
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"dimension 513 exceeds the supported cap {MAX_DIMENSION}"):
+        make_random_instance(513, 513, seed=0)
+    assert time.perf_counter() - start < 1.0

@@ -389,6 +389,9 @@ def test_build_problem_errors(tmp_path):
         ({"generator": "hard", "delta": math.nan}, "'delta' must be a number and must be finite"),
         ({"generator": "hard", "delta": math.inf}, "'delta'"),
         ({"file": "x", "d": 2}, "takes no other keys"),
+        # a path that is not a string used to end in a TypeError
+        ({"file": 5}, "'file' must be a path string, got 5"),
+        ({"file": None}, "'file' must be a path string, got None"),
         ({"covariates": [[1, 0], [0, 1]]}, "needs 'variances'"),
         # the noise is Gaussian, not a setting
         ({"generator": "hard", "noise": "gaussian"}, "hard instance takes only 'delta'"),

@@ -373,7 +373,6 @@ def pinned(problem, rng, horizon, sig2):
     """A randomized policy whose variance bounds are ``sig2`` in every row."""
     policy = RandomizedDesignPolicy(problem, rng, horizon)
     policy._lcb[:] = sig2
-    policy._bounds_ready = True
     return policy
 
 
@@ -427,22 +426,13 @@ def test_randomized_design_matches_closed_form_under_true_variances():
     np.testing.assert_allclose(design(policy), [1.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
 
 
-def test_randomized_requires_defined_variance_bounds():
-    problem = canonical([1.0, 4.0])
-    policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100)
-    with pytest.raises(ValueError, match="presample"):
-        square_choice(policy, 1)
-
-
 def test_randomized_reads_live_bounds_once_presampling_defines_them():
     problem = canonical([1.0, 4.0])
-    policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 100, design_delta=0.5)
-    feed(policy, [(0, 1.0), (0, 3.0), (1, 0.0)])
-    policy.presample_done()  # arm 1 has no bound yet
-    with pytest.raises(ValueError, match="presample"):
-        square_choice(policy, 4)
-    feed(policy, [(1, 4.0)])
-    policy.presample_done()
+    policy = RandomizedDesignPolicy(problem, np.random.default_rng(0), 1000, design_delta=0.5)
+    ys = np.random.default_rng(3)
+    policy.presample(lambda arm, m: policy.observe_block(arm, ys.standard_normal((1, m))))
+    assert policy.counts.min() >= 2 and not np.isnan(policy._lcb).any()
+    np.testing.assert_array_equal(policy._anchor, policy.counts / 1000)
     before = design(policy)
     feed(policy, [(1, 40.0)] * 5)  # observations after presampling move the design
     after = design(policy)
@@ -474,9 +464,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
     # residual draw must go to arm 1
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(1), 100, [1.0, 4.0])
-    policy.counts = np.array([[50.0, 10.0]])
-    policy.round = 60
-    policy.presample_done()
+    policy._anchor = np.array([[0.5, 0.1]])  # 50 and 10 of the 100 queries presampled
     picks = residual_draws(policy, 2000)
     assert np.all(picks == 1)
 
@@ -484,9 +472,7 @@ def test_randomized_residual_draws_avoid_overfilled_arms():
 def test_randomized_residual_frequencies():
     problem = canonical([1.0, 4.0])
     policy = pinned(problem, np.random.default_rng(2), 100, [1.0, 4.0])
-    policy.counts = np.array([[10.0, 10.0]])
-    policy.round = 20
-    policy.presample_done()
+    policy._anchor = np.array([[0.1, 0.1]])  # 10 of the 100 queries presampled on each arm
     q = np.maximum(np.array([1.0 / 3.0, 2.0 / 3.0]) - 0.1, 0.0)
     q /= q.sum()
     picks = residual_draws(policy, 20_000)
@@ -744,17 +730,14 @@ def test_thompson_symmetry_between_identical_arms():
 
 def test_thompson_draws_match_the_clipped_gamma_stream():
     # one gamma draw per arm, in index order: the array formula's values and stream
-    assert_thompson_selects_as_numpy(
-        make_random_instance(3, 3, seed=4), lambda: np.random.default_rng(11)
-    )
+    assert_thompson_selects_as_numpy(make_random_instance(3, 3, seed=4), 11)
 
 
 def test_thompson_variance_draws_are_clipped():
     # beta scaled so far that every sampled variance clips, to clip_hi or to clip_lo
     for scale in (1e30, 1e-30):
         assert_thompson_selects_as_numpy(
-            make_random_instance(3, 3, seed=4), lambda: np.random.default_rng(0),
-            beta=lambda b: b * scale,
+            make_random_instance(3, 3, seed=4), 0, beta=lambda b: b * scale
         )
 
 
