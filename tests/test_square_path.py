@@ -11,8 +11,9 @@ policy's generator in the same state (for ``randomized``, which draws
 its uniforms ahead in chunks, serve the same next uniforms).  The
 learners' presampling gives every arm a count and a variance before their
 first step, so the loops meet no division by zero and no NaN score; the
-edge cases pin the argmin's ties and infinities, and the oracle's first
-step, which meets no count at all.
+edge cases pin the first steps after the least presampling each learner
+accepts, the argmin's ties and infinities, and the oracle's first step,
+which meets no count at all.
 """
 
 import collections
@@ -301,6 +302,33 @@ def test_unobserved_arms_pick_what_numpy_picked(monkeypatch):
     # the oracle presamples nothing: its first step meets counts [0, 0, 0]
     problem, _ = build_problem(dict(SQUARE_REPLICATION))
     _assert_same_episode(monkeypatch, "oracle", problem, {}, horizon=300)
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [
+        # thompson's warm-up: short of two per arm at T < 2K, the least
+        # shapes its first step can meet just above
+        ("thompson", 5),
+        ("thompson", 6),
+        ("thompson", 7),
+        ("thompson", 8),
+        # the estimation phase fills T = 177 at K = 3; the first steps after it
+        ("gradient_ucb", 178),
+        ("gradient_ucb", 180),
+        ("gradient_ucb", 190),
+        ("randomized", 178),
+        ("randomized", 180),
+        ("randomized", 190),
+    ],
+)
+def test_the_steps_after_the_least_presampling_pick_what_numpy_picked(monkeypatch, name, horizon):
+    problem, _ = build_problem(dict(SQUARE_REPLICATION))
+    episode = Episode(name, make_env(problem, 3), horizon)
+    # every arm has two observations after presampling, or the budget is spent
+    assert episode.policy.counts.min() >= 2 or episode.presample_end == horizon
+    arms = _assert_same_episode(monkeypatch, name, problem, {}, horizon=horizon)
+    assert len(arms) == horizon
 
 
 def thompson_states(n: int = 1000):
