@@ -375,6 +375,7 @@ class _Moments:
             mean += delta / n
             m2 += delta * (y - mean)
         self.counts[key], self._mean[key], self._m2[key] = n, mean, m2
+        # n < 2 has no variance; the guard also keeps an empty block on an unobserved arm a no-op.
         if n >= 2.0:
             self.sig2hat[key] = m2 / n
 

@@ -1,11 +1,13 @@
-"""Every name a package module imports is used there, or marked ``# noqa: F401``."""
+"""Every name a package module imports is used there, or marked ``# noqa: F401``;
+the package root imports exactly the names the README's Library example does."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "activedesign"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "activedesign"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,3 +50,33 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_names(source: str, module=None) -> set[str]:
+    """The names ``source`` imports with ``from ... import``, from ``module``
+    only when one is given."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and module in (None, node.module)
+        for alias in node.names
+    }
+
+
+def library_example() -> str:
+    """The first python block after the README's ``## Library`` heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_package_root_exports_exactly_the_library_example_names():
+    example = imported_names(library_example(), "activedesign")
+    assert len(example) == 7
+    assert imported_names((PACKAGE / "__init__.py").read_text()) == example
+
+
+def test_library_example_runs_as_written(capsys):
+    exec(compile(library_example(), "README.md", "exec"), {})
+    regret = float(capsys.readouterr().out)
+    assert 0.0 <= regret < 1e-6

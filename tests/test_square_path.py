@@ -277,6 +277,7 @@ VARIANTS = [
     ("randomized", {}),
     ("randomized", {"design_delta": 0.5}),
     ("thompson", {}),
+    # the oracle presamples nothing: its first step meets counts [0, 0, 0]
     ("oracle", {}),
 ]
 
@@ -296,12 +297,6 @@ def test_square_episodes_match_the_numpy_formulas(monkeypatch, name, options, in
 
 # --------------------------------------------------------------------
 # numpy's IEEE semantics
-
-
-def test_unobserved_arms_pick_what_numpy_picked(monkeypatch):
-    # the oracle presamples nothing: its first step meets counts [0, 0, 0]
-    problem, _ = build_problem(dict(SQUARE_REPLICATION))
-    _assert_same_episode(monkeypatch, "oracle", problem, {}, horizon=300)
 
 
 @pytest.mark.parametrize(
