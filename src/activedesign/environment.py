@@ -48,8 +48,11 @@ class Environment:
         self.rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
         self.draws = 0
         self.n_arms = problem.n_arms
-        self._means = (problem.covariates.columns.T @ problem.beta).tolist()
-        self._scale = problem.noise.sigma.tolist()
+        # per-arm mean and noise scale: lists for ``query``, arrays for ``query_arms``
+        self._mean_array = problem.covariates.columns.T @ problem.beta
+        self._scale_array = problem.noise.sigma
+        self._means = self._mean_array.tolist()
+        self._scale = self._scale_array.tolist()
         self._buffer: list = []
         self._next = 0
 
@@ -86,7 +89,7 @@ class Environment:
             self._next = short - (chunks - 1) * NOISE_CHUNK
             raw = np.concatenate((raw, fresh[:short]))
         self.draws += n
-        return np.array(self._means)[arms] + np.array(self._scale)[arms] * raw
+        return self._mean_array[arms] + self._scale_array[arms] * raw
 
     def query_block(self, arm: int, n: int) -> np.ndarray:
         """n observations of one arm: ``query_arms`` of n copies of ``arm``."""

@@ -52,7 +52,7 @@ from .core import (
     regret,
 )
 from .environment import NOISE_CHUNK, Environment
-from .estimation import ConfidenceParams, lcb_variance
+from .estimation import BERNSTEIN_C, LCB_FLOOR, ConfidenceParams, lcb_variance
 from .solver import reference_optimum
 
 # perfbench's layer probes patch ``policies.minimize``; not called here
@@ -422,17 +422,16 @@ class OracleTrackingPolicy(_OpenLoop, Policy):
         first least counts_k / n - p*_k, since IEEE subtraction is exactly
         antisymmetric.  p* is a ``SimplexWeights``, finite, so no deficit is NaN."""
         counts = self.counts[0].tolist()
-        p_star, arms = self.p_star, []
+        p_star, every, arms = self.p_star, range(self.n_arms), []
         for n in range(self.round, self.round + m):
             if not n:
                 best = p_star.index(max(p_star))
             else:
-                best, low, k = 0, math.inf, 0
-                for c, p in zip(counts, p_star):
-                    v = c / n - p
+                best, low = 0, math.inf
+                for k in every:
+                    v = counts[k] / n - p_star[k]
                     if v < low:
                         best, low = k, v
-                    k += 1
             arms.append(best)
             counts[best] += 1.0
         return arms
@@ -521,24 +520,43 @@ class RandomizedDesignPolicy(_Moments, Policy):
     def run(self, t: int, stop: int, query) -> None:
         """A draw from the residual design each step; on K = d one loop
         (``Policy.run``) whose design weights sqrt(bound_k) sqrt(cofactor_k)
-        follow each observation."""
+        follow each observation.  The loop draws as ``_residual_arm`` and
+        bounds as ``lcb_variance`` do, inline: 3 kappa2 and the floor
+        LCB_FLOOR kappa2 per arm, and log(4 / delta), are formed once."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self._mean, self._m2, self.sig2hat, self._lcb)
         counts, mean, m2, sig2hat, lcb = (a[0].tolist() for a in state)
-        root_cof, params, anchor = self._root_cof, self._params, self._anchor[0].tolist()
-        uniform, bound, sqrt, n = self._uniforms[0].__next__, lcb_variance, math.sqrt, self.round
-        weights = [sqrt(b) * r for b, r in zip(lcb, root_cof)]
+        root_cof, anchor, n = self._root_cof, self._anchor[0].tolist(), self.round
+        uniform, sqrt, every = self._uniforms[0].__next__, math.sqrt, range(self.n_arms)
+        log4, last = math.log(4.0 / self._params[0].delta), self.n_arms - 1
+        scale = [3.0 * q.kappa2 for q in self._params]
+        floor = [LCB_FLOOR * q.kappa2 for q in self._params]
+        weights = [sqrt(lcb[k]) * root_cof[k] for k in every]
         try:
             for _ in range(stop - t):
-                arm = _residual_arm(weights, _float_sum(weights), anchor, uniform())
+                total = _float_sum(weights)
+                residual = [0.0 if (r := weights[k] / total - anchor[k]) < 0.0 else r for k in every]
+                mass = _float_sum(residual)
+                if not mass > 0.0:
+                    residual, mass = weights, total
+                u, cum, arm = uniform(), 0.0, last
+                for k in every:
+                    cum += residual[k] / mass
+                    if u < cum:
+                        arm = k
+                        break
                 y = query(arm)
                 m, mu = counts[arm] + 1.0, mean[arm]
                 delta = y - mu
                 mu += delta / m
                 counts[arm], mean[arm], m2[arm] = m, mu, m2[arm] + delta * (y - mu)
                 s2 = sig2hat[arm] = m2[arm] / m
-                b = lcb[arm] = bound(m, s2, params[arm])
+                v = log4 / (BERNSTEIN_C * m)
+                root = sqrt(v)
+                low = s2 - scale[arm] * (root if root > v else v)
+                f = floor[arm]
+                b = lcb[arm] = f if f > low else low
                 weights[arm] = sqrt(b) * root_cof[arm]
                 n += 1
         finally:
@@ -589,17 +607,17 @@ class GradientUcbPolicy(_Moments, Policy):
         state = (self.counts, self._mean, self._m2, self.sig2hat)
         counts, mean, m2, sig2hat = (a[0].tolist() for a in state)
         neg_diag, floor, n = self._neg_inv_gram, self._var_floor[0].tolist(), self.round
-        log, sqrt = math.log, math.sqrt
+        log, sqrt, every = math.log, math.sqrt, range(self.n_arms)
         try:
             for t in range(t + 1, stop + 1):
                 c = 3.0 * log(t)
-                best, low, k = 0, math.inf, 0
-                for a, s, f, m in zip(neg_diag, sig2hat, floor, counts):
+                best, low = 0, math.inf
+                for k in every:
+                    s, f, m = sig2hat[k], floor[k], counts[k]
                     p = m / n
-                    g = a * (f if s < f else s) / (p * p) - 2.0 * sqrt(c / m)
+                    g = neg_diag[k] * (f if s < f else s) / (p * p) - 2.0 * sqrt(c / m)
                     if g < low:
                         best, low = k, g
-                    k += 1
                 y = query(best)
                 m, mu = counts[best] + 1.0, mean[best]
                 delta = y - mu
@@ -680,15 +698,15 @@ class ThompsonPolicy(Policy):
         state = (self.counts, self.post_mu, self.post_nu, self.post_alpha, self.post_beta)
         counts, post_mu, post_nu, alpha, beta = (a[0].tolist() for a in state)
         clip_lo, neg_diag = self._clip_lo[0].tolist(), self._neg_inv_gram
-        gamma, hi, n = self.rng[0].gamma, self._clip_hi, self.round
+        gamma, hi, n, every = self.rng[0].gamma, self._clip_hi, self.round, range(self.n_arms)
         try:
             for _ in range(stop - t):
                 arm, low = 0, math.inf
-                for k, (a, b, lo, neg, m) in enumerate(zip(alpha, beta, clip_lo, neg_diag, counts)):
-                    s = b / gamma(a)
+                for k in every:
+                    s, lo = beta[k] / gamma(alpha[k]), clip_lo[k]
                     s = lo if s < lo else hi if s > hi else s
-                    p = m / n
-                    v = neg * s / (p * p)
+                    p = counts[k] / n
+                    v = neg_diag[k] * s / (p * p)
                     if v < low:
                         arm, low = k, v
                 y = query(arm)

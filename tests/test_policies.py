@@ -321,6 +321,21 @@ def test_plan_is_the_arms_of_successive_steps(name, problem, rows):
             observe(arm)
 
 
+@pytest.mark.parametrize("d, k", [(6, 12), (20, 40)])
+def test_oracle_plan_on_many_arms_is_the_numpy_argmax(d, k):
+    # from no counts, plan(m) on K > d against the array formula step by
+    # step: np.argmax of p* at n = 0, then of p* - counts / n
+    policy = OracleTrackingPolicy(make_random_instance(d, k, seed=0), None, 1000)
+    p_star, counts, expected = np.array(policy.p_star), np.zeros(k), []
+    for n in range(400):
+        arm = int(p_star.argmax() if n == 0 else (p_star - counts / n).argmax())
+        expected.append(arm)
+        counts[arm] += 1.0
+    assert policy.plan(400) == expected
+    # an A-optimal design spans R^d, so the plan visits at least d arms
+    assert len(set(expected)) >= d
+
+
 def test_oracle_rejects_a_design_that_is_not_finite(monkeypatch):
     # its plan reads no deficit as NaN, so a NaN optimum must not reach
     # it: every design is a SimplexWeights, which rejects one

@@ -29,7 +29,7 @@ from activedesign import policies
 from activedesign.core import CovariateSet, DesignProblem, NoiseSpec, gram_cofactors
 from activedesign.environment import NOISE_CHUNK, make_env
 from activedesign.harness import build_problem
-from activedesign.estimation import lcb_variance
+from activedesign.estimation import BERNSTEIN_C, LCB_FLOOR, lcb_variance, variance_radius
 from activedesign.policies import (
     Episode,
     GradientUcbPolicy,
@@ -405,6 +405,52 @@ def test_square_randomized_draws_its_uniforms_a_chunk_at_a_time(monkeypatch):
     draws = episode.t - episode.presample_end
     assert draws > 3 * NOISE_CHUNK
     assert calls == {"random": math.ceil(draws / NOISE_CHUNK)}
+
+
+def _bound_branches(count: float, variance: float, params) -> set:
+    """The branches ``lcb_variance`` takes: its radius's linear or square-root
+    branch, and the floor when it binds."""
+    u = math.log(4.0 / params.delta) / (BERNSTEIN_C * count)
+    taken = {"square root" if math.sqrt(u) > u else "linear"}
+    if LCB_FLOOR * params.kappa2 > variance - variance_radius(count, params.kappa2, params.delta):
+        taken.add("floor")
+    return taken
+
+
+def _assert_bounds_after_every_stretch(problem, horizon: int, options: dict) -> set:
+    """A K = d ``randomized`` episode whose bounds, after each ``run``
+    stretch, are ``lcb_variance`` of every arm's count and variance, bit
+    for bit; returns the branches those bounds took."""
+    episode = Episode("randomized", make_env(problem, 3), horizon, options=options)
+    policy, branches, stops = episode.policy, set(), []
+    run = policy.run
+
+    def checked_run(t, stop, query):
+        run(t, stop, query)
+        want = []
+        for k, (count, variance) in enumerate(zip(policy.counts[0].tolist(), policy.sig2hat[0].tolist())):
+            want.append(lcb_variance(count, variance, policy._params[k]))
+            branches.update(_bound_branches(count, variance, policy._params[k]))
+        assert policy._lcb[0].tobytes() == np.array(want).tobytes()
+        stops.append(stop)
+
+    policy.run = checked_run
+    (outcome,) = episode.advance_all(horizon)
+    assert not isinstance(outcome, Exception), outcome
+    assert len(stops) > 1 and stops[-1] == horizon
+    return branches
+
+
+def test_square_randomized_bounds_are_lcb_variance_after_every_stretch():
+    # the K = d loop forms its bounds inline; the proxy factors floor some,
+    # and T = 300 at the default delta = 1 / (T^2 K) keeps the radius on its
+    # linear branch (u >= 1) at a few hundred samples
+    branches = set()
+    for proxy in PROXY_FACTORS:
+        problem = _with_proxy(build_problem(SQUARE_REPLICATION)[0], proxy)
+        for horizon, options in ((300, {}), (3000, {}), (3000, {"design_delta": 0.5})):
+            branches |= _assert_bounds_after_every_stretch(problem, horizon, options)
+    assert branches == {"floor", "linear", "square root"}
 
 
 def test_square_thompson_draws_one_gamma_per_arm_and_step(monkeypatch):
