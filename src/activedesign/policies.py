@@ -522,7 +522,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
         (``Policy.run``) whose design weights sqrt(bound_k) sqrt(cofactor_k)
         follow each observation.  The loop draws as ``_residual_arm`` and
         bounds as ``lcb_variance`` do, inline: 3 kappa2 and the floor
-        LCB_FLOOR kappa2 per arm, and log(4 / delta), are formed once."""
+        LCB_FLOOR kappa2 per arm, and log(4 / delta), are formed per stretch."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self._mean, self._m2, self.sig2hat, self._lcb)
