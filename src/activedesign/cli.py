@@ -1,22 +1,10 @@
-"""Command line entry points.
-
-    active-design solve INSTANCE [--format csv|json] [--out FILE]
-    active-design geometry INSTANCE [--format csv|json] [--out FILE]
-    active-design simulate CONFIG --policy NAME --budget T [--seed S]
-                           [--format csv|json] [--out FILE]
-    active-design sweep CONFIG [--format csv|json] [--quiet]
-    active-design verify [--trials N] [--horizon T] [--seed S]
-                         [--format csv|json] [--out FILE]
-
-Exit code 0 on success, 1 on usage or validation errors (bad flags,
-malformed files, unknown names, an ``--out`` that is not a file in an
-existing directory), 2 when a run fails at execution time.
-"""
+"""Command line entry points."""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,35 +46,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="active-design", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("solve", help="compute the optimal design for an instance file")
-    p.add_argument("instance", help="path to an instance file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    out = _Parser(add_help=False, parents=[fmt])
+    out.add_argument("--out", help="write the output here instead of stdout")
+    add = sub.add_parser
 
-    p = sub.add_parser("geometry", help="report the support certificate at the optimum")
+    p = add("solve", parents=[out], help="compute the optimal design for an instance file")
     p.add_argument("instance", help="path to an instance file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
 
-    p = sub.add_parser("simulate", help="run a single episode from a sweep config")
+    p = add("geometry", parents=[out], help="report the support certificate at the optimum")
+    p.add_argument("instance", help="path to an instance file")
+
+    p = add("simulate", parents=[out], help="run a single episode from a sweep config")
     p.add_argument("config", help="path to a JSON sweep config")
     p.add_argument("--policy", required=True, choices=POLICY_NAMES)
     p.add_argument("--budget", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write the trace here instead of stdout")
 
-    p = sub.add_parser("sweep", help="run every configured (policy, budget, seed) episode")
+    p = add("sweep", parents=[fmt], help="run every configured (policy, budget, seed) episode")
     p.add_argument("config", help="path to a JSON sweep config")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    p = sub.add_parser("verify", help="Monte Carlo check of the variance confidence radius")
+    p = add("verify", parents=[out], help="Monte Carlo check of the variance confidence radius")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write the report here instead of stdout")
 
     return parser
 
@@ -111,23 +96,15 @@ def _report_text(report: dict, fmt: str) -> str:
 def _cmd_solve(args) -> int:
     problem = load_instance(args.instance)
     weights, value = check_reference(reference_optimum(problem), args.instance)
-    consts = problem_constants(problem)
     report = {
         "d": problem.dimension,
         "K": problem.n_arms,
         "square": problem.is_square,
         "optimal_weights": [float(w) for w in np.asarray(weights)],
         "optimal_loss": float(value),
-        "det_gram": consts.det_gram,
-        "lambda_min": consts.lambda_min,
+        # the K = d fields are None on other shapes, and left out
+        **{key: v for key, v in asdict(problem_constants(problem)).items() if v is not None},
     }
-    if problem.is_square:
-        report.update(
-            mu=consts.mu,
-            eta=consts.eta,
-            c_smooth=consts.c_smooth,
-            hessian_diag_bound=consts.hessian_diag_bound,
-        )
     _emit(_report_text(report, args.format), args.out)
     return 0
 
@@ -198,6 +175,8 @@ def _cmd_verify(args) -> int:
 
 
 def cli_main(argv=None) -> int:
+    """Run the ``active-design`` command in ``argv``; returns its exit code:
+    0 on success, 1 on a usage or validation error, 2 on a runtime failure."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

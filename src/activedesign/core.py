@@ -1,26 +1,9 @@
-"""Problem types and exact quantities for A-optimal sampling designs.
+"""Problem types and exact quantities for A-optimal designs.
 
-A design problem is a finite set of unit covariate vectors X_1..X_K in R^d
-together with per-arm noise variances sigma_k^2.  A design is a point p on
-the probability simplex: p_k is the fraction of a sampling budget spent on
-arm k.  The quality of a design is measured by the A-optimality loss
-
-    L(p) = trace(Omega(p)^-1),   Omega(p) = sum_k (p_k / sigma_k^2) X_k X_k^T,
-
-which equals T * E||beta_hat - beta*||^2 for the weighted least-squares
-estimator after T samples.  Its gradient is minus the leverage marks
-m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, which the one kernel ``marks``
-computes, from one inverse and one matmul, for one design or S stacked
-ones; the K > d policy steps, the reference solver and the KKT
-certificate all call it, and ``singular`` is the one test for a
-singular information matrix.  This module also
-provides the loss, the closed-form optimum for the square case K = d,
-which the K = d policies plan toward, the problem constants that
-``active-design solve`` reports (strong convexity, boundary distance,
-smoothness), and the least-squares estimator itself.
-
-Everything here is deterministic and side-effect free except for a module
-counter that records how often tiny negative regret values were clamped.
+The loss L(p) = trace(Omega(p)^-1) and its gradient, minus the leverage
+``marks``; the K = d closed-form optimum; the constants that
+``active-design solve`` reports; and the least-squares estimator.  The
+only state is the count of clamped negative regrets.
 """
 
 from __future__ import annotations
@@ -62,11 +45,10 @@ def _unit_columns(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovariateSet:
-    """Unit covariate vectors stored as the columns of a (d, K) array.
+    """Unit covariate vectors as the columns of a read-only (d, K) array.
 
-    Construction renormalizes each column to Euclidean norm 1; zero and
-    non-finite vectors are rejected.  The columns are required to span
-    R^d, since otherwise no design has finite loss.
+    Columns are renormalized to norm 1.  Zero or non-finite vectors, d above
+    ``MAX_DIMENSION`` and columns that do not span R^d raise ``ValueError``.
     """
 
     columns: np.ndarray
@@ -108,12 +90,9 @@ class CovariateSet:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-arm noise variances and sub-Gaussian proxy bounds.
-
-    ``kappa2`` is the known upper proxy used by confidence radii; it must
-    dominate the true variance arm by arm and defaults to ``sigma2``
-    (exact for Gaussian noise).
-    """
+    """Per-arm variances ``sigma2`` and sub-Gaussian proxies ``kappa2``
+    (default ``sigma2``), read-only, positive and finite, with
+    kappa2 >= sigma2 arm by arm (to a relative 1e-12)."""
 
     sigma2: np.ndarray
     kappa2: np.ndarray | None = None
@@ -144,12 +123,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """A covariate set, its noise description, and optionally the truth.
-
-    ``beta`` is the regression vector used by simulation environments; it
-    does not influence the loss surface and may be omitted for purely
-    geometric work; when given, it must be finite.
-    """
+    """A covariate set, its noise description, and optionally the truth
+    ``beta`` that simulation draws responses around; a ``beta`` must be
+    finite and of length d."""
 
     covariates: CovariateSet
     noise: NoiseSpec
@@ -184,9 +160,9 @@ class DesignProblem:
 class SimplexWeights:
     """A point on the probability simplex over the K arms.
 
-    Entries in [-1e-12, 0) are clamped to zero and the vector is
-    renormalized provided the total is within 1e-9 of one; anything
-    further off is rejected.
+    Finite entries in [-1e-12, 0) are clamped to zero and the vector is
+    renormalized provided the total is within 1e-9 of one; anything else
+    raises ``ValueError``.
     """
 
     values: np.ndarray
@@ -244,13 +220,10 @@ def singular(eigs: np.ndarray) -> bool:
 def marks(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Leverage marks m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, minus the gradient.
 
-    ``x`` holds the (d, K) covariate columns; ``p`` and ``sigma2`` are
-    (K,) or (S, K), and S stacked designs give (S, K) marks, each row
-    bit-equal to its own call.  Omega(p)^-1 X is one inverse and one
-    matmul: inverting against the d identity columns and multiplying is
-    cheaper than triangular solves against the K >= d covariate columns,
-    and the marks stay within about kappa(Omega) * eps of the largest
-    one.  Only an exactly singular Omega(p) raises.
+    ``x`` holds the (d, K) covariate columns; ``p`` and ``sigma2`` are (K,)
+    or (S, K), and S stacked designs give (S, K) marks, each row bit-equal
+    to its own call.  The marks are accurate to about kappa(Omega) eps of
+    the largest one.  Only an exactly singular Omega(p) raises.
     """
     a = np.linalg.inv(_omega(x, sigma2, p)) @ x
     return np.einsum("...ij,...ij->...j", a, a) / sigma2
@@ -263,13 +236,8 @@ def loss(problem: DesignProblem, weights) -> float:
 
 
 def loss_closed_form(problem: DesignProblem, weights) -> float:
-    """Loss via the square-case expansion; requires K = d.
-
-    For K = d the loss decouples into
-        L(p) = sum_k (sigma_k^2 / p_k) Cof_kk(Gamma) / det(Gamma)
-    with Gamma the K x K Gram matrix of the covariates.  Any zero weight
-    gives +inf.
-    """
+    """The loss of a K = d problem as sum_k (sigma_k^2 / p_k) Cof_kk / det of
+    the Gram matrix Gamma; +inf at any zero weight, ``ValueError`` if K != d."""
     if not problem.is_square:
         raise ValueError("closed form requires as many arms as dimensions")
     p = _weights_array(weights)
@@ -281,11 +249,8 @@ def loss_closed_form(problem: DesignProblem, weights) -> float:
 
 
 def gradient(problem: DesignProblem, weights) -> np.ndarray:
-    """Gradient of the loss: dL/dp_k = -||Omega(p)^-1 X_k||^2 / sigma_k^2.
-
-    Every entry is strictly negative on the identifiable set; raises if
-    Omega(p) is singular at the given weights.
-    """
+    """Gradient of the loss, dL/dp_k = -||Omega(p)^-1 X_k||^2 / sigma_k^2;
+    ``ValueError`` where Omega(p) is ``singular``."""
     p = _weights_array(weights)
     if singular(np.linalg.eigvalsh(info_matrix(problem, p))):
         raise ValueError("design is not identifiable at these weights")
@@ -293,12 +258,8 @@ def gradient(problem: DesignProblem, weights) -> np.ndarray:
 
 
 def gram_cofactors(gram: np.ndarray) -> tuple[float, np.ndarray]:
-    """Determinant and diagonal cofactors of a K x K Gram matrix.
-
-    Uses det(Gamma) * (Gamma^-1)_kk when the determinant is comfortably
-    positive and falls back to explicit (K-1) x (K-1) principal minors
-    when it is not.
-    """
+    """Determinant and diagonal cofactors of a K x K Gram matrix: as
+    det(Gamma) (Gamma^-1)_kk when det > 1e-12, else from the principal minors."""
     det = float(np.linalg.det(gram))
     k = gram.shape[0]
     if det > 1e-12:
@@ -327,21 +288,18 @@ def optimal_weights_closed_form(problem: DesignProblem) -> SimplexWeights:
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """The curvature and geometry report of a design problem, which
-    ``active-design solve`` prints.
+    """The curvature and geometry report that ``active-design solve`` prints.
 
-    ``det_gram`` and ``lambda_min`` are the determinant and smallest
-    eigenvalue of the moment matrix sum_k X_k X_k^T.  For square problems
-    (K = d) the other fields are populated too; for K != d they are None:
+    ``det_gram`` and ``lambda_min`` are the determinant and least eigenvalue
+    of the moment matrix sum_k X_k X_k^T.  The other fields are set for
+    K = d and None otherwise:
 
-    * ``mu``: strong convexity of the loss on the simplex,
-      2 * min_k(Cof_kk sigma_k^2) / det(Gamma).
-    * ``eta``: Euclidean distance from the optimum to the simplex
-      boundary, sqrt(K/(K-1)) * min_k p*_k.
-    * ``c_smooth``: smoothness bound on the region reachable after
-      presampling, in the variance-agnostic constant-432 form.
-    * ``hessian_diag_bound``: the sharper raw bound
-      max_k 16 Cof_kk sigma_k^2 / (det(Gamma) p*_k^3) at the optimum p*.
+    * ``mu``: strong convexity, 2 min_k(Cof_kk sigma_k^2) / det(Gamma);
+    * ``eta``: distance from the optimum to the simplex boundary,
+      sqrt(K/(K-1)) min_k p*_k;
+    * ``c_smooth``: smoothness on the region reachable after presampling, in
+      the constant-432 form;
+    * ``hessian_diag_bound``: max_k 16 Cof_kk sigma_k^2 / (det(Gamma) p*_k^3).
     """
 
     det_gram: float
@@ -353,7 +311,7 @@ class ProblemConstants:
 
 
 def problem_constants(problem: DesignProblem) -> ProblemConstants:
-    """Compute :class:`ProblemConstants`; see the dataclass docstring."""
+    """The :class:`ProblemConstants` of ``problem``."""
     moment = problem.covariates.second_moment()
     lam_min = float(np.linalg.eigvalsh(moment)[0])
     if not problem.is_square:
@@ -391,9 +349,8 @@ def problem_constants(problem: DesignProblem) -> ProblemConstants:
 def regret(value: float, horizon: int, ref_loss: float) -> float:
     """Per-round excess loss (L(p_T) - L*) / T of a design whose loss is ``value``.
 
-    Negative gaps larger than -1e-9 (rounding on a well-solved instance)
-    are clamped to zero and counted.  A more negative gap (``ref_loss``
-    is not an optimum) or a NaN one (a NaN loss, or inf - inf) raises.
+    A gap in [-1e-9, 0) is clamped to zero and counted; a more negative or a
+    NaN gap raises ``ValueError``.
     """
     global _negative_regret_clamps
     if horizon <= 0:
@@ -410,16 +367,10 @@ def regret(value: float, horizon: int, ref_loss: float) -> float:
 
 
 def ols_fit(problem: DesignProblem, arms, values) -> np.ndarray:
-    """Weighted least-squares estimate of beta from arm/observation pairs.
-
-    With empirical proportions p_k = T_k / T and per-arm sample means
-    Ybar_k, the estimator is
-
-        beta_hat = Omega(p)^-1 sum_k (p_k / sigma_k^2) Ybar_k X_k,
-
-    which coincides with ordinary least squares on the variance-rescaled
-    stacked regression.  Raises when the sampled arms do not span R^d.
-    """
+    """Weighted least-squares estimate of beta from arm/observation pairs:
+    Omega(p)^-1 sum_k (p_k / sigma_k^2) Ybar_k X_k at the empirical
+    proportions p and per-arm means Ybar.  ``ValueError`` on empty or
+    mismatched inputs, an arm out of range, or arms that do not identify beta."""
     arms = np.asarray(arms, dtype=np.intp).reshape(-1)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if arms.shape != values.shape or arms.size == 0:

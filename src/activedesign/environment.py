@@ -1,17 +1,5 @@
-"""Simulation environments: query arms, receive noisy linear responses.
-
-An environment owns a design problem with a known truth vector beta and a
-seeded random generator.  Querying arm k returns <X_k, beta> + eps with
-Gaussian noise eps ~ N(0, sigma_k^2); the policies see only the problem's
-proxies kappa_k^2, which default to sigma_k^2 (``NoiseSpec``).
-
-Standard normals are drawn from the generator in fixed chunks into one
-buffer, and served from it in order to single queries, one arm's blocks
-and arm sequences alike.  The n-th observation is the value it would be if
-each query drew its own noise, the arm queried only picks the mean and
-scale applied to it, and a (seed, query sequence) pair fully determines
-every observation.  ``draws`` counts the observations served.
-"""
+"""Simulation environments, seeded Gaussian response streams, and the
+instance generators."""
 
 from __future__ import annotations
 
@@ -30,14 +18,12 @@ RANDOM_DRAWS = 1000
 
 
 class Environment:
-    """Stateful sampling oracle for a design problem.
+    """Stateful sampling oracle for a design problem with a truth ``beta``.
 
-    The generator is seeded from ``seed`` on a dedicated stream
-    (spawn key 0), leaving sibling streams of the same seed free for
-    policy randomness.  Observation n is mean + sigma * z_n, with the
-    standard normals z taken from the stream in order: ``query`` serves
-    one arm, ``query_block`` n of one arm and ``query_arms`` a sequence
-    of arms, one draw each.
+    Its generator is spawn key 0 of ``seed``.  Observation n is
+    mean_k + sigma_k z_n, with z_n the generator's n-th standard normal,
+    whichever of ``query``, ``query_block`` and ``query_arms`` serves it;
+    ``draws`` counts the observations served.
     """
 
     def __init__(self, problem: DesignProblem, seed: int):
@@ -103,13 +89,8 @@ def make_env(problem: DesignProblem, seed: int) -> Environment:
 
 
 def make_hard_instance(delta: float) -> DesignProblem:
-    """Two identical scalar arms split only by noise: sigma^2 = (1, 1 + delta).
-
-    The loss reduces to L(p) = (1 + delta) / (1 + delta p_1) with optimum
-    p* = (1, 0) and L(p*) = 1; the gap between the arms is invisible
-    until the variances are resolved, which is what makes the instance
-    adversarial for adaptive samplers.
-    """
+    """Two identical scalar arms split only by noise, sigma^2 = (1, 1 + delta):
+    L(p) = (1 + delta) / (1 + delta p_1), p* = (1, 0) and L* = 1."""
     if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
     covs = CovariateSet(np.array([[1.0, 1.0]]))
@@ -120,10 +101,9 @@ def make_hard_instance(delta: float) -> DesignProblem:
 def make_random_instance(d: int, k: int, seed: int) -> DesignProblem:
     """Random unit covariates with iid U(0.5, 2) variances and a Gaussian truth.
 
-    Covariate columns are drawn uniformly on the sphere and the whole set
-    is redrawn until its smallest singular value clears ``RANDOM_SIGMA_MIN``,
-    so generated instances are uniformly well conditioned; a shape and
-    seed that no ``RANDOM_DRAWS`` draws clear raise ``ValueError``.
+    The covariate set is redrawn until its least singular value exceeds
+    ``RANDOM_SIGMA_MIN``; ``ValueError`` when ``RANDOM_DRAWS`` draws do not
+    clear it, or when d is above ``MAX_DIMENSION`` (before any draw).
     """
     if d < 1 or k < d:
         raise ValueError("need k >= d >= 1 to span R^d")

@@ -1,13 +1,5 @@
-"""Streaming variance estimation and the confidence radii built on it.
-
-The adaptive policies only ever see per-arm observation streams, and
-keep one-pass moments of each (Welford update, population convention:
-divide by n, not n-1; ``policies._Moments``).  This module turns sample
-counts into deviation radii for the empirical variance of sub-Gaussian
-noise, plus the derived quantities the policies consume: lower
-confidence bounds on variances and sample counts that guarantee a
-factor-two variance estimate.
-"""
+"""Confidence radii for the empirical variance of sub-Gaussian noise, and
+the lower confidence bounds and sample counts the policies build on them."""
 
 from __future__ import annotations
 
@@ -38,13 +30,8 @@ class ConfidenceParams:
 
 
 def variance_radius(n: int, kappa2: float, delta: float) -> float:
-    """Deviation radius r with P(|var_hat - var| > r) <= delta.
-
-    r = 3 kappa^2 * max(u, sqrt(u)),  u = log(4/delta) / (c n),
-
-    where c is :data:`BERNSTEIN_C`.  The sqrt branch is the useful
-    regime; the linear branch takes over for very small n.
-    """
+    """Deviation radius r with P(|var_hat - var| > r) <= delta:
+    r = 3 kappa^2 max(u, sqrt(u)), u = log(4/delta) / (c n), c = ``BERNSTEIN_C``."""
     if n < 1:
         raise ValueError("need at least one sample")
     if not 0.0 < delta < 1.0:
@@ -55,13 +42,9 @@ def variance_radius(n: int, kappa2: float, delta: float) -> float:
 
 
 def halving_sample_count(kappa2: float, sigma2: float, horizon: int) -> int:
-    """Samples per arm that pin the variance within a factor two.
-
-    n = ceil(72 kappa^4 / (c sigma^4) * log(2 T)) makes
-    variance_radius(n, kappa^2, 1/T^2) <= sigma^2 / 2, so the estimate
-    lands in [sigma^2/2, 3 sigma^2/2] with probability at least
-    1 - 1/T^2.
-    """
+    """Samples per arm, ceil(72 kappa^4 / (c sigma^4) log(2T)), after which
+    variance_radius(n, kappa^2, 1/T^2) <= sigma^2 / 2: the estimate lies in
+    [sigma^2/2, 3 sigma^2/2] with probability at least 1 - 1/T^2."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     if kappa2 <= 0.0 or sigma2 <= 0.0:
@@ -71,12 +54,9 @@ def halving_sample_count(kappa2: float, sigma2: float, horizon: int) -> int:
 
 
 def lcb_variance(count: float, variance: float, params: ConfidenceParams) -> float:
-    """Optimistic (lower) variance estimate, floored away from zero.
-
-    max(var_hat - variance_radius(n, kappa2, delta), LCB_FLOOR * kappa2)
-    for the empirical variance ``variance`` of ``count`` observations.
-    Undefined (raises) before the arm has two observations.
-    """
+    """Lower variance bound max(variance - variance_radius(count, kappa2,
+    delta), LCB_FLOOR kappa2) of ``count`` observations; ``ValueError``
+    below two."""
     if count < 2:
         raise ValueError("variance undefined with fewer than two observations")
     low = variance - variance_radius(count, params.kappa2, params.delta)

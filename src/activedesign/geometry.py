@@ -1,14 +1,5 @@
-"""Optimality certificates: simplex KKT conditions and the dual ellipsoid.
-
-At an optimal design p* the leverage marks (``core.marks``)
-m_k = ||Omega(p*)^-1 X_k||^2 / sigma_k^2 are equal to a common level
-lambda on the support of p* and no larger than lambda off it (these are
-minus the loss gradient entries, so this is exactly simplex KKT).  The
-same data feeds the dual view: W = Omega(p*)^-2 / lambda defines an
-ellipsoid containing every rescaled covariate X_k / sigma_k on its
-boundary or inside, and trace(sqrt(W))^2 equals the optimal loss at
-strong duality.
-"""
+"""Optimality certificates at a design: the simplex KKT conditions on the
+leverage marks and the dual ellipsoid (the README's ``geometry`` entry)."""
 
 from __future__ import annotations
 
@@ -29,12 +20,10 @@ DUAL_TOL = 1e-6
 class EllipsoidCertificate:
     """KKT report at a candidate design.
 
-    ``marks`` are the m_k values, ``level`` the largest mark over active
-    arms (weight above ``ACTIVE_THRESHOLD``), ``slacks`` the per-arm
-    level - m_k.  ``certified`` means: active marks agree with the level
-    to ``KKT_TOL`` relative, inactive marks do not exceed it beyond the
-    same tolerance, and complementary slackness
-    p_k * slack_k <= KKT_TOL * level holds arm by arm.
+    ``level`` is the largest mark over the active arms (weight above
+    ``ACTIVE_THRESHOLD``) and ``slacks`` are level - m_k.  ``certified``:
+    active marks equal the level, inactive ones do not exceed it, and
+    p_k slack_k <= 0 arm by arm, each within ``KKT_TOL`` times the level.
     """
 
     weights: np.ndarray
@@ -56,12 +45,9 @@ class DualReport:
 
 
 def kkt_certificate(problem: DesignProblem, weights) -> EllipsoidCertificate:
-    """Evaluate the simplex KKT conditions at ``weights``.
-
-    Weights below ``ACTIVE_THRESHOLD`` are treated as boundary zeros (and
-    reported as exact zeros in the certificate view; the caller's vector
-    is not modified).
-    """
+    """The simplex KKT report at ``weights``; weights at or below
+    ``ACTIVE_THRESHOLD`` are reported as zeros, the caller's vector unchanged.
+    ``LinAlgError`` where Omega(p) is singular, ``ValueError`` with no active arm."""
     p = _weights_array(weights)
     if singular(np.linalg.eigvalsh(info_matrix(problem, p))):
         raise np.linalg.LinAlgError(
@@ -91,13 +77,10 @@ def kkt_certificate(problem: DesignProblem, weights) -> EllipsoidCertificate:
 
 
 def dual_feasibility(problem: DesignProblem, certificate: EllipsoidCertificate) -> DualReport:
-    """Check the dual ellipsoid induced by a KKT certificate.
-
-    W = Omega(p)^-2 / level must be positive definite with every
-    rescaled covariate satisfying (X_k / sigma_k)^T W (X_k / sigma_k)
-    <= 1 + DUAL_TOL; the dual objective trace(sqrt(W))^2 then lower-bounds the
-    primal loss, with equality at the optimum.
-    """
+    """The dual ellipsoid W = Omega(p)^-2 / level of a KKT certificate:
+    ``feasible`` when W is positive definite and every
+    (X_k / sigma_k)^T W (X_k / sigma_k) <= 1 + ``DUAL_TOL``; the dual value
+    trace(sqrt(W))^2 then bounds the loss from below."""
     p = certificate.weights
     omega = info_matrix(problem, p)
     eigs, vecs = np.linalg.eigh(omega)

@@ -1,34 +1,6 @@
-"""Experiment harness: instance files, sweep configs, outputs, reports.
-
-The file formats are deliberately plain.  An instance file is whitespace
-separated numbers with ``#`` comments:
-
-    d K
-    <K rows of d covariate components>
-    <K variances sigma_k^2>
-    [<K proxies kappa_k^2>]        optional
-    [<d components of beta>]       optional
-
-When only one optional row is present it is told apart by length; for
-square instances (K = d) that is ambiguous and the row is read as the
-proxies, so write both rows to pin beta.  Without a proxy row the
-proxies equal the variances, as for an inline instance without ``kappa2``.
-
-A sweep config is a JSON object with keys ``instance``, ``policies``,
-``budgets`` and optionally ``seeds`` (count or explicit list, default
-25) and ``output`` (directory, default "results").  Outputs are one
-trace file per episode (columns t, regret, loss_gap, p_min, at the
-checkpoints of ``policies.checkpoint_schedule``), one summary per
-policy (T, mean_regret, stderr, n_seeds), and a slope table (policy,
-slope, intercept, r_squared, n_points), all written by ``table_text``;
-identical configs produce byte-identical files.  As JSON a trace is
-{policy, horizon, seed, rows}, a summary is a list of records and the
-slopes are {policy: fit}.  When an episode fails, ``failures.csv``
-(policy, T, seed, error) is written too, always as CSV.  Budgets must be
-distinct integers; fractional budgets and seeds are rejected, not truncated.
-``ACTIVE_DESIGN_THREADS`` caps how many worker processes run episodes
-concurrently; on K > d a sweep steps a cell's seeds in lock-step groups.
-"""
+"""Experiment harness: instance files and sweep configs (the README's File
+formats section), sweeps and their output files, and the concentration
+check."""
 
 from __future__ import annotations
 
@@ -88,7 +60,15 @@ def _real(key: str, value) -> float:
 # instance files
 
 
-def _parse_floats(path: Path, tokens: list[str], lineno: int) -> list[float]:
+def _row(path: Path, entry: tuple, n: int, what: str) -> list[float]:
+    """The n finite floats of ``entry``, (line number, tokens); a row of
+    another length, a token that is not a number or a NaN or infinity
+    raises, naming the file and the line."""
+    lineno, tokens = entry
+    if len(tokens) != n:
+        raise InstanceFormatError(
+            f"{path}: line {lineno}: {what} row has {len(tokens)} entries, expected {n}"
+        )
     out = []
     for tok in tokens:
         try:
@@ -132,48 +112,26 @@ def load_instance(path) -> DesignProblem:
             f"{path}: expected {k} covariate rows plus a variance row, found {len(body_rows)}"
         )
     cols = np.empty((d, k))
-    for arm in range(k):
-        lineno, tokens = body_rows[arm]
-        if len(tokens) != d:
-            raise InstanceFormatError(
-                f"{path}: line {lineno}: covariate row has {len(tokens)} entries, expected {d}"
-            )
-        cols[:, arm] = _parse_floats(path, tokens, lineno)
+    for arm, line in enumerate(body_rows[:k]):
+        cols[:, arm] = _row(path, line, d, "covariate")
         norm = float(np.linalg.norm(cols[:, arm]))
         if norm > 0.0 and abs(norm - 1.0) > 1e-6:
-            logger.warning("line %d: covariate %d has norm %.6g, renormalizing", lineno, arm, norm)
+            logger.warning("line %d: covariate %d has norm %.6g, renormalizing", line[0], arm, norm)
+    sigma2 = np.array(_row(path, body_rows[k], k, "variance"))
 
-    lineno, tokens = body_rows[k]
-    if len(tokens) != k:
-        raise InstanceFormatError(
-            f"{path}: line {lineno}: variance row has {len(tokens)} entries, expected {k}"
-        )
-    sigma2 = np.array(_parse_floats(path, tokens, lineno))
-
-    kappa2 = None
-    beta = None
+    kappa2 = beta = None
     extras = body_rows[k + 1 :]
     if len(extras) > 2:
         raise InstanceFormatError(f"{path}: line {extras[2][0]}: unexpected trailing data")
     if len(extras) == 2:
-        ln1, t1 = extras[0]
-        ln2, t2 = extras[1]
-        if len(t1) != k:
-            raise InstanceFormatError(
-                f"{path}: line {ln1}: proxy row has {len(t1)} entries, expected {k}"
-            )
-        if len(t2) != d:
-            raise InstanceFormatError(
-                f"{path}: line {ln2}: beta row has {len(t2)} entries, expected {d}"
-            )
-        kappa2 = np.array(_parse_floats(path, t1, ln1))
-        beta = np.array(_parse_floats(path, t2, ln2))
+        kappa2 = np.array(_row(path, extras[0], k, "proxy"))
+        beta = np.array(_row(path, extras[1], d, "beta"))
     elif len(extras) == 1:
         ln, tokens = extras[0]
         if len(tokens) == k:
-            kappa2 = np.array(_parse_floats(path, tokens, ln))
+            kappa2 = np.array(_row(path, extras[0], k, "proxy"))
         elif len(tokens) == d:
-            beta = np.array(_parse_floats(path, tokens, ln))
+            beta = np.array(_row(path, extras[0], d, "beta"))
         else:
             raise InstanceFormatError(
                 f"{path}: line {ln}: optional row has {len(tokens)} entries, expected {k} or {d}"
@@ -353,12 +311,9 @@ class SlopeFit:
 
 
 def fit_slope(budgets, regrets) -> SlopeFit:
-    """Least-squares slope of log10(regret) against log10(T).
-
-    Nonpositive and infinite regret values (an infinite one is a budget
-    too small to identify beta) cannot be placed on the log scale and
-    are dropped with a warning; fewer than three usable points is an error.
-    """
+    """Least-squares slope of log10(regret) against log10(T).  Nonpositive and
+    infinite regrets are dropped with a warning; fewer than three points left
+    raise ``ValueError``."""
     ts = np.asarray(budgets, dtype=np.float64)
     rs = np.asarray(regrets, dtype=np.float64)
     if ts.shape != rs.shape:
@@ -387,13 +342,9 @@ class SweepResult:
 
 
 class _Group:
-    """The seeds of one policy that run as one lock-step ``Episode``
-    through ``budgets`` (ascending; one budget unless they chain).
-
-    ``run`` holds the sweep's constants (problem, name, options,
-    reference); ``outcomes`` the traces and errors that the
-    group's jobs have not taken yet.
-    """
+    """The seeds of one policy that run as one lock-step ``Episode`` through
+    ``budgets`` (ascending).  ``run`` is (problem, name, options, reference);
+    ``outcomes`` holds the traces and errors its jobs have not taken yet."""
 
     def __init__(self, run: tuple, budgets: tuple, seeds: tuple):
         self.run = run
@@ -403,12 +354,9 @@ class _Group:
         self.outcomes: dict = {}  # (horizon, seed) -> trace or exception
 
     def advance(self, horizon: int) -> None:
-        """Advance every seed to ``horizon`` and keep each one's outcome.
-
-        The episode is built at the first budget that reaches here.  An
-        error from building or advancing it is every seed's; a seed that
-        failed keeps its error at the later budgets.
-        """
+        """Advance every seed to ``horizon``, building the episode at the first
+        budget, and keep each seed's outcome.  An error from building or
+        advancing it is every seed's."""
         problem, name, options, reference = self.run
         try:
             if self.episode is None:
@@ -429,12 +377,8 @@ class _Group:
 
 
 def _episode_task(args) -> tuple:
-    """Run one (group, budget, seed) job: (name, horizon, seed, trace).
-
-    The first job of a budget in its group advances the whole group to
-    that budget (``_Group.advance``); every job then returns its own
-    seed's trace, or raises its own seed's error.
-    """
+    """Run one (group, budget, seed) job: (name, horizon, seed, trace), or
+    raise the seed's error.  The first job of a budget advances its group."""
     group, horizon, seed = args
     if (horizon, seed) not in group.outcomes:
         group.advance(horizon)
@@ -469,12 +413,9 @@ def _thread_cap() -> int:
 
 
 def _seed_groups(seeds: tuple, square: bool, cap: int) -> list:
-    """The seeds that run as one lock-step episode, in contiguous groups.
-
-    K = d: one seed per group, as a K = d ``Episode`` has one seed.
-    K > d: every seed in one group when episodes run in process, else
-    at most ``cap`` groups, so the pool still has work for every worker.
-    """
+    """The seeds that run as one lock-step episode, in contiguous groups: one
+    seed each on K = d; on K > d all of them when ``cap`` is 1, else at most
+    ``cap`` groups."""
     if square:
         return [(seed,) for seed in seeds]
     n = 1 if cap == 1 else min(cap, len(seeds))
@@ -519,25 +460,12 @@ def check_runs(problem: DesignProblem, policies, budgets) -> None:
 
 
 def run_sweep(config: ExperimentConfig, quiet: bool = False, fmt: str = "csv") -> SweepResult:
-    """Run every (policy, budget, seed) episode and write the result files.
+    """Run every (policy, budget, seed) episode of ``config`` and, unless its
+    ``output`` is None, write the files in ``fmt``, "csv" or "json".
 
-    A horizon-free policy (``uniform``, ``oracle``, ``thompson``) runs
-    each seed once, to its largest budget, and cuts the smaller budgets'
-    traces from that run, since with the same seed they are exact
-    prefixes; budgets below 2K run on their own.  On K > d the seeds of
-    a (policy, chain or budget) run as one lock-step ``Episode`` (see the
-    README): all seeds in one group in process, else split into at most
-    ``ACTIVE_DESIGN_THREADS`` contiguous groups.  K = d runs one seed per
-    task.  Grouping leaves every file byte-identical.  Each trace's
-    ``elapsed`` counts its own budget's increment (its share of it, in a
-    group).  Up to ``ACTIVE_DESIGN_THREADS`` worker processes run the
-    tasks in parallel; in process, ``_episode_task`` runs once per
-    (policy, budget, seed), and the first job of a group's budget steps
-    the whole group.  Failures are collected rather than fatal so a bad
-    seed cannot sink a long sweep; callers decide how to surface them.
-    A seed that fails a budget drops out of its group and keeps that
-    error at the group's later budgets: a chained run does not depend
-    on the budget, so a restart would fail again at the same step.
+    A config that cannot run raises before any episode does.  An
+    episode that fails is collected in ``failures``, not raised.  Identical
+    configs write byte-identical files, whatever the worker count.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -678,11 +606,9 @@ TRACE_COLUMNS = ["t", "regret", "loss_gap", "p_min"]
 
 
 def table_text(fmt: str, header: list[str], records: list[dict], payload=None) -> str:
-    """``records`` as CSV under ``header``, floats as ``repr(float(x))``;
-    or as JSON ``payload`` (default ``records``), indented and key-sorted.
-
-    The text ends in a newline.
-    """
+    """``records`` as CSV under ``header``, floats as ``repr(float(x))``, or
+    as JSON ``payload`` (default ``records``), indented and key-sorted; the
+    text ends in a newline."""
     if fmt != "csv":
         return json.dumps(records if payload is None else payload, indent=1, sort_keys=True) + "\n"
     buf = io.StringIO()
@@ -735,16 +661,10 @@ def verify_concentration(
     horizon: int = 100,
     seed: int = 0,
 ) -> list[dict]:
-    """Monte Carlo check of the variance deviation radius and halving count.
-
-    For each (n, delta) pair, draws ``trials`` batches of n standard normal
-    samples and measures how often the population variance estimate misses
-    the truth 1 by more than the radius at proxy 1; the rate must stay
-    below delta (plus binomial noise).  The halving row does the same for
-    the sample count that promises a factor-two estimate with probability
-    1 - 1/T^2.  Scaling the noise to any sigma^2 scales the estimates, the
-    radius and the threshold alike, so unit variance checks them all.
-    """
+    """Monte Carlo coverage rows, ``CONCENTRATION_COLUMNS``, from ``trials``
+    batches of standard normals: ``variance_radius`` at each (n, delta) of
+    ``pairs``, and ``halving_sample_count`` at ``horizon`` with delta
+    1 / horizon^2 and the factor-two threshold 1/2."""
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials!r}")
     if horizon < 2:

@@ -1,34 +1,8 @@
 """Sequential sampling policies and the episode runner.
 
-Five ways to spend a budget of T arm queries:
-
-* ``uniform``: round-robin, the non-adaptive baseline.
-* ``randomized``: each round, re-solve the design problem under lower
-  confidence bounds on the variances and draw the next arm at random so
-  the empirical proportions track that optimistic design.
-* ``gradient_ucb``: greedy Frank-Wolfe flavored choice, the arm with the
-  lowest bonus-adjusted loss-gradient estimate under plug-in variances.
-* ``thompson``: per-arm normal-inverse-gamma posteriors; sample variances
-  and descend the sampled gradient.
-* ``oracle``: knows the true optimal design and tracks it by largest
-  deficit; a lower-bound reference, not a learner.
-
-Each policy class declares its presampling (``Policy.presample``), the
-only source of presampled samples (see the README).  The runner executes
-it, calls ``Policy.run`` from one regret checkpoint to the next, and
-records them.  ``uniform`` and ``oracle`` never read a response: their
-``run`` plans a segment's arms, queries them as one block and counts
-them once (``_OpenLoop``).  Every per-arm state is an (S, K) float64
-array, one row per seed of an ``Episode`` (the README's lock-step
-paragraph); a square problem (K = d) has one seed, so S = 1.  On K > d,
-and in presampling, observations reach ``_update``; on K = d the other
-three step in one loop per class on Python floats unpacked from row 0,
-with the IEEE operations of the array formulas in their order.
-
-``uniform``, ``oracle`` and ``thompson`` are horizon-free (see
-``extends_past``): an ``Episode`` can be advanced from one budget to the
-next.  ``gradient_ucb`` and ``randomized`` are not: their presampling,
-and ``randomized``'s confidence level 1/(T^2 K) and anchor, depend on T.
+``make_policy`` builds one of ``POLICY_NAMES`` (the README's Policies
+section).  ``Episode`` runs its presampling and then steps it from one
+regret checkpoint to the next; ``run_episode`` runs one seed to one budget.
 """
 
 from __future__ import annotations
@@ -83,16 +57,13 @@ def estimation_phase(k: int, horizon: int) -> int:
 
 
 def presample_plan(sigma2_estimates, problem: DesignProblem, horizon: int, n0: int) -> tuple:
-    """Square-case presampling at half budget: N_k = ceil(p^o_k T / 2).
+    """K = d presampling: the per-arm target totals N and the design p^o.
 
-    ``p^o`` is the plug-in optimal design: ``optimal_weights_closed_form``
-    of ``problem``'s covariates under the variance estimates, which must
-    be positive and finite.  Counts are floored at 2 so every arm has a
-    defined variance, and trimmed (largest first) in the rare case the
-    total would exceed ceil(T/2) + K, then until the plan fits the
-    budget beside the ``n0`` phase-0 samples per arm:
-    sum_k max(N_k, n0) <= T, which K n0 <= T (``estimation_phase``)
-    makes reachable.  Returns the per-arm target totals N and ``p^o``.
+    p^o is ``optimal_weights_closed_form`` under ``sigma2_estimates``, which
+    must be positive and finite, and N_k = max(ceil(p^o_k T / 2), 2).  The
+    largest N_k is cut by one while sum N > ceil(T/2) + K, then while
+    sum_k max(N_k, n0) > T, which K n0 <= T (``estimation_phase``) makes
+    reachable.
     """
     design = DesignProblem(problem.covariates, NoiseSpec(sigma2_estimates))
     origin = optimal_weights_closed_form(design).values
@@ -106,12 +77,8 @@ def presample_plan(sigma2_estimates, problem: DesignProblem, horizon: int, n0: i
 
 
 def kd_presample(k: int, horizon: int) -> int:
-    """Non-square presampling: ceil(T^(3/4)) samples of every arm.
-
-    Exact integer fourth root so budgets like T = 10^4 give exactly
-    T^(3/4) = 1000.  Errors when the schedule would consume the whole
-    budget.
-    """
+    """K > d presampling: ceil(T^(3/4)) samples per arm, by an exact integer
+    root (T = 10^4 gives 1000).  ``ValueError`` when K of them reach T."""
     if k < 1 or horizon < 1:
         raise ValueError("need positive arm count and horizon")
     cube = horizon**3
@@ -126,10 +93,9 @@ def kd_presample(k: int, horizon: int) -> int:
 
 def budget_floor(policy_name: str, problem: DesignProblem, horizon: int) -> int | None:
     """The smallest budget from ``horizon`` up that fits ``policy_name``'s
-    presampling as far as it is known before any sample (``estimation_phase``
-    on K = d, ``kd_presample`` on K > d), or None if ``horizon`` does.  No
-    budget below K n0 fits the phase, and none up to K^4 fits the schedule.
-    """
+    presampling (``estimation_phase`` on K = d, ``kd_presample`` on K > d),
+    or None if ``horizon`` does.  No budget below 2K fits the phase, and none
+    up to K^4 the schedule."""
     if not issubclass(policy_class(policy_name), _Moments):
         return None
     t, k, square = horizon, problem.n_arms, problem.is_square
@@ -152,18 +118,16 @@ def _finite(name: str, value) -> float:
 
 
 def _uniforms(rng):
-    """Successive ``rng.random()`` values, drawn ``NOISE_CHUNK`` at a time:
-    ``rng.random(n)`` gives the n values, and leaves the generator in the
-    state, of n scalar calls."""
+    """Successive ``rng.random()`` values, drawn ``NOISE_CHUNK`` at a time."""
     while True:
         yield from rng.random(NOISE_CHUNK).tolist()
 
 
 def _residual_arm(weights: list, total: float, anchor: list, u: float) -> int:
     """The arm the uniform ``u`` draws from the residual weights / total -
-    anchor, clamped at 0, or from the weights when no residual mass is
-    left: the first arm whose cumulative share exceeds ``u``, else the
-    last.  On Python floats, with sums in numpy's order."""
+    anchor, clamped at 0, or from the weights when no residual mass is left:
+    the first arm whose cumulative share exceeds ``u``, else the last.  Sums
+    run in numpy's order (``_float_sum``)."""
     residual = [0.0 if (r := w / total - a) < 0.0 else r for w, a in zip(weights, anchor)]
     mass = _float_sum(residual)
     if not mass > 0.0:
@@ -177,19 +141,14 @@ def _residual_arm(weights: list, total: float, anchor: list, u: float) -> int:
 
 
 def _neg_inv_gram_diag(problem: DesignProblem) -> list:
-    """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient:
-    with X square, Omega^-1 X_k = X^-T e_k sigma_k^2 / p_k and X^-1 X^-T = Gamma^-1,
-    so the gradient -||Omega^-1 X_k||^2 / sigma_k^2 is -(Gamma^-1)_kk sigma_k^2 / p_k^2."""
+    """-(Gamma^-1)_kk of a square problem, the fixed factor of its gradient."""
     return (-np.diag(np.linalg.inv(problem.covariates.gram()))).tolist()
 
 
 def _float_sum(values: list) -> float:
-    """Sum in the order of numpy's float64 ``add.reduce``: bit-equal to ``np.sum``.
-
-    numpy adds a pairwise sum of the values to its identity 0.0; the
-    pairwise sum is sequential below 8 values, runs 8 accumulators up to
-    128 and splits larger blocks in two at a multiple of 8.
-    """
+    """The sum of ``values`` bit-equal to ``np.sum``: numpy adds to 0.0 a
+    pairwise sum that is sequential below 8 values, runs 8 accumulators up
+    to 128, and splits larger blocks in two at a multiple of 8."""
     return 0.0 + _pairwise_sum(values)
 
 
@@ -216,12 +175,9 @@ def _pairwise_sum(a: list) -> float:
 
 
 def _stacked_gradients(x: np.ndarray, sigma2: np.ndarray, p: np.ndarray) -> tuple:
-    """The gradients -``marks`` for the S rows of ``p`` and of ``sigma2`` at
-    once, and per row None or the error of its own inverse.
-
-    If the stacked inverse raises ``LinAlgError``, the rows are redone one
-    by one on the same inputs.
-    """
+    """-``marks`` for the S rows of ``p`` and ``sigma2``, and per row None or
+    the ``LinAlgError`` of its own inverse (the rows are redone one by one
+    when the stacked inverse raises)."""
     errors = [None] * p.shape[0]
     try:
         return -marks(x, sigma2, p), errors
@@ -255,14 +211,10 @@ _ROW_STREAMS = ("rng", "_uniforms")
 class Policy:
     """Shared bookkeeping: the round (observations so far) and the counts.
 
-    A policy steps only through ``run``.  It owns S rows, one per seed:
-    ``rng`` is a list of S generators (one generator, or None, is one
-    row), and every per-arm state is an (S, K) float64 array, with S = 1
-    on square problems.  On K > d the base ``run`` steps the rows through
-    ``select`` and ``observe``.  ``observe`` and ``observe_block``
-    (presampling, on both shapes) reach the class's ``_update`` hook.
-    ``horizon_free`` marks a policy whose choices never read T, and
-    ``open_loop`` one whose ``run`` queries a segment as one block.
+    A policy owns S rows, one per seed: ``rng`` is a list of S generators
+    (one generator, or None, is one row), and every per-arm state is an
+    (S, K) float64 array.  ``horizon_free``: no choice reads T.
+    ``open_loop``: ``run`` queries a stretch as one block.
     """
 
     name = "?"
@@ -287,11 +239,8 @@ class Policy:
         return self._select_rows(t)
 
     def run(self, t: int, stop: int, query) -> None:
-        """Steps t + 1 through ``stop``: each selects, queries ``query(arms)``
-        and observes; closed-loop K > d rows step here.  Those classes
-        override it on K = d with one loop on row 0 unpacked into lists,
-        held in locals and written back when it ends, that applies each
-        observation with ``_update``'s IEEE operations in their order."""
+        """Steps t + 1 through ``stop``: each calls ``select``, ``query(arms)``
+        and ``observe``."""
         select, observe = self.select, self.observe
         for t in range(t + 1, stop + 1):
             arms = select(t)
@@ -318,10 +267,8 @@ class Policy:
     def presample(self, feed) -> tuple:
         """Feed this policy's presampling through ``feed(arm, m)``; returns the
         phase-0 samples per arm and the design laid out as an array, or
-        (0, None).  The base takes none; a learner's leaves every arm of
-        every row two observations or more (``thompson``'s from T = 2K,
-        below which it takes the whole budget), so no step meets a zero
-        count or a NaN variance."""
+        (0, None).  A learner's leaves every arm of every row at least two
+        observations (``thompson``'s from T = 2K)."""
         return 0, None
 
     def drop(self, rows: list) -> None:
@@ -335,15 +282,12 @@ class Policy:
 
 
 class _Moments:
-    """Per-arm Welford moments and plug-in variances.
+    """Per-arm Welford mean and m2 beside the counts, and the plug-in
+    variance ``sig2hat`` = m2 / n, NaN below two observations.
 
-    Mixed into a ``Policy`` subclass, whose ``__init__`` calls
-    ``_init_moments``.  The arm's count is the policy's ``counts``; the
-    running mean and m2 are kept beside it.  ``sig2hat`` is the
-    population variance m2 / n, NaN until the arm has two observations.
-    Presampling: the estimation phase (``estimation_phase``), then
-    ``presample_plan`` on K = d, trimmed to fit the budget;
-    ``kd_presample`` on K > d.
+    A ``Policy`` subclass mixes it in and calls ``_init_moments``.  Its
+    presampling is the estimation phase, then ``presample_plan``, on K = d,
+    and ``kd_presample`` on K > d.
     """
 
     def presample(self, feed) -> tuple:
@@ -381,10 +325,9 @@ class _Moments:
 
 
 class _OpenLoop:
-    """Mixed into a ``Policy`` whose arms never read a response, so every
-    lock-step row holds the same counts: ``plan(m)`` gives the next m arms
-    without changing the policy, and ``run`` queries a segment as one
-    block, ``query(arms)``, and counts it."""
+    """Mixed into a ``Policy`` that never reads a response, so every row
+    holds the same counts: ``plan(m)`` gives the next m arms without
+    changing the policy, and ``run`` queries and counts them as one block."""
 
     open_loop = True
 
@@ -417,10 +360,8 @@ class OracleTrackingPolicy(_OpenLoop, Policy):
         self.p_star = reference_optimum(problem)[0].values.tolist()
 
     def plan(self, m: int) -> list:
-        """The largest deficit p*_k - counts_k / n each step, the first of
-        equals as np.argmax (the first largest p*_k at n = 0); found as the
-        first least counts_k / n - p*_k, since IEEE subtraction is exactly
-        antisymmetric.  p* is a ``SimplexWeights``, finite, so no deficit is NaN."""
+        """The largest deficit p*_k - counts_k / n each step, the first of equals
+        (at n = 0, the first largest p*_k)."""
         counts = self.counts[0].tolist()
         p_star, every, arms = self.p_star, range(self.n_arms), []
         for n in range(self.round, self.round + m):
@@ -438,22 +379,13 @@ class OracleTrackingPolicy(_OpenLoop, Policy):
 
 
 class RandomizedDesignPolicy(_Moments, Policy):
-    """Draw each arm from the re-solved optimistic design.
+    """Draws each arm from the residual of the optimistic design over the
+    presampled mass (``_residual_arm``).
 
-    Variances enter through their lower confidence bounds at per-arm
-    failure share delta' = 1 / (T^2 K).  The design is re-solved every
-    round: for square problems the closed form, p_k proportional to
-    sigma_k sqrt(cofactor_k), and otherwise ``reference_optimum`` under
-    the bounds, capped at ``_DESIGN_SWEEPS`` fixed-point sweeps (the
-    latter is extension behavior beyond the square-case guarantees and
-    is logged as such).  After presampling, draws target the residual
-    between the design and the mass already laid out (``_residual_arm``),
-    so the final proportions converge to the design rather than to a
-    mixture with the presampling origin.  Each row takes its uniforms from
-    its own generator through ``_uniforms``, the values one
-    ``rng.random()`` per draw would give.  Each update keeps the arm's
-    bound ``_lcb`` beside its moments; presampling defines every bound
-    before the first step reads them.
+    The design is re-solved under the variances' lower confidence bounds,
+    at per-arm failure share 1 / (T^2 K) or ``design_delta``: the closed
+    form on K = d, and on K > d ``reference_optimum`` of at most
+    ``_DESIGN_SWEEPS`` sweeps, logged as extension behavior.
     """
 
     name = "randomized"
@@ -472,7 +404,7 @@ class RandomizedDesignPolicy(_Moments, Policy):
         if not 0.0 < delta < 1.0:
             raise ValueError("design_delta must lie in (0, 1)")
         self._init_moments()
-        self._params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2]
+        self._params = [ConfidenceParams(delta, k2) for k2 in problem.noise.kappa2.tolist()]
         self._lcb = self._per_arm(np.nan)
         self._anchor = self._per_arm(0.0)
         self._uniforms = [_uniforms(g) for g in self.rng]
@@ -518,11 +450,8 @@ class RandomizedDesignPolicy(_Moments, Policy):
         return arms
 
     def run(self, t: int, stop: int, query) -> None:
-        """A draw from the residual design each step; on K = d one loop
-        (``Policy.run``) whose design weights sqrt(bound_k) sqrt(cofactor_k)
-        follow each observation.  The loop draws as ``_residual_arm`` and
-        bounds as ``lcb_variance`` do, inline: 3 kappa2 and the floor
-        LCB_FLOOR kappa2 per arm, and log(4 / delta), are formed per stretch."""
+        """A draw from the residual design each step; on K = d one loop that
+        draws as ``_residual_arm`` and bounds as ``lcb_variance`` do."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self._mean, self._m2, self.sig2hat, self._lcb)
@@ -566,18 +495,10 @@ class RandomizedDesignPolicy(_Moments, Policy):
 
 
 class GradientUcbPolicy(_Moments, Policy):
-    """Pick the arm with the lowest bonus-adjusted gradient estimate.
+    """Picks the least gradient estimate less its bonus, first of equals.
 
-    g_hat_k = dL/dp_k at the empirical proportions under plug-in
-    variances, minus the bonus 2 sqrt(3 log(t) / T_k).  Ties break to
-    the lowest index.  On square problems (K = d) the gradient is the
-    closed form -(Gamma^-1)_kk sigma_k^2 / p_k^2, and one pass over the
-    arms scores them on Python floats in the array formulas' IEEE
-    operation order and takes the first least value; presampling gives
-    every arm a count and a variance first.  K > d inverts every row's
-    Omega(p) in one stacked ``marks`` call each step.  As a numerical
-    guard the plug-in variances are raised to 1e-12 kappa_k^2, so a
-    degenerate sample set cannot zero a weight.
+    The estimate is dL/dp_k at the empirical proportions under the plug-in
+    variances, floored at 1e-12 kappa_k^2; the bonus is 2 sqrt(3 log(t) / T_k).
     """
 
     name = "gradient_ucb"
@@ -600,8 +521,7 @@ class GradientUcbPolicy(_Moments, Policy):
         return _fill_argmin(g - 2.0 * np.sqrt(c / counts), arms)
 
     def run(self, t: int, stop: int, query) -> None:
-        """The least gradient less its bonus each step; on K = d one loop
-        (``Policy.run``)."""
+        """The least gradient less its bonus each step; on K = d one loop."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self._mean, self._m2, self.sig2hat)
@@ -634,17 +554,10 @@ class GradientUcbPolicy(_Moments, Policy):
 class ThompsonPolicy(Policy):
     """Normal-inverse-gamma posterior sampling on the noise variances.
 
-    Every arm keeps NIG(mu, nu, alpha, beta) hyperparameters, from the
-    prior NIG(0, 1, 1, 1); a round samples sigma~_k^2 = beta_k / Gamma(alpha_k)
-    from each marginal inverse-gamma, clipped to a wide band around the
-    noise proxies as a numerical guard, and descends the loss gradient
-    computed with the sampled variances.  On square problems that
-    gradient is the closed form -(Gamma^-1)_kk sigma~_k^2 / p_k^2, and one
-    pass over the arms draws, clips and scores each in turn; its K scalar
-    ``gamma`` calls give the values, and leave the generator in the state,
-    of one ``standard_gamma`` call on the alpha array, which is how a
-    K > d row draws on its own generator before the rows' Omega(p) are
-    inverted together.
+    Each arm's posterior starts at NIG(0, 1, 1, 1).  A step draws
+    sigma~_k^2 = beta_k / Gamma(alpha_k), clipped to
+    [1e-8 kappa_k^2, 1e8 max kappa^2], and picks the least loss gradient
+    under the draw.
     """
 
     name = "thompson"
@@ -689,10 +602,8 @@ class ThompsonPolicy(Policy):
         return _fill_argmin(g, arms)
 
     def run(self, t: int, stop: int, query) -> None:
-        """The least sampled gradient each step; on K = d one loop
-        (``Policy.run``) that scores by ``gradient_ucb``'s rules without
-        the bonus.  Every shape alpha is at least 2 after the warm-up, and
-        numpy's gamma sampler never returns 0.0 at shape 1 or more."""
+        """The least sampled gradient each step; on K = d one loop that draws,
+        clips and scores each arm in turn."""
         if not self._square:
             return super().run(t, stop, query)
         state = (self.counts, self.post_mu, self.post_nu, self.post_alpha, self.post_beta)
@@ -819,23 +730,17 @@ class _Member:
 
 
 class Episode:
-    """Seeded episodes of one policy, run budget by budget in lock-step.
+    """Seeded episodes of one policy on one problem, run budget by budget in
+    lock-step.
 
-    ``envs`` is one ``Environment`` or a list, one per member (seed), on
-    one problem; on K = d an episode has one member.  Construction builds
-    the policy, one row per member, and runs its ``presample``;
-    ``advance_all(T)`` calls ``policy.run`` up to each pending checkpoint
-    through T, records it, and returns each member's T-step trace.  Every
-    per-member call (a presampling query, a K > d step's query, an
-    open-loop segment's ``query_arms``, a checkpoint) runs through
-    ``_each``: a member whose call raises, or whose ``select`` entry is an
-    exception, loses its row and keeps its error; the others run on.  An
-    error no row owns (building the policy, ``observe``) is every member's.
-
-    ``budgets`` names later horizons the episode may be advanced to, for a
-    horizon-free policy (``extends_past``).  Checkpoints are recorded on
-    the union of the horizons' schedules; each trace keeps its own.
-    Other arguments are those of ``run_episode``.
+    ``envs`` is one ``Environment`` or a list, one per member (seed); a
+    K = d episode has one.  Construction builds the policy, one row per
+    member, and runs its presampling.  A member whose own call raises, or
+    whose ``select`` entry is an exception, keeps that error and loses its
+    row; an error no row owns is every member's.  ``budgets`` are the later
+    horizons the episode may be advanced to (``extends_past``); each trace
+    has its own horizon's checkpoints.  Other arguments are those of
+    ``run_episode``.
     """
 
     def __init__(
@@ -905,12 +810,10 @@ class Episode:
         self._live = []
 
     def _each(self, call, entries: list) -> list:
-        """``call(member, entry)`` for every running member and its entry, in row order.
-
-        Returns the running members' results.  A member whose entry is an
-        exception, or whose call raises, keeps that error and loses its
-        row, in ``entries`` and in the policy; when no member is left the
-        last one's error is raised.
+        """``call(member, entry)`` for every running member and its entry, in row
+        order; returns the running members' results.  A member whose entry is an
+        exception, or whose call raises, keeps that error and loses its row, in
+        ``entries`` and in the policy; with no member left the last error raises.
         """
         results, failed = [], []
         for i, (member, entry) in enumerate(zip(self._live, entries)):
@@ -967,12 +870,9 @@ class Episode:
         self._each(checkpoint, list(self.policy.counts))
 
     def advance_all(self, horizon: int) -> list:
-        """Run every member on to ``horizon`` queries; one outcome per member.
-
-        A member's outcome is its ``horizon``-step trace, or the exception
-        that dropped it, at this call and every later one.  The traces
-        share the call's time, plus the set-up on the first call.
-        """
+        """Run every member on to ``horizon`` queries, recording each pending
+        checkpoint; returns per member its ``horizon``-step trace, or the
+        exception that dropped it at this call or an earlier one."""
         if horizon not in self._schedules or horizon < self.t:
             raise ValueError(f"episode at t={self.t} cannot be advanced to {horizon}")
         start = self._setup_start if self._setup_start is not None else time.perf_counter()
@@ -1022,13 +922,10 @@ def run_episode(
     options: dict | None = None,
     reference: tuple | None = None,
 ) -> RegretTrace:
-    """Run one policy for ``horizon`` queries and record regret checkpoints.
-
-    A presampling error is raised here.  ``reference`` is an optional
-    (p*, L*) pair, of which regret reads L*; computed when omitted.
-    Randomness comes from two streams of the environment seed: the
-    environment's (spawn key 0) and the policy's (spawn key 1).  This is
-    a one-member, one-horizon ``Episode``.
+    """Run one policy for ``horizon`` queries on ``env`` and record regret
+    checkpoints; an error of the episode raises.  ``reference`` is (p*, L*),
+    computed when omitted.  The policy draws from spawn key 1 of the
+    environment's seed.
     """
     (outcome,) = Episode(policy_name, env, horizon, options, reference).advance_all(horizon)
     if isinstance(outcome, Exception):

@@ -1,16 +1,6 @@
-"""Simplex solvers and the offline reference optimum.
-
-``reference_optimum`` computes the optimal design that regrets are
-measured against: the closed form when K = d, else the multiplicative
-fixed point, finished by a support Newton solve that merges exact
-clones, or by a d-arm active-set polish of its final iterate.
-The randomized policy solves its K > d design with it too, under the
-variances' lower confidence bounds.  ``minimize``, conditional gradient
-(Frank-Wolfe) with backtracking line search from the uniform design, is
-acceptance criterion 2's reference.  It evaluates at an interior floor,
-since the loss blows up on non-identifying faces; the floor is small
-enough that boundary optima are still represented to ~1e-9.
-"""
+"""The offline reference optimum (``reference_optimum``), which regrets are
+measured against, and a conditional-gradient simplex solver (``minimize``,
+acceptance criterion 2's reference)."""
 
 from __future__ import annotations
 
@@ -76,14 +66,14 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 def minimize(loss_fn, grad_fn, k: int, config: SolverConfig = DEFAULT_CONFIG) -> SolverResult:
-    """Minimize a convex function over the K-simplex by conditional gradient.
+    """Minimize a convex function over the K-simplex by conditional gradient
+    with backtracking line search, from the uniform design.
 
-    ``loss_fn`` and ``grad_fn`` take a length-K weight vector.  The
-    iterate starts uniform, and all evaluations happen at the floored
-    point (1 - K eps) p + eps, so the oracles never see an exact zero.
-    The returned weights are the floored iterate and ``gap`` is the
-    final Frank-Wolfe gap max_j (p - e_j)^T grad, an upper bound on the
-    suboptimality of the returned point (up to the floor).
+    ``loss_fn`` and ``grad_fn`` take a length-K weight vector and are only
+    evaluated at the floored point (1 - K eps) p + eps, eps = 1e-9.  Returns
+    that floored iterate and the final Frank-Wolfe gap max_j (p - e_j)^T grad,
+    which bounds its suboptimality up to the floor.  ``ValueError`` when the
+    loss is not finite at the uniform start.
     """
     if k < 1:
         raise ValueError("need at least one arm")
@@ -122,7 +112,8 @@ def minimize(loss_fn, grad_fn, k: int, config: SolverConfig = DEFAULT_CONFIG) ->
 def _certify_subset(
     problem: DesignProblem, active: np.ndarray, tol: float
 ) -> tuple[SimplexWeights, float] | None:
-    """Solve the restriction to ``active`` arms and check global KKT."""
+    """The closed-form optimum restricted to the ``active`` arms, with its loss,
+    if no arm's mark exceeds that loss by more than a relative ``tol``; else None."""
     cols = problem.covariates.columns[:, active]
     try:
         sub = DesignProblem(
@@ -145,19 +136,10 @@ def _certify_subset(
 
 
 def active_set_polish(problem: DesignProblem, weights) -> tuple[SimplexWeights, float] | None:
-    """Try to turn an approximate design into an exact boundary optimum.
-
-    When the optimum puts mass on exactly d of the K arms, restricting
-    to those arms gives a square problem with a closed form.  Candidate
-    supports are drawn from the heaviest arms of ``weights`` (the d
-    heaviest first, then the other d-subsets of a small pool, so near
-    ties and duplicate covariates do not hide the right support).  A
-    candidate is accepted only if the global KKT condition holds:
-    inactive arms must satisfy ||Omega^{-1} X_k||^2 / sigma_k^2 <= L,
-    which by convexity certifies a global optimum.  Returns None when
-    no restriction certifies.  ``reference_optimum`` runs it only on a
-    final iterate that the support Newton solve did not certify.
-    """
+    """An exact d-arm optimum near ``weights``, with its loss, or None: the
+    first d-subset of the d + 3 heaviest arms (the d heaviest first, ties
+    to the lower index) whose restriction ``_certify_subset`` certifies at
+    relative tolerance 1e-9.  None when K <= d."""
     d = problem.dimension
     if problem.n_arms <= d:
         return None
@@ -172,23 +154,14 @@ def active_set_polish(problem: DesignProblem, weights) -> tuple[SimplexWeights, 
 
 
 def _support_newton(problem: DesignProblem, weights) -> tuple[SimplexWeights, float] | None:
-    """Newton's method on the heaviest arms of ``weights``, kept only if it certifies.
+    """Newton's method on the d(d + 1)/2 + 1 heaviest arms of ``weights``, kept
+    only if it certifies: (design, loss), else None.
 
-    With a_k = X_k / sigma_k, M = sum_S w_k a_k a_k^T and B = M^-1 A_S,
-    the loss on a support S has gradient -||B_k||^2 and Hessian
-    H = 2 (A_S^T B) o (B^T B), of rank at most d(d + 1) / 2, so S starts
-    as the d(d + 1) / 2 + 1 heaviest arms.  Each step solves the KKT
-    system [H 1; 1^T 0] (Boyd & Vandenberghe, Convex Optimization, 10.2).
-    Exact clones (a_k = +-a_j) add the same a_k a_k^T and would make it
-    singular, so each clone group in S first merges into its lowest arm
-    with the group's summed weight; a clone-free S passes bit for bit.
-    A step that would empty an arm stops where the first one empties,
-    and that arm leaves for good (dropping every arm the full step
-    empties lost a true arm on one random instance in five).  The answer
-    must pass the fixed point's own test, max_k m_k - L <= _REL_TOL L
-    over all K arms (a merged clone's mark is its twin's); d arms give
-    their closed form via ``_certify_subset``, and a singular system or
-    fewer than d arms give None.
+    Exact clones (X_k / sigma_k equal up to sign) in the support first merge
+    into their lowest arm with their summed weight.  A step that would empty
+    an arm stops there, and that arm leaves.  The answer must pass
+    max_k m_k - L <= 1e-12 L over all K arms; a support of d arms gives
+    ``_certify_subset``'s answer, and fewer arms or a singular system None.
     """
     d = problem.dimension
     a = problem.covariates.columns / problem.noise.sigma
@@ -241,21 +214,13 @@ def _multiplicative_refine(
     rel_tol: float = _REL_TOL,
     certify=None,
 ) -> tuple[SimplexWeights, float]:
-    """Sharpen a design with the classical multiplicative fixed point.
+    """Run the multiplicative fixed point p_k <- p_k sqrt(m_k / L(p)) from
+    ``weights`` until max_k m_k - L(p) <= ``rel_tol`` L(p), at most
+    ``max_iters`` sweeps (a warning if it stops there); returns (design, loss).
 
-    The update p_k <- p_k sqrt(m_k) / sum_j p_j sqrt(m_j), where
-    m_k = ||Omega(p)^-1 X_k||^2 / sigma_k^2, decreases the trace loss
-    monotonically and converges for any optimal support size, unlike a
-    d-arm restriction.  The identity L(p) = sum_k p_k m_k makes the
-    stopping rule max_k m_k - L(p), which is exactly the Frank-Wolfe
-    gap, available for free each sweep.  Stopping at ``max_iters``
-    before that gap falls to ``rel_tol`` L(p) logs a warning.
-
-    ``certify``, when given, is called as ``certify(p, L(p), due)`` each
-    time the relative gap first falls below a power of ten (1e-1, 1e-2,
-    ...), and with ``due`` true on the final iterate; the first answer
-    it returns that is not None is returned instead, so an iterate that
-    crawls toward an exact optimum stops early.
+    ``certify(p, L(p), due)``, when given, is called each time the relative
+    gap first falls below a power of ten, and with ``due`` true on the last
+    iterate; its first answer that is not None is returned instead.
     """
     p = np.maximum(np.asarray(weights, dtype=np.float64).reshape(-1), 0.0)
     p /= p.sum()
@@ -294,14 +259,12 @@ def reference_optimum(
 ) -> tuple[SimplexWeights, float]:
     """Optimal design and its loss under the problem's true variances.
 
-    Square problems use the exact closed form.  Otherwise the
-    multiplicative fixed point runs from the uniform design for at most
-    ``max_iters`` sweeps (20,000 by default).  It converges only
-    linearly, and only approaches an optimum on the boundary, so at each
-    of its ``certify`` calls a support Newton solve, which merges exact
-    clones, runs; on the final iterate, if Newton never certified, the
-    d-arm active-set polish runs too.  The first certified answer is
-    returned.  Results of the default call are cached on the problem.
+    The closed form when K = d; else ``_multiplicative_refine`` from the
+    uniform design, at most ``max_iters`` sweeps (20,000 by default), with
+    ``_support_newton`` as its certificate, and ``active_set_polish`` on a
+    last iterate that Newton did not certify (kept if its loss is within
+    1e-9 of the iterate's).  The default call's result is cached on the
+    problem.
     """
     if max_iters is None and hasattr(problem, "_reference_cache"):
         return problem._reference_cache

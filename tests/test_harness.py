@@ -122,6 +122,15 @@ def test_instance_errors_carry_line_numbers(tmp_path):
     with pytest.raises(InstanceFormatError, match="expected 2 or 3"):
         load_instance(path)
 
+    # with both optional rows present, each is checked against its own length
+    path.write_text("3 2\n1 0 0\n0 1 0\n1.0 1.0\n1.0 1.0 1.0\n1 1 1\n")
+    with pytest.raises(InstanceFormatError, match=r"line 5: proxy row has 3 entries, expected 2"):
+        load_instance(path)
+
+    path.write_text("3 2\n1 0 0\n0 1 0\n1.0 1.0\n1.0 1.0\n1 1\n")
+    with pytest.raises(InstanceFormatError, match=r"line 6: beta row has 2 entries, expected 3"):
+        load_instance(path)
+
     path.write_text("")
     with pytest.raises(InstanceFormatError, match="empty"):
         load_instance(path)
